@@ -33,11 +33,9 @@ from .errors import (
     CycleThroughSource,
     DuplicateLink,
     DuplicatePriority,
-    InfiniteMoment,
     InfiniteSecondMoment,
     InvalidParameter,
     NetworkError,
-    NoFutureEvent,
     NotATree,
     SelfLoop,
     SourceHasIncoming,
@@ -60,9 +58,7 @@ from .network import CacheNetwork, Link, NetworkClass
 from .renewal import (
     LimitCheck,
     MartingalePoint,
-    RecurrenceView,
     RenewalStream,
-    recurrence_at,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
@@ -84,7 +80,6 @@ __all__ = [
     "DuplicatePriority",
     "Exponential",
     "ExperimentSweep",
-    "InfiniteMoment",
     "InfiniteSecondMoment",
     "InvalidParameter",
     "LimitCheck",
@@ -93,11 +88,9 @@ __all__ = [
     "Moments",
     "NetworkClass",
     "NetworkError",
-    "NoFutureEvent",
     "NotATree",
     "ParetoI",
     "Rayleigh",
-    "RecurrenceView",
     "RenewalStream",
     "ReplicationResult",
     "RngStream",
@@ -119,7 +112,6 @@ __all__ = [
     "from_literal",
     "link_contribution",
     "monte_carlo",
-    "recurrence_at",
     "simulate_once",
     "sweep_hop_count",
     "sweep_link_variance",

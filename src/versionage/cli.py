@@ -41,6 +41,7 @@ from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponen
 from .distributions import ParetoI, Rayleigh, Uniform, from_literal
 from .errors import ConfigError, VersionAgeError
 from .experiments import (
+    Z_GATE,
     sweep_hop_count,
     sweep_link_variance,
     sweep_network_family,
@@ -52,16 +53,12 @@ from .renewal import (
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
 )
-from .simulator import ESTIMATORS, monte_carlo
+from .simulator import DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, ESTIMATORS
+from .simulator import check_horizon, monte_carlo
 
 THREADS_ENV = "VERSIONAGE_THREADS"
 
-DEFAULT_HORIZON = 1e3
-DEFAULT_ITERATIONS = 20_000
-DEFAULT_SEED = 1
 DEFAULT_VERIFY_PATHS = 20_000
-
-Z_GATE = 4.0
 
 SIMULATE_CSV_HEADER = "target,estimator,mean,stderr,iterations,horizon,seed"
 
@@ -159,8 +156,10 @@ def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
     estimator = _ctx_get(obj, "estimator", source_name, default="terminal")
     if estimator not in ESTIMATORS:
         raise ConfigError(f"{source_name}: estimator must be one of {ESTIMATORS}")
-    if horizon <= 0:
-        raise ConfigError(f"{source_name}: horizon must be positive")
+    try:
+        check_horizon(horizon)
+    except VersionAgeError as exc:
+        raise ConfigError(f"{source_name}: {exc}") from None
     if iterations < 1:
         raise ConfigError(f"{source_name}: iterations must be >= 1")
     targets = _ctx_get(obj, "targets", source_name)
@@ -569,3 +568,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

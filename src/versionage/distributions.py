@@ -8,11 +8,9 @@ variance, while the analytic engine refuses such inputs.
 Sampling is batch-first.  Families with a closed-form quantile (exponential,
 uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
 draw consumes exactly one uniform and is a deterministic function of the
-stream state.  Chi-square draws sum k squared standard normals obtained by the
-Box-Muller transform (a fixed 2*ceil(k/2) uniforms per draw).  Beta draws use
-Cheng's rejection when both shapes exceed 1 and Johnk's rejection otherwise;
-their uniform consumption varies per draw, which is safe because every renewal
-stream owns its own generator.
+stream state.  Chi-square and beta draws come from numpy's own samplers run
+on the stream's Philox generator; their consumption of the generator varies
+per draw, which is safe because every renewal stream owns its own generator.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ __all__ = [
     "from_literal",
     "LITERAL_TYPES",
 ]
-
-_LN4 = math.log(4.0)
-_CHENG_C = 1.0 + math.log(5.0)
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -220,15 +214,7 @@ class ChiSquare(Distribution):
         return float(special.gammainc(self.k / 2.0, x / 2.0))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
-        pairs = (self.k + 1) // 2
-        u1 = rng.uniforms(n * pairs).reshape(n, pairs)
-        u2 = rng.uniforms(n * pairs).reshape(n, pairs)
-        r = -2.0 * np.log(u1)
-        angle = 2.0 * np.pi * u2
-        squares = np.concatenate(
-            [r * np.cos(angle) ** 2, r * np.sin(angle) ** 2], axis=1
-        )[:, : self.k]
-        return squares.sum(axis=1)
+        return rng.generator.chisquare(self.k, n)
 
 
 @dataclass(frozen=True, eq=True)
@@ -268,59 +254,7 @@ class Beta(Distribution):
         return float(special.betainc(self.alpha, self.beta, x))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
-        if min(self.alpha, self.beta) > 1.0:
-            return self._sample_cheng(rng, n)
-        return self._sample_johnk(rng, n)
-
-    def _sample_cheng(self, rng: RngStream, n: int) -> np.ndarray:
-        """Cheng's BB rejection; two uniforms per trial, acceptance > 0.5."""
-        a, b = self.alpha, self.beta
-        p, q = min(a, b), max(a, b)
-        s = p + q
-        lam = math.sqrt((s - 2.0) / (2.0 * p * q - s))
-        grow = p + 1.0 / lam
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = 2 * (n - filled) + 8
-            u1 = rng.uniforms(m)
-            u2 = rng.uniforms(m)
-            v = lam * np.log(u1 / (1.0 - u1))
-            w = p * np.exp(v)
-            z = u1 * u1 * u2
-            r = grow * v - _LN4
-            margin = p + r - w
-            accept = margin + _CHENG_C >= 5.0 * z
-            retry = np.flatnonzero(~accept)
-            if retry.size:
-                t = np.log(z[retry])
-                slow = (margin[retry] >= t) | (
-                    r[retry] + s * np.log(s / (q + w[retry])) >= t
-                )
-                accept[retry[slow]] = True
-            w_acc = w[accept]
-            x = w_acc / (q + w_acc) if a == p else q / (q + w_acc)
-            take = min(n - filled, x.size)
-            out[filled : filled + take] = x[:take]
-            filled += take
-        return out
-
-    def _sample_johnk(self, rng: RngStream, n: int) -> np.ndarray:
-        """Johnk's rejection, efficient when a shape parameter is <= 1."""
-        inv_a, inv_b = 1.0 / self.alpha, 1.0 / self.beta
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = 4 * (n - filled) + 8
-            x = rng.uniforms(m) ** inv_a
-            y = rng.uniforms(m) ** inv_b
-            total = x + y
-            ok = total <= 1.0
-            accepted = x[ok] / total[ok]
-            take = min(n - filled, accepted.size)
-            out[filled : filled + take] = accepted[:take]
-            filled += take
-        return out
+        return rng.generator.beta(self.alpha, self.beta, n)
 
 
 @dataclass(frozen=True, eq=True)

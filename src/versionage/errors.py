@@ -10,17 +10,8 @@ class InvalidParameter(VersionAgeError, ValueError):
 
 
 class InfiniteSecondMoment(VersionAgeError):
-    """An operation requires a finite second moment but the distribution lacks one."""
-
-
-# The statistical verifiers reject any distribution with a divergent moment,
-# first or second; same condition, friendlier name at those call sites.
-InfiniteMoment = InfiniteSecondMoment
-
-
-class NoFutureEvent(VersionAgeError):
-    """A recurrence-time query needs an event strictly after t, but the stream
-    was not advanced far enough."""
+    """An operation requires a finite second moment (and so a finite mean) but
+    the distribution lacks one."""
 
 
 class NetworkError(VersionAgeError):

@@ -154,10 +154,6 @@ class CacheNetwork:
 
     # -- queries ---------------------------------------------------------------
 
-    def validate(self) -> NetworkClass:
-        """Classification of this (already structurally validated) network."""
-        return self.classification
-
     def incoming(self, node: str) -> tuple[Link, ...]:
         return tuple(self._incoming[node])
 

@@ -1,4 +1,4 @@
-"""Renewal event streams, recurrence times, and statistical limit verifiers.
+"""Renewal event streams and statistical limit verifiers.
 
 A :class:`RenewalStream` realizes a renewal counting process lazily: gaps are
 drawn from the owning distribution in fixed-size batches, so memory stays
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InfiniteMoment, InvalidParameter, NoFutureEvent
+from .errors import InfiniteSecondMoment, InvalidParameter
 from .rng import RngStream
 
 __all__ = [
     "GAP_BATCH",
     "RenewalStream",
-    "RecurrenceView",
-    "recurrence_at",
     "MartingalePoint",
     "LimitCheck",
     "verify_martingale_zero_mean",
@@ -136,32 +134,6 @@ def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class RecurrenceView:
-    """Counting-process state at a query time t, with the T_0 = 0 convention."""
-
-    t: float
-    count: int
-    backward: float
-    forward: float
-
-
-def recurrence_at(events: np.ndarray, t: float) -> RecurrenceView:
-    """Backward/forward recurrence times of a realized event sequence at t.
-
-    ``events`` must be sorted strictly increasing and contain at least one
-    event after t; an event at exactly t counts as having occurred.
-    """
-    if t < 0:
-        raise InvalidParameter(f"t must be nonnegative, got {t}")
-    events = np.asarray(events)
-    n = int(np.searchsorted(events, t, side="right"))
-    if n >= events.size:
-        raise NoFutureEvent(f"no event after t={t}; advance the stream further")
-    last = float(events[n - 1]) if n > 0 else 0.0
-    return RecurrenceView(t=t, count=n, backward=t - last, forward=float(events[n]) - t)
-
-
-@dataclass(frozen=True)
 class MartingalePoint:
     """Studentized sample mean of the embedded martingale at one time."""
 
@@ -186,7 +158,7 @@ class LimitCheck:
 def _require_finite_moments(spec: Distribution):
     m = spec.moments()
     if not m.is_finite:
-        raise InfiniteMoment(f"{spec} has a divergent moment; the limit theorems need E[Y] and E[Y^2] finite")
+        raise InfiniteSecondMoment(f"{spec} has a divergent moment; the limit theorems need E[Y] and E[Y^2] finite")
     return m
 
 

@@ -46,14 +46,18 @@ def derive_seed(master_seed: int, *scope) -> int:
 
 
 class RngStream:
-    """Single-owner uniform stream; mutate only from one task at a time."""
+    """Single-owner random stream; mutate only from one task at a time.
 
-    __slots__ = ("_bitgen", "_gen", "key")
+    ``generator`` is the numpy Generator over this stream's Philox state, for
+    samplers numpy already provides; :meth:`reseed` rewinds it too.
+    """
+
+    __slots__ = ("_bitgen", "generator", "key")
 
     def __init__(self, master_seed: int, *scope):
         self.key = derive_key(master_seed, *scope)
         self._bitgen = np.random.Philox(key=self.key)
-        self._gen = np.random.Generator(self._bitgen)
+        self.generator = np.random.Generator(self._bitgen)
 
     def reseed(self, master_seed: int, *scope) -> "RngStream":
         """Rewind this stream to the state a fresh (master_seed, scope)
@@ -72,8 +76,5 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n i.i.d. uniforms on (0, 1), floored away from exact zero."""
-        u = self._gen.random(n)
+        u = self.generator.random(n)
         return np.maximum(u, _U_FLOOR, out=u)
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -37,9 +38,20 @@ from .network import CacheNetwork, NetworkClass
 from .renewal import RenewalStream, event_times_until
 from .rng import RngStream
 
-__all__ = ["ReplicationResult", "SimOutcome", "simulate_once", "monte_carlo", "ESTIMATORS"]
+__all__ = [
+    "ReplicationResult",
+    "SimOutcome",
+    "simulate_once",
+    "monte_carlo",
+    "check_horizon",
+    "ESTIMATORS",
+]
 
 ESTIMATORS = ("terminal", "time_average")
+
+DEFAULT_HORIZON = 1e3
+DEFAULT_ITERATIONS = 20_000
+DEFAULT_SEED = 1
 
 SOURCE_STREAM = ("source",)
 
@@ -57,7 +69,7 @@ class ReplicationResult:
     time_average: dict[str, float]
     versions: dict[str, int]
     source_version: int
-    #: version step history per node (time, new version), recorded on request
+    #: version step history per node (time, new version), returned on request
     steps: dict[str, list[tuple[float, int]]] | None = None
 
 
@@ -100,29 +112,21 @@ class SimOutcome:
         }
 
 
-class _WindowIntegrator:
-    """Time integral of a piecewise-constant version counter over [lo, hi]."""
+def check_horizon(horizon) -> None:
+    """Reject any horizon but a positive finite number."""
+    if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
+        raise InvalidParameter(f"horizon must be a positive finite number, got {horizon!r}")
 
-    __slots__ = ("lo", "hi", "total", "_t", "_v")
 
-    def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-        self.total = 0.0
-        self._t = 0.0
-        self._v = 0
-
-    def step(self, t: float, v: int) -> None:
-        a = max(self._t, self.lo)
-        b = min(t, self.hi)
-        if b > a:
-            self.total += self._v * (b - a)
-        self._t = t
-        self._v = v
-
-    def finish(self) -> float:
-        self.step(self.hi, self._v)
-        return self.total
+def _window_integral(times: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the step function that equals values[k] on
+    [times[k], times[k+1]); times must start at 0."""
+    i = int(np.searchsorted(times, lo, side="right")) - 1
+    j = int(np.searchsorted(times, hi, side="right")) - 1
+    if i == j:
+        return float(values[i]) * (hi - lo)
+    knots = np.concatenate([[lo], times[i + 1 : j + 1], [hi]])
+    return float(np.dot(values[i : j + 1], np.diff(knots)))
 
 
 def simulate_once(
@@ -138,8 +142,7 @@ def simulate_once(
     Per-stream generators are keyed by (master_seed, iteration, stream id), so
     a replication is reproducible in isolation.  All caches start at version 0.
     """
-    if horizon <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {horizon}")
+    check_horizon(horizon)
     streams: list[RenewalStream] = [
         RenewalStream(
             network.source_dist,
@@ -162,11 +165,7 @@ def simulate_once(
         senders.append(link.src)
 
     versions: dict[str, int] = {n: 0 for n in network.nodes}
-    win_lo = horizon / 2.0
-    integrators = {n: _WindowIntegrator(win_lo, horizon) for n in network.nodes}
-    steps: dict[str, list[tuple[float, int]]] | None = None
-    if record:
-        steps = {n: [] for n in network.nodes}
+    steps: dict[str, list[tuple[float, int]]] = {n: [] for n in network.nodes}
 
     heap = [(s.peek(), *ranks[i], i) for i, s in enumerate(streams)]
     heapq.heapify(heap)
@@ -184,14 +183,16 @@ def simulate_once(
             if check_invariants:
                 assert versions[senders[i]] <= versions[source]
         if new_version != versions[node]:
-            integrators[node].step(t, new_version)
             versions[node] = new_version
-            if steps is not None:
-                steps[node].append((t, new_version))
+            steps[node].append((t, new_version))
 
     w0 = versions[source]
-    integrals = {n: integrators[n].finish() for n in network.nodes}
-    width = horizon - win_lo
+    lo = horizon / 2.0
+    integrals = {
+        n: _window_integral(*np.array([(0.0, 0), *steps[n]]).T, lo, horizon)
+        for n in network.nodes
+    }
+    width = horizon - lo
     return ReplicationResult(
         horizon=horizon,
         terminal={n: w0 - versions[n] for n in network.nodes},
@@ -200,22 +201,11 @@ def simulate_once(
         },
         versions=dict(versions),
         source_version=w0,
-        steps=steps,
+        steps=steps if record else None,
     )
 
 
 # -- vectorized PATH/TREE engine ------------------------------------------------
-
-
-def _window_integral(times: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of the step function that equals values[k] on
-    [times[k], times[k+1]); times must start at 0."""
-    i = int(np.searchsorted(times, lo, side="right")) - 1
-    j = int(np.searchsorted(times, hi, side="right")) - 1
-    if i == j:
-        return float(values[i]) * (hi - lo)
-    knots = np.concatenate([[lo], times[i + 1 : j + 1], [hi]])
-    return float(np.dot(values[i : j + 1], np.diff(knots)))
 
 
 class _TreeReplicator:
@@ -300,9 +290,9 @@ def _run_iteration_block(args) -> list[tuple]:
 def monte_carlo(
     network: CacheNetwork,
     targets=None,
-    horizon: float = 1e3,
-    iterations: int = 20_000,
-    master_seed: int = 1,
+    horizon: float = DEFAULT_HORIZON,
+    iterations: int = DEFAULT_ITERATIONS,
+    master_seed: int = DEFAULT_SEED,
     estimator: str = "terminal",
     threads: int = 1,
 ) -> dict[str, SimOutcome]:
@@ -317,10 +307,14 @@ def monte_carlo(
         raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
-    if horizon <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {horizon}")
+    check_horizon(horizon)
     if targets is None:
         targets = network.leaves()
+        if not targets:
+            raise InvalidParameter(
+                "no targets given and the network has no leaves (every cache "
+                "forwards to another); name the targets"
+            )
     targets = list(targets)
     unknown = [t for t in targets if t not in network.nodes]
     if unknown:

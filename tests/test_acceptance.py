@@ -118,9 +118,9 @@ def test_criterion_4_poisson_cross_check():
     rng = RngStream(104, "tuples")
     tuples = []
     for _ in range(20):
-        n_links = 1 + int(rng.uniform() * 5)
-        rate_s = 0.5 + 2.0 * rng.uniform()
-        rates = [0.5 + 2.0 * rng.uniform() for _ in range(n_links)]
+        n_links = 1 + int(rng.uniforms(1)[0] * 5)
+        rate_s = 0.5 + 2.0 * rng.uniforms(1)[0]
+        rates = [0.5 + 2.0 * rng.uniforms(1)[0] for _ in range(n_links)]
         tuples.append((rate_s, rates))
 
     violations = []

@@ -190,9 +190,9 @@ def test_poisson_rejects_bad_rates():
 def test_poisson_reduction_consistency():
     rng = RngStream(123, "rates")
     for _ in range(100):
-        n = 1 + int(rng.uniform() * 5)
-        rate_s = 0.25 + 4.0 * rng.uniform()
-        rates = [0.25 + 4.0 * rng.uniform() for _ in range(n)]
+        n = 1 + int(rng.uniforms(1)[0] * 5)
+        rate_s = 0.25 + 4.0 * rng.uniforms(1)[0]
+        rates = [0.25 + 4.0 * rng.uniforms(1)[0] for _ in range(n)]
         via_formula = expected_version_age_poisson(rate_s, rates)
         net = chain(Exponential(rate=rate_s), [Exponential(rate=r) for r in rates])
         via_engine = expected_version_age(net).per_node[f"n{n}"]

@@ -1,6 +1,9 @@
 """Command-line behavior: config ingestion, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,7 +52,7 @@ def test_parse_config_defaults():
     assert cfg.iterations == 20_000
     assert cfg.estimator == "terminal"
     assert cfg.targets is None
-    assert cfg.network.validate().value == "path"
+    assert cfg.network.classification.value == "path"
 
 
 @pytest.mark.parametrize(
@@ -57,6 +60,7 @@ def test_parse_config_defaults():
     [
         (lambda c: c.update(estimator="median"), "estimator"),
         (lambda c: c.update(horizon=-1), "horizon"),
+        (lambda c: c.update(horizon=float("nan")), "positive finite"),
         (lambda c: c.update(iterations=0), "iterations"),
         (lambda c: c.update(targets=["nope"]), "undeclared"),
         (lambda c: c.update(extra_field=1), "unknown fields"),
@@ -157,6 +161,44 @@ def test_simulate_works_on_general_graphs(tmp_path):
     assert run(["simulate", path, "--out", base]) == 0
     payload = json.loads(open(base + ".json").read())
     assert set(payload["outcomes"]) == {"c"}
+
+
+def test_simulate_rejects_bad_horizons(tmp_path, capsys):
+    path = write_config(tmp_path, CHAIN_CONFIG)
+    base = str(tmp_path / "h")
+    for value in ("nan", "inf", "-inf"):
+        assert run(["simulate", path, f"--horizon={value}", "--out", base]) == 1
+        assert "horizon must be a positive finite number" in capsys.readouterr().err
+    nan_path = write_config(tmp_path, dict(CHAIN_CONFIG, horizon=float("nan")), "nan.json")
+    assert run(["simulate", nan_path, "--out", base]) == 1
+    assert "horizon" in capsys.readouterr().err
+    assert run(["sweep", "fig6", "--values", "1", "--horizon", "nan", "--out", base]) == 1
+
+
+def test_simulate_without_leaves_or_targets_exits_one(tmp_path, capsys):
+    cfg = {
+        "nodes": ["s", "x", "y"],
+        "source": "s",
+        "source_dist": {"type": "exponential", "rate": 1.0},
+        "links": [
+            {"from": "s", "to": "x", "dist": {"type": "exponential", "rate": 1.0}},
+            {"from": "x", "to": "y", "dist": {"type": "exponential", "rate": 1.0}},
+            {"from": "y", "to": "x", "dist": {"type": "exponential", "rate": 1.0}},
+        ],
+        "horizon": 10.0,
+        "iterations": 3,
+    }
+    base = str(tmp_path / "cycle")
+    assert run(["simulate", write_config(tmp_path, cfg), "--out", base]) == 1
+    assert "no leaves" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json")
+
+
+def test_module_entry_point_runs():
+    done = subprocess.run([sys.executable, "-m", "versionage.cli", "--version"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("versionage ")
 
 
 # -- verify -------------------------------------------------------------------------

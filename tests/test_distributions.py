@@ -175,12 +175,12 @@ def test_samples_always_positive():
 
 
 def test_sampling_is_deterministic_per_stream():
-    spec = Beta(alpha=2.0, beta=3.0)
-    a = spec.sample_batch(RngStream(42, "s1"), 5000)
-    b = spec.sample_batch(RngStream(42, "s1"), 5000)
-    c = spec.sample_batch(RngStream(42, "s2"), 5000)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    for spec in (Beta(alpha=2.0, beta=3.0), Beta(alpha=0.8, beta=2.0), ChiSquare(k=1)):
+        a = spec.sample_batch(RngStream(42, "s1"), 5000)
+        b = spec.sample_batch(RngStream(42, "s1"), 5000)
+        c = spec.sample_batch(RngStream(42, "s2"), 5000)
+        assert np.array_equal(a, b), str(spec)
+        assert not np.array_equal(a, c), str(spec)
 
 
 # -- validation and literals ----------------------------------------------------

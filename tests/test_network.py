@@ -26,7 +26,7 @@ def net(nodes, links, source="s"):
 
 def test_chain_is_path():
     n = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E)])
-    assert n.validate() is NetworkClass.PATH
+    assert n.classification is NetworkClass.PATH
 
 
 def test_multicast_tree():
@@ -34,7 +34,7 @@ def test_multicast_tree():
         ["s", "a", "b", "c", "d"],
         [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E)],
     )
-    assert n.validate() is NetworkClass.TREE
+    assert n.classification is NetworkClass.TREE
 
 
 def test_two_feeds_make_general():
@@ -42,17 +42,17 @@ def test_two_feeds_make_general():
         ["s", "a", "b", "c"],
         [("s", "a", E), ("s", "b", E), ("a", "c", E), ("b", "c", E)],
     )
-    assert n.validate() is NetworkClass.GENERAL
+    assert n.classification is NetworkClass.GENERAL
 
 
 def test_cache_cycle_is_general_but_valid():
     n = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E), ("b", "a", E)])
-    assert n.validate() is NetworkClass.GENERAL
+    assert n.classification is NetworkClass.GENERAL
 
 
 def test_single_node_network_is_path():
     n = net(["s"], [])
-    assert n.validate() is NetworkClass.PATH
+    assert n.classification is NetworkClass.PATH
     assert n.leaves() == []
 
 
@@ -130,10 +130,10 @@ def test_tree_path_lengths_and_link_coverage():
 
 def test_classification_is_declaration_order_independent():
     links = [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E)]
-    reference = net(["s", "a", "b", "c", "d"], links).validate()
+    reference = net(["s", "a", "b", "c", "d"], links).classification
     for perm in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
         shuffled = [links[i] for i in perm]
-        assert net(["s", "a", "b", "c", "d"], shuffled).validate() is reference
+        assert net(["s", "a", "b", "c", "d"], shuffled).classification is reference
 
 
 def test_dump_round_trip():

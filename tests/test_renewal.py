@@ -12,15 +12,13 @@ from versionage import (
     ChiSquare,
     Deterministic,
     Exponential,
-    InfiniteMoment,
+    InfiniteSecondMoment,
     InvalidParameter,
-    NoFutureEvent,
     ParetoI,
     Rayleigh,
     RenewalStream,
     RngStream,
     Uniform,
-    recurrence_at,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
@@ -90,46 +88,6 @@ def test_poisson_count_rate():
     assert abs(np.mean(counts) - rate * horizon) <= 4.0 * se
 
 
-# -- recurrence views ---------------------------------------------------------
-
-def test_recurrence_examples():
-    events = np.array([1.0, 3.0, 7.0])
-    v = recurrence_at(events, 5.0)
-    assert (v.count, v.backward, v.forward) == (2, 2.0, 2.0)
-    v = recurrence_at(events, 0.5)  # before the first event: T_0 = 0
-    assert (v.count, v.backward, v.forward) == (0, 0.5, 0.5)
-    v = recurrence_at(events, 3.0)  # a renewal counts at its own instant
-    assert (v.count, v.backward, v.forward) == (2, 0.0, 4.0)
-
-
-def test_recurrence_requires_future_event():
-    with pytest.raises(NoFutureEvent):
-        recurrence_at(np.array([1.0, 3.0]), 3.0)
-    with pytest.raises(InvalidParameter):
-        recurrence_at(np.array([1.0, 3.0]), -0.1)
-
-
-def test_backward_plus_forward_equals_straddling_gap():
-    s = make_stream(Rayleigh(sigma=1.0), seed=9)
-    events = s.advance(2000.0)
-    ts = RngStream(17, "probe").uniforms(1000) * float(events[-1] - 1e-9)
-    for t in ts:
-        v = recurrence_at(events, float(t))
-        gap = float(events[v.count] - (events[v.count - 1] if v.count else 0.0))
-        # float addition can be off by an ulp from the gap computed directly
-        assert math.isclose(v.backward + v.forward, gap, rel_tol=1e-12)
-        assert 0.0 <= v.backward <= t
-        assert v.forward > 0.0
-
-
-def test_count_matches_emitted_events():
-    s = make_stream(Uniform(lo=0.0, hi=2.0), seed=5)
-    events = s.advance(520.0)
-    for t in (0.05, 1.0, 17.3, 499.0):
-        v = recurrence_at(events, t)
-        assert v.count == int(np.sum(events <= t))
-
-
 def test_elementary_renewal_rate():
     spec = Beta(alpha=2.0, beta=3.0)
     mean = spec.moments().mean
@@ -168,7 +126,7 @@ def test_martingale_deterministic_is_exactly_zero():
 def test_martingale_rejects_small_ensembles_and_heavy_tails():
     with pytest.raises(InvalidParameter):
         verify_martingale_zero_mean(Exponential(rate=1.0), [10.0], 100)
-    with pytest.raises(InfiniteMoment):
+    with pytest.raises(InfiniteSecondMoment):
         verify_martingale_zero_mean(ParetoI(shape=1.5, scale=1.0), [10.0], N_PATHS)
 
 

@@ -17,6 +17,7 @@ from versionage import (
     ChiSquare,
     Deterministic,
     Exponential,
+    InvalidParameter,
     Rayleigh,
     RenewalStream,
     RngStream,
@@ -375,6 +376,26 @@ def test_monte_carlo_general_graph_uses_event_engine():
 def test_monte_carlo_default_targets_are_leaves():
     out = monte_carlo(MIXED_TREE, horizon=10.0, iterations=5, master_seed=1)
     assert set(out) == {"c", "d", "e"}
+
+
+def test_monte_carlo_without_leaves_needs_targets():
+    # every cache forwards to another, so there is no leaf to default to
+    network = CacheNetwork(
+        nodes=["s", "x", "y"], source="s", source_dist=Exponential(rate=1.0),
+        links=[("s", "x", D(1.0)), ("x", "y", D(1.0)), ("y", "x", D(1.0))],
+    )
+    with pytest.raises(InvalidParameter, match="no leaves"):
+        monte_carlo(network, horizon=10.0, iterations=3)
+    assert set(monte_carlo(network, targets=["y"], horizon=10.0, iterations=3)) == {"y"}
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_horizon_must_be_positive_and_finite(horizon):
+    network = chain(Exponential(rate=1.0), [Exponential(rate=1.0)])
+    with pytest.raises(InvalidParameter, match="horizon"):
+        simulate_once(network, horizon, master_seed=1)
+    with pytest.raises(InvalidParameter, match="horizon"):
+        monte_carlo(network, horizon=horizon, iterations=2)
 
 
 def test_poisson_two_hop_mean():
