@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -101,6 +102,16 @@ def _ctx_get(obj: dict, key: str, ctx: str, default=None, required: bool = False
     return obj[key]
 
 
+def _whole_number(obj: dict, key: str, ctx: str, default: int) -> int:
+    """An integer field; integral finite floats such as 2e4 are accepted."""
+    value = _ctx_get(obj, key, ctx, default=default)
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{ctx}: {key!r} must be a whole number, got {value!r}")
+    return value
+
+
 def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
     try:
         obj = json.loads(text)
@@ -150,9 +161,12 @@ def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
     except VersionAgeError as exc:
         raise ConfigError(f"{source_name}: {exc}") from None
 
-    horizon = float(_ctx_get(obj, "horizon", source_name, default=DEFAULT_HORIZON))
-    iterations = int(_ctx_get(obj, "iterations", source_name, default=DEFAULT_ITERATIONS))
-    master_seed = int(_ctx_get(obj, "master_seed", source_name, default=DEFAULT_SEED))
+    horizon = _ctx_get(obj, "horizon", source_name, default=DEFAULT_HORIZON)
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
+        raise ConfigError(f"{source_name}: 'horizon' must be a number, got {horizon!r}")
+    horizon = float(horizon)
+    iterations = _whole_number(obj, "iterations", source_name, DEFAULT_ITERATIONS)
+    master_seed = _whole_number(obj, "master_seed", source_name, DEFAULT_SEED)
     estimator = _ctx_get(obj, "estimator", source_name, default="terminal")
     if estimator not in ESTIMATORS:
         raise ConfigError(f"{source_name}: estimator must be one of {ESTIMATORS}")

@@ -164,11 +164,6 @@ class CacheNetwork:
     def is_tree(self) -> bool:
         return self.classification is not NetworkClass.GENERAL
 
-    def parent_link(self, node: str) -> Link:
-        if not self.is_tree:
-            raise NotATree("parent links are only defined on PATH/TREE networks")
-        return self._incoming[node][0]
-
     def path_to_source(self, node: str) -> list[Link]:
         """Links from the source down to ``node``, in hop order."""
         if node not in self._incoming:

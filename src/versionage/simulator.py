@@ -1,4 +1,4 @@
-"""Event-driven simulation of version propagation through a cache network.
+"""Simulation of version propagation through a cache network.
 
 Semantics: the source's version counter increments at each of its renewal
 events; at each renewal of link (i, j) the sender's current version is copied
@@ -12,15 +12,20 @@ declaration index).  Ties occur with probability zero for continuous
 inter-update times; the ordering matters only when deterministic links are in
 play.
 
-Two engines produce identical trajectories from identical seeds and are
-cross-checked in the test suite:
+:func:`monte_carlo` runs one vectorized engine on every network class.  It
+draws each stream's event times up to the horizon and builds each cache's
+version step function from its senders' by binary search: a delivery carries
+the sender's version after the last sender step that the order above puts
+before it.  A cache with several feeds merges its deliveries by (time, rank)
+and keeps a running maximum.  One sweep in depth order is exact on PATH/TREE
+networks; on GENERAL graphs (several feeds, cycles among caches) depth order
+is not a topological order, so sweeps repeat until no value changes, a
+monotone fixed point.
 
-* a lazy-merge event loop over per-stream cursors (any validated network,
-  including general graphs with cycles among caches);
-* a vectorized per-replication cascade for PATH/TREE networks, used by
-  :func:`monte_carlo`, which evaluates each node's version step function from
-  its parent's via inclusive binary search -- the searchsorted(side="right")
-  convention realizes exactly the tie order above.
+:func:`simulate_once` is the reference engine: a heap event loop over lazy
+renewal streams, which also records step histories and checks invariants.
+Both engines integrate the same knots (every delivery a node receives), so
+they agree bit for bit and are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, UnknownNode
-from .network import CacheNetwork, NetworkClass
+from .network import CacheNetwork
 from .renewal import RenewalStream, event_times_until
 from .rng import RngStream
 
@@ -166,6 +171,10 @@ def simulate_once(
 
     versions: dict[str, int] = {n: 0 for n in network.nodes}
     steps: dict[str, list[tuple[float, int]]] = {n: [] for n in network.nodes}
+    # every delivery a node receives and its version after it: the knots
+    # the time average integrates, the same ones the vectorized engine keeps
+    knot_times: dict[str, list[float]] = {n: [] for n in network.nodes}
+    knot_values: dict[str, list[int]] = {n: [] for n in network.nodes}
 
     heap = [(s.peek(), *ranks[i], i) for i, s in enumerate(streams)]
     heapq.heapify(heap)
@@ -185,11 +194,18 @@ def simulate_once(
         if new_version != versions[node]:
             versions[node] = new_version
             steps[node].append((t, new_version))
+        knot_times[node].append(t)
+        knot_values[node].append(new_version)
 
     w0 = versions[source]
     lo = horizon / 2.0
     integrals = {
-        n: _window_integral(*np.array([(0.0, 0), *steps[n]]).T, lo, horizon)
+        n: _window_integral(
+            np.array([0.0, *knot_times[n]]),
+            np.array([0.0, *knot_values[n]]),
+            lo,
+            horizon,
+        )
         for n in network.nodes
     }
     width = horizon - lo
@@ -205,86 +221,173 @@ def simulate_once(
     )
 
 
-# -- vectorized PATH/TREE engine ------------------------------------------------
+# -- vectorized engine ----------------------------------------------------------
 
 
-class _TreeReplicator:
-    """Reusable per-replication evaluator for PATH/TREE networks.
+def _carry(times, values, ranks, deliveries, rank):
+    """The sender's version at each delivery of a feed of the given rank.
+
+    ``times``/``values`` are the sender's step function, knot 0 first.  With
+    ``ranks`` None every stream that moves the sender ranks before the feed,
+    so simultaneous sender steps count (inclusive search); otherwise
+    ``ranks`` holds the rank of each sender step and decides ties.
+    """
+    steps = times[1:]
+    if ranks is None:
+        return values[np.searchsorted(steps, deliveries, side="right")]
+    count = np.searchsorted(steps, deliveries, side="left")
+    width = np.searchsorted(steps, deliveries, side="right") - count
+    tied = np.flatnonzero(width)
+    if tied.size:
+        lo, width = count[tied], width[tied]
+        for j in range(int(width.max())):
+            at = np.minimum(lo + j, steps.size - 1)
+            count[tied] += (j < width) & (ranks[at] < rank)
+    return values[count]
+
+
+class _Replicator:
+    """Reusable per-replication evaluator for every network class.
 
     Draws the same gap sequences as the event loop (same streams, same
-    batching) and composes version step functions down the tree; inclusive
-    searchsorted reproduces the event loop's simultaneous-event order.
+    batching) and composes version step functions from the source outwards,
+    over the targets and every cache that feeds them.  Each feed's tie rule
+    is fixed here from the event ranks; on PATH/TREE networks it is always
+    the inclusive searchsorted(side="right").
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float):
-        self.network = network
         self.horizon = horizon
+        self.source_dist = network.source_dist
+        self.iterate = not network.is_tree
+        links = network.links
+        # integer event ranks; 0 is the source
+        by_rank = sorted(
+            range(len(links)),
+            key=lambda i: (network.depth[links[i].src], links[i].priority, i),
+        )
+        rank = {(links[i].src, links[i].dst): r + 1 for r, i in enumerate(by_rank)}
+
         needed: set[str] = set()
-        for t in targets:
-            for link in network.path_to_source(t):
-                needed.add(link.dst)
-        self.targets = list(targets)
-        # parents before children
-        self.order = [n for n in network.topo_order() if n in needed]
-        self.links = {n: network.parent_link(n) for n in self.order}
+        stack = [t for t in targets if t != network.source]
+        while stack:
+            node = stack.pop()
+            if node not in needed:
+                needed.add(node)
+                stack.extend(
+                    link.src for link in network.incoming(node) if link.src != network.source
+                )
+        caches = [n for n in network.topo_order() if n in needed]
+        index = {network.source: 0, **{n: k + 1 for k, n in enumerate(caches)}}
+
+        # A feed reads its sender inclusively at equal times when every
+        # stream that moves the sender ranks before it, as on PATH/TREE
+        # networks.  A sender always has a feed from one level up, which
+        # ranks first, so the other case is a mix: those senders keep the
+        # rank of each step.
+        #: per cache, its feeds in rank order: (stream id, dist, sender, rank, mixed)
+        self.feeds: list[list[tuple]] = []
+        ranked: set[int] = set()
+        for node in caches:
+            feeds = []
+            for link in sorted(network.incoming(node), key=lambda l: rank[l.src, l.dst]):
+                r = rank[link.src, link.dst]
+                mixed = any(rank[l.src, l.dst] > r for l in network.incoming(link.src))
+                if mixed:
+                    ranked.add(index[link.src])
+                feeds.append((_link_stream(link), link.dist, index[link.src], r, mixed))
+            self.feeds.append(feeds)
+        #: per cache whose step ranks some feed reads: the ranks of its feeds
+        self.feed_ranks = [
+            np.array([f[3] for f in feeds]) if k in ranked else None
+            for k, feeds in enumerate(self.feeds, 1)
+        ]
+        self.targets = [(t, index[t]) for t in targets]
         self._rng = RngStream(0)
 
     def run(self, master_seed: int, iteration: int) -> tuple[dict[str, int], dict[str, float]]:
-        net, horizon, rng = self.network, self.horizon, self._rng
+        horizon, rng = self.horizon, self._rng
         rng.reseed(master_seed, iteration, *SOURCE_STREAM)
-        src_events = event_times_until(net.source_dist, rng, horizon)
+        src_events = event_times_until(self.source_dist, rng, horizon)
         w0 = int(np.searchsorted(src_events, horizon, side="right"))
 
-        step_times = {
-            net.source: np.concatenate([[0.0], src_events[:w0]])
-        }
-        step_values = {
-            net.source: np.arange(w0 + 1, dtype=np.float64)
-        }
-        for node in self.order:
-            link = self.links[node]
-            sid = _link_stream(link)
-            rng.reseed(master_seed, iteration, *sid)
-            deliveries = event_times_until(link.dist, rng, horizon)
-            deliveries = deliveries[: int(np.searchsorted(deliveries, horizon, side="right"))]
-            p_times, p_values = step_times[link.src], step_values[link.src]
-            carried = p_values[np.searchsorted(p_times, deliveries, side="right") - 1]
-            step_times[node] = np.concatenate([[0.0], deliveries])
-            step_values[node] = np.concatenate([[0.0], carried])
+        # per node (source first): step times, step ranks, and for each cache
+        # its deliveries per feed and the permutation merging them
+        times = [np.concatenate([[0.0], src_events[:w0]])]
+        ranks: list[np.ndarray | None] = [None]
+        deliveries: list[list[np.ndarray]] = []
+        merges: list[np.ndarray | None] = []
+        for feeds, feed_ranks in zip(self.feeds, self.feed_ranks):
+            drawn = []
+            for sid, dist, _, _, _ in feeds:
+                rng.reseed(master_seed, iteration, *sid)
+                d = event_times_until(dist, rng, horizon)
+                drawn.append(d[: int(np.searchsorted(d, horizon, side="right"))])
+            deliveries.append(drawn)
+            if len(drawn) == 1:
+                times.append(np.concatenate([[0.0], drawn[0]]))
+                merges.append(None)
+                ranks.append(None)
+                continue
+            merged = np.concatenate(drawn)
+            perm = np.argsort(merged, kind="stable")
+            times.append(np.concatenate([[0.0], merged[perm]]))
+            merges.append(perm)
+            ranks.append(
+                None
+                if feed_ranks is None
+                else np.repeat(feed_ranks, [d.size for d in drawn])[perm]
+            )
+
+        # GENERAL sweeps start from version 0 everywhere; a tree sweep reads
+        # only caches it has already computed
+        values = [np.arange(w0 + 1, dtype=np.float64)]
+        values += [np.zeros(t.size) for t in times[1:]] if self.iterate else [None] * len(self.feeds)
+        while self._sweep(times, values, ranks, deliveries, merges):
+            pass
 
         lo = horizon / 2.0
         width = horizon - lo
-        src_integral = _window_integral(
-            step_times[net.source], step_values[net.source], lo, horizon
-        )
+        src_integral = _window_integral(times[0], values[0], lo, horizon)
         terminal: dict[str, int] = {}
         time_average: dict[str, float] = {}
-        for t in self.targets:
-            if t == net.source:
+        for t, k in self.targets:
+            if k == 0:
                 terminal[t] = 0
                 time_average[t] = 0.0
                 continue
-            tv, vv = step_times[t], step_values[t]
-            w_t = vv[int(np.searchsorted(tv, horizon, side="right")) - 1]
-            terminal[t] = int(w0 - w_t)
+            tv, vv = times[k], values[k]
+            terminal[t] = int(w0 - vv[-1])
             time_average[t] = (src_integral - _window_integral(tv, vv, lo, horizon)) / width
         return terminal, time_average
+
+    def _sweep(self, times, values, ranks, deliveries, merges) -> bool:
+        """Recompute every cache in depth order.  True if another sweep is
+        due: only on GENERAL graphs, where depth order is not a topological
+        order, and only while some value still changes."""
+        changed = False
+        for k, (feeds, drawn, perm) in enumerate(zip(self.feeds, deliveries, merges), 1):
+            carried = [
+                _carry(times[s], values[s], ranks[s] if mixed else None, d, r)
+                for (_, _, s, r, mixed), d in zip(feeds, drawn)
+            ]
+            if perm is None:
+                new = np.concatenate([[0.0], carried[0]])
+            else:
+                new = np.empty(perm.size + 1)
+                new[0] = 0.0
+                np.maximum.accumulate(np.concatenate(carried)[perm], out=new[1:])
+            if self.iterate and not changed:
+                changed = not np.array_equal(new, values[k])
+            values[k] = new
+        return changed
 
 
 def _run_iteration_block(args) -> list[tuple]:
     """Worker: replications [start, stop) in iteration order."""
-    network, targets, horizon, master_seed, start, stop, use_tree = args
-    out = []
-    if use_tree:
-        rep = _TreeReplicator(network, targets, horizon)
-        for it in range(start, stop):
-            terminal, time_avg = rep.run(master_seed, it)
-            out.append((terminal, time_avg))
-    else:
-        for it in range(start, stop):
-            r = simulate_once(network, horizon, master_seed, iteration=it)
-            out.append((r.terminal, r.time_average))
-    return out
+    network, targets, horizon, master_seed, start, stop = args
+    rep = _Replicator(network, targets, horizon)
+    return [rep.run(master_seed, it) for it in range(start, stop)]
 
 
 def monte_carlo(
@@ -320,10 +423,9 @@ def monte_carlo(
     if unknown:
         raise UnknownNode(f"targets not in network: {unknown}")
 
-    use_tree = network.classification is not NetworkClass.GENERAL
     threads = max(1, int(threads))
     if threads == 1:
-        blocks = [_run_iteration_block((network, targets, horizon, master_seed, 0, iterations, use_tree))]
+        blocks = [_run_iteration_block((network, targets, horizon, master_seed, 0, iterations))]
     else:
         step = -(-iterations // threads)
         spans = [(s, min(s + step, iterations)) for s in range(0, iterations, step)]
@@ -332,7 +434,7 @@ def monte_carlo(
                 pool.map(
                     _run_iteration_block,
                     [
-                        (network, targets, horizon, master_seed, a, b, use_tree)
+                        (network, targets, horizon, master_seed, a, b)
                         for a, b in spans
                     ],
                 )

@@ -69,6 +69,20 @@ def test_parse_config_defaults():
             {"from": "s", "to": "a", "dist": {"type": "uniform", "lo": 0, "hi": 2}}
         ), "declared twice"),
         (lambda c: c["links"][0].update(dist={"type": "what"}), "unknown distribution"),
+        pytest.param(lambda c: c.update(iterations=float("nan")), "'iterations' must be a whole",
+                     id="iterations-nan"),
+        pytest.param(lambda c: c.update(iterations=2.7), "'iterations' must be a whole",
+                     id="iterations-fraction"),
+        pytest.param(lambda c: c.update(iterations=True), "'iterations' must be a whole",
+                     id="iterations-bool"),
+        pytest.param(lambda c: c.update(iterations="50"), "'iterations' must be a whole",
+                     id="iterations-string"),
+        pytest.param(lambda c: c.update(master_seed=float("inf")), "'master_seed' must be a whole",
+                     id="seed-infinite"),
+        pytest.param(lambda c: c.update(horizon="abc"), "'horizon' must be a number",
+                     id="horizon-string"),
+        pytest.param(lambda c: c.update(horizon=True), "'horizon' must be a number",
+                     id="horizon-bool"),
     ],
 )
 def test_parse_config_diagnostics(mutate, fragment):
@@ -76,6 +90,12 @@ def test_parse_config_diagnostics(mutate, fragment):
     mutate(payload)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(json.dumps(payload))
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(json.dumps(dict(CHAIN_CONFIG, iterations=2e4, master_seed=7.0)))
+    assert (cfg.iterations, cfg.master_seed) == (20_000, 7)
+    assert type(cfg.iterations) is int and type(cfg.master_seed) is int
 
 
 def test_parse_config_reports_json_position():
@@ -173,6 +193,17 @@ def test_simulate_rejects_bad_horizons(tmp_path, capsys):
     assert run(["simulate", nan_path, "--out", base]) == 1
     assert "horizon" in capsys.readouterr().err
     assert run(["sweep", "fig6", "--values", "1", "--horizon", "nan", "--out", base]) == 1
+
+
+def test_simulate_rejects_overflowing_iterations(tmp_path, capsys):
+    # 1e400 parses as an infinite float; it must not reach int()
+    text = json.dumps(dict(CHAIN_CONFIG, iterations=1)).replace('"iterations": 1', '"iterations": 1e400')
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    base = str(tmp_path / "out")
+    assert run(["simulate", str(path), "--out", base]) == 1
+    assert "'iterations' must be a whole number, got inf" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json")
 
 
 def test_simulate_without_leaves_or_targets_exits_one(tmp_path, capsys):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versionage import (
     Beta,
@@ -25,7 +27,7 @@ from versionage import (
     monte_carlo,
     simulate_once,
 )
-from versionage.simulator import SOURCE_STREAM, _TreeReplicator, _link_stream
+from versionage.simulator import ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
 
 
 def D(c):
@@ -322,13 +324,48 @@ MIXED_TREE = CacheNetwork(
 
 def test_tree_fast_path_matches_event_engine():
     targets = ["b", "c", "d", "e"]
-    rep = _TreeReplicator(MIXED_TREE, targets, 40.0)
+    rep = _Replicator(MIXED_TREE, targets, 40.0)
     for it in range(30):
         terminal, time_avg = rep.run(123, it)
         slow = simulate_once(MIXED_TREE, 40.0, master_seed=123, iteration=it)
         for t in targets:
             assert terminal[t] == slow.terminal[t], (t, it)
-            assert time_avg[t] == pytest.approx(slow.time_average[t], rel=1e-9, abs=1e-12)
+            assert time_avg[t] == slow.time_average[t], (t, it)
+
+
+TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
+
+
+@st.composite
+def random_networks(draw):
+    """Trees and general graphs: a random spanning tree from the source, plus
+    extra links that give caches several feeds or close cycles among them.
+    Dyadic deterministic gaps make simultaneous events common."""
+    n = draw(st.integers(1, 5))
+    nodes = ["s"] + [f"c{i}" for i in range(1, n + 1)]
+    pairs = {(nodes[draw(st.integers(0, i - 1))], nodes[i]) for i in range(1, n + 1)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, n)), max_size=4)):
+        if a != b:
+            pairs.add((nodes[a], nodes[b]))
+    gaps = st.one_of(
+        st.sampled_from(TIE_GAPS),
+        st.sampled_from([Exponential(rate=1.0), Uniform(lo=0.0, hi=2.0)]),
+    )
+    links = draw(st.permutations([(a, b, draw(gaps)) for a, b in sorted(pairs)]))
+    source_dist = draw(st.sampled_from([D(0.25), D(0.5), Exponential(rate=2.0)]))
+    return CacheNetwork(nodes=nodes, source="s", source_dist=source_dist, links=links)
+
+
+@settings(max_examples=150, deadline=None)
+@given(network=random_networks(), seed=st.integers(0, 2**32))
+def test_monte_carlo_matches_event_loop_on_random_networks(network, seed):
+    horizon, iterations = 12.0, 3
+    runs = [simulate_once(network, horizon, seed, iteration=i) for i in range(iterations)]
+    for estimator in ESTIMATORS:
+        out = monte_carlo(network, targets=list(network.nodes), horizon=horizon,
+                          iterations=iterations, master_seed=seed, estimator=estimator)
+        for node, outcome in out.items():
+            assert outcome.samples.tolist() == [getattr(r, estimator)[node] for r in runs]
 
 
 def test_terminal_and_time_average_estimators_agree():
@@ -351,26 +388,34 @@ def test_monte_carlo_is_deterministic():
     assert one["b"].stderr == 0.0
 
 
+# diamond s->{a,b}->c with a cache cycle c<->d
+CYCLIC_GRAPH = CacheNetwork(
+    nodes=["s", "a", "b", "c", "d"],
+    source="s",
+    source_dist=Exponential(rate=2.0),
+    links=[("s", "a", Exponential(rate=1.0)), ("s", "b", Exponential(rate=1.0)),
+           ("a", "c", Uniform(lo=0.0, hi=2.0)), ("b", "c", Uniform(lo=0.0, hi=2.0)),
+           ("c", "d", Exponential(rate=2.0)), ("d", "c", D(0.5))],
+)
+
+
 def test_monte_carlo_threads_do_not_change_results():
-    kw = dict(targets=["b", "c"], horizon=30.0, iterations=40, master_seed=4)
-    serial = monte_carlo(MIXED_TREE, **kw, threads=1)
-    parallel = monte_carlo(MIXED_TREE, **kw, threads=2)
-    for t in ("b", "c"):
-        assert np.array_equal(serial[t].samples, parallel[t].samples)
+    kw = dict(horizon=30.0, iterations=40, master_seed=4)
+    for network, targets in ((MIXED_TREE, ["b", "c"]), (CYCLIC_GRAPH, ["c", "d"])):
+        serial = monte_carlo(network, targets=targets, **kw, threads=1)
+        parallel = monte_carlo(network, targets=targets, **kw, threads=2)
+        for t in targets:
+            assert np.array_equal(serial[t].samples, parallel[t].samples)
 
 
-def test_monte_carlo_general_graph_uses_event_engine():
-    diamond = CacheNetwork(
-        nodes=["s", "a", "b", "c"],
-        source="s",
-        source_dist=Exponential(rate=2.0),
-        links=[("s", "a", Exponential(rate=1.0)), ("s", "b", Exponential(rate=1.0)),
-               ("a", "c", Uniform(lo=0.0, hi=2.0)), ("b", "c", Uniform(lo=0.0, hi=2.0))],
-    )
-    out = monte_carlo(diamond, targets=["c"], horizon=40.0, iterations=60, master_seed=3)
-    assert out["c"].iterations == 60
-    again = monte_carlo(diamond, targets=["c"], horizon=40.0, iterations=60, master_seed=3)
-    assert np.array_equal(out["c"].samples, again["c"].samples)
+def test_monte_carlo_general_graph_matches_simulate_once():
+    targets = ["a", "c", "d"]
+    runs = [simulate_once(CYCLIC_GRAPH, 40.0, 3, iteration=i) for i in range(20)]
+    for estimator in ESTIMATORS:
+        out = monte_carlo(CYCLIC_GRAPH, targets=targets, horizon=40.0, iterations=20,
+                          master_seed=3, estimator=estimator)
+        for t in targets:
+            assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs]
 
 
 def test_monte_carlo_default_targets_are_leaves():
