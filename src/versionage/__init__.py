@@ -49,10 +49,8 @@ from .experiments import (
     fig5_network,
     fig6_network,
     fig7_network,
-    sweep_hop_count,
-    sweep_link_variance,
     sweep_network_family,
-    sweep_source_mean,
+    sweep_study,
 )
 from .network import CacheNetwork, Link, NetworkClass
 from .renewal import (
@@ -113,10 +111,8 @@ __all__ = [
     "link_contribution",
     "monte_carlo",
     "simulate_once",
-    "sweep_hop_count",
-    "sweep_link_variance",
     "sweep_network_family",
-    "sweep_source_mean",
+    "sweep_study",
     "verify_backward_recurrence_limit",
     "verify_martingale_zero_mean",
     "verify_windowed_count_limit",

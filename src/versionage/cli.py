@@ -31,7 +31,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,29 +38,26 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponential
-from .distributions import ParetoI, Rayleigh, Uniform, from_literal
+from .distributions import ParetoI, Rayleigh, Uniform, from_literal, positive_number, whole_number
 from .errors import ConfigError, VersionAgeError
-from .experiments import (
-    Z_GATE,
-    sweep_hop_count,
-    sweep_link_variance,
-    sweep_network_family,
-    sweep_source_mean,
-)
+from .experiments import STUDIES, Z_GATE, sweep_network_family, sweep_study
 from .network import CacheNetwork
 from .renewal import (
+    LimitCheck,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
 )
-from .simulator import DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, ESTIMATORS
-from .simulator import check_horizon, monte_carlo
+from .simulator import DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, ESTIMATORS, monte_carlo
 
 THREADS_ENV = "VERSIONAGE_THREADS"
 
 DEFAULT_VERIFY_PATHS = 20_000
 
 SIMULATE_CSV_HEADER = "target,estimator,mean,stderr,iterations,horizon,seed"
+
+#: config fields beside the topology, which CacheNetwork.from_dict parses
+RUN_KEYS = ("horizon", "iterations", "master_seed", "targets", "estimator", "output")
 
 #: standard battery for `verify` with no arguments
 VERIFY_SPECS: tuple[Distribution, ...] = (
@@ -94,24 +90,6 @@ class RunConfig:
     output: str | None = None
 
 
-def _ctx_get(obj: dict, key: str, ctx: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{ctx}: missing required field {key!r}")
-        return default
-    return obj[key]
-
-
-def _whole_number(obj: dict, key: str, ctx: str, default: int) -> int:
-    """An integer field; integral finite floats such as 2e4 are accepted."""
-    value = _ctx_get(obj, key, ctx, default=default)
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{ctx}: {key!r} must be a whole number, got {value!r}")
-    return value
-
-
 def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
     try:
         obj = json.loads(text)
@@ -121,76 +99,44 @@ def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
         ) from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{source_name}: top level must be an object")
-    known = {
-        "nodes", "source", "source_dist", "links",
-        "horizon", "iterations", "master_seed", "targets", "estimator", "output",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{source_name}: unknown fields {sorted(unknown)}")
-
-    nodes = _ctx_get(obj, "nodes", source_name, required=True)
-    source = _ctx_get(obj, "source", source_name, required=True)
-    source_dist_lit = _ctx_get(obj, "source_dist", source_name, required=True)
-    links_lit = _ctx_get(obj, "links", source_name, default=[])
-    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
-        raise ConfigError(f"{source_name}: 'nodes' must be a list of strings")
-    if not isinstance(links_lit, list):
-        raise ConfigError(f"{source_name}: 'links' must be a list")
-
     try:
-        source_dist = from_literal(source_dist_lit)
-    except VersionAgeError as exc:
-        raise ConfigError(f"{source_name}: source_dist: {exc}") from None
-
-    links = []
-    for i, entry in enumerate(links_lit):
-        ctx = f"{source_name}: links[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{ctx}: must be an object")
-        src = _ctx_get(entry, "from", ctx, required=True)
-        dst = _ctx_get(entry, "to", ctx, required=True)
-        try:
-            dist = from_literal(_ctx_get(entry, "dist", ctx, required=True))
-        except VersionAgeError as exc:
-            raise ConfigError(f"{ctx}: dist: {exc}") from None
-        links.append((src, dst, dist, entry.get("priority")))
-
-    try:
-        network = CacheNetwork(nodes=nodes, source=source, source_dist=source_dist, links=links)
+        return _run_config(obj)
     except VersionAgeError as exc:
         raise ConfigError(f"{source_name}: {exc}") from None
 
-    horizon = _ctx_get(obj, "horizon", source_name, default=DEFAULT_HORIZON)
+
+def _run_config(obj: dict) -> RunConfig:
+    run = {key: obj.pop(key) for key in RUN_KEYS if key in obj}
+    network = CacheNetwork.from_dict(obj)
+    horizon = run.get("horizon", DEFAULT_HORIZON)
     if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
-        raise ConfigError(f"{source_name}: 'horizon' must be a number, got {horizon!r}")
-    horizon = float(horizon)
-    iterations = _whole_number(obj, "iterations", source_name, DEFAULT_ITERATIONS)
-    master_seed = _whole_number(obj, "master_seed", source_name, DEFAULT_SEED)
-    estimator = _ctx_get(obj, "estimator", source_name, default="terminal")
+        raise ConfigError(f"'horizon' must be a number, got {horizon!r}")
+    iterations = whole_number("'iterations'", run.get("iterations", DEFAULT_ITERATIONS))
+    master_seed = whole_number("'master_seed'", run.get("master_seed", DEFAULT_SEED))
+    estimator = run.get("estimator", "terminal")
     if estimator not in ESTIMATORS:
-        raise ConfigError(f"{source_name}: estimator must be one of {ESTIMATORS}")
-    try:
-        check_horizon(horizon)
-    except VersionAgeError as exc:
-        raise ConfigError(f"{source_name}: {exc}") from None
+        raise ConfigError(f"estimator must be one of {ESTIMATORS}")
+    positive_number("horizon", horizon)
     if iterations < 1:
-        raise ConfigError(f"{source_name}: iterations must be >= 1")
-    targets = _ctx_get(obj, "targets", source_name)
+        raise ConfigError("iterations must be >= 1")
+    targets = run.get("targets")
     if targets is not None:
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-            raise ConfigError(f"{source_name}: 'targets' must be a list of node ids")
+            raise ConfigError("'targets' must be a list of node ids")
         missing = [t for t in targets if t not in network.nodes]
         if missing:
-            raise ConfigError(f"{source_name}: targets reference undeclared nodes {missing}")
+            raise ConfigError(f"targets reference undeclared nodes {missing}")
+    output = run.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"'output' must be a string, got {output!r}")
     return RunConfig(
         network=network,
-        horizon=horizon,
+        horizon=float(horizon),
         iterations=iterations,
         master_seed=master_seed,
         targets=targets,
         estimator=estimator,
-        output=_ctx_get(obj, "output", source_name),
+        output=output,
     )
 
 
@@ -338,16 +284,43 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_line(kind: str, label: str, z: float, detail: str) -> tuple[str, bool]:
-    ok = abs(z) < Z_GATE
-    status = "PASS" if ok else "FAIL"
-    return f"{kind:18s} {label:42s} {detail} z={z:+.3f} {status}", ok
+def _t_large(given: float | None, *specs: Distribution) -> float:
+    """--t-large, or by default 60 mean gaps of the slowest process, at least 100."""
+    if given is not None:
+        return given
+    return max(100.0, 60.0 * max(spec.moments().mean for spec in specs))
+
+
+def _limit_report(kind: str, label: str, fields: dict, check: LimitCheck) -> tuple:
+    detail = f"estimate={check.estimate:.5f} target={check.target:.5f}"
+    values = {"estimate": check.estimate, "target": check.target, "stderr": check.stderr}
+    return kind, label, detail, check.z, {**fields, **values}
+
+
+def _verify_checks(specs, window_pairs, t_grid, t_large, paths, seed):
+    """Run the checks in report order, yielding for each one
+    (check, label, printed detail, z, record fields)."""
+    for spec in specs:
+        fields = {"spec": spec.to_literal()}
+        for p in verify_martingale_zero_mean(spec, t_grid, paths, master_seed=seed):
+            yield ("martingale", str(spec), f"t={p.t:g} mean={p.mean:+.5f}", p.z,
+                   {**fields, "t": p.t, "mean": p.mean, "stderr": p.stderr})
+        check = verify_backward_recurrence_limit(
+            spec, _t_large(t_large, spec), paths, master_seed=seed
+        )
+        yield _limit_report("recurrence-limit", str(spec), fields, check)
+    for src, probe in window_pairs:
+        check = verify_windowed_count_limit(
+            src, probe, _t_large(t_large, src, probe), paths, master_seed=seed
+        )
+        fields = {"source": src.to_literal(), "probe": probe.to_literal()}
+        yield _limit_report("windowed-count", f"{src} | probe {probe}", fields, check)
 
 
 def _cmd_verify(args) -> int:
     paths = args.paths
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    t_grid = [float(t) for t in args.t_grid.split(",")]
+    t_grid = _parse_values(args.t_grid)
     specs = [parse_spec_arg(s) for s in args.spec]
     window_pairs = [
         (parse_spec_arg(a), parse_spec_arg(b)) for a, b in (args.window or [])
@@ -357,45 +330,13 @@ def _cmd_verify(args) -> int:
         window_pairs = list(VERIFY_WINDOW_PAIRS)
 
     records = []
-    all_ok = True
-    for spec in specs:
-        m = spec.moments()
-        for point in verify_martingale_zero_mean(spec, t_grid, paths, master_seed=seed):
-            line, ok = _verify_line(
-                "martingale", str(spec), point.z,
-                f"t={point.t:g} mean={point.mean:+.5f}",
-            )
-            print(line)
-            all_ok &= ok
-            records.append({"check": "martingale", "spec": spec.to_literal(),
-                            "t": point.t, "mean": point.mean, "stderr": point.stderr,
-                            "z": point.z, "pass": ok})
-        t_large = args.t_large if args.t_large is not None else max(100.0, 60.0 * m.mean)
-        check = verify_backward_recurrence_limit(spec, t_large, paths, master_seed=seed)
-        line, ok = _verify_line(
-            "recurrence-limit", str(spec), check.z,
-            f"estimate={check.estimate:.5f} target={check.target:.5f}",
-        )
-        print(line)
-        all_ok &= ok
-        records.append({"check": "recurrence-limit", "spec": spec.to_literal(),
-                        "estimate": check.estimate, "target": check.target,
-                        "stderr": check.stderr, "z": check.z, "pass": ok})
-    for src_spec, probe_spec in window_pairs:
-        t_large = args.t_large if args.t_large is not None else max(
-            100.0, 60.0 * max(src_spec.moments().mean, probe_spec.moments().mean)
-        )
-        check = verify_windowed_count_limit(src_spec, probe_spec, t_large, paths, master_seed=seed)
-        line, ok = _verify_line(
-            "windowed-count", f"{src_spec} | probe {probe_spec}", check.z,
-            f"estimate={check.estimate:.5f} target={check.target:.5f}",
-        )
-        print(line)
-        all_ok &= ok
-        records.append({"check": "windowed-count", "source": src_spec.to_literal(),
-                        "probe": probe_spec.to_literal(), "estimate": check.estimate,
-                        "target": check.target, "stderr": check.stderr,
-                        "z": check.z, "pass": ok})
+    for kind, label, detail, z, fields in _verify_checks(
+        specs, window_pairs, t_grid, args.t_large, paths, seed
+    ):
+        ok = abs(z) < Z_GATE
+        print(f"{kind:18s} {label:42s} {detail} z={z:+.3f} {'PASS' if ok else 'FAIL'}")
+        records.append({"check": kind, **fields, "z": z, "pass": ok})
+    all_ok = all(rec["pass"] for rec in records)
     if args.out:
         request = {"paths": paths, "t_grid": t_grid, "seed": seed}
         payload = {"meta": _meta(_sha256(json.dumps(request, sort_keys=True)), seed),
@@ -406,27 +347,30 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-def _parse_values(raw: str, integer: bool = False) -> list:
+def _parse_values(raw: str) -> list:
+    """Comma-separated numbers, fractions such as 1/3 and inclusive integer
+    ranges such as 1..6."""
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
-        if ".." in item:  # integer ranges like 1..6, inclusive
-            lo, _, hi = item.partition("..")
-            try:
+        try:
+            if ".." in item:
+                lo, _, hi = item.partition("..")
                 out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise ConfigError(f"bad range {item!r}; expected LO..HI integers") from None
-            continue
-        if "/" in item:  # exact fractions like 1/3
-            num, _, den = item.partition("/")
-            value = float(num) / float(den)
-        else:
-            value = float(item)
-        out.append(int(value) if integer else value)
+            elif "/" in item:
+                num, _, den = item.partition("/")
+                out.append(float(num) / float(den))
+            else:
+                out.append(float(item))
+        except (ValueError, ArithmeticError):
+            raise ConfigError(
+                f"bad value {item!r} in {raw!r}; expected a number, a fraction such as 1/3 "
+                "or an integer range such as 1..6"
+            ) from None
     if not out:
-        raise ConfigError(f"no sweep values in {raw!r}")
+        raise ConfigError(f"no values in {raw!r}")
     return out
 
 
@@ -444,15 +388,9 @@ def _cmd_sweep(args) -> int:
     # changes results and must not change output bytes
     request = {"kind": args.kind, "values": args.values,
                **{k: v for k, v in common.items() if k != "threads"}}
-    if args.kind == "fig5":
+    if args.kind in STUDIES:
         values = _parse_values(args.values) if args.values else None
-        sweep = sweep_source_mean(**({"m_values": values} if values else {}), **common)
-    elif args.kind == "fig6":
-        values = _parse_values(args.values, integer=True) if args.values else None
-        sweep = sweep_hop_count(**({"n_values": values} if values else {}), **common)
-    elif args.kind == "fig7":
-        values = _parse_values(args.values) if args.values else None
-        sweep = sweep_link_variance(**({"v_values": values} if values else {}), **common)
+        sweep = sweep_study(args.kind, values, **common)
     else:  # custom: vary one source-distribution parameter over a base config
         if not args.config or not args.vary_source or not args.values:
             raise ConfigError(
@@ -543,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="write a JSON report here")
 
     p_sweep = sub.add_parser("sweep", help="analytic-vs-simulation comparison sweeps")
-    p_sweep.add_argument("kind", choices=("fig5", "fig6", "fig7", "custom"))
+    p_sweep.add_argument("kind", choices=(*STUDIES, "custom"))
     p_sweep.add_argument("--values", help="sweep values, comma-separated (fractions ok: 1/3)")
     p_sweep.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p_sweep.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)

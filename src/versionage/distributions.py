@@ -15,7 +15,9 @@ per draw, which is safe because every renewal stream owns its own generator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -37,6 +39,8 @@ __all__ = [
     "Deterministic",
     "from_literal",
     "LITERAL_TYPES",
+    "positive_number",
+    "whole_number",
 ]
 
 @dataclass(frozen=True)
@@ -95,10 +99,22 @@ class Distribution(ABC):
         return f"{self.type_name}({params})"
 
 
-def _require_positive(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise InvalidParameter(f"{name} must be a positive finite real, got {value!r}")
+def positive_number(name: str, value) -> float:
+    """``value`` as a float; it must be a positive finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value > 0
+    ):
+        raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int: an integer, or an integral finite float such as 2e4.
+    Bools, fractions and non-numbers are rejected."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or (math.isfinite(value) and float(value).is_integer()):
+            return int(value)
+    raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -109,7 +125,7 @@ class Exponential(Distribution):
     type_name = "exponential"
 
     def __post_init__(self):
-        _require_positive("rate", self.rate)
+        positive_number("rate", self.rate)
 
     def moments(self) -> Moments:
         return Moments(1.0 / self.rate, 2.0 / (self.rate * self.rate))
@@ -136,7 +152,7 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not (isinstance(self.lo, (int, float)) and math.isfinite(self.lo) and self.lo >= 0):
             raise InvalidParameter(f"lo must be a nonnegative finite real, got {self.lo!r}")
-        _require_positive("hi", self.hi)
+        positive_number("hi", self.hi)
         if not self.hi > self.lo:
             raise InvalidParameter(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
 
@@ -166,7 +182,7 @@ class Rayleigh(Distribution):
     type_name = "rayleigh"
 
     def __post_init__(self):
-        _require_positive("sigma", self.sigma)
+        positive_number("sigma", self.sigma)
 
     def moments(self) -> Moments:
         s = self.sigma
@@ -196,8 +212,10 @@ class ChiSquare(Distribution):
     type_name = "chi_square"
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k > 0):
+        k = whole_number("k", self.k)
+        if k < 1:
             raise InvalidParameter(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "k", k)
 
     def moments(self) -> Moments:
         return Moments(float(self.k), float(self.k * (self.k + 2)))
@@ -226,8 +244,8 @@ class Beta(Distribution):
     type_name = "beta"
 
     def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_positive("beta", self.beta)
+        positive_number("alpha", self.alpha)
+        positive_number("beta", self.beta)
 
     def moments(self) -> Moments:
         a, b = self.alpha, self.beta
@@ -270,8 +288,8 @@ class ParetoI(Distribution):
     type_name = "pareto1"
 
     def __post_init__(self):
-        _require_positive("shape", self.shape)
-        _require_positive("scale", self.scale)
+        positive_number("shape", self.shape)
+        positive_number("scale", self.scale)
 
     def moments(self) -> Moments:
         a, m = self.shape, self.scale
@@ -304,7 +322,7 @@ class Deterministic(Distribution):
     arithmetic = True
 
     def __post_init__(self):
-        _require_positive("c", self.c)
+        positive_number("c", self.c)
 
     def moments(self) -> Moments:
         return Moments(self.c, self.c * self.c)
@@ -321,16 +339,6 @@ LITERAL_TYPES: dict[str, type] = {
     for cls in (Exponential, Uniform, Rayleigh, ChiSquare, Beta, ParetoI, Deterministic)
 }
 
-_LITERAL_PARAMS: dict[str, tuple[str, ...]] = {
-    "exponential": ("rate",),
-    "uniform": ("lo", "hi"),
-    "rayleigh": ("sigma",),
-    "chi_square": ("k",),
-    "beta": ("alpha", "beta"),
-    "pareto1": ("shape", "scale"),
-    "deterministic": ("c",),
-}
-
 
 def from_literal(obj: dict) -> Distribution:
     """Build a distribution from its config-file literal.
@@ -344,16 +352,11 @@ def from_literal(obj: dict) -> Distribution:
     if tag not in LITERAL_TYPES:
         known = "|".join(sorted(LITERAL_TYPES))
         raise InvalidParameter(f"unknown distribution type {tag!r} (expected {known})")
-    wanted = _LITERAL_PARAMS[tag]
+    wanted = [field.name for field in dataclasses.fields(LITERAL_TYPES[tag])]
     extra = set(obj) - set(wanted) - {"type"}
     if extra:
         raise InvalidParameter(f"{tag}: unexpected parameters {sorted(extra)}")
     missing = [p for p in wanted if p not in obj]
     if missing:
         raise InvalidParameter(f"{tag}: missing parameters {missing}")
-    kwargs = {p: obj[p] for p in wanted}
-    if tag == "chi_square":
-        k = kwargs["k"]
-        if isinstance(k, float) and k.is_integer():
-            kwargs["k"] = int(k)
-    return LITERAL_TYPES[tag](**kwargs)
+    return LITERAL_TYPES[tag](**{p: obj[p] for p in wanted})

@@ -1,6 +1,7 @@
 """Parameter sweeps comparing the closed form against Monte Carlo.
 
-Three built-in studies, each a family of PATH networks:
+Three built-in studies (:data:`STUDIES`, keyed by the CLI kinds fig5, fig6
+and fig7), each a family of PATH networks:
 
 * ``source_mean``: 3-hop chain rayleigh(1) / chi_square(1) / beta(2, 3) with a
   pareto1(3, m) source, swept over the scale m.  The predicted end-node age is
@@ -24,11 +25,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .analytic import expected_version_age
-from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform
+from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, whole_number
 from .errors import InvalidParameter
 from .network import CacheNetwork
 from .rng import derive_seed
@@ -41,9 +43,8 @@ __all__ = [
     "fig5_network",
     "fig6_network",
     "fig7_network",
-    "sweep_source_mean",
-    "sweep_hop_count",
-    "sweep_link_variance",
+    "STUDIES",
+    "sweep_study",
     "sweep_network_family",
 ]
 
@@ -147,8 +148,10 @@ def fig5_network(m: float) -> CacheNetwork:
 def fig6_network(n: int) -> CacheNetwork:
     """n-hop chain of uniform(0, 2) links with a pareto1(3, 1/3) source.
 
-    n = 0 is the degenerate source-only network (age identically zero).
+    n = 0 is the degenerate source-only network (age identically zero); n may
+    be an integral float such as 3.0, but not a fraction.
     """
+    n = whole_number("hop count", n)
     if n < 0:
         raise InvalidParameter(f"hop count must be >= 0, got {n}")
     nodes = ["src"] + [f"n{i}" for i in range(1, n + 1)]
@@ -199,9 +202,10 @@ def sweep_network_family(
     :func:`expected_version_age` on each point's network.
     """
     values = _require_monotone(values)
+    # every point's network is built, and so validated, before any point runs
+    networks = [make_network(value) for value in values]
     points: list[SweepPoint] = []
-    for idx, value in enumerate(values):
-        network = make_network(value)
+    for idx, (value, network) in enumerate(zip(values, networks)):
         leaves = network.leaves()
         target = max(leaves, key=lambda n: network.depth[n]) if leaves else network.source
         ana = expected_version_age(network).per_node[target]
@@ -226,69 +230,46 @@ def sweep_network_family(
     return sweep
 
 
-def sweep_source_mean(
-    m_values=(1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
+class Study(NamedTuple):
+    """A canned study: its sweep kind, network family, default values and
+    whether a least-squares line is fitted to the Monte Carlo means."""
+
+    kind: str
+    make_network: Callable
+    values: tuple
+    fit: bool = False
+
+
+#: the canned studies by CLI kind
+STUDIES: dict[str, Study] = {
+    "fig5": Study("source_mean", fig5_network, (1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)),
+    "fig6": Study("hop_count", fig6_network, (1, 2, 3, 4, 5, 6), fit=True),
+    "fig7": Study("link_variance", fig7_network, (0.05, 0.15, 0.25, 1.0 / 3.0), fit=True),
+}
+
+
+def sweep_study(
+    kind: str,
+    values=None,
     iterations: int = DEFAULT_ITERATIONS,
     horizon: float = DEFAULT_HORIZON,
     seed: int = DEFAULT_SEED,
     estimator: str = "terminal",
     threads: int = 1,
 ) -> ExperimentSweep:
-    """End-node age of the fixed 3-hop chain vs the source scale parameter m."""
+    """Run the canned study ``kind`` (fig5|fig6|fig7) over ``values``, by
+    default the study's own."""
+    if kind not in STUDIES:
+        raise InvalidParameter(f"unknown study {kind!r} (expected {'|'.join(STUDIES)})")
+    study = STUDIES[kind]
     return sweep_network_family(
-        "source_mean",
-        m_values,
-        fig5_network,
+        study.kind,
+        study.values if values is None else values,
+        study.make_network,
         iterations=iterations,
         horizon=horizon,
         seed=seed,
         estimator=estimator,
         threads=threads,
-    )
-
-
-def sweep_hop_count(
-    n_values=(1, 2, 3, 4, 5, 6),
-    iterations: int = DEFAULT_ITERATIONS,
-    horizon: float = DEFAULT_HORIZON,
-    seed: int = DEFAULT_SEED,
-    estimator: str = "terminal",
-    threads: int = 1,
-) -> ExperimentSweep:
-    """End-node age vs chain length; records the least-squares slope."""
-    for n in n_values:
-        if int(n) != n:
-            raise InvalidParameter(f"hop counts must be integers, got {n}")
-    return sweep_network_family(
-        "hop_count",
-        [int(n) for n in n_values],
-        fig6_network,
-        iterations=iterations,
-        horizon=horizon,
-        seed=seed,
-        estimator=estimator,
-        threads=threads,
-        fit=True,
-    )
-
-
-def sweep_link_variance(
-    v_values=(0.05, 0.15, 0.25, 1.0 / 3.0),
-    iterations: int = DEFAULT_ITERATIONS,
-    horizon: float = DEFAULT_HORIZON,
-    seed: int = DEFAULT_SEED,
-    estimator: str = "terminal",
-    threads: int = 1,
-) -> ExperimentSweep:
-    """End-node age of the 4-hop chain vs common link variance; fits a line."""
-    return sweep_network_family(
-        "link_variance",
-        v_values,
-        fig7_network,
-        iterations=iterations,
-        horizon=horizon,
-        seed=seed,
-        estimator=estimator,
-        threads=threads,
-        fit=True,
+        fit=study.fit,
     )

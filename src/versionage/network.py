@@ -12,8 +12,9 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .distributions import Distribution, from_literal
+from .distributions import Distribution, from_literal, whole_number
 from .errors import (
+    ConfigError,
     CycleThroughSource,
     DuplicateLink,
     DuplicatePriority,
@@ -22,6 +23,7 @@ from .errors import (
     SourceHasIncoming,
     UnknownNode,
     UnreachableNode,
+    VersionAgeError,
 )
 
 __all__ = ["Link", "NetworkClass", "CacheNetwork"]
@@ -99,7 +101,7 @@ class CacheNetwork:
             if priority is None:
                 # default: declaration order within the destination's incoming set
                 priority = per_dst_count.get(dst, 0)
-            priority = int(priority)
+            priority = whole_number(f"link {src!r}->{dst!r}: priority", priority)
             used = per_dst_priorities.setdefault(dst, set())
             if priority in used:
                 raise DuplicatePriority(
@@ -211,19 +213,48 @@ class CacheNetwork:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CacheNetwork":
-        links = [
-            (e["from"], e["to"], from_literal(e["dist"]), e.get("priority"))
-            for e in obj["links"]
-        ]
-        return cls(
-            nodes=obj["nodes"],
-            source=obj["source"],
-            source_dist=from_literal(obj["source_dist"]),
-            links=links,
-        )
+        """Parse a topology dict, the form :meth:`to_dict` writes.
+
+        ``nodes``, ``source`` and ``source_dist`` are required and ``links``
+        defaults to none.  A link entry takes ``from``, ``to``, ``dist`` and an
+        optional ``priority``, nothing else.  Malformed input raises
+        :class:`ConfigError` naming the field, e.g. ``links[2]: dist: ...``.
+        """
+        _check_fields(obj, ("nodes", "source", "source_dist"), ("links",), "")
+        nodes, links_lit = obj["nodes"], obj.get("links", [])
+        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            raise ConfigError("'nodes' must be a list of strings")
+        if not isinstance(links_lit, list):
+            raise ConfigError("'links' must be a list")
+        source_dist = _parse_dist(obj["source_dist"], "source_dist")
+        links = []
+        for i, entry in enumerate(links_lit):
+            ctx = f"links[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{ctx}: must be an object")
+            _check_fields(entry, ("from", "to", "dist"), ("priority",), f"{ctx}: ")
+            dist = _parse_dist(entry["dist"], f"{ctx}: dist")
+            links.append((entry["from"], entry["to"], dist, entry.get("priority")))
+        return cls(nodes=nodes, source=obj["source"], source_dist=source_dist, links=links)
 
     def __repr__(self) -> str:
         return (
             f"CacheNetwork({len(self.nodes)} nodes, {len(self.links)} links, "
             f"{self.classification.value})"
         )
+
+
+def _check_fields(obj: dict, required: tuple, optional: tuple, ctx: str) -> None:
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{ctx}unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{ctx}missing required field {key!r}")
+
+
+def _parse_dist(literal, ctx: str) -> Distribution:
+    try:
+        return from_literal(literal)
+    except VersionAgeError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from None

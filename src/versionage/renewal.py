@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, positive_number
 from .errors import InfiniteSecondMoment, InvalidParameter
 from .rng import RngStream
 
@@ -212,7 +212,7 @@ def verify_martingale_zero_mean(
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [positive_number("t", t) for t in t_grid]
     t_max = max(t_grid)
     sums = {t: 0.0 for t in t_grid}
     sums_sq = {t: 0.0 for t in t_grid}
@@ -256,6 +256,7 @@ def verify_backward_recurrence_limit(
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
+    positive_number("t_large", t_large)
     if t_large < 50.0 * m.mean:
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps ({50 * m.mean:g}), got {t_large}"
@@ -299,6 +300,7 @@ def verify_windowed_count_limit(
     m_src = _require_finite_moments(source_spec)
     m_probe = _require_finite_moments(probe_spec)
     _check_paths(n_paths)
+    positive_number("t_large", t_large)
     if t_large < 50.0 * max(m_src.mean, m_probe.mean):
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps of both processes, got {t_large}"

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
 from .renewal import RenewalStream, event_times_until
@@ -48,7 +48,6 @@ __all__ = [
     "SimOutcome",
     "simulate_once",
     "monte_carlo",
-    "check_horizon",
     "ESTIMATORS",
 ]
 
@@ -117,12 +116,6 @@ class SimOutcome:
         }
 
 
-def check_horizon(horizon) -> None:
-    """Reject any horizon but a positive finite number."""
-    if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
-        raise InvalidParameter(f"horizon must be a positive finite number, got {horizon!r}")
-
-
 def _window_integral(times: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
     """Integral over [lo, hi] of the step function that equals values[k] on
     [times[k], times[k+1]); times must start at 0."""
@@ -147,7 +140,7 @@ def simulate_once(
     Per-stream generators are keyed by (master_seed, iteration, stream id), so
     a replication is reproducible in isolation.  All caches start at version 0.
     """
-    check_horizon(horizon)
+    positive_number("horizon", horizon)
     streams: list[RenewalStream] = [
         RenewalStream(
             network.source_dist,
@@ -410,7 +403,7 @@ def monte_carlo(
         raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
-    check_horizon(horizon)
+    positive_number("horizon", horizon)
     if targets is None:
         targets = network.leaves()
         if not targets:

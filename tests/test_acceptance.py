@@ -30,9 +30,7 @@ from versionage import (
     expected_version_age_poisson,
     monte_carlo,
     simulate_once,
-    sweep_hop_count,
-    sweep_link_variance,
-    sweep_source_mean,
+    sweep_study,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
@@ -60,8 +58,9 @@ def report(number, description, violations):
 
 
 def test_criterion_1_source_mean_reproduction():
-    sweep = sweep_source_mean(
-        m_values=(1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
+    sweep = sweep_study(
+        "fig5",
+        (1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
         iterations=ITERATIONS,
         horizon=HORIZON,
         seed=101,
@@ -77,8 +76,9 @@ def test_criterion_1_source_mean_reproduction():
 
 
 def test_criterion_2_hop_count_reproduction():
-    sweep = sweep_hop_count(
-        n_values=(1, 2, 3, 4, 5, 6),
+    sweep = sweep_study(
+        "fig6",
+        (1, 2, 3, 4, 5, 6),
         iterations=ITERATIONS,
         horizon=HORIZON,
         seed=102,
@@ -95,8 +95,9 @@ def test_criterion_2_hop_count_reproduction():
 
 
 def test_criterion_3_link_variance_reproduction():
-    sweep = sweep_link_variance(
-        v_values=(0.05, 0.15, 0.25, 1.0 / 3.0),
+    sweep = sweep_study(
+        "fig7",
+        (0.05, 0.15, 0.25, 1.0 / 3.0),
         iterations=ITERATIONS,
         horizon=HORIZON,
         seed=103,

@@ -83,6 +83,20 @@ def test_parse_config_defaults():
                      id="horizon-string"),
         pytest.param(lambda c: c.update(horizon=True), "'horizon' must be a number",
                      id="horizon-bool"),
+        pytest.param(lambda c: c.update(output=5), "'output' must be a string",
+                     id="output-number"),
+        pytest.param(lambda c: c["links"][0].update(prio=3), r"links\[0\]: unknown fields \['prio'\]",
+                     id="link-unknown-key"),
+        pytest.param(lambda c: c["links"][0].update(priority="x"), "priority must be a whole number",
+                     id="priority-string"),
+        pytest.param(lambda c: c["links"][0].update(priority=1.5), "priority must be a whole number",
+                     id="priority-fraction"),
+        pytest.param(lambda c: c["links"][0].update(priority=True), "priority must be a whole number",
+                     id="priority-bool"),
+        pytest.param(lambda c: c["source_dist"].update(rate=True),
+                     "source_dist: rate must be a positive finite number", id="rate-bool"),
+        pytest.param(lambda c: c["links"][1].update(dist={"type": "chi_square", "k": True}),
+                     r"links\[1\]: dist: k must be a whole number", id="chi-square-k-bool"),
     ],
 )
 def test_parse_config_diagnostics(mutate, fragment):
@@ -267,6 +281,32 @@ def test_verify_rejects_bad_spec(capsys):
     assert run(["verify", "pareto1:shape=1.5,scale=1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "fig5", "--values", "abc"],
+        ["sweep", "fig5", "--values", "1/0"],
+        ["sweep", "fig6", "--values", "2.5,3.5"],
+        ["sweep", "custom", "--config", "{config}", "--vary-source", "rate", "--values", "abc"],
+        ["verify", "exponential:rate=1", "--t-grid", "abc"],
+        ["verify", "exponential:rate=1", "--t-grid", "nan"],
+        ["verify", "exponential:rate=1", "--t-grid", "inf"],
+        ["verify", "exponential:rate=1", "--t-large", "nan"],
+        ["verify", "exponential:rate=1", "--t-large", "inf"],
+        ["verify", "--window", "exponential:rate=1", "exponential:rate=1", "--t-large", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
+)
+def test_bad_values_exit_one(tmp_path, capsys, argv):
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    argv = [config if arg == "{config}" else arg for arg in argv]
+    small = ["--iterations", "20", "--horizon", "20"] if argv[0] == "sweep" else ["--paths", "10000"]
+    out = str(tmp_path / "out")
+    assert run(argv + small + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(name.startswith("out") for name in os.listdir(tmp_path))
+
+
 def test_usage_errors_exit_one():
     assert run(["sweep", "fig9"]) == 1
     assert run([]) == 1
@@ -326,10 +366,10 @@ def test_sweep_custom_requires_flags(capsys):
 def test_values_range_syntax(tmp_path):
     from versionage.cli import _parse_values
 
-    assert _parse_values("1..6", integer=True) == [1, 2, 3, 4, 5, 6]
+    assert _parse_values("1..6") == [1, 2, 3, 4, 5, 6]
     assert _parse_values("0.05,1/3") == [0.05, pytest.approx(1.0 / 3.0)]
     with pytest.raises(ConfigError):
-        _parse_values("1..x", integer=True)
+        _parse_values("1..x")
     base = str(tmp_path / "rng")
     assert run(["sweep", "fig6", "--values", "1..2", "--iterations", "80",
                 "--horizon", "50", "--out", base]) == 0

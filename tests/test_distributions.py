@@ -223,5 +223,12 @@ def test_literal_errors():
         from_literal({"type": "exponential", "rate": 1.0, "scale": 2.0})
     with pytest.raises(InvalidParameter):
         from_literal(["exponential", 1.0])
+    # a bool is not a number, even though Python counts it as an int
+    with pytest.raises(InvalidParameter, match="rate must be a positive finite number"):
+        from_literal({"type": "exponential", "rate": True})
+    with pytest.raises(InvalidParameter, match="k must be a whole number"):
+        from_literal({"type": "chi_square", "k": True})
+    with pytest.raises(InvalidParameter, match="k must be a whole number"):
+        from_literal({"type": "chi_square", "k": 1.5})
     # integral floats are accepted for the chi-square dof
     assert from_literal({"type": "chi_square", "k": 3.0}) == ChiSquare(k=3)

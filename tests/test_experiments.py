@@ -13,10 +13,8 @@ from versionage import (
     SweepPoint,
     fig6_network,
     fig7_network,
-    sweep_hop_count,
-    sweep_link_variance,
     sweep_network_family,
-    sweep_source_mean,
+    sweep_study,
 )
 from versionage.experiments import CSV_HEADER
 from versionage.simulator import SimOutcome
@@ -27,7 +25,7 @@ FAST = dict(iterations=300, horizon=120.0, seed=11)
 
 
 def test_source_mean_sweep_columns():
-    sweep = sweep_source_mean(m_values=(1.0 / 3.0, 2.0 / 3.0), **FAST)
+    sweep = sweep_study("fig5", (1.0 / 3.0, 2.0 / 3.0), **FAST)
     assert sweep.kind == "source_mean"
     assert [p.param for p in sweep.points] == [1.0 / 3.0, 2.0 / 3.0]
     for p in sweep.points:
@@ -38,14 +36,14 @@ def test_source_mean_sweep_columns():
 
 
 def test_hop_count_sweep_records_fit():
-    sweep = sweep_hop_count(n_values=(1, 2, 3), **FAST)
+    sweep = sweep_study("fig6", (1, 2, 3), **FAST)
     for n, p in zip((1, 2, 3), sweep.points):
         assert p.analytic == pytest.approx((4.0 / 3.0) * n, rel=1e-12)
     assert sweep.slope is not None and sweep.intercept is not None
 
 
 def test_link_variance_sweep_analytic_column():
-    sweep = sweep_link_variance(v_values=(0.05, 1.0 / 3.0), **FAST)
+    sweep = sweep_study("fig7", (0.05, 1.0 / 3.0), **FAST)
     for v, p in zip((0.05, 1.0 / 3.0), sweep.points):
         assert p.analytic == pytest.approx(4.0 * v + 4.0, rel=1e-12)
 
@@ -63,10 +61,13 @@ def test_fig6_network_shape():
     assert len(net.links) == 4
     with pytest.raises(InvalidParameter):
         fig6_network(-1)
+    with pytest.raises(InvalidParameter, match="whole number"):
+        fig6_network(2.5)
+    assert len(fig6_network(3.0).links) == 3
 
 
 def test_zero_hop_point_is_exactly_zero():
-    sweep = sweep_hop_count(n_values=(0, 1), iterations=50, horizon=60.0, seed=4)
+    sweep = sweep_study("fig6", (0, 1), iterations=50, horizon=60.0, seed=4)
     zero = sweep.points[0]
     assert zero.analytic == 0.0
     assert zero.outcome.mean == 0.0
@@ -92,24 +93,24 @@ def test_source_mean_analytic_decreases_monotonically():
 
 def test_sweep_values_must_be_monotone():
     with pytest.raises(InvalidParameter):
-        sweep_source_mean(m_values=(0.5, 0.5), **FAST)
+        sweep_study("fig5", (0.5, 0.5), **FAST)
     with pytest.raises(InvalidParameter):
-        sweep_hop_count(n_values=(1, 3, 2), **FAST)
+        sweep_study("fig6", (1, 3, 2), **FAST)
     # decreasing is fine
-    sweep = sweep_source_mean(m_values=(2.0 / 3.0, 1.0 / 3.0), **FAST)
+    sweep = sweep_study("fig5", (2.0 / 3.0, 1.0 / 3.0), **FAST)
     assert [p.param for p in sweep.points] == [2.0 / 3.0, 1.0 / 3.0]
 
 
 def test_csv_bytes_reproducible():
-    a = sweep_hop_count(n_values=(1, 2), **FAST)
-    b = sweep_hop_count(n_values=(1, 2), **FAST)
+    a = sweep_study("fig6", (1, 2), **FAST)
+    b = sweep_study("fig6", (1, 2), **FAST)
     assert a.csv_text() == b.csv_text()
-    c = sweep_hop_count(n_values=(1, 2), iterations=300, horizon=120.0, seed=12)
+    c = sweep_study("fig6", (1, 2), iterations=300, horizon=120.0, seed=12)
     assert c.csv_text() != a.csv_text()
 
 
 def test_csv_format():
-    sweep = sweep_source_mean(m_values=(1.0 / 3.0,), **FAST)
+    sweep = sweep_study("fig5", (1.0 / 3.0,), **FAST)
     lines = sweep.csv_text().splitlines()
     assert lines[0] == CSV_HEADER
     fields = lines[1].split(",")
@@ -119,9 +120,9 @@ def test_csv_format():
 
 
 def test_point_seeds_differ_per_point_and_kind():
-    sweep = sweep_hop_count(n_values=(1, 2), **FAST)
+    sweep = sweep_study("fig6", (1, 2), **FAST)
     assert sweep.points[0].seed != sweep.points[1].seed
-    other = sweep_link_variance(v_values=(0.05, 0.15), **FAST)
+    other = sweep_study("fig7", (0.05, 0.15), **FAST)
     assert other.points[0].seed != sweep.points[0].seed
 
 
@@ -161,7 +162,7 @@ def test_custom_family_sweep():
 
 
 def test_json_payload_shape():
-    sweep = sweep_source_mean(m_values=(1.0 / 3.0,), **FAST)
+    sweep = sweep_study("fig5", (1.0 / 3.0,), **FAST)
     payload = sweep.to_dict()
     assert payload["kind"] == "source_mean"
     assert payload["gate"]["z_threshold"] == 4.0

@@ -154,6 +154,17 @@ def test_backward_recurrence_limit_validates_horizon():
         verify_backward_recurrence_limit(Exponential(rate=1.0), 10.0, N_PATHS)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_verifiers_reject_bad_times(t):
+    exp = Exponential(rate=1.0)
+    with pytest.raises(InvalidParameter, match="must be a positive finite number"):
+        verify_martingale_zero_mean(exp, [10.0, t], N_PATHS)
+    with pytest.raises(InvalidParameter, match="must be a positive finite number"):
+        verify_backward_recurrence_limit(exp, t, N_PATHS)
+    with pytest.raises(InvalidParameter, match="must be a positive finite number"):
+        verify_windowed_count_limit(exp, exp, t, N_PATHS)
+
+
 def test_windowed_count_poisson_pair():
     # Poisson source at rate 2 with a Poisson probe at rate 1: limit is 2/1
     check = verify_windowed_count_limit(
