@@ -121,8 +121,8 @@ def _run_config(obj: dict) -> RunConfig:
         raise ConfigError("iterations must be >= 1")
     targets = run.get("targets")
     if targets is not None:
-        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-            raise ConfigError("'targets' must be a list of node ids")
+        if not isinstance(targets, list) or not targets or not all(isinstance(t, str) for t in targets):
+            raise ConfigError("'targets' must be a nonempty list of node ids")
         missing = [t for t in targets if t not in network.nodes]
         if missing:
             raise ConfigError(f"targets reference undeclared nodes {missing}")

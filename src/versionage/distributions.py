@@ -1,4 +1,4 @@
-"""Inter-renewal-time distributions: exact moments, densities, and sampling.
+"""Inter-renewal-time distributions: exact moments and batch sampling.
 
 Each distribution is an immutable value object with closed-form first and
 second moments.  A divergent moment is represented as ``math.inf`` rather than
@@ -22,7 +22,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParameter
 from .rng import RngStream
@@ -40,6 +39,7 @@ __all__ = [
     "from_literal",
     "LITERAL_TYPES",
     "positive_number",
+    "nonnegative_number",
     "whole_number",
 ]
 
@@ -49,12 +49,6 @@ class Moments:
 
     mean: float
     second_moment: float
-
-    @property
-    def variance(self) -> float:
-        if math.isinf(self.second_moment):
-            return math.inf
-        return self.second_moment - self.mean * self.mean
 
     @property
     def is_finite(self) -> bool:
@@ -74,20 +68,8 @@ class Distribution(ABC):
         """Exact analytic moments, never an approximation."""
 
     @abstractmethod
-    def cdf(self, x: float) -> float:
-        """P(Y <= x)."""
-
-    @abstractmethod
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         """n i.i.d. draws consumed from ``rng`` in a deterministic pattern."""
-
-    def pdf(self, x: float) -> float:
-        """Density at x; point masses have none."""
-        raise InvalidParameter(f"{self.type_name} has no density")
-
-    def sample(self, rng: RngStream) -> float:
-        """One draw from the distribution."""
-        return float(self.sample_batch(rng, 1)[0])
 
     def to_literal(self) -> dict:
         """Config-file literal: a ``type`` tag plus named parameters."""
@@ -105,6 +87,15 @@ def positive_number(name: str, value) -> float:
         math.isfinite(value) and value > 0
     ):
         raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def nonnegative_number(name: str, value) -> float:
+    """``value`` as a float; it must be a finite real number >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value >= 0
+    ):
+        raise InvalidParameter(f"{name} must be a nonnegative finite number, got {value!r}")
     return float(value)
 
 
@@ -130,12 +121,6 @@ class Exponential(Distribution):
     def moments(self) -> Moments:
         return Moments(1.0 / self.rate, 2.0 / (self.rate * self.rate))
 
-    def pdf(self, x: float) -> float:
-        return self.rate * math.exp(-self.rate * x) if x >= 0 else 0.0
-
-    def cdf(self, x: float) -> float:
-        return -math.expm1(-self.rate * x) if x >= 0 else 0.0
-
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
         return -np.log1p(-u) / self.rate
@@ -150,8 +135,7 @@ class Uniform(Distribution):
     type_name = "uniform"
 
     def __post_init__(self):
-        if not (isinstance(self.lo, (int, float)) and math.isfinite(self.lo) and self.lo >= 0):
-            raise InvalidParameter(f"lo must be a nonnegative finite real, got {self.lo!r}")
+        nonnegative_number("lo", self.lo)
         positive_number("hi", self.hi)
         if not self.hi > self.lo:
             raise InvalidParameter(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
@@ -159,16 +143,6 @@ class Uniform(Distribution):
     def moments(self) -> Moments:
         lo, hi = self.lo, self.hi
         return Moments((lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0)
-
-    def pdf(self, x: float) -> float:
-        return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
-
-    def cdf(self, x: float) -> float:
-        if x < self.lo:
-            return 0.0
-        if x > self.hi:
-            return 1.0
-        return (x - self.lo) / (self.hi - self.lo)
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * rng.uniforms(n)
@@ -187,17 +161,6 @@ class Rayleigh(Distribution):
     def moments(self) -> Moments:
         s = self.sigma
         return Moments(s * math.sqrt(math.pi / 2.0), 2.0 * s * s)
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        s2 = self.sigma * self.sigma
-        return (x / s2) * math.exp(-x * x / (2.0 * s2))
-
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return -math.expm1(-x * x / (2.0 * self.sigma * self.sigma))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
@@ -220,17 +183,6 @@ class ChiSquare(Distribution):
     def moments(self) -> Moments:
         return Moments(float(self.k), float(self.k * (self.k + 2)))
 
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        h = self.k / 2.0
-        return x ** (h - 1.0) * math.exp(-x / 2.0) / (2.0 ** h * special.gamma(h))
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return float(special.gammainc(self.k / 2.0, x / 2.0))
-
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         return rng.generator.chisquare(self.k, n)
 
@@ -252,24 +204,6 @@ class Beta(Distribution):
         mean = a / (a + b)
         second = a * (a + 1.0) / ((a + b) * (a + b + 1.0))
         return Moments(mean, second)
-
-    def pdf(self, x: float) -> float:
-        if not 0.0 < x < 1.0:
-            return 0.0
-        a, b = self.alpha, self.beta
-        log_density = (
-            (a - 1.0) * math.log(x)
-            + (b - 1.0) * math.log1p(-x)
-            - special.betaln(a, b)
-        )
-        return math.exp(log_density)
-
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return float(special.betainc(self.alpha, self.beta, x))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         return rng.generator.beta(self.alpha, self.beta, n)
@@ -297,16 +231,6 @@ class ParetoI(Distribution):
         second = a * m * m / (a - 2.0) if a > 2.0 else math.inf
         return Moments(mean, second)
 
-    def pdf(self, x: float) -> float:
-        if x < self.scale:
-            return 0.0
-        return self.shape * self.scale ** self.shape / x ** (self.shape + 1.0)
-
-    def cdf(self, x: float) -> float:
-        if x < self.scale:
-            return 0.0
-        return 1.0 - (self.scale / x) ** self.shape
-
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
@@ -326,9 +250,6 @@ class Deterministic(Distribution):
 
     def moments(self) -> Moments:
         return Moments(self.c, self.c * self.c)
-
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.c else 0.0
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         return np.full(n, self.c)

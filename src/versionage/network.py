@@ -159,9 +159,6 @@ class CacheNetwork:
     def incoming(self, node: str) -> tuple[Link, ...]:
         return tuple(self._incoming[node])
 
-    def outgoing(self, node: str) -> tuple[Link, ...]:
-        return tuple(self._outgoing[node])
-
     @property
     def is_tree(self) -> bool:
         return self.classification is not NetworkClass.GENERAL

@@ -71,8 +71,6 @@ class ReplicationResult:
     horizon: float
     terminal: dict[str, int]
     time_average: dict[str, float]
-    versions: dict[str, int]
-    source_version: int
     #: version step history per node (time, new version), returned on request
     steps: dict[str, list[tuple[float, int]]] | None = None
 
@@ -208,8 +206,6 @@ def simulate_once(
         time_average={
             n: (integrals[source] - integrals[n]) / width for n in network.nodes
         },
-        versions=dict(versions),
-        source_version=w0,
         steps=steps if record else None,
     )
 
@@ -404,14 +400,12 @@ def monte_carlo(
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
     positive_number("horizon", horizon)
-    if targets is None:
-        targets = network.leaves()
-        if not targets:
-            raise InvalidParameter(
-                "no targets given and the network has no leaves (every cache "
-                "forwards to another); name the targets"
-            )
-    targets = list(targets)
+    targets = network.leaves() if targets is None else list(targets)
+    if not targets:
+        raise InvalidParameter(
+            "no targets: the target list is empty, or none was given and the network "
+            "has no leaves (every cache forwards to another); name the targets"
+        )
     unknown = [t for t in targets if t not in network.nodes]
     if unknown:
         raise UnknownNode(f"targets not in network: {unknown}")

@@ -235,7 +235,7 @@ def test_criterion_6_exact_deterministic_traces():
     report(6, "five hand-computed deterministic schedules match exactly", violations)
 
 
-def test_criterion_7_moment_oracle():
+def test_criterion_7_moment_oracle(scipy_law):
     specs = [
         Exponential(rate=1.0), Exponential(rate=2.0),
         Uniform(lo=0.0, hi=2.0), Uniform(lo=0.5, hi=3.0),
@@ -247,10 +247,11 @@ def test_criterion_7_moment_oracle():
     violations = []
     for spec in specs:
         m = spec.moments()
+        pdf = scipy_law(spec).pdf
         hi = 1.0 if isinstance(spec, Beta) else np.inf
         lo = spec.scale if isinstance(spec, ParetoI) else 0.0
-        mean_q, _ = integrate.quad(lambda x: x * spec.pdf(x), lo, hi, limit=400)
-        second_q, _ = integrate.quad(lambda x: x * x * spec.pdf(x), lo, hi, limit=400)
+        mean_q, _ = integrate.quad(lambda x: x * pdf(x), lo, hi, limit=400)
+        second_q, _ = integrate.quad(lambda x: x * x * pdf(x), lo, hi, limit=400)
         if abs(mean_q - m.mean) > 1e-9 * m.mean:
             violations.append(f"{spec} mean {m.mean!r} vs quadrature {mean_q!r}")
         if abs(second_q - m.second_moment) > 1e-9 * m.second_moment:

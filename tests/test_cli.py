@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import versionage
 from versionage.cli import parse_config, parse_spec_arg, run
 from versionage.distributions import Exponential, Uniform
 from versionage.errors import ConfigError
@@ -151,6 +152,15 @@ def test_analytic_missing_file():
     assert run(["analytic", "/nonexistent/config.json"]) == 1
 
 
+@pytest.mark.parametrize("lo", [True, "0", -1, float("nan")], ids=repr)
+def test_analytic_rejects_bad_uniform_lo(tmp_path, capsys, lo):
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["links"][0]["dist"]["lo"] = lo
+    assert run(["analytic", write_config(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lo must be a nonnegative finite number" in err
+
+
 # -- simulate ----------------------------------------------------------------------
 
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
@@ -237,6 +247,41 @@ def test_simulate_without_leaves_or_targets_exits_one(tmp_path, capsys):
     assert run(["simulate", write_config(tmp_path, cfg), "--out", base]) == 1
     assert "no leaves" in capsys.readouterr().err
     assert not os.path.exists(base + ".json")
+
+
+def test_simulate_rejects_empty_targets(tmp_path, capsys):
+    base = str(tmp_path / "none")
+    assert run(["simulate", write_config(tmp_path, dict(CHAIN_CONFIG, targets=[])), "--out", base]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'targets' must be a nonempty list" in err
+    assert not os.path.exists(base + ".csv")
+
+
+#: runs analytic, simulate and verify with scipy unimportable; argv: src dir, config, out dir
+NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["scipy"] = None
+from versionage.cli import run
+config, out = sys.argv[2], sys.argv[3]
+codes = [
+    run(["analytic", config, "--out", out + "/analytic.json"]),
+    run(["simulate", config, "--iterations", "5", "--horizon", "20", "--out", out + "/sim"]),
+    run(["verify", "exponential:rate=1", "--paths", "10000", "--out", out + "/verify.json"]),
+]
+sys.exit(codes != [0, 0, 0])
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: the commands must run with it unimportable
+    src = os.path.dirname(os.path.dirname(versionage.__file__))
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, src, config, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("analytic.json", "sim.csv", "sim.json", "verify.json"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_module_entry_point_runs():

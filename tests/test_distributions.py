@@ -1,10 +1,13 @@
-"""Moments, densities, and samplers, checked against independent oracles.
+"""Moments and samplers, checked against independent oracles.
 
-Closed-form moments are verified two ways: against values frozen from an
-adaptive-quadrature integration of each density, and against a live
-quadrature run at 1e-9 relative tolerance.  Samplers are verified by
-Kolmogorov-Smirnov tests against the analytic CDFs and by moment matching
-at the 4-standard-error level.
+The oracles are the frozen ``scipy.stats`` laws ``expon``, ``uniform``,
+``rayleigh``, ``chi2``, ``beta`` and ``pareto`` (the ``scipy_law`` fixture in
+``conftest.py``), written apart from versionage.  Closed-form moments are
+verified two ways: against values frozen from an adaptive-quadrature
+integration of each density, and against a live quadrature of the scipy
+density run at 1e-9 relative tolerance.  Samplers are verified by
+Kolmogorov-Smirnov tests against the scipy CDFs and by moment matching at the
+4-standard-error level.
 """
 
 import math
@@ -84,13 +87,14 @@ def test_pareto_divergent_moments():
     assert ParetoI(shape=2.0, scale=1.0).moments().second_moment == math.inf
 
 
-def test_quadrature_oracle_matches_closed_forms():
+def test_quadrature_oracle_matches_closed_forms(scipy_law):
     for spec in CONTINUOUS_SPECS:
         m = spec.moments()
+        pdf = scipy_law(spec).pdf
         hi = 1.0 if isinstance(spec, Beta) else np.inf
         lo = spec.scale if isinstance(spec, ParetoI) else 0.0
-        mean_q, _ = integrate.quad(lambda x: x * spec.pdf(x), lo, hi, limit=400)
-        second_q, _ = integrate.quad(lambda x: x * x * spec.pdf(x), lo, hi, limit=400)
+        mean_q, _ = integrate.quad(lambda x: x * pdf(x), lo, hi, limit=400)
+        second_q, _ = integrate.quad(lambda x: x * x * pdf(x), lo, hi, limit=400)
         assert mean_q == pytest.approx(m.mean, rel=1e-9), str(spec)
         assert second_q == pytest.approx(m.second_moment, rel=1e-9), str(spec)
 
@@ -140,14 +144,14 @@ def test_exponential_quantile_midpoint_value():
 
 def test_deterministic_sample_is_constant():
     rng = RngStream(3, "det")
-    assert Deterministic(c=1.5).sample(rng) == 1.5
+    assert Deterministic(c=1.5).sample_batch(rng, 1)[0] == 1.5
     assert np.all(Deterministic(c=1.5).sample_batch(rng, 100) == 1.5)
 
 
 @pytest.mark.parametrize("spec", CONTINUOUS_SPECS, ids=str)
-def test_kolmogorov_smirnov(spec):
+def test_kolmogorov_smirnov(spec, scipy_law):
     draws = spec.sample_batch(RngStream(2024, "ks", str(spec)), 100_000)
-    result = stats.kstest(draws, np.vectorize(spec.cdf))
+    result = stats.kstest(draws, scipy_law(spec).cdf)
     # 0.1% critical value: fail only on very strong evidence of a wrong law
     assert result.pvalue > 0.001, f"{spec}: KS p={result.pvalue}"
 
@@ -202,6 +206,10 @@ def test_sampling_is_deterministic_per_stream():
         lambda: ParetoI(shape=1.0, scale=0.0),
         lambda: Deterministic(c=0.0),
         lambda: Deterministic(c=math.inf),
+        lambda: Uniform(lo=True, hi=2.0),
+        lambda: Uniform(lo="0", hi=2.0),
+        lambda: Uniform(lo=-1, hi=2.0),
+        lambda: Uniform(lo=math.nan, hi=2.0),
     ],
 )
 def test_invalid_parameters_rejected(build):

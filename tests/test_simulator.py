@@ -434,6 +434,11 @@ def test_monte_carlo_without_leaves_needs_targets():
     assert set(monte_carlo(network, targets=["y"], horizon=10.0, iterations=3)) == {"y"}
 
 
+def test_monte_carlo_rejects_empty_targets():
+    with pytest.raises(InvalidParameter, match="the target list is empty"):
+        monte_carlo(MIXED_TREE, targets=[], horizon=10.0, iterations=3)
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf])
 def test_horizon_must_be_positive_and_finite(horizon):
     network = chain(Exponential(rate=1.0), [Exponential(rate=1.0)])
