@@ -81,22 +81,32 @@ class Distribution(ABC):
         return f"{self.type_name}({params})"
 
 
+def _finite_real(value) -> float | None:
+    """``value`` as a finite float, or None for a bool, a non-number, a NaN,
+    an infinity or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def positive_number(name: str, value) -> float:
     """``value`` as a float; it must be a positive finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        math.isfinite(value) and value > 0
-    ):
+    x = _finite_real(value)
+    if x is None or not x > 0:
         raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def nonnegative_number(name: str, value) -> float:
     """``value`` as a float; it must be a finite real number >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        math.isfinite(value) and value >= 0
-    ):
+    x = _finite_real(value)
+    if x is None or not x >= 0:
         raise InvalidParameter(f"{name} must be a nonnegative finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def whole_number(name: str, value) -> int:

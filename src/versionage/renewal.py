@@ -33,6 +33,8 @@ from .rng import RngStream
 
 __all__ = [
     "GAP_BATCH",
+    "EVENT_BUDGET",
+    "check_event_budget",
     "RenewalStream",
     "MartingalePoint",
     "LimitCheck",
@@ -44,6 +46,10 @@ __all__ = [
 #: gaps drawn per internal batch; fixed so event sequences are independent of
 #: how callers chunk their advance() calls
 GAP_BATCH = 1024
+
+#: most events one stream, or one chunk of verifier paths, may be expected to
+#: draw; a run past it would allocate gaps without a useful bound
+EVENT_BUDGET = 10_000_000
 
 _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 4096
@@ -133,6 +139,16 @@ def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarra
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
+def check_event_budget(stream: str, expected: float) -> None:
+    """Reject a draw whose expected event count is over :data:`EVENT_BUDGET`,
+    naming the stream; callers check once per call, before drawing."""
+    if not expected <= EVENT_BUDGET:
+        raise InvalidParameter(
+            f"{stream} would draw about {expected:.3g} events, over the budget of "
+            f"{EVENT_BUDGET:.3g}; shorten the horizon or lengthen the mean gap"
+        )
+
+
 @dataclass(frozen=True)
 class MartingalePoint:
     """Studentized sample mean of the embedded martingale at one time."""
@@ -169,10 +185,20 @@ def _check_paths(n_paths: int) -> None:
         )
 
 
+def _row_events(spec: Distribution, t_max: float) -> float:
+    """Events each :func:`_event_matrix` row is first drawn for, before its
+    32 spare columns: 1.25 t_max over the mean gap."""
+    return 1.25 * t_max / spec.moments().mean
+
+
+def _check_matrix_budget(spec: Distribution, n_paths: int, t_max: float) -> None:
+    rows = min(_VERIFIER_CHUNK, n_paths)
+    check_event_budget(f"event matrix of {spec}", rows * (_row_events(spec, t_max) + 32))
+
+
 def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -> np.ndarray:
     """Per-row cumulative event times, every row guaranteed past t_max."""
-    mean = spec.moments().mean
-    cols = int(1.25 * t_max / mean) + 32
+    cols = int(_row_events(spec, t_max)) + 32
     gaps = spec.sample_batch(rng, rows * cols).reshape(rows, cols)
     csum = np.cumsum(gaps, axis=1)
     while float(csum[:, -1].min()) <= t_max:
@@ -214,6 +240,7 @@ def verify_martingale_zero_mean(
     _check_paths(n_paths)
     t_grid = [positive_number("t", t) for t in t_grid]
     t_max = max(t_grid)
+    _check_matrix_budget(spec, n_paths, t_max)
     sums = {t: 0.0 for t in t_grid}
     sums_sq = {t: 0.0 for t in t_grid}
     rng = RngStream(master_seed, "verify-martingale", 0)
@@ -261,6 +288,7 @@ def verify_backward_recurrence_limit(
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps ({50 * m.mean:g}), got {t_large}"
         )
+    _check_matrix_budget(spec, n_paths, t_large)
     target = m.second_moment / (2.0 * m.mean)
     total = total_sq = 0.0
     done = 0
@@ -305,6 +333,8 @@ def verify_windowed_count_limit(
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps of both processes, got {t_large}"
         )
+    _check_matrix_budget(probe_spec, n_paths, t_large)
+    _check_matrix_budget(source_spec, n_paths, t_large)
     target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
     total = total_sq = 0.0
     done = 0

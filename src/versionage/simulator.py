@@ -13,13 +13,17 @@ inter-update times; the ordering matters only when deterministic links are in
 play.
 
 :func:`monte_carlo` runs one vectorized engine on every network class.  It
-draws each stream's event times up to the horizon and builds each cache's
-version step function from its senders' by binary search: a delivery carries
-the sender's version after the last sender step that the order above puts
-before it.  A cache with several feeds merges its deliveries by (time, rank)
-and keeps a running maximum.  One sweep in depth order is exact on PATH/TREE
-networks; on GENERAL graphs (several feeds, cycles among caches) depth order
-is not a topological order, so sweeps repeat until no value changes, a
+draws each stream's event times up to the horizon and reads only what the
+requested estimator needs: a target's versions at its knots (every delivery
+it receives) in effect at the horizon for ``terminal``, or over [horizon/2,
+horizon] for ``time_average``.  A delivery carries the sender's version after
+the last sender event that the order above puts before it.  On PATH/TREE
+networks the engine traces those versions back from the targets, as the
+closed form does: each knot asks one binary search of its sender's events,
+hop by hop up to the source, whose version at its q-th event is q.  On
+GENERAL graphs (several feeds, cycles among caches) it builds every needed
+cache's step function instead, merging a cache's feeds by (time, rank) under
+a running maximum, and sweeps in depth order until no value changes, a
 monotone fixed point.
 
 :func:`simulate_once` is the reference engine: a heap event loop over lazy
@@ -40,7 +44,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import RenewalStream, event_times_until
+from .renewal import RenewalStream, check_event_budget, event_times_until
 from .rng import RngStream
 
 __all__ = [
@@ -114,15 +118,25 @@ class SimOutcome:
         }
 
 
-def _window_integral(times: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of the step function that equals values[k] on
-    [times[k], times[k+1]); times must start at 0."""
-    i = int(np.searchsorted(times, lo, side="right")) - 1
-    j = int(np.searchsorted(times, hi, side="right")) - 1
+def _check_streams(network: CacheNetwork, horizon: float) -> None:
+    """Reject a run in which some stream would draw too many events."""
+    check_event_budget("stream source", horizon / network.source_dist.moments().mean)
+    for link in network.links:
+        check_event_budget(
+            f"stream link {link.src}->{link.dst}", horizon / link.dist.moments().mean
+        )
+
+
+def _window_integral(
+    knot_times: np.ndarray, values: np.ndarray, i: int, j: int, lo: float, hi: float
+) -> float:
+    """Integral over [lo, hi] of a step function with knot 0 at time 0 and
+    knot q at knot_times[q - 1]; i and j are the knots in effect at lo and
+    hi, and ``values`` (float64) holds the function's values at knots i..j."""
     if i == j:
-        return float(values[i]) * (hi - lo)
-    knots = np.concatenate([[lo], times[i + 1 : j + 1], [hi]])
-    return float(np.dot(values[i : j + 1], np.diff(knots)))
+        return float(values[0]) * (hi - lo)
+    knots = np.concatenate([[lo], knot_times[i:j], [hi]])
+    return float(np.dot(values, knots[1:] - knots[:-1]))
 
 
 def simulate_once(
@@ -139,6 +153,7 @@ def simulate_once(
     a replication is reproducible in isolation.  All caches start at version 0.
     """
     positive_number("horizon", horizon)
+    _check_streams(network, horizon)
     streams: list[RenewalStream] = [
         RenewalStream(
             network.source_dist,
@@ -190,15 +205,12 @@ def simulate_once(
 
     w0 = versions[source]
     lo = horizon / 2.0
-    integrals = {
-        n: _window_integral(
-            np.array([0.0, *knot_times[n]]),
-            np.array([0.0, *knot_values[n]]),
-            lo,
-            horizon,
-        )
-        for n in network.nodes
-    }
+    integrals = {}
+    for n in network.nodes:
+        times = np.array(knot_times[n])
+        i = int(np.searchsorted(times, lo, side="right"))
+        values = np.array([0.0, *knot_values[n]])[i:]
+        integrals[n] = _window_integral(times, values, i, times.size, lo, horizon)
     width = horizon - lo
     return ReplicationResult(
         horizon=horizon,
@@ -235,20 +247,36 @@ def _carry(times, values, ranks, deliveries, rank):
     return values[count]
 
 
+def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """The knots a node reports for its asks (each sorted): all from the
+    first asked to the last, and where each ask's knots sit among them.  A
+    single ask is its own span (None)."""
+    if len(asks) == 1:
+        return asks[0], None
+    first = min(int(a[0]) for a in asks)
+    last = max(int(a[-1]) for a in asks)
+    return np.arange(first, last + 1), [a - first for a in asks]
+
+
 class _Replicator:
-    """Reusable per-replication evaluator for every network class.
+    """Per-replication evaluator of one estimator for every network class.
 
     Draws the same gap sequences as the event loop (same streams, same
-    batching) and composes version step functions from the source outwards,
-    over the targets and every cache that feeds them.  Each feed's tie rule
-    is fixed here from the event ranks; on PATH/TREE networks it is always
-    the inclusive searchsorted(side="right").
+    batching) for the targets and every cache that feeds them, then reads
+    only what the estimator needs: each target's versions at its knots in
+    effect at the horizon (``terminal``) or over [horizon/2, horizon]
+    (``time_average``).  Knot 0 of a node is time 0 with version 0, knot q
+    its q-th delivery.  PATH/TREE networks trace those versions back to the
+    source (:meth:`_trace`); GENERAL graphs sweep every cache's step
+    function to a fixed point (:meth:`_iterate`).
     """
 
-    def __init__(self, network: CacheNetwork, targets: list[str], horizon: float):
+    def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
         self.horizon = horizon
+        self.terminal = estimator == "terminal"
+        self._edges = np.array([horizon / 2.0, horizon])
         self.source_dist = network.source_dist
-        self.iterate = not network.is_tree
+        self.tree = network.is_tree
         links = network.links
         # integer event ranks; 0 is the source
         by_rank = sorted(
@@ -291,69 +319,130 @@ class _Replicator:
             np.array([f[3] for f in feeds]) if k in ranked else None
             for k, feeds in enumerate(self.feeds, 1)
         ]
+        #: per node, the sender of its first feed, its only one on PATH/TREE
+        #: networks (the source's entry is a placeholder)
+        self.senders = [0] + [feeds[0][2] for feeds in self.feeds]
         self.targets = [(t, index[t]) for t in targets]
         self._rng = RngStream(0)
 
-    def run(self, master_seed: int, iteration: int) -> tuple[dict[str, int], dict[str, float]]:
+    def run(self, master_seed: int, iteration: int) -> dict[str, int | float]:
+        """Each target's estimator reading in replication ``iteration``."""
         horizon, rng = self.horizon, self._rng
         rng.reseed(master_seed, iteration, *SOURCE_STREAM)
         src_events = event_times_until(self.source_dist, rng, horizon)
-        w0 = int(np.searchsorted(src_events, horizon, side="right"))
+        # per cache, each feed's events; every array runs past the horizon
+        drawn = []
+        for feeds in self.feeds:
+            events = []
+            for sid, dist, _, _, _ in feeds:
+                rng.reseed(master_seed, iteration, *sid)
+                events.append(event_times_until(dist, rng, horizon))
+            drawn.append(events)
 
+        windows = (self._trace if self.tree else self._iterate)(src_events, drawn)
+        names = [t for t, _ in self.targets]
+        i0, w0 = self._window(src_events)
+        if self.terminal:
+            return {t: int(w0 - versions[-1]) for t, (_, _, _, versions) in zip(names, windows)}
+        lo = horizon / 2.0
+        width = horizon - lo
+        src_integral = _window_integral(
+            src_events, np.arange(i0, w0 + 1, dtype=np.float64), i0, w0, lo, horizon
+        )
+        readings = {}
+        for t, (knot_times, i, j, versions) in zip(names, windows):
+            values = versions.astype(np.float64, copy=False)
+            readings[t] = (src_integral - _window_integral(knot_times, values, i, j, lo, horizon)) / width
+        return readings
+
+    def _window(self, knot_times: np.ndarray) -> tuple[int, int]:
+        """The knots in effect where the estimator starts reading (the
+        horizon, or horizon/2 for the time average) and at the horizon."""
+        if self.terminal:
+            j = int(knot_times.searchsorted(self.horizon, side="right"))
+            return j, j
+        return tuple(knot_times.searchsorted(self._edges, side="right").tolist())
+
+    def _trace(self, src_events, drawn) -> list[tuple]:
+        """PATH/TREE: each target's (knot times, i, j, versions at knots
+        i..j), traced back from the target to the source.
+
+        A delivery at knot q carries the sender's version at the sender's
+        last event at or before it, so a cache asks its sender only for the
+        knots its own asked knots read.  Caches ask deepest first; one that
+        several consumers read is traced once, over the span of their asks.
+        The source's version at knot q is q.
+        """
+        events = [src_events, *(feed for (feed,) in drawn)]
+        asks: list[list[np.ndarray]] = [[] for _ in events]
+        windows = []
+        for _, k in self.targets:
+            i, j = self._window(events[k])
+            windows.append((events[k], i, j, len(asks[k])))
+            asks[k].append(np.arange(i, j + 1))
+        # backward, deepest cache first: ask the sender for the knots that
+        # the asked knots read; slot[k] is that ask's place among the sender's
+        where: list[list[np.ndarray] | None] = [None] * len(events)
+        slot = [0] * len(events)
+        for k in range(len(events) - 1, 0, -1):
+            s = self.senders[k]
+            asked, where[k] = _span(asks[k])
+            read = events[s].searchsorted(events[k][asked - 1], side="right")
+            if asked[0] == 0:
+                # knot 0 is no delivery: it reads the sender's knot 0
+                read[asked == 0] = 0
+            slot[k] = len(asks[s])
+            asks[s].append(read)
+        # forward, from the source: the versions at every ask
+        answers = [asks[0]]
+        for k in range(1, len(events)):
+            versions = answers[self.senders[k]][slot[k]]
+            answers.append([versions] if where[k] is None else [versions[w] for w in where[k]])
+        return [(knots, i, j, answers[k][r]) for (_, k), (knots, i, j, r) in zip(self.targets, windows)]
+
+    def _iterate(self, src_events, drawn) -> list[tuple]:
+        """GENERAL: each target's (knot times, i, j, versions at knots i..j),
+        from every needed cache's step function swept to a fixed point."""
+        horizon = self.horizon
+        w0 = int(np.searchsorted(src_events, horizon, side="right"))
         # per node (source first): step times, step ranks, and for each cache
         # its deliveries per feed and the permutation merging them
         times = [np.concatenate([[0.0], src_events[:w0]])]
         ranks: list[np.ndarray | None] = [None]
         deliveries: list[list[np.ndarray]] = []
         merges: list[np.ndarray | None] = []
-        for feeds, feed_ranks in zip(self.feeds, self.feed_ranks):
-            drawn = []
-            for sid, dist, _, _, _ in feeds:
-                rng.reseed(master_seed, iteration, *sid)
-                d = event_times_until(dist, rng, horizon)
-                drawn.append(d[: int(np.searchsorted(d, horizon, side="right"))])
-            deliveries.append(drawn)
-            if len(drawn) == 1:
-                times.append(np.concatenate([[0.0], drawn[0]]))
+        for events, feed_ranks in zip(drawn, self.feed_ranks):
+            cut = [d[: int(np.searchsorted(d, horizon, side="right"))] for d in events]
+            deliveries.append(cut)
+            if len(cut) == 1:
+                times.append(np.concatenate([[0.0], cut[0]]))
                 merges.append(None)
                 ranks.append(None)
                 continue
-            merged = np.concatenate(drawn)
+            merged = np.concatenate(cut)
             perm = np.argsort(merged, kind="stable")
             times.append(np.concatenate([[0.0], merged[perm]]))
             merges.append(perm)
             ranks.append(
                 None
                 if feed_ranks is None
-                else np.repeat(feed_ranks, [d.size for d in drawn])[perm]
+                else np.repeat(feed_ranks, [d.size for d in cut])[perm]
             )
 
-        # GENERAL sweeps start from version 0 everywhere; a tree sweep reads
-        # only caches it has already computed
-        values = [np.arange(w0 + 1, dtype=np.float64)]
-        values += [np.zeros(t.size) for t in times[1:]] if self.iterate else [None] * len(self.feeds)
+        # sweeps start from version 0 everywhere
+        values = [np.arange(w0 + 1, dtype=np.float64)] + [np.zeros(t.size) for t in times[1:]]
         while self._sweep(times, values, ranks, deliveries, merges):
             pass
-
-        lo = horizon / 2.0
-        width = horizon - lo
-        src_integral = _window_integral(times[0], values[0], lo, horizon)
-        terminal: dict[str, int] = {}
-        time_average: dict[str, float] = {}
-        for t, k in self.targets:
-            if k == 0:
-                terminal[t] = 0
-                time_average[t] = 0.0
-                continue
-            tv, vv = times[k], values[k]
-            terminal[t] = int(w0 - vv[-1])
-            time_average[t] = (src_integral - _window_integral(tv, vv, lo, horizon)) / width
-        return terminal, time_average
+        windows = []
+        for _, k in self.targets:
+            i, j = self._window(times[k][1:])
+            windows.append((times[k][1:], i, j, values[k][i : j + 1]))
+        return windows
 
     def _sweep(self, times, values, ranks, deliveries, merges) -> bool:
         """Recompute every cache in depth order.  True if another sweep is
-        due: only on GENERAL graphs, where depth order is not a topological
-        order, and only while some value still changes."""
+        due: depth order is not a topological order on GENERAL graphs, so
+        sweeps repeat while some value still changes."""
         changed = False
         for k, (feeds, drawn, perm) in enumerate(zip(self.feeds, deliveries, merges), 1):
             carried = [
@@ -366,16 +455,16 @@ class _Replicator:
                 new = np.empty(perm.size + 1)
                 new[0] = 0.0
                 np.maximum.accumulate(np.concatenate(carried)[perm], out=new[1:])
-            if self.iterate and not changed:
+            if not changed:
                 changed = not np.array_equal(new, values[k])
             values[k] = new
         return changed
 
 
-def _run_iteration_block(args) -> list[tuple]:
+def _run_iteration_block(args) -> list[dict]:
     """Worker: replications [start, stop) in iteration order."""
-    network, targets, horizon, master_seed, start, stop = args
-    rep = _Replicator(network, targets, horizon)
+    network, targets, horizon, estimator, master_seed, start, stop = args
+    rep = _Replicator(network, targets, horizon, estimator)
     return [rep.run(master_seed, it) for it in range(start, stop)]
 
 
@@ -409,10 +498,11 @@ def monte_carlo(
     unknown = [t for t in targets if t not in network.nodes]
     if unknown:
         raise UnknownNode(f"targets not in network: {unknown}")
+    _check_streams(network, horizon)
 
     threads = max(1, int(threads))
     if threads == 1:
-        blocks = [_run_iteration_block((network, targets, horizon, master_seed, 0, iterations))]
+        blocks = [_run_iteration_block((network, targets, horizon, estimator, master_seed, 0, iterations))]
     else:
         step = -(-iterations // threads)
         spans = [(s, min(s + step, iterations)) for s in range(0, iterations, step)]
@@ -421,18 +511,17 @@ def monte_carlo(
                 pool.map(
                     _run_iteration_block,
                     [
-                        (network, targets, horizon, master_seed, a, b)
+                        (network, targets, horizon, estimator, master_seed, a, b)
                         for a, b in spans
                     ],
                 )
             )
 
-    pick = 0 if estimator == "terminal" else 1
     dtype = np.int64 if estimator == "terminal" else np.float64
     outcomes: dict[str, SimOutcome] = {}
     for t in targets:
         samples = np.fromiter(
-            (row[pick][t] for block in blocks for row in block),
+            (row[t] for block in blocks for row in block),
             dtype=dtype,
             count=iterations,
         )

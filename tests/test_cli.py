@@ -161,6 +161,15 @@ def test_analytic_rejects_bad_uniform_lo(tmp_path, capsys, lo):
     assert err.startswith("error: ") and "lo must be a nonnegative finite number" in err
 
 
+def test_analytic_rejects_rate_too_large_for_a_float(tmp_path, capsys):
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["links"][1]["dist"]["rate"] = 10**399  # 400 digits; json writes it as an integer
+    assert run(["analytic", write_config(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rate must be a positive finite number" in err
+    assert "Traceback" not in err
+
+
 # -- simulate ----------------------------------------------------------------------
 
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
@@ -227,6 +236,20 @@ def test_simulate_rejects_overflowing_iterations(tmp_path, capsys):
     base = str(tmp_path / "out")
     assert run(["simulate", str(path), "--out", base]) == 1
     assert "'iterations' must be a whole number, got inf" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json")
+
+
+def test_simulate_rejects_streams_over_the_event_budget(tmp_path, capsys, monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Exponential, "sample_batch", no_draws)
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["links"][1]["dist"]["rate"] = 1e12
+    base = str(tmp_path / "budget")
+    assert run(["simulate", write_config(tmp_path, payload), "--out", base, "--horizon", "1e3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stream link a->b would draw about 1e+15 events" in err
     assert not os.path.exists(base + ".json")
 
 

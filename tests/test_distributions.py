@@ -217,6 +217,21 @@ def test_invalid_parameters_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: Exponential(rate=10**400), "rate must be a positive finite number"),
+        (lambda: Uniform(lo=10**400, hi=2.0), "lo must be a nonnegative finite number"),
+        (lambda: from_literal({"type": "pareto1", "shape": 3, "scale": -(10**400)}),
+         "scale must be a positive finite number"),
+    ],
+)
+def test_integers_too_large_for_a_float_are_rejected(build, fragment):
+    # float() overflows on these; the rules must not let OverflowError escape
+    with pytest.raises(InvalidParameter, match=fragment):
+        build()
+
+
 def test_literal_round_trip():
     for spec in ALL_SPECS:
         assert from_literal(spec.to_literal()) == spec

@@ -165,6 +165,23 @@ def test_verifiers_reject_bad_times(t):
         verify_windowed_count_limit(exp, exp, t, N_PATHS)
 
 
+def test_verifiers_check_the_event_budget_before_drawing(monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Exponential, "sample_batch", no_draws)
+    fast, slow = Exponential(rate=1e12), Uniform(lo=0.0, hi=2.0)
+    budget = "event matrix of exponential\\(rate=1e\\+12\\) would draw about"
+    with pytest.raises(InvalidParameter, match=budget):
+        verify_martingale_zero_mean(fast, [10.0], N_PATHS)
+    with pytest.raises(InvalidParameter, match=budget):
+        verify_backward_recurrence_limit(fast, 100.0, N_PATHS)
+    with pytest.raises(InvalidParameter, match=budget):
+        verify_windowed_count_limit(fast, slow, 100.0, N_PATHS)
+    with pytest.raises(InvalidParameter, match=budget):
+        verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
+
+
 def test_windowed_count_poisson_pair():
     # Poisson source at rate 2 with a Poisson probe at rate 1: limit is 2/1
     check = verify_windowed_count_limit(
