@@ -33,8 +33,6 @@ from .rng import RngStream
 
 __all__ = [
     "GAP_BATCH",
-    "EVENT_BUDGET",
-    "check_event_budget",
     "RenewalStream",
     "MartingalePoint",
     "LimitCheck",
@@ -47,9 +45,9 @@ __all__ = [
 #: how callers chunk their advance() calls
 GAP_BATCH = 1024
 
-#: most events one stream, or one chunk of verifier paths, may be expected to
-#: draw; a run past it would allocate gaps without a useful bound
-EVENT_BUDGET = 10_000_000
+#: most events one stream, or one verifier path, may be expected to draw; a
+#: run past it would allocate gaps without a useful bound
+_EVENT_BUDGET = 10_000_000
 
 _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 4096
@@ -139,13 +137,13 @@ def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarra
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
-def check_event_budget(stream: str, expected: float) -> None:
-    """Reject a draw whose expected event count is over :data:`EVENT_BUDGET`,
+def _check_event_budget(stream: str, expected: float) -> None:
+    """Reject a draw whose expected event count is over :data:`_EVENT_BUDGET`,
     naming the stream; callers check once per call, before drawing."""
-    if not expected <= EVENT_BUDGET:
+    if not expected <= _EVENT_BUDGET:
         raise InvalidParameter(
             f"{stream} would draw about {expected:.3g} events, over the budget of "
-            f"{EVENT_BUDGET:.3g}; shorten the horizon or lengthen the mean gap"
+            f"{_EVENT_BUDGET:.3g}; shorten the horizon or lengthen the mean gap"
         )
 
 
@@ -191,9 +189,10 @@ def _row_events(spec: Distribution, t_max: float) -> float:
     return 1.25 * t_max / spec.moments().mean
 
 
-def _check_matrix_budget(spec: Distribution, n_paths: int, t_max: float) -> None:
-    rows = min(_VERIFIER_CHUNK, n_paths)
-    check_event_budget(f"event matrix of {spec}", rows * (_row_events(spec, t_max) + 32))
+def _check_row_budget(spec: Distribution, t_max: float) -> None:
+    """Check the events of one :func:`_event_matrix` row: its row count is
+    capped at :data:`_VERIFIER_CHUNK`, its columns grow with t_max."""
+    _check_event_budget(f"a verifier path of {spec}", _row_events(spec, t_max) + 32)
 
 
 def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -> np.ndarray:
@@ -240,7 +239,7 @@ def verify_martingale_zero_mean(
     _check_paths(n_paths)
     t_grid = [positive_number("t", t) for t in t_grid]
     t_max = max(t_grid)
-    _check_matrix_budget(spec, n_paths, t_max)
+    _check_row_budget(spec, t_max)
     sums = {t: 0.0 for t in t_grid}
     sums_sq = {t: 0.0 for t in t_grid}
     rng = RngStream(master_seed, "verify-martingale", 0)
@@ -288,7 +287,7 @@ def verify_backward_recurrence_limit(
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps ({50 * m.mean:g}), got {t_large}"
         )
-    _check_matrix_budget(spec, n_paths, t_large)
+    _check_row_budget(spec, t_large)
     target = m.second_moment / (2.0 * m.mean)
     total = total_sq = 0.0
     done = 0
@@ -333,8 +332,8 @@ def verify_windowed_count_limit(
         raise InvalidParameter(
             f"t_large must be at least 50 mean gaps of both processes, got {t_large}"
         )
-    _check_matrix_budget(probe_spec, n_paths, t_large)
-    _check_matrix_budget(source_spec, n_paths, t_large)
+    _check_row_budget(probe_spec, t_large)
+    _check_row_budget(source_spec, t_large)
     target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
     total = total_sq = 0.0
     done = 0

@@ -44,7 +44,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import RenewalStream, check_event_budget, event_times_until
+from .renewal import RenewalStream, _check_event_budget, event_times_until
 from .rng import RngStream
 
 __all__ = [
@@ -118,13 +118,12 @@ class SimOutcome:
         }
 
 
-def _check_streams(network: CacheNetwork, horizon: float) -> None:
-    """Reject a run in which some stream would draw too many events."""
-    check_event_budget("stream source", horizon / network.source_dist.moments().mean)
-    for link in network.links:
-        check_event_budget(
-            f"stream link {link.src}->{link.dst}", horizon / link.dist.moments().mean
-        )
+def _check_streams(horizon: float, streams) -> None:
+    """Reject a run in which some stream, given as (stream id, law), would
+    draw too many events."""
+    for sid, dist in streams:
+        name = "source" if sid == SOURCE_STREAM else f"link {sid[1]}->{sid[2]}"
+        _check_event_budget(f"stream {name}", horizon / dist.moments().mean)
 
 
 def _window_integral(
@@ -153,7 +152,10 @@ def simulate_once(
     a replication is reproducible in isolation.  All caches start at version 0.
     """
     positive_number("horizon", horizon)
-    _check_streams(network, horizon)
+    _check_streams(
+        horizon,
+        [(SOURCE_STREAM, network.source_dist), *((_link_stream(l), l.dist) for l in network.links)],
+    )
     streams: list[RenewalStream] = [
         RenewalStream(
             network.source_dist,
@@ -323,6 +325,10 @@ class _Replicator:
         #: networks (the source's entry is a placeholder)
         self.senders = [0] + [feeds[0][2] for feeds in self.feeds]
         self.targets = [(t, index[t]) for t in targets]
+        #: every stream a replication draws, as (stream id, law)
+        self.streams = [(SOURCE_STREAM, self.source_dist)] + [
+            (sid, dist) for feeds in self.feeds for sid, dist, _, _, _ in feeds
+        ]
         self._rng = RngStream(0)
 
     def run(self, master_seed: int, iteration: int) -> dict[str, int | float]:
@@ -463,8 +469,7 @@ class _Replicator:
 
 def _run_iteration_block(args) -> list[dict]:
     """Worker: replications [start, stop) in iteration order."""
-    network, targets, horizon, estimator, master_seed, start, stop = args
-    rep = _Replicator(network, targets, horizon, estimator)
+    rep, master_seed, start, stop = args
     return [rep.run(master_seed, it) for it in range(start, stop)]
 
 
@@ -498,11 +503,12 @@ def monte_carlo(
     unknown = [t for t in targets if t not in network.nodes]
     if unknown:
         raise UnknownNode(f"targets not in network: {unknown}")
-    _check_streams(network, horizon)
+    rep = _Replicator(network, targets, horizon, estimator)
+    _check_streams(horizon, rep.streams)
 
     threads = max(1, int(threads))
     if threads == 1:
-        blocks = [_run_iteration_block((network, targets, horizon, estimator, master_seed, 0, iterations))]
+        blocks = [_run_iteration_block((rep, master_seed, 0, iterations))]
     else:
         step = -(-iterations // threads)
         spans = [(s, min(s + step, iterations)) for s in range(0, iterations, step)]
@@ -510,10 +516,7 @@ def monte_carlo(
             blocks = list(
                 pool.map(
                     _run_iteration_block,
-                    [
-                        (network, targets, horizon, estimator, master_seed, a, b)
-                        for a, b in spans
-                    ],
+                    [(rep, master_seed, a, b) for a, b in spans],
                 )
             )
 

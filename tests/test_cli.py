@@ -344,6 +344,13 @@ def test_verify_lattice_alignment_fails_gate(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_fast_law_at_default_times_passes(capsys):
+    # 2 500 events per path at the default t_large of 100: within the event
+    # budget, which caps one path's events, not a whole chunk of paths
+    assert run(["verify", "exponential:rate=20", "--paths", "10000"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_rejects_bad_spec(capsys):
     assert run(["verify", "exponential:rate=-2"]) == 1
     assert run(["verify", "pareto1:shape=1.5,scale=1"]) == 1

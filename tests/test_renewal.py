@@ -171,7 +171,7 @@ def test_verifiers_check_the_event_budget_before_drawing(monkeypatch):
 
     monkeypatch.setattr(Exponential, "sample_batch", no_draws)
     fast, slow = Exponential(rate=1e12), Uniform(lo=0.0, hi=2.0)
-    budget = "event matrix of exponential\\(rate=1e\\+12\\) would draw about"
+    budget = "a verifier path of exponential\\(rate=1e\\+12\\) would draw about"
     with pytest.raises(InvalidParameter, match=budget):
         verify_martingale_zero_mean(fast, [10.0], N_PATHS)
     with pytest.raises(InvalidParameter, match=budget):

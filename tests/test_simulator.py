@@ -475,6 +475,27 @@ def test_event_budget_is_checked_before_drawing(monkeypatch):
                 run()
 
 
+def test_monte_carlo_checks_only_the_streams_it_draws(monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Exponential, "sample_batch", no_draws)
+    # the fast branch s -> b feeds no target, so monte_carlo never draws it;
+    # simulate_once draws every stream and must reject it
+    network = CacheNetwork(
+        nodes=["s", "a", "b"],
+        source="s",
+        source_dist=D(0.5),
+        links=[("s", "a", Uniform(lo=0.0, hi=2.0)), ("s", "b", Exponential(rate=1e12))],
+    )
+    out = monte_carlo(network, targets=["a"], horizon=1e3, iterations=5)
+    assert out["a"].iterations == 5
+    with pytest.raises(InvalidParameter, match="stream link s->b would draw about 1e\\+15 events"):
+        monte_carlo(network, targets=["a", "b"], horizon=1e3, iterations=5)
+    with pytest.raises(InvalidParameter, match="stream link s->b would draw about 1e\\+15 events"):
+        simulate_once(network, 1e3, master_seed=1)
+
+
 def test_poisson_two_hop_mean():
     # all-exponential 2-hop chain: limiting age is source_rate * (1/r1 + 1/r2)
     network = chain(Exponential(rate=1.0), [Exponential(rate=1.0), Exponential(rate=1.0)])
