@@ -56,7 +56,6 @@ from .network import CacheNetwork, Link, NetworkClass
 from .renewal import (
     LimitCheck,
     MartingalePoint,
-    RenewalStream,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
@@ -89,7 +88,6 @@ __all__ = [
     "NotATree",
     "ParetoI",
     "Rayleigh",
-    "RenewalStream",
     "ReplicationResult",
     "RngStream",
     "SelfLoop",

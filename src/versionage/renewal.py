@@ -1,10 +1,10 @@
 """Renewal event streams and statistical limit verifiers.
 
-A :class:`RenewalStream` realizes a renewal counting process lazily: gaps are
-drawn from the owning distribution in fixed-size batches, so memory stays
-bounded no matter how far the stream is advanced, and the emitted event
-sequence depends only on (seed, scope), never on how advance() calls are
-chunked.
+:func:`event_times_until` realizes a renewal counting process up to a
+horizon: gaps are drawn from the owning distribution in fixed-size batches
+until one batch ends past the horizon, so the event sequence depends only on
+(seed, scope).  A :class:`RenewalStream` is a cursor over those events, for
+the reference event loop.
 
 The verifiers check the renewal limit theorems this package's closed forms
 rest on, by Monte Carlo at a 4-sigma gate:
@@ -41,92 +41,23 @@ __all__ = [
     "verify_windowed_count_limit",
 ]
 
-#: gaps drawn per internal batch; fixed so event sequences are independent of
-#: how callers chunk their advance() calls
+#: gaps drawn per batch; fixed so an event sequence depends only on its
+#: stream, and a shorter horizon draws a prefix of a longer one's batches
 GAP_BATCH = 1024
 
 #: most events one stream, or one verifier path, may be expected to draw; a
 #: run past it would allocate gaps without a useful bound
 _EVENT_BUDGET = 10_000_000
 
+#: most Monte Carlo replications one run may ask for; each is kept as a sample
+_MAX_ITERATIONS = 10_000_000
+
 _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 4096
 
 
-class RenewalStream:
-    """Lazily generated event times of one renewal process.
-
-    Single-owner: advance from one task only.  Distinct streams may be
-    advanced concurrently.
-    """
-
-    __slots__ = ("spec", "stream_id", "rng", "_buf", "_pos", "_tail", "_cursor", "_last")
-
-    def __init__(self, spec: Distribution, stream_id, rng: RngStream):
-        self.spec = spec
-        self.stream_id = stream_id
-        self.rng = rng
-        self._buf = np.empty(0)
-        self._pos = 0
-        self._tail = 0.0  # last generated event time
-        self._cursor = 0.0  # advance() high-water mark
-        self._last = 0.0  # most recent consumed event time
-
-    @property
-    def last_event(self) -> float:
-        return self._last
-
-    @property
-    def next_event(self) -> float:
-        return self.peek()
-
-    def _extend(self) -> None:
-        gaps = self.spec.sample_batch(self.rng, GAP_BATCH)
-        times = self._tail + np.cumsum(gaps)
-        self._tail = float(times[-1])
-        if self._pos:
-            self._buf = self._buf[self._pos :]
-            self._pos = 0
-        self._buf = np.concatenate([self._buf, times]) if self._buf.size else times
-
-    def peek(self) -> float:
-        """Next event time, without consuming it."""
-        while self._pos >= self._buf.size:
-            self._extend()
-        return float(self._buf[self._pos])
-
-    def pop(self) -> float:
-        """Consume and return the next event time."""
-        t = self.peek()
-        self._pos += 1
-        self._last = t
-        return t
-
-    def advance(self, until: float) -> np.ndarray:
-        """All event times in (previous cursor, until]; moves the cursor."""
-        if until < self._cursor:
-            raise InvalidParameter(
-                f"cannot advance backwards: cursor at {self._cursor}, asked {until}"
-            )
-        while self._tail <= until:
-            self._extend()
-        # buffer now surely covers (cursor, until]
-        hi = self._pos + int(np.searchsorted(self._buf[self._pos :], until, side="right"))
-        out = self._buf[self._pos : hi].copy()
-        self._pos = hi
-        if out.size:
-            self._last = float(out[-1])
-        self._cursor = until
-        return out
-
-
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
-    """Event times from 0 up to and beyond t (the final entry exceeds t).
-
-    Draws gaps in the same fixed batches as :class:`RenewalStream`, so a
-    stream and this helper produce the identical event sequence from the same
-    generator state.
-    """
+    """Event times from 0 up to and beyond t (the final entry exceeds t)."""
     chunks = []
     tail = 0.0
     while tail <= t:
@@ -135,6 +66,29 @@ def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarra
         tail = float(times[-1])
         chunks.append(times)
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+class RenewalStream:
+    """Cursor over one renewal process's :func:`event_times_until` events.
+
+    Every event at or before ``horizon`` can be popped, and one more peeked.
+    """
+
+    __slots__ = ("_times", "_pos")
+
+    def __init__(self, spec: Distribution, rng: RngStream, horizon: float):
+        self._times = event_times_until(spec, rng, horizon)
+        self._pos = 0
+
+    def peek(self) -> float:
+        """Next event time, without consuming it."""
+        return float(self._times[self._pos])
+
+    def pop(self) -> float:
+        """Consume and return the next event time."""
+        t = self.peek()
+        self._pos += 1
+        return t
 
 
 def _check_event_budget(stream: str, expected: float) -> None:
@@ -198,13 +152,22 @@ def _check_row_budget(spec: Distribution, t_max: float) -> None:
 def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -> np.ndarray:
     """Per-row cumulative event times, every row guaranteed past t_max."""
     cols = int(_row_events(spec, t_max)) + 32
-    gaps = spec.sample_batch(rng, rows * cols).reshape(rows, cols)
-    csum = np.cumsum(gaps, axis=1)
+    csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
     while float(csum[:, -1].min()) <= t_max:
         ext = max(32, cols // 8)
         gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
         csum = np.hstack([csum, csum[:, -1:] + np.cumsum(gaps, axis=1)])
     return csum
+
+
+def _chunks(n_paths: int, master_seed: int, *scopes: tuple):
+    """Each verifier chunk's row count, then one stream per scope reseeded to
+    (master_seed, *scope, chunk index)."""
+    rngs = [RngStream(master_seed, *scope, 0) for scope in scopes]
+    for chunk_idx, done in enumerate(range(0, n_paths, _VERIFIER_CHUNK)):
+        for rng, scope in zip(rngs, scopes):
+            rng.reseed(master_seed, *scope, chunk_idx)
+        yield (min(_VERIFIER_CHUNK, n_paths - done), *rngs)
 
 
 def _count_at(csum: np.ndarray, t) -> np.ndarray:
@@ -215,13 +178,26 @@ def _count_at(csum: np.ndarray, t) -> np.ndarray:
     return (csum <= t).sum(axis=1)
 
 
-def _zscore(total: float, total_sq: float, n: int) -> tuple[float, float, float]:
+def _last_event(csum: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise time of the last event at or before t (per row), 0 if none."""
+    counts = _count_at(csum, t)
+    return np.where(counts > 0, csum[np.arange(csum.shape[0]), np.maximum(counts - 1, 0)], 0.0)
+
+
+def _zscore(total: float, total_sq: float, n: int, target: float = 0.0) -> tuple[float, float, float]:
+    """Mean of n paths from their sum and sum of squares, its standard
+    error, and its z against target."""
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     stderr = math.sqrt(var / n)
     if stderr == 0.0:
-        return mean, 0.0, 0.0 if mean == 0.0 else math.inf
-    return mean, stderr, mean / stderr
+        return mean, 0.0, 0.0 if mean == target else math.inf
+    return mean, stderr, (mean - target) / stderr
+
+
+def _limit_check(total: float, total_sq: float, n: int, target: float) -> LimitCheck:
+    mean, stderr, z = _zscore(total, total_sq, n, target)
+    return LimitCheck(estimate=mean, target=target, stderr=stderr, z=z, n_paths=n)
 
 
 def verify_martingale_zero_mean(
@@ -240,28 +216,20 @@ def verify_martingale_zero_mean(
     t_grid = [positive_number("t", t) for t in t_grid]
     t_max = max(t_grid)
     _check_row_budget(spec, t_max)
-    sums = {t: 0.0 for t in t_grid}
-    sums_sq = {t: 0.0 for t in t_grid}
-    rng = RngStream(master_seed, "verify-martingale", 0)
-    done = 0
-    chunk_idx = 0
-    while done < n_paths:
-        rows = min(_VERIFIER_CHUNK, n_paths - done)
-        rng.reseed(master_seed, "verify-martingale", chunk_idx)
+    sums = [0.0] * len(t_grid)
+    sums_sq = [0.0] * len(t_grid)
+    for rows, rng in _chunks(n_paths, master_seed, ("verify-martingale",)):
         csum = _event_matrix(spec, rng, rows, t_max)
-        for t in t_grid:
+        for k, t in enumerate(t_grid):
             counts = _count_at(csum, t)
-            t_next = csum[np.arange(rows), counts]
-            mart = counts + 1.0 - t_next / m.mean
-            sums[t] += float(mart.sum())
-            sums_sq[t] += float((mart * mart).sum())
-        done += rows
-        chunk_idx += 1
-    out = []
-    for t in t_grid:
-        mean, stderr, z = _zscore(sums[t], sums_sq[t], n_paths)
-        out.append(MartingalePoint(t=t, mean=mean, stderr=stderr, z=z, n_paths=n_paths))
-    return out
+            mart = counts + 1.0 - csum[np.arange(rows), counts] / m.mean
+            sums[k] += float(mart.sum())
+            sums_sq[k] += float((mart * mart).sum())
+        del csum  # free it before the next chunk's draw
+    return [
+        MartingalePoint(t, *_zscore(total, total_sq, n_paths), n_paths)
+        for t, total, total_sq in zip(t_grid, sums, sums_sq)
+    ]
 
 
 def _window_times(rng: RngStream, rows: int, t_large: float) -> np.ndarray:
@@ -288,26 +256,13 @@ def verify_backward_recurrence_limit(
             f"t_large must be at least 50 mean gaps ({50 * m.mean:g}), got {t_large}"
         )
     _check_row_budget(spec, t_large)
-    target = m.second_moment / (2.0 * m.mean)
     total = total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    rng = RngStream(master_seed, "verify-recurrence", 0)
-    while done < n_paths:
-        rows = min(_VERIFIER_CHUNK, n_paths - done)
-        rng.reseed(master_seed, "verify-recurrence", chunk_idx)
+    for rows, rng in _chunks(n_paths, master_seed, ("verify-recurrence",)):
         t_eval = _window_times(rng, rows, t_large)
-        csum = _event_matrix(spec, rng, rows, t_large)
-        counts = _count_at(csum, t_eval)
-        last = np.where(counts > 0, csum[np.arange(rows), np.maximum(counts - 1, 0)], 0.0)
-        backward = t_eval - last
+        backward = t_eval - _last_event(_event_matrix(spec, rng, rows, t_large), t_eval)
         total += float(backward.sum())
         total_sq += float((backward * backward).sum())
-        done += rows
-        chunk_idx += 1
-    mean, stderr, _ = _zscore(total, total_sq, n_paths)
-    z = (mean - target) / stderr if stderr > 0 else (0.0 if mean == target else math.inf)
-    return LimitCheck(estimate=mean, target=target, stderr=stderr, z=z, n_paths=n_paths)
+    return _limit_check(total, total_sq, n_paths, m.second_moment / (2.0 * m.mean))
 
 
 def verify_windowed_count_limit(
@@ -336,28 +291,13 @@ def verify_windowed_count_limit(
     _check_row_budget(source_spec, t_large)
     target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
     total = total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    rng_t = RngStream(master_seed, "verify-window", "times", 0)
-    rng_probe = RngStream(master_seed, "verify-window", "probe", 0)
-    rng_src = RngStream(master_seed, "verify-window", "source", 0)
-    while done < n_paths:
-        rows = min(_VERIFIER_CHUNK, n_paths - done)
-        rng_t.reseed(master_seed, "verify-window", "times", chunk_idx)
-        rng_probe.reseed(master_seed, "verify-window", "probe", chunk_idx)
-        rng_src.reseed(master_seed, "verify-window", "source", chunk_idx)
+    scopes = [("verify-window", part) for part in ("times", "probe", "source")]
+    for rows, rng_t, rng_probe, rng_src in _chunks(n_paths, master_seed, *scopes):
         t_eval = _window_times(rng_t, rows, t_large)
-        probe_csum = _event_matrix(probe_spec, rng_probe, rows, t_large)
+        p_last = _last_event(_event_matrix(probe_spec, rng_probe, rows, t_large), t_eval)
         src_csum = _event_matrix(source_spec, rng_src, rows, t_large)
-        p_counts = _count_at(probe_csum, t_eval)
-        p_last = np.where(
-            p_counts > 0, probe_csum[np.arange(rows), np.maximum(p_counts - 1, 0)], 0.0
-        )
         diff = _count_at(src_csum, t_eval) - _count_at(src_csum, p_last)
+        del src_csum  # free it before the next chunk's draw
         total += float(diff.sum())
         total_sq += float((diff * diff).sum())
-        done += rows
-        chunk_idx += 1
-    mean, stderr, _ = _zscore(total, total_sq, n_paths)
-    z = (mean - target) / stderr if stderr > 0 else (0.0 if mean == target else math.inf)
-    return LimitCheck(estimate=mean, target=target, stderr=stderr, z=z, n_paths=n_paths)
+    return _limit_check(total, total_sq, n_paths, target)

@@ -26,10 +26,11 @@ cache's step function instead, merging a cache's feeds by (time, rank) under
 a running maximum, and sweeps in depth order until no value changes, a
 monotone fixed point.
 
-:func:`simulate_once` is the reference engine: a heap event loop over lazy
-renewal streams, which also records step histories and checks invariants.
-Both engines integrate the same knots (every delivery a node receives), so
-they agree bit for bit and are cross-checked in the test suite.
+:func:`simulate_once` is the reference engine: a heap event loop over one
+:class:`~versionage.renewal.RenewalStream` cursor per stream, which also
+returns each node's step history.  Both engines integrate the same knots
+(every delivery a node receives), so they agree bit for bit and are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import RenewalStream, _check_event_budget, event_times_until
+from .renewal import _MAX_ITERATIONS, RenewalStream, _check_event_budget, event_times_until
 from .rng import RngStream
 
 __all__ = [
@@ -75,8 +76,8 @@ class ReplicationResult:
     horizon: float
     terminal: dict[str, int]
     time_average: dict[str, float]
-    #: version step history per node (time, new version), returned on request
-    steps: dict[str, list[tuple[float, int]]] | None = None
+    #: version step history per node: (time, new version) at each change
+    steps: dict[str, list[tuple[float, int]]]
 
 
 @dataclass
@@ -143,8 +144,6 @@ def simulate_once(
     horizon: float,
     master_seed: int,
     iteration: int = 0,
-    record: bool = False,
-    check_invariants: bool = False,
 ) -> ReplicationResult:
     """One replication via the event loop, exact for any validated network.
 
@@ -156,12 +155,8 @@ def simulate_once(
         horizon,
         [(SOURCE_STREAM, network.source_dist), *((_link_stream(l), l.dist) for l in network.links)],
     )
-    streams: list[RenewalStream] = [
-        RenewalStream(
-            network.source_dist,
-            SOURCE_STREAM,
-            RngStream(master_seed, iteration, *SOURCE_STREAM),
-        )
+    streams = [
+        RenewalStream(network.source_dist, RngStream(master_seed, iteration, *SOURCE_STREAM), horizon)
     ]
     # rank orders simultaneous events: source first, then sender depth,
     # then priority, then declaration index
@@ -170,9 +165,7 @@ def simulate_once(
     senders: list[str | None] = [None]
     for idx, link in enumerate(network.links):
         sid = _link_stream(link)
-        streams.append(
-            RenewalStream(link.dist, sid, RngStream(master_seed, iteration, *sid))
-        )
+        streams.append(RenewalStream(link.dist, RngStream(master_seed, iteration, *sid), horizon))
         ranks.append((network.depth[link.src], link.priority, idx))
         receivers.append(link.dst)
         senders.append(link.src)
@@ -197,8 +190,6 @@ def simulate_once(
         else:
             node = receivers[i]
             new_version = max(versions[node], versions[senders[i]])
-            if check_invariants:
-                assert versions[senders[i]] <= versions[source]
         if new_version != versions[node]:
             versions[node] = new_version
             steps[node].append((t, new_version))
@@ -220,7 +211,7 @@ def simulate_once(
         time_average={
             n: (integrals[source] - integrals[n]) / width for n in network.nodes
         },
-        steps=steps if record else None,
+        steps=steps,
     )
 
 
@@ -493,6 +484,10 @@ def monte_carlo(
         raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
+    if iterations > _MAX_ITERATIONS:
+        raise InvalidParameter(
+            f"iterations must be at most {_MAX_ITERATIONS:.3g}: every replication is kept as a sample"
+        )
     positive_number("horizon", horizon)
     targets = network.leaves() if targets is None else list(targets)
     if not targets:

@@ -9,7 +9,7 @@ import pytest
 
 import versionage
 from versionage.cli import parse_config, parse_spec_arg, run
-from versionage.distributions import Exponential, Uniform
+from versionage.distributions import LITERAL_TYPES, Exponential, Uniform
 from versionage.errors import ConfigError
 
 CHAIN_CONFIG = {
@@ -237,6 +237,24 @@ def test_simulate_rejects_overflowing_iterations(tmp_path, capsys):
     assert run(["simulate", str(path), "--out", base]) == 1
     assert "'iterations' must be a whole number, got inf" in capsys.readouterr().err
     assert not os.path.exists(base + ".json")
+
+
+def test_simulate_and_sweep_cap_iterations_before_drawing(tmp_path, capsys, monkeypatch):
+    # a 400-digit count is a whole number; it must be refused, not run
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    for cls in LITERAL_TYPES.values():
+        monkeypatch.setattr(cls, "sample_batch", no_draws)
+    huge = "9" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(CHAIN_CONFIG).replace('"iterations": 50', f'"iterations": {huge}'))
+    base = str(tmp_path / "out")
+    for argv in (["simulate", str(path)], ["sweep", "fig6", "--values", "1", "--iterations", huge]):
+        assert run([*argv, "--out", base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "iterations must be at most 1e+07" in err
+        assert not os.path.exists(base + ".json")
 
 
 def test_simulate_rejects_streams_over_the_event_budget(tmp_path, capsys, monkeypatch):

@@ -16,74 +16,65 @@ from versionage import (
     InvalidParameter,
     ParetoI,
     Rayleigh,
-    RenewalStream,
     RngStream,
     Uniform,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
 )
+from versionage.renewal import RenewalStream, event_times_until
 
 N_PATHS = 10_000  # verifier minimum; plenty for 4-sigma gates
 
 
-def make_stream(spec, seed=0, sid="s"):
-    return RenewalStream(spec, sid, RngStream(seed, sid))
+def events_until(spec, horizon, seed=0, sid="s"):
+    """The stream's event times in [0, horizon], inclusive of the right edge."""
+    times = event_times_until(spec, RngStream(seed, sid), horizon)
+    return times[times <= horizon]
 
 
-# -- advance ---------------------------------------------------------------
+# -- event_times_until and RenewalStream ----------------------------------------
 
 def test_advance_deterministic_unit():
-    events = make_stream(Deterministic(c=1.0)).advance(3.5)
-    assert np.array_equal(events, [1.0, 2.0, 3.0])
+    assert np.array_equal(events_until(Deterministic(c=1.0), 3.5), [1.0, 2.0, 3.0])
 
 
 def test_advance_deterministic_13():
-    events = make_stream(Deterministic(c=1.3)).advance(3.5)
-    assert np.array_equal(events, [1.3, 2.6])
+    assert np.array_equal(events_until(Deterministic(c=1.3), 3.5), [1.3, 2.6])
 
 
-def test_advance_window_semantics():
-    s = make_stream(Deterministic(c=1.0))
-    assert np.array_equal(s.advance(2.0), [1.0, 2.0])  # inclusive right edge
-    assert np.array_equal(s.advance(2.5), [])
-    assert np.array_equal(s.advance(4.0), [3.0, 4.0])
-    with pytest.raises(InvalidParameter):
-        s.advance(1.0)
+def test_events_inclusive_right_edge():
+    times = event_times_until(Deterministic(c=1.0), RngStream(0, "s"), 2.0)
+    assert np.array_equal(times[:3], [1.0, 2.0, 3.0])
+    assert times[-1] > 2.0
+    assert np.array_equal(events_until(Deterministic(c=1.0), 2.0), [1.0, 2.0])
 
 
-def test_advance_chunking_invariance():
-    whole = make_stream(Exponential(rate=1.0), seed=3).advance(200.0)
-    s = make_stream(Exponential(rate=1.0), seed=3)
-    parts = [s.advance(t) for t in (0.5, 17.0, 17.0, 63.2, 200.0)]
-    assert np.array_equal(whole, np.concatenate(parts))
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=1, max_size=6))
+@given(st.lists(st.floats(min_value=0.01, max_value=3000.0), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
-def test_advance_chunking_invariance_property(increments):
-    cuts = np.cumsum(increments)
-    whole = make_stream(Rayleigh(sigma=1.0), seed=11).advance(float(cuts[-1]))
-    s = make_stream(Rayleigh(sigma=1.0), seed=11)
-    parts = [s.advance(float(t)) for t in cuts]
-    assert np.array_equal(whole, np.concatenate(parts))
+def test_advance_chunking_invariance_property(horizons):
+    # a shorter horizon draws a prefix of a longer one's events: a horizon
+    # past a GAP_BATCH boundary only draws further batches
+    spec = Rayleigh(sigma=1.0)
+    draws = [event_times_until(spec, RngStream(11, "s"), h) for h in sorted(horizons)]
+    for short, long in zip(draws, draws[1:]):
+        assert np.array_equal(short, long[: short.size])
 
 
-def test_stream_cursor_fields():
-    s = make_stream(Deterministic(c=1.0))
-    assert s.last_event < s.next_event
-    s.advance(2.0)
-    assert s.last_event == 2.0
-    assert s.next_event == 3.0
+def test_stream_pops_the_events_up_to_the_horizon():
+    spec, horizon = Exponential(rate=3.0), 500.0  # about 1 500 events, two batches
+    stream = RenewalStream(spec, RngStream(4, "s"), horizon)
+    popped = []
+    while stream.peek() <= horizon:
+        popped.append(stream.pop())
+    assert np.array_equal(popped, events_until(spec, horizon, seed=4))
+    assert stream.peek() == event_times_until(spec, RngStream(4, "s"), horizon)[len(popped)]
 
 
 def test_poisson_count_rate():
     # mean count over many streams approaches rate * T
     rate, horizon, n = 2.0, 50.0, 400
-    counts = [
-        make_stream(Exponential(rate=rate), seed=21, sid=i).advance(horizon).size
-        for i in range(n)
-    ]
+    counts = [events_until(Exponential(rate=rate), horizon, seed=21, sid=i).size for i in range(n)]
     se = np.std(counts, ddof=1) / math.sqrt(n)
     assert abs(np.mean(counts) - rate * horizon) <= 4.0 * se
 
@@ -93,10 +84,7 @@ def test_elementary_renewal_rate():
     mean = spec.moments().mean
     horizon = 1e3 * mean
     n = 300
-    rates = [
-        make_stream(spec, seed=33, sid=i).advance(horizon).size / horizon
-        for i in range(n)
-    ]
+    rates = [events_until(spec, horizon, seed=33, sid=i).size / horizon for i in range(n)]
     se = np.std(rates, ddof=1) / math.sqrt(n)
     assert abs(np.mean(rates) - 1.0 / mean) <= 4.0 * se
 
@@ -180,6 +168,26 @@ def test_verifiers_check_the_event_budget_before_drawing(monkeypatch):
         verify_windowed_count_limit(fast, slow, 100.0, N_PATHS)
     with pytest.raises(InvalidParameter, match=budget):
         verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
+
+
+def test_verifiers_check_paths_before_drawing(monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Exponential, "sample_batch", no_draws)
+    exp, few = Exponential(rate=1.0), N_PATHS - 1
+    with pytest.raises(InvalidParameter, match="at least 10000 paths"):
+        verify_martingale_zero_mean(exp, [10.0], few)
+    with pytest.raises(InvalidParameter, match="at least 10000 paths"):
+        verify_backward_recurrence_limit(exp, 100.0, few)
+    with pytest.raises(InvalidParameter, match="at least 10000 paths"):
+        verify_windowed_count_limit(exp, exp, 100.0, few)
+
+
+def test_martingale_repeated_time_repeats_its_point():
+    spec = Exponential(rate=1.0)
+    (once,) = verify_martingale_zero_mean(spec, [10.0], N_PATHS, master_seed=12)
+    assert verify_martingale_zero_mean(spec, [10.0, 10.0], N_PATHS, master_seed=12) == [once, once]
 
 
 def test_windowed_count_poisson_pair():

@@ -21,12 +21,12 @@ from versionage import (
     Exponential,
     InvalidParameter,
     Rayleigh,
-    RenewalStream,
     RngStream,
     Uniform,
     monte_carlo,
     simulate_once,
 )
+from versionage.renewal import event_times_until
 from versionage.simulator import ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
 
 
@@ -41,14 +41,13 @@ def chain(source_dist, link_dists, names=None):
 
 
 def realized_events(network, master_seed, iteration, horizon):
-    """Each stream's event times, drawn exactly as the simulator draws them."""
-    out = {}
+    """Each stream's event times up to and past horizon, drawn exactly as the
+    simulator draws them."""
     rng = RngStream(master_seed, iteration, *SOURCE_STREAM)
-    out["source"] = RenewalStream(network.source_dist, SOURCE_STREAM, rng).advance(horizon)
+    out = {"source": event_times_until(network.source_dist, rng, horizon)}
     for link in network.links:
-        sid = _link_stream(link)
-        stream = RenewalStream(link.dist, sid, RngStream(master_seed, iteration, *sid))
-        out[(link.src, link.dst)] = stream.advance(horizon)
+        rng = RngStream(master_seed, iteration, *_link_stream(link))
+        out[(link.src, link.dst)] = event_times_until(link.dist, rng, horizon)
     return out
 
 
@@ -57,7 +56,7 @@ def realized_events(network, master_seed, iteration, horizon):
 def test_trace_one_hop():
     # source every 1, deliveries every 1.3, sampled at 3.5
     network = chain(D(1.0), [D(1.3)], names=["s", "u"])
-    r = simulate_once(network, 3.5, master_seed=1, record=True)
+    r = simulate_once(network, 3.5, master_seed=1)
     assert r.steps["s"] == [(1.0, 1), (2.0, 2), (3.0, 3)]
     assert r.steps["u"] == [(1.3, 1), (2.6, 2)]
     assert r.terminal["u"] == 1
@@ -68,7 +67,7 @@ def test_trace_synchronized_ties():
     # deliveries coincide with source updates; the source event applies first,
     # so the cache always carries the fresh version and its age stays 0
     network = chain(D(1.0), [D(1.0)], names=["s", "u"])
-    r = simulate_once(network, 3.0, master_seed=1, record=True)
+    r = simulate_once(network, 3.0, master_seed=1)
     assert r.steps["u"] == [(1.0, 1), (2.0, 2), (3.0, 3)]
     assert r.terminal["u"] == 0
     assert r.time_average["u"] == 0.0
@@ -76,7 +75,7 @@ def test_trace_synchronized_ties():
 
 def test_trace_two_hop_dyadic():
     network = chain(D(0.5), [D(0.75), D(1.25)], names=["s", "a", "b"])
-    r = simulate_once(network, 4.0, master_seed=1, record=True)
+    r = simulate_once(network, 4.0, master_seed=1)
     assert r.steps["a"] == [(0.75, 1), (1.5, 3), (2.25, 4), (3.0, 6), (3.75, 7)]
     assert r.steps["b"] == [(1.25, 1), (2.5, 4), (3.75, 7)]
     assert r.terminal == {"s": 0, "a": 1, "b": 1}
@@ -97,7 +96,7 @@ def test_trace_diamond():
             ("b", "c", D(2.25)),
         ],
     )
-    r = simulate_once(network, 9.75, master_seed=1, record=True)
+    r = simulate_once(network, 9.75, master_seed=1)
     assert r.steps["a"][:4] == [(1.0, 2), (2.0, 4), (3.0, 6), (4.0, 8)]
     assert r.steps["b"][:3] == [(1.5, 3), (3.0, 6), (4.5, 9)]
     # deliveries into c at 2, 2.25, 4, 4.5, 6, 6.75, 8, 9; stale ones change nothing
@@ -117,7 +116,7 @@ def test_trace_multicast_tree():
             ("s", "d", D(2.0)),
         ],
     )
-    r = simulate_once(network, 4.8, master_seed=1, record=True)
+    r = simulate_once(network, 4.8, master_seed=1)
     assert r.steps["a"][:4] == [(0.5, 2), (1.0, 4), (1.5, 6), (2.0, 8)]
     assert r.steps["b"] == [(1.0, 4), (2.0, 8), (3.0, 12), (4.0, 16)]
     assert r.steps["c"] == [(1.5, 6), (3.0, 12), (4.5, 18)]
@@ -230,7 +229,7 @@ def test_diamond_matches_direct_recurrence_evaluation():
         n = int(np.searchsorted(arr, t, side="left"))
         return float(arr[n - 1]) if n else 0.0
 
-    r = simulate_once(network, horizon, master_seed=1, record=True)
+    r = simulate_once(network, horizon, master_seed=1)
 
     def simulated_age_c(t):
         version = 0
@@ -262,8 +261,7 @@ def test_monotone_staleness_on_tree():
                ("a", "c", Exponential(rate=1.0))],
     )
     for it in range(10):
-        r = simulate_once(network, 50.0, master_seed=5, iteration=it,
-                          record=True, check_invariants=True)
+        r = simulate_once(network, 50.0, master_seed=5, iteration=it)
         probe_times = sorted(t for steps in r.steps.values() for t, _ in steps)
         for t in probe_times:
             w0 = step_value(r.steps["s"], t)
@@ -280,13 +278,13 @@ def test_link_declaration_order_is_irrelevant():
     ]
     nodes = ["s", "a", "b", "c"]
     base = CacheNetwork(nodes=nodes, source="s", source_dist=Exponential(rate=2.0), links=links)
-    ref = simulate_once(base, 60.0, master_seed=9, record=True)
+    ref = simulate_once(base, 60.0, master_seed=9)
     for perm in ([2, 1, 0], [1, 2, 0], [2, 0, 1]):
         shuffled = CacheNetwork(
             nodes=nodes, source="s", source_dist=Exponential(rate=2.0),
             links=[links[i] for i in perm],
         )
-        r = simulate_once(shuffled, 60.0, master_seed=9, record=True)
+        r = simulate_once(shuffled, 60.0, master_seed=9)
         assert r.terminal == ref.terminal
         assert r.steps == ref.steps
 
@@ -301,8 +299,8 @@ def test_priority_cannot_change_versions_under_ties():
             links=[("s", "a", D(1.0)), ("s", "b", D(1.0)),
                    ("a", "c", D(2.0), p_ac), ("b", "c", D(2.0), p_bc)],
         )
-    r1 = simulate_once(build(0, 1), 12.0, master_seed=1, record=True)
-    r2 = simulate_once(build(1, 0), 12.0, master_seed=1, record=True)
+    r1 = simulate_once(build(0, 1), 12.0, master_seed=1)
+    r2 = simulate_once(build(1, 0), 12.0, master_seed=1)
     assert r1.steps == r2.steps
 
 
@@ -473,6 +471,17 @@ def test_event_budget_is_checked_before_drawing(monkeypatch):
         ):
             with pytest.raises(InvalidParameter, match=f"{stream} would draw about 1e\\+15 events"):
                 run()
+
+
+def test_monte_carlo_caps_iterations_before_drawing(monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Exponential, "sample_batch", no_draws)
+    network = chain(Exponential(rate=1.0), [Exponential(rate=1.0)])
+    for iterations in (10**7 + 1, 10**400):
+        with pytest.raises(InvalidParameter, match="iterations must be at most 1e\\+07"):
+            monte_carlo(network, horizon=10.0, iterations=iterations)
 
 
 def test_monte_carlo_checks_only_the_streams_it_draws(monkeypatch):
