@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponential
-from .distributions import ParetoI, Rayleigh, Uniform, from_literal, positive_number, whole_number
+from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_number
 from .errors import ConfigError, VersionAgeError
 from .experiments import STUDIES, Z_GATE, sweep_network_family, sweep_study
 from .network import CacheNetwork
@@ -48,9 +48,8 @@ from .renewal import (
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
 )
-from .simulator import DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, ESTIMATORS, monte_carlo
-
-THREADS_ENV = "VERSIONAGE_THREADS"
+from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
+from .simulator import ESTIMATORS, check_run, monte_carlo
 
 DEFAULT_VERIFY_PATHS = 20_000
 
@@ -82,12 +81,12 @@ class RunConfig:
     """A parsed run configuration; the network part is already validated."""
 
     network: CacheNetwork
-    horizon: float = DEFAULT_HORIZON
-    iterations: int = DEFAULT_ITERATIONS
-    master_seed: int = DEFAULT_SEED
-    targets: list[str] | None = None
-    estimator: str = "terminal"
-    output: str | None = None
+    horizon: float
+    iterations: int
+    master_seed: int
+    targets: list[str] | None
+    estimator: str
+    output: str | None
 
 
 def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
@@ -113,22 +112,15 @@ def _run_config(obj: dict) -> RunConfig:
         raise ConfigError(f"'horizon' must be a number, got {horizon!r}")
     iterations = whole_number("'iterations'", run.get("iterations", DEFAULT_ITERATIONS))
     master_seed = whole_number("'master_seed'", run.get("master_seed", DEFAULT_SEED))
-    estimator = run.get("estimator", "terminal")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-    positive_number("horizon", horizon)
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
+    estimator = run.get("estimator", DEFAULT_ESTIMATOR)
     targets = run.get("targets")
-    if targets is not None:
-        if not isinstance(targets, list) or not targets or not all(isinstance(t, str) for t in targets):
-            raise ConfigError("'targets' must be a nonempty list of node ids")
-        missing = [t for t in targets if t not in network.nodes]
-        if missing:
-            raise ConfigError(f"targets reference undeclared nodes {missing}")
+    if targets is not None and not (isinstance(targets, list) and targets
+                                    and all(isinstance(t, str) for t in targets)):
+        raise ConfigError("'targets' must be a nonempty list of node ids")
     output = run.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"'output' must be a string, got {output!r}")
+    check_run(network, horizon, iterations, estimator, targets)
     return RunConfig(
         network=network,
         horizon=float(horizon),
@@ -207,14 +199,6 @@ def _write_text(path: str, text: str) -> None:
 def _ensure_dir(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -376,7 +360,7 @@ def _parse_values(raw: str) -> list:
 
 def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    estimator = args.estimator or "terminal"
+    estimator = args.estimator or DEFAULT_ESTIMATOR
     common = dict(
         iterations=args.iterations,
         horizon=args.horizon,
@@ -458,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--estimator", choices=ESTIMATORS, default=None)
     p_sim.add_argument("--targets", help="comma-separated node ids (default: leaves)")
-    p_sim.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes; affects speed only, never results")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker processes, at most one per CPU; affects speed only, never results")
     p_sim.add_argument("--out", help="output base path (writes .json and .csv)")
 
     p_verify = sub.add_parser(
@@ -487,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--estimator", choices=ESTIMATORS, default=None)
-    p_sweep.add_argument("--threads", type=int, default=_default_threads(),
-                         help="worker processes; affects speed only, never results")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker processes, at most one per CPU; affects speed only, never results")
     p_sweep.add_argument("--config", help="base config for custom sweeps")
     p_sweep.add_argument("--vary-source", metavar="PARAM",
                          help="source-distribution parameter varied in custom sweeps")

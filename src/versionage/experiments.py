@@ -33,8 +33,10 @@ from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, whole_number
 from .errors import InvalidParameter
 from .network import CacheNetwork
+from .renewal import z_score
 from .rng import derive_seed
-from .simulator import DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, SimOutcome, monte_carlo
+from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
+from .simulator import SimOutcome, monte_carlo
 
 __all__ = [
     "CSV_HEADER",
@@ -63,10 +65,7 @@ class SweepPoint:
 
     @property
     def z(self) -> float:
-        diff = self.outcome.mean - self.analytic
-        if self.outcome.stderr == 0.0:
-            return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-        return diff / self.outcome.stderr
+        return z_score(self.outcome.mean, self.analytic, self.outcome.stderr)
 
 
 @dataclass
@@ -192,7 +191,7 @@ def sweep_network_family(
     iterations: int = DEFAULT_ITERATIONS,
     horizon: float = DEFAULT_HORIZON,
     seed: int = DEFAULT_SEED,
-    estimator: str = "terminal",
+    estimator: str = DEFAULT_ESTIMATOR,
     threads: int = 1,
     fit: bool = False,
 ) -> ExperimentSweep:
@@ -254,7 +253,7 @@ def sweep_study(
     iterations: int = DEFAULT_ITERATIONS,
     horizon: float = DEFAULT_HORIZON,
     seed: int = DEFAULT_SEED,
-    estimator: str = "terminal",
+    estimator: str = DEFAULT_ESTIMATOR,
     threads: int = 1,
 ) -> ExperimentSweep:
     """Run the canned study ``kind`` (fig5|fig6|fig7) over ``values``, by

@@ -39,14 +39,15 @@ __all__ = [
     "verify_martingale_zero_mean",
     "verify_backward_recurrence_limit",
     "verify_windowed_count_limit",
+    "z_score",
 ]
 
 #: gaps drawn per batch; fixed so an event sequence depends only on its
 #: stream, and a shorter horizon draws a prefix of a longer one's batches
 GAP_BATCH = 1024
 
-#: most events one stream, or one verifier path, may be expected to draw; a
-#: run past it would allocate gaps without a useful bound
+#: most events one stream or verifier path may be expected to draw, and most
+#: gaps a verifier chunk first draws; past it a run would allocate without bound
 _EVENT_BUDGET = 10_000_000
 
 #: most Monte Carlo replications one run may ask for; each is kept as a sample
@@ -143,10 +144,16 @@ def _row_events(spec: Distribution, t_max: float) -> float:
     return 1.25 * t_max / spec.moments().mean
 
 
-def _check_row_budget(spec: Distribution, t_max: float) -> None:
-    """Check the events of one :func:`_event_matrix` row: its row count is
-    capped at :data:`_VERIFIER_CHUNK`, its columns grow with t_max."""
-    _check_event_budget(f"a verifier path of {spec}", _row_events(spec, t_max) + 32)
+def _chunk_rows(t_max: float, *specs: Distribution) -> int:
+    """Rows per verifier chunk drawing each spec up to t_max: at most
+    :data:`_VERIFIER_CHUNK`, and each first :func:`_event_matrix` draw within
+    :data:`_EVENT_BUDGET`.  Rejects a spec whose one row is over the budget."""
+    rows = _VERIFIER_CHUNK
+    for spec in specs:
+        events = _row_events(spec, t_max)
+        _check_event_budget(f"a verifier path of {spec}", events + 32)
+        rows = min(rows, _EVENT_BUDGET // (int(events) + 32))
+    return rows
 
 
 def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -> np.ndarray:
@@ -160,14 +167,14 @@ def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -
     return csum
 
 
-def _chunks(n_paths: int, master_seed: int, *scopes: tuple):
-    """Each verifier chunk's row count, then one stream per scope reseeded to
-    (master_seed, *scope, chunk index)."""
+def _chunks(n_paths: int, rows: int, master_seed: int, *scopes: tuple):
+    """Each verifier chunk's row count (``rows`` but for the last), then one
+    stream per scope reseeded to (master_seed, *scope, chunk index)."""
     rngs = [RngStream(master_seed, *scope, 0) for scope in scopes]
-    for chunk_idx, done in enumerate(range(0, n_paths, _VERIFIER_CHUNK)):
+    for chunk_idx, done in enumerate(range(0, n_paths, rows)):
         for rng, scope in zip(rngs, scopes):
             rng.reseed(master_seed, *scope, chunk_idx)
-        yield (min(_VERIFIER_CHUNK, n_paths - done), *rngs)
+        yield (min(rows, n_paths - done), *rngs)
 
 
 def _count_at(csum: np.ndarray, t) -> np.ndarray:
@@ -184,20 +191,36 @@ def _last_event(csum: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, csum[np.arange(csum.shape[0]), np.maximum(counts - 1, 0)], 0.0)
 
 
-def _zscore(total: float, total_sq: float, n: int, target: float = 0.0) -> tuple[float, float, float]:
+def z_score(estimate: float, target: float, stderr: float) -> float:
+    """Standard errors from ``target`` to ``estimate``, the verdict of every
+    check; with zero stderr, 0 on target and an infinity of the error's sign."""
+    diff = estimate - target
+    if stderr == 0.0:
+        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    return diff / stderr
+
+
+def _summary(total: float, total_sq: float, n: int, target: float = 0.0) -> tuple[float, float, float]:
     """Mean of n paths from their sum and sum of squares, its standard
     error, and its z against target."""
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     stderr = math.sqrt(var / n)
-    if stderr == 0.0:
-        return mean, 0.0, 0.0 if mean == target else math.inf
-    return mean, stderr, (mean - target) / stderr
+    return mean, stderr, z_score(mean, target, stderr)
 
 
 def _limit_check(total: float, total_sq: float, n: int, target: float) -> LimitCheck:
-    mean, stderr, z = _zscore(total, total_sq, n, target)
+    mean, stderr, z = _summary(total, total_sq, n, target)
     return LimitCheck(estimate=mean, target=target, stderr=stderr, z=z, n_paths=n)
+
+
+def _check_t_large(t_large: float, *moments) -> None:
+    """The limit checks need t_large past 50 mean gaps of the slowest process."""
+    floor = 50.0 * max(m.mean for m in moments)
+    if positive_number("t_large", t_large) < floor:
+        raise InvalidParameter(
+            f"t_large must be at least 50 mean gaps of the slowest process ({floor:g}), got {t_large}"
+        )
 
 
 def verify_martingale_zero_mean(
@@ -214,11 +237,13 @@ def verify_martingale_zero_mean(
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
     t_grid = [positive_number("t", t) for t in t_grid]
+    if not t_grid:
+        raise InvalidParameter("t_grid must hold at least one time")
     t_max = max(t_grid)
-    _check_row_budget(spec, t_max)
+    chunk = _chunk_rows(t_max, spec)
     sums = [0.0] * len(t_grid)
     sums_sq = [0.0] * len(t_grid)
-    for rows, rng in _chunks(n_paths, master_seed, ("verify-martingale",)):
+    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-martingale",)):
         csum = _event_matrix(spec, rng, rows, t_max)
         for k, t in enumerate(t_grid):
             counts = _count_at(csum, t)
@@ -227,7 +252,7 @@ def verify_martingale_zero_mean(
             sums_sq[k] += float((mart * mart).sum())
         del csum  # free it before the next chunk's draw
     return [
-        MartingalePoint(t, *_zscore(total, total_sq, n_paths), n_paths)
+        MartingalePoint(t, *_summary(total, total_sq, n_paths), n_paths)
         for t, total, total_sq in zip(t_grid, sums, sums_sq)
     ]
 
@@ -250,14 +275,10 @@ def verify_backward_recurrence_limit(
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
-    positive_number("t_large", t_large)
-    if t_large < 50.0 * m.mean:
-        raise InvalidParameter(
-            f"t_large must be at least 50 mean gaps ({50 * m.mean:g}), got {t_large}"
-        )
-    _check_row_budget(spec, t_large)
+    _check_t_large(t_large, m)
+    chunk = _chunk_rows(t_large, spec)
     total = total_sq = 0.0
-    for rows, rng in _chunks(n_paths, master_seed, ("verify-recurrence",)):
+    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
         t_eval = _window_times(rng, rows, t_large)
         backward = t_eval - _last_event(_event_matrix(spec, rng, rows, t_large), t_eval)
         total += float(backward.sum())
@@ -282,17 +303,12 @@ def verify_windowed_count_limit(
     m_src = _require_finite_moments(source_spec)
     m_probe = _require_finite_moments(probe_spec)
     _check_paths(n_paths)
-    positive_number("t_large", t_large)
-    if t_large < 50.0 * max(m_src.mean, m_probe.mean):
-        raise InvalidParameter(
-            f"t_large must be at least 50 mean gaps of both processes, got {t_large}"
-        )
-    _check_row_budget(probe_spec, t_large)
-    _check_row_budget(source_spec, t_large)
+    _check_t_large(t_large, m_src, m_probe)
+    chunk = _chunk_rows(t_large, probe_spec, source_spec)
     target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
     total = total_sq = 0.0
     scopes = [("verify-window", part) for part in ("times", "probe", "source")]
-    for rows, rng_t, rng_probe, rng_src in _chunks(n_paths, master_seed, *scopes):
+    for rows, rng_t, rng_probe, rng_src in _chunks(n_paths, chunk, master_seed, *scopes):
         t_eval = _window_times(rng_t, rows, t_large)
         p_last = _last_event(_event_matrix(probe_spec, rng_probe, rows, t_large), t_eval)
         src_csum = _event_matrix(source_spec, rng_src, rows, t_large)

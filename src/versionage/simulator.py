@@ -6,11 +6,11 @@ to the receiver if it is fresher (the receiver discards the staler one).
 Packets carry the sender's state at the delivery instant, with zero
 transmission delay.
 
-Events at equal timestamps are processed in a fixed total order: the source
-event first, then link events by (depth of sending node, link priority,
-declaration index).  Ties occur with probability zero for continuous
-inter-update times; the ordering matters only when deterministic links are in
-play.
+Events at equal timestamps are processed in a fixed total order, their
+rank: the source event first (rank 0), then link events by (depth of sending
+node, link priority, declaration index), as :func:`_ranked_links` lists them.
+Ties occur with probability zero for continuous inter-update times; the
+ordering matters only when deterministic links are in play.
 
 :func:`monte_carlo` runs one vectorized engine on every network class.  It
 draws each stream's event times up to the horizon and reads only what the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -54,9 +55,12 @@ __all__ = [
     "simulate_once",
     "monte_carlo",
     "ESTIMATORS",
+    "DEFAULT_ESTIMATOR",
+    "check_run",
 ]
 
 ESTIMATORS = ("terminal", "time_average")
+DEFAULT_ESTIMATOR = "terminal"
 
 DEFAULT_HORIZON = 1e3
 DEFAULT_ITERATIONS = 20_000
@@ -67,6 +71,13 @@ SOURCE_STREAM = ("source",)
 
 def _link_stream(link) -> tuple:
     return ("link", link.src, link.dst)
+
+
+def _ranked_links(network: CacheNetwork) -> list:
+    """The links in rank order: the r-th one's events rank r + 1, after the
+    source's.  Sorting is stable, so declaration order breaks the ties left
+    by (sender depth, priority)."""
+    return sorted(network.links, key=lambda link: (network.depth[link.src], link.priority))
 
 
 @dataclass
@@ -108,15 +119,31 @@ class SimOutcome:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "estimator": self.estimator,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "iterations": self.iterations,
-            "horizon": self.horizon,
-            "samples": self.samples.tolist(),
-        }
+        return {**vars(self), "samples": self.samples.tolist()}
+
+
+def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, targets) -> None:
+    """Reject run arguments before anything is drawn; ``targets`` None (none
+    named yet) is left unchecked."""
+    if estimator not in ESTIMATORS:
+        raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if iterations < 1:
+        raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
+    if iterations > _MAX_ITERATIONS:
+        raise InvalidParameter(
+            f"iterations must be at most {_MAX_ITERATIONS:.3g}: every replication is kept as a sample"
+        )
+    positive_number("horizon", horizon)
+    if targets is None:
+        return
+    if not targets:
+        raise InvalidParameter(
+            "no targets: the target list is empty, or none was given and the network "
+            "has no leaves (every cache forwards to another); name the targets"
+        )
+    unknown = [t for t in targets if t not in network.nodes]
+    if unknown:
+        raise UnknownNode(f"targets reference undeclared nodes {unknown}")
 
 
 def _check_streams(horizon: float, streams) -> None:
@@ -151,24 +178,13 @@ def simulate_once(
     a replication is reproducible in isolation.  All caches start at version 0.
     """
     positive_number("horizon", horizon)
-    _check_streams(
-        horizon,
-        [(SOURCE_STREAM, network.source_dist), *((_link_stream(l), l.dist) for l in network.links)],
-    )
-    streams = [
-        RenewalStream(network.source_dist, RngStream(master_seed, iteration, *SOURCE_STREAM), horizon)
-    ]
-    # rank orders simultaneous events: source first, then sender depth,
-    # then priority, then declaration index
-    ranks: list[tuple[int, int, int]] = [(-1, -1, -1)]
-    receivers: list[str | None] = [None]
-    senders: list[str | None] = [None]
-    for idx, link in enumerate(network.links):
-        sid = _link_stream(link)
-        streams.append(RenewalStream(link.dist, RngStream(master_seed, iteration, *sid), horizon))
-        ranks.append((network.depth[link.src], link.priority, idx))
-        receivers.append(link.dst)
-        senders.append(link.src)
+    # stream i has rank i: the source, then the links in rank order
+    links = _ranked_links(network)
+    laws = [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links]
+    _check_streams(horizon, laws)
+    streams = [RenewalStream(dist, RngStream(master_seed, iteration, *sid), horizon) for sid, dist in laws]
+    receivers = [None] + [link.dst for link in links]
+    senders = [None] + [link.src for link in links]
 
     versions: dict[str, int] = {n: 0 for n in network.nodes}
     steps: dict[str, list[tuple[float, int]]] = {n: [] for n in network.nodes}
@@ -177,14 +193,14 @@ def simulate_once(
     knot_times: dict[str, list[float]] = {n: [] for n in network.nodes}
     knot_values: dict[str, list[int]] = {n: [] for n in network.nodes}
 
-    heap = [(s.peek(), *ranks[i], i) for i, s in enumerate(streams)]
+    heap = [(s.peek(), i) for i, s in enumerate(streams)]
     heapq.heapify(heap)
     source = network.source
     while heap[0][0] <= horizon:
-        t, _, _, _, i = heap[0]
+        t, i = heap[0]
         stream = streams[i]
         stream.pop()
-        heapq.heapreplace(heap, (stream.peek(), *ranks[i], i))
+        heapq.heapreplace(heap, (stream.peek(), i))
         if i == 0:
             node, new_version = source, versions[source] + 1
         else:
@@ -266,17 +282,11 @@ class _Replicator:
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
         self.horizon = horizon
-        self.terminal = estimator == "terminal"
+        self.terminal = estimator != "time_average"
         self._edges = np.array([horizon / 2.0, horizon])
         self.source_dist = network.source_dist
         self.tree = network.is_tree
-        links = network.links
-        # integer event ranks; 0 is the source
-        by_rank = sorted(
-            range(len(links)),
-            key=lambda i: (network.depth[links[i].src], links[i].priority, i),
-        )
-        rank = {(links[i].src, links[i].dst): r + 1 for r, i in enumerate(by_rank)}
+        rank = {(l.src, l.dst): r for r, l in enumerate(_ranked_links(network), 1)}
 
         needed: set[str] = set()
         stack = [t for t in targets if t != network.source]
@@ -470,7 +480,7 @@ def monte_carlo(
     horizon: float = DEFAULT_HORIZON,
     iterations: int = DEFAULT_ITERATIONS,
     master_seed: int = DEFAULT_SEED,
-    estimator: str = "terminal",
+    estimator: str = DEFAULT_ESTIMATOR,
     threads: int = 1,
 ) -> dict[str, SimOutcome]:
     """Independent replications; returns one :class:`SimOutcome` per target.
@@ -478,50 +488,26 @@ def monte_carlo(
     Replication ``i`` draws every stream from generators keyed by
     (master_seed, i, stream id) and results are aggregated in iteration
     order, so the output is bit-identical for a fixed master_seed no matter
-    how the work is scheduled; ``threads`` affects speed only.
+    how the work is scheduled; ``threads`` affects speed only, and at most
+    one worker process runs per CPU.
     """
-    if estimator not in ESTIMATORS:
-        raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if iterations < 1:
-        raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
-    if iterations > _MAX_ITERATIONS:
-        raise InvalidParameter(
-            f"iterations must be at most {_MAX_ITERATIONS:.3g}: every replication is kept as a sample"
-        )
-    positive_number("horizon", horizon)
     targets = network.leaves() if targets is None else list(targets)
-    if not targets:
-        raise InvalidParameter(
-            "no targets: the target list is empty, or none was given and the network "
-            "has no leaves (every cache forwards to another); name the targets"
-        )
-    unknown = [t for t in targets if t not in network.nodes]
-    if unknown:
-        raise UnknownNode(f"targets not in network: {unknown}")
+    check_run(network, horizon, iterations, estimator, targets)
     rep = _Replicator(network, targets, horizon, estimator)
     _check_streams(horizon, rep.streams)
 
-    threads = max(1, int(threads))
-    if threads == 1:
-        blocks = [_run_iteration_block((rep, master_seed, 0, iterations))]
+    workers = max(1, min(int(threads), os.cpu_count() or 1, iterations))
+    step = -(-iterations // workers)
+    blocks = [(rep, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
+    if workers == 1:
+        done = [_run_iteration_block(block) for block in blocks]
     else:
-        step = -(-iterations // threads)
-        spans = [(s, min(s + step, iterations)) for s in range(0, iterations, step)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(
-                    _run_iteration_block,
-                    [(rep, master_seed, a, b) for a, b in spans],
-                )
-            )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_iteration_block, blocks))
 
-    dtype = np.int64 if estimator == "terminal" else np.float64
-    outcomes: dict[str, SimOutcome] = {}
-    for t in targets:
-        samples = np.fromiter(
-            (row[t] for block in blocks for row in block),
-            dtype=dtype,
-            count=iterations,
-        )
-        outcomes[t] = SimOutcome.from_samples(t, estimator, samples, horizon)
-    return outcomes
+    rows = [row for block in done for row in block]
+    dtype = np.int64 if rep.terminal else np.float64
+    return {
+        t: SimOutcome.from_samples(t, estimator, np.fromiter((r[t] for r in rows), dtype, iterations), horizon)
+        for t in targets
+    }

@@ -257,6 +257,17 @@ def test_simulate_and_sweep_cap_iterations_before_drawing(tmp_path, capsys, monk
         assert not os.path.exists(base + ".json")
 
 
+def test_config_iterations_over_the_cap_are_rejected_when_read(tmp_path, capsys):
+    # the run checks apply when the config is read, so even analytic, which
+    # runs no replication, refuses an iteration count no run could use
+    path = write_config(tmp_path, dict(CHAIN_CONFIG, iterations=10**7 + 1))
+    with pytest.raises(ConfigError, match="iterations must be at most 1e\\+07"):
+        parse_config(open(path).read())
+    assert run(["analytic", path]) == 1
+    assert "iterations must be at most 1e+07" in capsys.readouterr().err
+    parse_config(json.dumps(dict(CHAIN_CONFIG, iterations=10**7)))
+
+
 def test_simulate_rejects_streams_over_the_event_budget(tmp_path, capsys, monkeypatch):
     def no_draws(self, rng, n):
         raise AssertionError("sample_batch must not run")
@@ -364,9 +375,17 @@ def test_verify_lattice_alignment_fails_gate(capsys):
 
 def test_verify_fast_law_at_default_times_passes(capsys):
     # 2 500 events per path at the default t_large of 100: within the event
-    # budget, which caps one path's events, not a whole chunk of paths
+    # budget, which also caps a chunk's first draw, so a chunk holds fewer
+    # paths than the usual 4 096
     assert run(["verify", "exponential:rate=20", "--paths", "10000"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_verify_zero_stderr_z_has_the_sign_of_the_error(capsys):
+    # the estimate is exactly 0, below the target 1/2, with zero stderr
+    code = run(["verify", "--window", "deterministic:c=1", "deterministic:c=1", "--paths", "10000"])
+    assert code == 2
+    assert "estimate=0.00000 target=0.50000 z=-inf FAIL" in capsys.readouterr().out
 
 
 def test_verify_rejects_bad_spec(capsys):
@@ -468,13 +487,3 @@ def test_values_range_syntax(tmp_path):
                 "--horizon", "50", "--out", base]) == 0
     assert len(open(base + ".csv").read().splitlines()) == 3
 
-
-def test_threads_env_var_sets_default(monkeypatch):
-    from versionage.cli import build_parser
-
-    monkeypatch.setenv("VERSIONAGE_THREADS", "3")
-    args = build_parser().parse_args(["simulate", "x.json"])
-    assert args.threads == 3
-    monkeypatch.setenv("VERSIONAGE_THREADS", "not-a-number")
-    args = build_parser().parse_args(["simulate", "x.json"])
-    assert args.threads == 1

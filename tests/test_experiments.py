@@ -17,6 +17,7 @@ from versionage import (
     sweep_study,
 )
 from versionage.experiments import CSV_HEADER
+from versionage.renewal import z_score
 from versionage.simulator import SimOutcome
 
 THREE_LINK_SUM = 2.5478845608028653
@@ -72,6 +73,14 @@ def test_zero_hop_point_is_exactly_zero():
     assert zero.analytic == 0.0
     assert zero.outcome.mean == 0.0
     assert zero.z == 0.0
+
+
+def test_sweep_point_z_is_the_verifiers_z():
+    below = SimOutcome.from_samples("n1", "terminal", np.zeros(4), 10.0)
+    assert SweepPoint(param=1.0, analytic=0.5, outcome=below, seed=0).z == -np.inf
+    spread = SimOutcome.from_samples("n1", "terminal", np.array([0.0, 1.0, 2.0, 3.0]), 10.0)
+    point = SweepPoint(param=1.0, analytic=0.5, outcome=spread, seed=0)
+    assert point.z == z_score(spread.mean, 0.5, spread.stderr)
 
 
 def test_variance_midpoint_analytic():

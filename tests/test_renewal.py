@@ -22,7 +22,8 @@ from versionage import (
     verify_martingale_zero_mean,
     verify_windowed_count_limit,
 )
-from versionage.renewal import RenewalStream, event_times_until
+from versionage import renewal
+from versionage.renewal import RenewalStream, event_times_until, z_score
 
 N_PATHS = 10_000  # verifier minimum; plenty for 4-sigma gates
 
@@ -182,6 +183,43 @@ def test_verifiers_check_paths_before_drawing(monkeypatch):
         verify_backward_recurrence_limit(exp, 100.0, few)
     with pytest.raises(InvalidParameter, match="at least 10000 paths"):
         verify_windowed_count_limit(exp, exp, 100.0, few)
+
+
+def test_martingale_rejects_an_empty_grid():
+    with pytest.raises(InvalidParameter, match="at least one time"):
+        verify_martingale_zero_mean(Exponential(rate=1.0), [], N_PATHS)
+
+
+def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
+    # with a budget of 20 000 values, a 157-column row (exponential(1) up to
+    # t = 100) fits 127 to a chunk, and a 282-column one (rate 2) 70
+    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 20_000)
+    asked = []
+    draw = renewal._event_matrix
+
+    def recording(spec, rng, rows, t_max):
+        asked.append((rows, int(renewal._row_events(spec, t_max)) + 32))
+        return draw(spec, rng, rows, t_max)
+
+    monkeypatch.setattr(renewal, "_event_matrix", recording)
+    slow, fast = Exponential(rate=1.0), Exponential(rate=2.0)
+    verify_martingale_zero_mean(slow, [100.0], N_PATHS)
+    verify_backward_recurrence_limit(slow, 100.0, N_PATHS)
+    per_check = [(127, 157)] * (N_PATHS // 127) + [(N_PATHS % 127, 157)]
+    assert asked == 2 * per_check
+    asked.clear()
+    verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
+    # the window check draws both laws in each chunk, so the wider row sets its size
+    assert {rows for rows, _ in asked[:-2]} == {70}
+    assert sum(rows for rows, _ in asked) == 2 * N_PATHS
+    assert all(rows * cols <= 20_000 for rows, cols in asked)
+
+
+def test_z_score_is_signed_and_infinite_without_spread():
+    assert z_score(1.5, 0.5, 0.25) == 4.0
+    assert z_score(0.5, 0.5, 0.0) == 0.0
+    assert z_score(0.0, 0.5, 0.0) == -math.inf
+    assert z_score(1.0, 0.5, 0.0) == math.inf
 
 
 def test_martingale_repeated_time_repeats_its_point():

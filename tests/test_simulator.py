@@ -416,6 +416,44 @@ def test_monte_carlo_threads_do_not_change_results():
             assert np.array_equal(serial[t].samples, parallel[t].samples)
 
 
+def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch):
+    import os
+
+    from versionage import simulator
+
+    class SerialPool:
+        """Stands in for the process pool: records max_workers, runs here."""
+
+        asked = []
+
+        def __init__(self, max_workers):
+            self.asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    network = chain(Exponential(rate=1.0), [Uniform(lo=0.0, hi=2.0)] * 2)
+    kw = dict(horizon=40.0, iterations=30, master_seed=7)
+    serial = monte_carlo(network, **kw, threads=1)
+    assert SerialPool.asked == []
+    capped = monte_carlo(network, **kw, threads=5)
+    assert SerialPool.asked == [2]
+    assert np.array_equal(serial["n2"].samples, capped["n2"].samples)
+    # an unknown CPU count counts as one CPU: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    unknown = monte_carlo(network, **kw, threads=5)
+    assert SerialPool.asked == [2]
+    assert np.array_equal(serial["n2"].samples, unknown["n2"].samples)
+
+
 def test_monte_carlo_general_graph_matches_simulate_once():
     targets = ["a", "c", "d"]
     runs = [simulate_once(CYCLIC_GRAPH, 40.0, 3, iteration=i) for i in range(20)]
