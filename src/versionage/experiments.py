@@ -200,6 +200,11 @@ def sweep_network_family(
     The target is the deepest leaf; the analytic column comes straight from
     :func:`expected_version_age` on each point's network.
     """
+    if iterations < 2:
+        raise InvalidParameter(
+            f"a sweep needs iterations >= 2, got {iterations}: its z gate divides "
+            "by the standard error, which a single replication does not give"
+        )
     values = _require_monotone(values)
     # every point's network is built, and so validated, before any point runs
     networks = [make_network(value) for value in values]

@@ -25,12 +25,8 @@ _U_FLOOR = 2.0 ** -54
 
 
 def _scope_digest(master_seed: int, scope: tuple) -> bytes:
-    h = hashlib.sha256()
-    h.update(struct.pack("<Q", master_seed & _MASK64))
-    for part in scope:
-        h.update(str(part).encode("utf-8"))
-        h.update(b"\x00")
-    return h.digest()
+    parts = b"".join([str(part).encode("utf-8") + b"\x00" for part in scope])
+    return hashlib.sha256(struct.pack("<Q", master_seed & _MASK64) + parts).digest()
 
 
 def derive_key(master_seed: int, *scope) -> np.ndarray:
@@ -64,13 +60,14 @@ class RngStream:
         construction would have.  Cheaper than building a new generator;
         verified bit-identical to a fresh construction."""
         key = derive_key(master_seed, *scope)
-        state = self._bitgen.state
-        state["state"]["key"][:] = key
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.key = key
         return self
 

@@ -23,8 +23,11 @@ closed form does: each knot asks one binary search of its sender's events,
 hop by hop up to the source, whose version at its q-th event is q.  On
 GENERAL graphs (several feeds, cycles among caches) it builds every needed
 cache's step function instead, merging a cache's feeds by (time, rank) under
-a running maximum, and sweeps in depth order until no value changes, a
-monotone fixed point.
+a running maximum.  Which sender knot each delivery reads depends on event
+times alone, so it is found once per replication; a worklist then
+re-evaluates, shallowest first, only the caches whose senders changed, until
+none did.  The operator is monotone and starts from version 0, so this is
+its least fixed point, the same one any order of evaluation reaches.
 
 :func:`simulate_once` is the reference engine: a heap event loop over one
 :class:`~versionage.renewal.RenewalStream` cursor per stream, which also
@@ -40,6 +43,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -234,17 +238,16 @@ def simulate_once(
 # -- vectorized engine ----------------------------------------------------------
 
 
-def _carry(times, values, ranks, deliveries, rank):
-    """The sender's version at each delivery of a feed of the given rank.
+def _reads(steps, deliveries, step_ranks, rank):
+    """Each delivery's knot in the sender, for a feed of the given rank.
 
-    ``times``/``values`` are the sender's step function, knot 0 first.  With
-    ``ranks`` None every stream that moves the sender ranks before the feed,
-    so simultaneous sender steps count (inclusive search); otherwise
-    ``ranks`` holds the rank of each sender step and decides ties.
+    ``steps`` holds the sender's step times (knot q at steps[q - 1]).  With
+    ``step_ranks`` None every stream that moves the sender ranks before the
+    feed, so simultaneous sender steps count (inclusive search); otherwise
+    ``step_ranks`` holds the rank of each sender step and decides ties.
     """
-    steps = times[1:]
-    if ranks is None:
-        return values[np.searchsorted(steps, deliveries, side="right")]
+    if step_ranks is None:
+        return np.searchsorted(steps, deliveries, side="right")
     count = np.searchsorted(steps, deliveries, side="left")
     width = np.searchsorted(steps, deliveries, side="right") - count
     tied = np.flatnonzero(width)
@@ -252,8 +255,8 @@ def _carry(times, values, ranks, deliveries, rank):
         lo, width = count[tied], width[tied]
         for j in range(int(width.max())):
             at = np.minimum(lo + j, steps.size - 1)
-            count[tied] += (j < width) & (ranks[at] < rank)
-    return values[count]
+            count[tied] += (j < width) & (step_ranks[at] < rank)
+    return count
 
 
 def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
@@ -276,8 +279,8 @@ class _Replicator:
     effect at the horizon (``terminal``) or over [horizon/2, horizon]
     (``time_average``).  Knot 0 of a node is time 0 with version 0, knot q
     its q-th delivery.  PATH/TREE networks trace those versions back to the
-    source (:meth:`_trace`); GENERAL graphs sweep every cache's step
-    function to a fixed point (:meth:`_iterate`).
+    source (:meth:`_trace`); GENERAL graphs settle every needed cache's
+    step function to a fixed point with a worklist (:meth:`_iterate`).
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
@@ -325,6 +328,11 @@ class _Replicator:
         #: per node, the sender of its first feed, its only one on PATH/TREE
         #: networks (the source's entry is a placeholder)
         self.senders = [0] + [feeds[0][2] for feeds in self.feeds]
+        #: per node, the caches it feeds
+        self.consumers: list[list[int]] = [[] for _ in range(len(caches) + 1)]
+        for k, feeds in enumerate(self.feeds, 1):
+            for _, _, s, _, _ in feeds:
+                self.consumers[s].append(k)
         self.targets = [(t, index[t]) for t in targets]
         #: every stream a replication draws, as (stream id, law)
         self.streams = [(SOURCE_STREAM, self.source_dist)] + [
@@ -409,12 +417,19 @@ class _Replicator:
 
     def _iterate(self, src_events, drawn) -> list[tuple]:
         """GENERAL: each target's (knot times, i, j, versions at knots i..j),
-        from every needed cache's step function swept to a fixed point."""
+        from every needed cache's step function settled to a fixed point.
+
+        Which sender knot each delivery reads depends only on event times,
+        so it is found once.  Every node's knot values then lie end to end
+        in one array, and a cache's values are one gather from it (under a
+        running maximum when it has several feeds).  A worklist re-evaluates
+        only caches whose senders changed, shallowest first, until none did.
+        """
         horizon = self.horizon
         w0 = int(np.searchsorted(src_events, horizon, side="right"))
-        # per node (source first): step times, step ranks, and for each cache
-        # its deliveries per feed and the permutation merging them
-        times = [np.concatenate([[0.0], src_events[:w0]])]
+        # per node (source first): step times and step ranks; per cache its
+        # deliveries per feed and the permutation merging them
+        steps = [src_events[:w0]]
         ranks: list[np.ndarray | None] = [None]
         deliveries: list[list[np.ndarray]] = []
         merges: list[np.ndarray | None] = []
@@ -422,13 +437,13 @@ class _Replicator:
             cut = [d[: int(np.searchsorted(d, horizon, side="right"))] for d in events]
             deliveries.append(cut)
             if len(cut) == 1:
-                times.append(np.concatenate([[0.0], cut[0]]))
+                steps.append(cut[0])
                 merges.append(None)
                 ranks.append(None)
                 continue
             merged = np.concatenate(cut)
             perm = np.argsort(merged, kind="stable")
-            times.append(np.concatenate([[0.0], merged[perm]]))
+            steps.append(merged[perm])
             merges.append(perm)
             ranks.append(
                 None
@@ -436,36 +451,36 @@ class _Replicator:
                 else np.repeat(feed_ranks, [d.size for d in cut])[perm]
             )
 
-        # sweeps start from version 0 everywhere
-        values = [np.arange(w0 + 1, dtype=np.float64)] + [np.zeros(t.size) for t in times[1:]]
-        while self._sweep(times, values, ranks, deliveries, merges):
-            pass
+        # node k's knots 0..n_k sit at flat[offsets[k] : offsets[k] + n_k + 1]
+        offsets = [0, *accumulate(t.size + 1 for t in steps)]
+        gathers = []
+        for feeds, cut, perm in zip(self.feeds, deliveries, merges):
+            reads = [
+                _reads(steps[s], d, ranks[s] if mixed else None, r) + offsets[s]
+                for (_, _, s, r, mixed), d in zip(feeds, cut)
+            ]
+            gathers.append(reads[0] if perm is None else np.concatenate(reads)[perm])
+        # from version 0 everywhere
+        flat = np.zeros(offsets[-1])
+        flat[: w0 + 1] = np.arange(w0 + 1)
+        # a heap of the caches due, by depth order; all are due at first
+        todo = list(range(1, len(steps)))
+        while todo:
+            k = heapq.heappop(todo)
+            new = flat[gathers[k - 1]]
+            if merges[k - 1] is not None:
+                np.maximum.accumulate(new, out=new)
+            old = flat[offsets[k] + 1 : offsets[k + 1]]
+            if not np.array_equal(new, old):
+                old[:] = new
+                for c in self.consumers[k]:
+                    if c not in todo:
+                        heapq.heappush(todo, c)
         windows = []
         for _, k in self.targets:
-            i, j = self._window(times[k][1:])
-            windows.append((times[k][1:], i, j, values[k][i : j + 1]))
+            i, j = self._window(steps[k])
+            windows.append((steps[k], i, j, flat[offsets[k] + i : offsets[k] + j + 1]))
         return windows
-
-    def _sweep(self, times, values, ranks, deliveries, merges) -> bool:
-        """Recompute every cache in depth order.  True if another sweep is
-        due: depth order is not a topological order on GENERAL graphs, so
-        sweeps repeat while some value still changes."""
-        changed = False
-        for k, (feeds, drawn, perm) in enumerate(zip(self.feeds, deliveries, merges), 1):
-            carried = [
-                _carry(times[s], values[s], ranks[s] if mixed else None, d, r)
-                for (_, _, s, r, mixed), d in zip(feeds, drawn)
-            ]
-            if perm is None:
-                new = np.concatenate([[0.0], carried[0]])
-            else:
-                new = np.empty(perm.size + 1)
-                new[0] = 0.0
-                np.maximum.accumulate(np.concatenate(carried)[perm], out=new[1:])
-            if not changed:
-                changed = not np.array_equal(new, values[k])
-            values[k] = new
-        return changed
 
 
 def _run_iteration_block(args) -> list[dict]:

@@ -228,6 +228,15 @@ def test_simulate_rejects_bad_horizons(tmp_path, capsys):
     assert run(["sweep", "fig6", "--values", "1", "--horizon", "nan", "--out", base]) == 1
 
 
+def test_sweep_rejects_a_single_iteration(tmp_path, capsys):
+    base = str(tmp_path / "one")
+    assert run(["sweep", "fig6", "--values", "1,2", "--iterations", "1", "--horizon", "50",
+                "--out", base]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a sweep needs iterations >= 2, got 1" in err
+    assert not os.path.exists(base + ".json")
+
+
 def test_simulate_rejects_overflowing_iterations(tmp_path, capsys):
     # 1e400 parses as an infinite float; it must not reach int()
     text = json.dumps(dict(CHAIN_CONFIG, iterations=1)).replace('"iterations": 1', '"iterations": 1e400')

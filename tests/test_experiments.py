@@ -110,6 +110,19 @@ def test_sweep_values_must_be_monotone():
     assert [p.param for p in sweep.points] == [2.0 / 3.0, 1.0 / 3.0]
 
 
+def test_sweep_needs_two_iterations_before_building_anything():
+    # one replication gives no standard error, so the z gate could only
+    # read +-inf; the sweep is refused before any network is built
+    def no_build(value):
+        raise AssertionError("no network may be built")
+
+    for iterations in (1, 0):
+        with pytest.raises(InvalidParameter, match="z gate divides by the standard error"):
+            sweep_network_family("custom", (1, 2), no_build, iterations=iterations, horizon=50.0)
+    sweep = sweep_study("fig6", (1,), iterations=2, horizon=50.0, seed=3)
+    assert sweep.points[0].outcome.stderr > 0.0
+
+
 def test_csv_bytes_reproducible():
     a = sweep_study("fig6", (1, 2), **FAST)
     b = sweep_study("fig6", (1, 2), **FAST)

@@ -26,11 +26,20 @@ def test_derive_seed_is_64_bit_and_stable():
 
 
 def test_reseed_equals_fresh_construction():
-    fresh = RngStream(7, 12, "source").uniforms(64)
     stream = RngStream(0, "other", "scope")
-    stream.uniforms(17)  # perturb state before reseeding
-    again = stream.reseed(7, 12, "source").uniforms(64)
-    assert np.array_equal(fresh, again)
+    for scope in ((7, 12, "source"), (7, 12, "link", "a", "b"), (2**64 + 3, 0, "source"), (1,)):
+        # perturb the state before reseeding: a uint32 draw leaves half a word
+        # buffered (has_uint32), beta draws advance the counter unevenly
+        stream.uniforms(17)
+        stream.generator.integers(0, 2**32, dtype=np.uint32)
+        stream.generator.beta(2.0, 3.0, size=5)
+        fresh = RngStream(*scope)
+        again = stream.reseed(*scope)
+        assert np.array_equal(again.key, fresh.key)
+        assert np.array_equal(again.generator.integers(0, 2**32, size=9, dtype=np.uint32),
+                              fresh.generator.integers(0, 2**32, size=9, dtype=np.uint32))
+        assert np.array_equal(again.uniforms(64), fresh.uniforms(64))
+        assert np.array_equal(again.generator.beta(2.0, 3.0, size=8), fresh.generator.beta(2.0, 3.0, size=8))
 
 
 def test_uniforms_open_interval():

@@ -464,6 +464,59 @@ def test_monte_carlo_general_graph_matches_simulate_once():
             assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs]
 
 
+# versions reach y only against depth order, twice: s -> a -> b -> c, then
+# c -> x (depth 3 to 1) and x -> y (y precedes x among the depth-1 nodes)
+BACKWARD_GRAPH = CacheNetwork(
+    nodes=["s", "y", "a", "x", "b", "c"],
+    source="s",
+    source_dist=Exponential(rate=2.0),
+    links=[("s", "y", D(16.0)), ("s", "a", Exponential(rate=2.0)), ("s", "x", D(16.0)),
+           ("a", "b", Exponential(rate=2.0)), ("b", "c", Uniform(lo=0.0, hi=1.0)),
+           ("c", "x", Exponential(rate=2.0)), ("x", "y", Rayleigh(sigma=0.5))],
+)
+# every link dyadic: c -> d ties with e -> c at 1.5, 3, ... and ranks first
+# (same sender depth, declared first), so d must not see e's fresher version
+DYADIC_CYCLE = CacheNetwork(
+    nodes=["s", "a", "b", "c", "d", "e"],
+    source="s",
+    source_dist=D(0.25),
+    links=[("s", "a", D(0.5)), ("s", "b", D(0.25)), ("a", "c", D(1.0)), ("b", "e", D(0.5)),
+           ("c", "d", D(0.75)), ("e", "c", D(1.5)), ("d", "c", D(2.0))],
+)
+# d sits on the cycle c <-> d but its one feed first delivers past the horizon
+SILENT_CYCLE = CacheNetwork(
+    nodes=["s", "a", "c", "d"],
+    source="s",
+    source_dist=Exponential(rate=2.0),
+    links=[("s", "a", Exponential(rate=1.0)), ("a", "c", Uniform(lo=0.0, hi=2.0)),
+           ("c", "d", D(16.0)), ("d", "c", D(0.5))],
+)
+
+
+@pytest.mark.parametrize(
+    "network, targets, quiet",
+    [
+        (BACKWARD_GRAPH, ["y", "x", "c"], []),
+        (DYADIC_CYCLE, ["c", "d"], []),
+        (SILENT_CYCLE, ["c", "d"], ["d"]),
+    ],
+    ids=["two-backward-hops", "dyadic-ties", "silent-cycle-cache"],
+)
+def test_general_fixed_point_matches_simulate_once(network, targets, quiet):
+    horizon, iterations = 12.0, 6
+    runs = [simulate_once(network, horizon, 21, iteration=i) for i in range(iterations)]
+    for node in targets:
+        # quiet caches never change; the others do get versions in every run
+        assert all(bool(r.steps[node]) != (node in quiet) for r in runs), node
+    for estimator in ESTIMATORS:
+        for threads in (1, 2):
+            out = monte_carlo(network, targets=targets, horizon=horizon, iterations=iterations,
+                              master_seed=21, estimator=estimator, threads=threads)
+            for t in targets:
+                assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], (
+                    estimator, threads, t)
+
+
 def test_monte_carlo_default_targets_are_leaves():
     out = monte_carlo(MIXED_TREE, horizon=10.0, iterations=5, master_seed=1)
     assert set(out) == {"c", "d", "e"}
