@@ -40,9 +40,11 @@ from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponential
 from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_number
 from .errors import ConfigError, VersionAgeError
-from .experiments import STUDIES, Z_GATE, sweep_network_family, sweep_study
+from .experiments import STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
 from .renewal import (
+    DEFAULT_PATHS,
+    Z_GATE,
     LimitCheck,
     verify_backward_recurrence_limit,
     verify_martingale_zero_mean,
@@ -50,8 +52,6 @@ from .renewal import (
 )
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import ESTIMATORS, check_run, monte_carlo
-
-DEFAULT_VERIFY_PATHS = 20_000
 
 SIMULATE_CSV_HEADER = "target,estimator,mean,stderr,iterations,horizon,seed"
 
@@ -146,15 +146,13 @@ def parse_spec_arg(arg: str) -> Distribution:
     text = arg.strip()
     if text.startswith("{"):
         try:
-            return from_literal(json.loads(text))
+            literal = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad distribution literal {arg!r}: {exc.msg}") from None
-        except VersionAgeError as exc:
-            raise ConfigError(str(exc)) from None
-    head, _, tail = text.partition(":")
-    literal: dict = {"type": head.strip()}
-    if tail:
-        for item in tail.split(","):
+    else:
+        head, _, tail = text.partition(":")
+        literal = {"type": head.strip()}
+        for item in tail.split(",") if tail else ():
             key, eq, value = item.partition("=")
             if not eq:
                 raise ConfigError(
@@ -183,22 +181,24 @@ def _meta(config_hash: str, master_seed: int) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _ensure_dir(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _outputs(config: str | None, *paths: str) -> tuple[str, ...]:
+    """The result files, refused before any work if one is the config read."""
+    for path in paths:
+        if config and os.path.realpath(path) == os.path.realpath(config):
+            raise ConfigError(f"output {path!r} would overwrite the config {config!r}")
+    return paths
 
 
-def _write_text(path: str, text: str) -> None:
-    _ensure_dir(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _ensure_dir(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+def _write(*files: tuple[str, str | dict]) -> None:
+    """Write each (path, text or a dict as sorted JSON), creating parent
+    directories, and say which files were written."""
+    for path, content in files:
+        if isinstance(content, dict):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    print("wrote", " and ".join(path for path, _ in files))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -206,6 +206,8 @@ def _ensure_dir(path: str) -> None:
 
 def _cmd_analytic(args) -> int:
     cfg, config_hash = load_config(args.config)
+    if args.out:
+        _outputs(args.config, args.out)
     result = expected_version_age(cfg.network)
     print(f"network: {cfg.network!r}")
     print(f"source mean update interval: {result.source_mean:.6g}")
@@ -223,8 +225,7 @@ def _cmd_analytic(args) -> int:
             "topology": cfg.network.to_dict(),
             "analytic": result.to_dict(),
         }
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+        _write((args.out, payload))
     return 0
 
 
@@ -236,6 +237,7 @@ def _cmd_simulate(args) -> int:
     estimator = args.estimator if args.estimator is not None else cfg.estimator
     targets = args.targets.split(",") if args.targets else cfg.targets
     out_base = args.out or cfg.output or "simulate_out"
+    csv_path, json_path = _outputs(args.config, out_base + ".csv", out_base + ".json")
 
     outcomes = monte_carlo(
         cfg.network,
@@ -257,22 +259,13 @@ def _cmd_simulate(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIMULATE_CSV_HEADER.split(","))
     writer.writerows(rows)
-    _write_text(out_base + ".csv", buf.getvalue())
     payload = {
         "meta": _meta(config_hash, seed),
         "topology": cfg.network.to_dict(),
         "outcomes": {node: oc.to_dict() for node, oc in outcomes.items()},
     }
-    _write_json(out_base + ".json", payload)
-    print(f"wrote {out_base}.csv and {out_base}.json")
+    _write((csv_path, buf.getvalue()), (json_path, payload))
     return 0
-
-
-def _t_large(given: float | None, *specs: Distribution) -> float:
-    """--t-large, or by default 60 mean gaps of the slowest process, at least 100."""
-    if given is not None:
-        return given
-    return max(100.0, 60.0 * max(spec.moments().mean for spec in specs))
 
 
 def _limit_report(kind: str, label: str, fields: dict, check: LimitCheck) -> tuple:
@@ -289,21 +282,15 @@ def _verify_checks(specs, window_pairs, t_grid, t_large, paths, seed):
         for p in verify_martingale_zero_mean(spec, t_grid, paths, master_seed=seed):
             yield ("martingale", str(spec), f"t={p.t:g} mean={p.mean:+.5f}", p.z,
                    {**fields, "t": p.t, "mean": p.mean, "stderr": p.stderr})
-        check = verify_backward_recurrence_limit(
-            spec, _t_large(t_large, spec), paths, master_seed=seed
-        )
+        check = verify_backward_recurrence_limit(spec, t_large, paths, master_seed=seed)
         yield _limit_report("recurrence-limit", str(spec), fields, check)
     for src, probe in window_pairs:
-        check = verify_windowed_count_limit(
-            src, probe, _t_large(t_large, src, probe), paths, master_seed=seed
-        )
+        check = verify_windowed_count_limit(src, probe, t_large, paths, master_seed=seed)
         fields = {"source": src.to_literal(), "probe": probe.to_literal()}
         yield _limit_report("windowed-count", f"{src} | probe {probe}", fields, check)
 
 
 def _cmd_verify(args) -> int:
-    paths = args.paths
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     t_grid = _parse_values(args.t_grid)
     specs = [parse_spec_arg(s) for s in args.spec]
     window_pairs = [
@@ -315,18 +302,17 @@ def _cmd_verify(args) -> int:
 
     records = []
     for kind, label, detail, z, fields in _verify_checks(
-        specs, window_pairs, t_grid, args.t_large, paths, seed
+        specs, window_pairs, t_grid, args.t_large, args.paths, args.seed
     ):
         ok = abs(z) < Z_GATE
         print(f"{kind:18s} {label:42s} {detail} z={z:+.3f} {'PASS' if ok else 'FAIL'}")
         records.append({"check": kind, **fields, "z": z, "pass": ok})
     all_ok = all(rec["pass"] for rec in records)
     if args.out:
-        request = {"paths": paths, "t_grid": t_grid, "seed": seed}
-        payload = {"meta": _meta(_sha256(json.dumps(request, sort_keys=True)), seed),
+        request = {"paths": args.paths, "t_grid": t_grid, "seed": args.seed}
+        payload = {"meta": _meta(_sha256(json.dumps(request, sort_keys=True)), args.seed),
                    "checks": records}
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+        _write((args.out, payload))
     print("verify:", "all checks passed" if all_ok else "CHECKS FAILED")
     return 0 if all_ok else 2
 
@@ -359,15 +345,10 @@ def _parse_values(raw: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    estimator = args.estimator or DEFAULT_ESTIMATOR
-    common = dict(
-        iterations=args.iterations,
-        horizon=args.horizon,
-        seed=seed,
-        estimator=estimator,
-        threads=args.threads,
-    )
+    common = {key: getattr(args, key)
+              for key in ("iterations", "horizon", "seed", "estimator", "threads")}
+    out_base = args.out or f"sweep_{args.kind}"
+    csv_path, json_path = _outputs(args.config, out_base + ".csv", out_base + ".json")
     # provenance hash covers the scientific request only; threads never
     # changes results and must not change output bytes
     request = {"kind": args.kind, "values": args.values,
@@ -402,14 +383,11 @@ def _cmd_sweep(args) -> int:
     print(f"gate: {sweep.n_exceeding} point(s) beyond {Z_GATE} sigma ->",
           "PASS" if sweep.passed else "FAIL")
 
-    out_base = args.out or f"sweep_{args.kind}"
-    _write_text(out_base + ".csv", sweep.csv_text())
     payload = {
-        "meta": _meta(_sha256(json.dumps(request, sort_keys=True, default=str)), seed),
+        "meta": _meta(_sha256(json.dumps(request, sort_keys=True, default=str)), args.seed),
         "sweep": sweep.to_dict(),
     }
-    _write_json(out_base + ".json", payload)
-    print(f"wrote {out_base}.csv and {out_base}.json")
+    _write((csv_path, sweep.csv_text()), (json_path, payload))
     return 0 if sweep.passed else 2
 
 
@@ -419,6 +397,17 @@ def _cmd_sweep(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation errors: exit 1
         raise ConfigError(message)
+
+
+def _add_run_flags(parser, horizon=None, iterations=None, seed=None, estimator=None) -> None:
+    """The flags simulate and sweep share, with that command's defaults."""
+    parser.add_argument("--horizon", type=float, default=horizon)
+    parser.add_argument("--iterations", type=int, default=iterations)
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument("--estimator", choices=ESTIMATORS, default=estimator)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes, at most one per CPU; affects speed only, never results")
+    parser.add_argument("--out", help="output base path (writes .json and .csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,23 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analytic = sub.add_parser("analytic", help="closed-form expected age for a config")
+    p_analytic.set_defaults(handler=_cmd_analytic)
     p_analytic.add_argument("config")
     p_analytic.add_argument("--out", help="write a JSON report here")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation for a config")
+    p_sim.set_defaults(handler=_cmd_simulate)
     p_sim.add_argument("config")
-    p_sim.add_argument("--horizon", type=float, default=None)
-    p_sim.add_argument("--iterations", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--estimator", choices=ESTIMATORS, default=None)
+    _add_run_flags(p_sim)
     p_sim.add_argument("--targets", help="comma-separated node ids (default: leaves)")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker processes, at most one per CPU; affects speed only, never results")
-    p_sim.add_argument("--out", help="output base path (writes .json and .csv)")
 
     p_verify = sub.add_parser(
         "verify", help="statistical checks of the renewal limit theorems"
     )
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument(
         "spec", nargs="*",
         help="distributions to check, e.g. exponential:rate=1 (default: built-in battery)",
@@ -459,41 +445,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t-grid", default="10,100",
                           help="martingale check times (comma-separated)")
     p_verify.add_argument("--t-large", type=float, default=None,
-                          help="evaluation horizon for the limit checks")
-    p_verify.add_argument("--paths", type=int, default=DEFAULT_VERIFY_PATHS)
-    p_verify.add_argument("--seed", type=int, default=None)
+                          help="limit checks' horizon (default: 60 mean gaps of the slowest law, >= 100)")
+    p_verify.add_argument("--paths", type=int, default=DEFAULT_PATHS)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", help="write a JSON report here")
 
     p_sweep = sub.add_parser("sweep", help="analytic-vs-simulation comparison sweeps")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("kind", choices=(*STUDIES, "custom"))
     p_sweep.add_argument("--values", help="sweep values, comma-separated (fractions ok: 1/3)")
-    p_sweep.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p_sweep.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--estimator", choices=ESTIMATORS, default=None)
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="worker processes, at most one per CPU; affects speed only, never results")
+    _add_run_flags(p_sweep, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, DEFAULT_ESTIMATOR)
     p_sweep.add_argument("--config", help="base config for custom sweeps")
     p_sweep.add_argument("--vary-source", metavar="PARAM",
                          help="source-distribution parameter varied in custom sweeps")
-    p_sweep.add_argument("--out", help="output base path (writes .json and .csv)")
 
     return parser
-
-
-_COMMANDS = {
-    "analytic": _cmd_analytic,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, whole_number
 from .errors import InvalidParameter
 from .network import CacheNetwork
-from .renewal import z_score
+from .renewal import Z_GATE, z_score
 from .rng import derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import SimOutcome, monte_carlo
@@ -51,9 +51,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "sweep_kind,param,analytic,mc_mean,mc_stderr,z,iterations,horizon,seed"
-
-#: 4-sigma gate on every z-score, sweep points and verifier checks alike
-Z_GATE = 4.0
 
 
 @dataclass

@@ -70,7 +70,6 @@ class CacheNetwork:
             self._incoming[link.dst].append(link)
             self._outgoing[link.src].append(link)
 
-        self._check_source_isolation()
         self.depth = self._check_reachability()
         self.classification = self._classify()
 
@@ -113,6 +112,8 @@ class CacheNetwork:
         return tuple(resolved)
 
     def _check_reachability(self) -> dict[str, int]:
+        """Each node's depth from the source, by one breadth-first search.  A
+        link into the source closes a cycle if its sender is reachable."""
         depth = {self.source: 0}
         queue = deque([self.source])
         while queue:
@@ -121,31 +122,17 @@ class CacheNetwork:
                 if link.dst not in depth:
                     depth[link.dst] = depth[node] + 1
                     queue.append(link.dst)
-        missing = [n for n in self.nodes if n not in depth]
-        if missing:
-            raise UnreachableNode(f"nodes unreachable from source: {missing}")
-        return depth
-
-    def _check_source_isolation(self) -> None:
-        for link in self._incoming[self.source]:
-            if self._reaches(self.source, link.src):
+        if self._incoming[self.source]:
+            link = self._incoming[self.source][0]
+            if link.src in depth:
                 raise CycleThroughSource(
                     f"link {link.src!r}->{link.dst!r} closes a cycle through the source"
                 )
             raise SourceHasIncoming(f"source {self.source!r} has incoming link from {link.src!r}")
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node == goal:
-                return True
-            for link in self._outgoing[node]:
-                if link.dst not in seen:
-                    seen.add(link.dst)
-                    queue.append(link.dst)
-        return False
+        missing = [n for n in self.nodes if n not in depth]
+        if missing:
+            raise UnreachableNode(f"nodes unreachable from source: {missing}")
+        return depth
 
     def _classify(self) -> NetworkClass:
         if any(len(self._incoming[n]) != 1 for n in self.nodes if n != self.source):

@@ -18,6 +18,7 @@ rest on, by Monte Carlo at a 4-sigma gate:
 The latter two are long-run (Cesaro) limits, so the verifiers evaluate each
 path at a uniformly random time in [t/2, t]; that also makes the deterministic
 probe case meaningful, where the recurrence time at a fixed t never converges.
+Their horizon t defaults to 60 mean gaps of the slowest process, at least 100.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ GAP_BATCH = 1024
 #: gaps a verifier chunk first draws; past it a run would allocate without bound
 _EVENT_BUDGET = 10_000_000
 
-#: most Monte Carlo replications one run may ask for; each is kept as a sample
-_MAX_ITERATIONS = 10_000_000
-
+#: paths each verifier check draws unless told otherwise
+DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 4096
 
@@ -191,6 +191,10 @@ def _last_event(csum: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, csum[np.arange(csum.shape[0]), np.maximum(counts - 1, 0)], 0.0)
 
 
+#: 4-sigma gate on every z-score, sweep points and verifier checks alike
+Z_GATE = 4.0
+
+
 def z_score(estimate: float, target: float, stderr: float) -> float:
     """Standard errors from ``target`` to ``estimate``, the verdict of every
     check; with zero stderr, 0 on target and an infinity of the error's sign."""
@@ -214,19 +218,23 @@ def _limit_check(total: float, total_sq: float, n: int, target: float) -> LimitC
     return LimitCheck(estimate=mean, target=target, stderr=stderr, z=z, n_paths=n)
 
 
-def _check_t_large(t_large: float, *moments) -> None:
-    """The limit checks need t_large past 50 mean gaps of the slowest process."""
-    floor = 50.0 * max(m.mean for m in moments)
-    if positive_number("t_large", t_large) < floor:
+def _t_large(t_large: float | None, *moments) -> float:
+    """Horizon of a limit check: by default 60 mean gaps of the slowest
+    process, at least 100; a given one must be past 50 mean gaps."""
+    slowest = max(m.mean for m in moments)
+    if t_large is None:
+        return max(100.0, 60.0 * slowest)
+    if positive_number("t_large", t_large) < 50.0 * slowest:
         raise InvalidParameter(
-            f"t_large must be at least 50 mean gaps of the slowest process ({floor:g}), got {t_large}"
+            f"t_large must be at least 50 mean gaps of the slowest process ({50.0 * slowest:g}), got {t_large}"
         )
+    return t_large
 
 
 def verify_martingale_zero_mean(
     spec: Distribution,
     t_grid,
-    n_paths: int,
+    n_paths: int = DEFAULT_PATHS,
     master_seed: int = 0,
 ) -> list[MartingalePoint]:
     """Studentized mean of M(t) = N(t) + 1 - T_{N(t)+1}/mean over n_paths.
@@ -264,8 +272,8 @@ def _window_times(rng: RngStream, rows: int, t_large: float) -> np.ndarray:
 
 def verify_backward_recurrence_limit(
     spec: Distribution,
-    t_large: float,
-    n_paths: int,
+    t_large: float | None = None,
+    n_paths: int = DEFAULT_PATHS,
     master_seed: int = 0,
 ) -> LimitCheck:
     """Estimate the long-run mean backward recurrence time vs E[Y^2]/(2E[Y]).
@@ -275,7 +283,7 @@ def verify_backward_recurrence_limit(
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
-    _check_t_large(t_large, m)
+    t_large = _t_large(t_large, m)
     chunk = _chunk_rows(t_large, spec)
     total = total_sq = 0.0
     for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
@@ -289,8 +297,8 @@ def verify_backward_recurrence_limit(
 def verify_windowed_count_limit(
     source_spec: Distribution,
     probe_spec: Distribution,
-    t_large: float,
-    n_paths: int,
+    t_large: float | None = None,
+    n_paths: int = DEFAULT_PATHS,
     master_seed: int = 0,
 ) -> LimitCheck:
     """Check E[N(t) - N(t - S(t))] against E[S]/E[Y] for a recurrence window.
@@ -303,7 +311,7 @@ def verify_windowed_count_limit(
     m_src = _require_finite_moments(source_spec)
     m_probe = _require_finite_moments(probe_spec)
     _check_paths(n_paths)
-    _check_t_large(t_large, m_src, m_probe)
+    t_large = _t_large(t_large, m_src, m_probe)
     chunk = _chunk_rows(t_large, probe_spec, source_spec)
     target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
     total = total_sq = 0.0

@@ -50,7 +50,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import _MAX_ITERATIONS, RenewalStream, _check_event_budget, event_times_until
+from .renewal import RenewalStream, _check_event_budget, event_times_until
 from .rng import RngStream
 
 __all__ = [
@@ -69,6 +69,9 @@ DEFAULT_ESTIMATOR = "terminal"
 DEFAULT_HORIZON = 1e3
 DEFAULT_ITERATIONS = 20_000
 DEFAULT_SEED = 1
+
+#: most Monte Carlo replications one run may ask for; each is kept as a sample
+_MAX_ITERATIONS = 10_000_000
 
 SOURCE_STREAM = ("source",)
 

@@ -11,6 +11,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the criterion lines.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from versionage.cli import run
 
 HORIZON = 1e3
 ITERATIONS = 20_000
+#: criteria 1-4 use every core; outputs never depend on the thread count
+THREADS = os.cpu_count() or 1
 THREE_LINK_SUM_4DP = 2.5479  # rayleigh(1) + chi_square(1) + beta(2,3) contributions, rounded
 
 NON_DETERMINISTIC = (
@@ -65,6 +68,7 @@ def test_criterion_1_source_mean_reproduction():
         horizon=HORIZON,
         seed=101,
         estimator="terminal",
+        threads=THREADS,
     )
     violations = []
     for p in sweep.points:
@@ -83,6 +87,7 @@ def test_criterion_2_hop_count_reproduction():
         horizon=HORIZON,
         seed=102,
         estimator="time_average",
+        threads=THREADS,
     )
     violations = []
     for p in sweep.points:
@@ -102,6 +107,7 @@ def test_criterion_3_link_variance_reproduction():
         horizon=HORIZON,
         seed=103,
         estimator="time_average",
+        threads=THREADS,
     )
     violations = []
     for p in sweep.points:
@@ -145,7 +151,7 @@ def test_criterion_4_poisson_cross_check():
         )
         target = expected_version_age_poisson(rate_s, rates)
         out = monte_carlo(net, targets=[names[-1]], horizon=HORIZON, iterations=10_000,
-                          master_seed=1040, estimator="time_average")[names[-1]]
+                          master_seed=1040, estimator="time_average", threads=THREADS)[names[-1]]
         if abs(out.mean - target) > 4.0 * out.stderr:
             violations.append(
                 f"simulated rates {rate_s:.3f}/{rates}: mc={out.mean:.4f} target={target:.4f}"

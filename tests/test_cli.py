@@ -318,6 +318,35 @@ def test_simulate_rejects_empty_targets(tmp_path, capsys):
     assert not os.path.exists(base + ".csv")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{config}", "--out", "{base}"],
+        ["simulate", "{config}"],  # the config's own "output" names the base
+        ["simulate", "{config}", "--out", "{dir}/sub/../cfg"],
+        ["sweep", "custom", "--config", "{config}", "--vary-source", "rate", "--values", "1,2",
+         "--iterations", "20", "--horizon", "20", "--out", "{base}"],
+        ["analytic", "{config}", "--out", "{config}"],
+    ],
+    ids=["simulate", "simulate-config-output", "simulate-dotdot", "sweep-custom", "analytic"],
+)
+def test_results_never_overwrite_the_config(tmp_path, capsys, monkeypatch, argv):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    for cls in LITERAL_TYPES.values():
+        monkeypatch.setattr(cls, "sample_batch", no_draws)
+    base = str(tmp_path / "cfg")
+    config = write_config(tmp_path, dict(CHAIN_CONFIG, output=base), "cfg.json")
+    before = open(config, "rb").read()
+    argv = [arg.format(config=config, base=base, dir=tmp_path) for arg in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "would overwrite the config" in err
+    assert open(config, "rb").read() == before
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 #: runs analytic, simulate and verify with scipy unimportable; argv: src dir, config, out dir
 NO_SCIPY_SCRIPT = """
 import sys

@@ -65,6 +65,13 @@ def test_single_node_network_is_path():
         (["s", "a"], [("a", "s", E)], SourceHasIncoming),
         (["s", "a"], [("s", "a", E), ("a", "s", E)], CycleThroughSource),
         (["s", "a"], [("s", "x", E)], UnknownNode),
+        # a link into the source comes before unreachable nodes; its sender's
+        # reachability decides cycle or not, and the first such link decides
+        (["s", "a", "b"], [("a", "s", E)], SourceHasIncoming),
+        (["s", "a", "b"], [("s", "a", E), ("a", "s", E)], CycleThroughSource),
+        (["s", "a", "b", "c"], [("s", "a", E), ("a", "b", E), ("b", "s", E)], CycleThroughSource),
+        (["s", "a", "b"], [("s", "a", E), ("b", "s", E), ("a", "s", E)], SourceHasIncoming),
+        (["s", "a", "b"], [("s", "a", E), ("a", "s", E), ("b", "s", E)], CycleThroughSource),
     ],
 )
 def test_structural_errors(nodes, links, err):

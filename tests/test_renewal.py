@@ -143,6 +143,19 @@ def test_backward_recurrence_limit_validates_horizon():
         verify_backward_recurrence_limit(Exponential(rate=1.0), 10.0, N_PATHS)
 
 
+def test_limit_checks_default_to_60_mean_gaps_of_the_slowest_law():
+    # t_large=None is 60 mean gaps of the slowest law, at least 100: 120 for
+    # a mean gap of 2, whether that law is the checked one or the probe
+    slow, fast = Exponential(rate=0.5), Exponential(rate=4.0)
+    assert verify_backward_recurrence_limit(slow, None, N_PATHS, master_seed=3) == (
+        verify_backward_recurrence_limit(slow, 120.0, N_PATHS, master_seed=3)
+    )
+    assert verify_windowed_count_limit(fast, slow, n_paths=N_PATHS, master_seed=3) == (
+        verify_windowed_count_limit(fast, slow, 120.0, N_PATHS, master_seed=3)
+    )
+    assert renewal._t_large(None, fast.moments()) == 100.0
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
 def test_verifiers_reject_bad_times(t):
     exp = Exponential(rate=1.0)
