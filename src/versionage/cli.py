@@ -42,14 +42,9 @@ from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_numbe
 from .errors import ConfigError, VersionAgeError
 from .experiments import STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
-from .renewal import (
-    DEFAULT_PATHS,
-    Z_GATE,
-    LimitCheck,
-    verify_backward_recurrence_limit,
-    verify_martingale_zero_mean,
-    verify_windowed_count_limit,
-)
+from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, verify_renewal_limits, verify_windowed_count_limit
+# not called here, but bench/spans.py traces both verifiers under these names
+from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import ESTIMATORS, check_run, monte_carlo
 
@@ -182,10 +177,24 @@ def _meta(config_hash: str, master_seed: int) -> dict:
 
 
 def _outputs(config: str | None, *paths: str) -> tuple[str, ...]:
-    """The result files, refused before any work if one is the config read."""
+    """The result files, refused before any work if one is the config read
+    or cannot be written."""
     for path in paths:
         if config and os.path.realpath(path) == os.path.realpath(config):
             raise ConfigError(f"output {path!r} would overwrite the config {config!r}")
+    for path in paths:
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it names a directory")
+        # _write creates the missing directories of the normalised path, so
+        # the nearest existing one must be a directory and no '..' may step
+        # out of a missing one, which the system would fail to resolve
+        head, missing = os.path.dirname(path), []
+        while head and not os.path.exists(head):
+            head, tail = os.path.split(head)
+            missing.append(tail)
+        if not os.path.isdir(head or os.curdir) or os.pardir in missing:
+            raise ConfigError(f"cannot write {path!r}: {os.path.dirname(path)!r} is not a directory "
+                              "and cannot be made one")
     return paths
 
 
@@ -195,9 +204,12 @@ def _write(*files: tuple[str, str | dict]) -> None:
     for path, content in files:
         if isinstance(content, dict):
             content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     print("wrote", " and ".join(path for path, _ in files))
 
 
@@ -279,10 +291,10 @@ def _verify_checks(specs, window_pairs, t_grid, t_large, paths, seed):
     (check, label, printed detail, z, record fields)."""
     for spec in specs:
         fields = {"spec": spec.to_literal()}
-        for p in verify_martingale_zero_mean(spec, t_grid, paths, master_seed=seed):
+        points, check = verify_renewal_limits(spec, t_grid, t_large, paths, master_seed=seed)
+        for p in points:
             yield ("martingale", str(spec), f"t={p.t:g} mean={p.mean:+.5f}", p.z,
                    {**fields, "t": p.t, "mean": p.mean, "stderr": p.stderr})
-        check = verify_backward_recurrence_limit(spec, t_large, paths, master_seed=seed)
         yield _limit_report("recurrence-limit", str(spec), fields, check)
     for src, probe in window_pairs:
         check = verify_windowed_count_limit(src, probe, t_large, paths, master_seed=seed)
@@ -299,6 +311,8 @@ def _cmd_verify(args) -> int:
     if not specs and not window_pairs:
         specs = list(VERIFY_SPECS)
         window_pairs = list(VERIFY_WINDOW_PAIRS)
+    if args.out:
+        _outputs(None, args.out)
 
     records = []
     for kind, label, detail, z, fields in _verify_checks(
@@ -309,7 +323,10 @@ def _cmd_verify(args) -> int:
         records.append({"check": kind, **fields, "z": z, "pass": ok})
     all_ok = all(rec["pass"] for rec in records)
     if args.out:
-        request = {"paths": args.paths, "t_grid": t_grid, "seed": args.seed}
+        request = {"paths": args.paths, "seed": args.seed, "t_large": args.t_large,
+                   "t_grid": [float(t) for t in t_grid],
+                   "specs": [spec.to_literal() for spec in specs],
+                   "window_pairs": [[src.to_literal(), probe.to_literal()] for src, probe in window_pairs]}
         payload = {"meta": _meta(_sha256(json.dumps(request, sort_keys=True)), args.seed),
                    "checks": records}
         _write((args.out, payload))

@@ -19,6 +19,9 @@ The latter two are long-run (Cesaro) limits, so the verifiers evaluate each
 path at a uniformly random time in [t/2, t]; that also makes the deterministic
 probe case meaningful, where the recurrence time at a fixed t never converges.
 Their horizon t defaults to 60 mean gaps of the slowest process, at least 100.
+One law's martingale and recurrence checks read the same paths, so their
+z-scores are correlated, though each is a valid test on its own; and a
+martingale estimate depends on t, which sets how those paths are drawn.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
     "RenewalStream",
     "MartingalePoint",
     "LimitCheck",
-    "verify_martingale_zero_mean",
+    "verify_renewal_limits",
     "verify_backward_recurrence_limit",
     "verify_windowed_count_limit",
     "z_score",
@@ -156,10 +159,13 @@ def _chunk_rows(t_max: float, *specs: Distribution) -> int:
     return rows
 
 
-def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float) -> np.ndarray:
-    """Per-row cumulative event times, every row guaranteed past t_max."""
+def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float,
+                  csum: np.ndarray | None = None) -> np.ndarray:
+    """Per-row cumulative event times, every row guaranteed past t_max; given
+    ``csum``, its rows are extended rather than drawn anew."""
     cols = int(_row_events(spec, t_max)) + 32
-    csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
+    if csum is None:
+        csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
     while float(csum[:, -1].min()) <= t_max:
         ext = max(32, cols // 8)
         gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
@@ -231,67 +237,60 @@ def _t_large(t_large: float | None, *moments) -> float:
     return t_large
 
 
-def verify_martingale_zero_mean(
-    spec: Distribution,
-    t_grid,
-    n_paths: int = DEFAULT_PATHS,
-    master_seed: int = 0,
-) -> list[MartingalePoint]:
-    """Studentized mean of M(t) = N(t) + 1 - T_{N(t)+1}/mean over n_paths.
+def _window_times(rng: RngStream, rows: int, t_large: float) -> np.ndarray:
+    """Per-path evaluation times, uniform over [t/2, t]."""
+    return t_large * (0.5 + 0.5 * rng.uniforms(rows))
 
-    The population mean is exactly zero for every renewal process with a
-    finite mean, so each returned z is standard normal under the null.
+
+def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = None, n_paths: int = DEFAULT_PATHS,
+                          master_seed: int = 0) -> tuple[list[MartingalePoint], LimitCheck]:
+    """The martingale and recurrence checks of one law, on the same paths.
+
+    Returns the studentized mean of M(t) = N(t) + 1 - T_{N(t)+1}/mean at each
+    time of ``t_grid`` (zero in the population for any finite mean), and the
+    mean backward recurrence time at a uniform time in [t_large/2, t_large]
+    against its long-run limit E[Y^2]/(2E[Y]).  Each chunk's paths are drawn
+    to t_large for the latter, then extended to the grid's last time.
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
     t_grid = [positive_number("t", t) for t in t_grid]
-    if not t_grid:
-        raise InvalidParameter("t_grid must hold at least one time")
-    t_max = max(t_grid)
+    t_large = _t_large(t_large, m)
+    t_max = max([t_large, *t_grid])
     chunk = _chunk_rows(t_max, spec)
-    sums = [0.0] * len(t_grid)
-    sums_sq = [0.0] * len(t_grid)
-    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-martingale",)):
-        csum = _event_matrix(spec, rng, rows, t_max)
+    sums, sums_sq = [0.0] * len(t_grid), [0.0] * len(t_grid)
+    total = total_sq = 0.0
+    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
+        t_eval = _window_times(rng, rows, t_large)
+        csum = _event_matrix(spec, rng, rows, t_large)
+        backward = t_eval - _last_event(csum, t_eval)
+        total += float(backward.sum())
+        total_sq += float((backward * backward).sum())
+        csum = _event_matrix(spec, rng, rows, t_max, csum)
         for k, t in enumerate(t_grid):
             counts = _count_at(csum, t)
             mart = counts + 1.0 - csum[np.arange(rows), counts] / m.mean
             sums[k] += float(mart.sum())
             sums_sq[k] += float((mart * mart).sum())
         del csum  # free it before the next chunk's draw
-    return [
-        MartingalePoint(t, *_summary(total, total_sq, n_paths), n_paths)
-        for t, total, total_sq in zip(t_grid, sums, sums_sq)
-    ]
+    points = [MartingalePoint(t, *_summary(total_t, sq_t, n_paths), n_paths)
+              for t, total_t, sq_t in zip(t_grid, sums, sums_sq)]
+    return points, _limit_check(total, total_sq, n_paths, m.second_moment / (2.0 * m.mean))
 
 
-def _window_times(rng: RngStream, rows: int, t_large: float) -> np.ndarray:
-    """Per-path evaluation times, uniform over [t/2, t]."""
-    return t_large * (0.5 + 0.5 * rng.uniforms(rows))
+def verify_backward_recurrence_limit(spec: Distribution, t_large: float | None = None,
+                                     n_paths: int = DEFAULT_PATHS, master_seed: int = 0) -> LimitCheck:
+    """The recurrence check of :func:`verify_renewal_limits` alone."""
+    return verify_renewal_limits(spec, (), t_large, n_paths, master_seed)[1]
 
 
-def verify_backward_recurrence_limit(
-    spec: Distribution,
-    t_large: float | None = None,
-    n_paths: int = DEFAULT_PATHS,
-    master_seed: int = 0,
-) -> LimitCheck:
-    """Estimate the long-run mean backward recurrence time vs E[Y^2]/(2E[Y]).
-
-    Each path is evaluated at a uniformly random time in [t_large/2, t_large],
-    which estimates the Cesaro limit and tolerates arithmetic distributions.
-    """
-    m = _require_finite_moments(spec)
-    _check_paths(n_paths)
-    t_large = _t_large(t_large, m)
-    chunk = _chunk_rows(t_large, spec)
-    total = total_sq = 0.0
-    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
-        t_eval = _window_times(rng, rows, t_large)
-        backward = t_eval - _last_event(_event_matrix(spec, rng, rows, t_large), t_eval)
-        total += float(backward.sum())
-        total_sq += float((backward * backward).sum())
-    return _limit_check(total, total_sq, n_paths, m.second_moment / (2.0 * m.mean))
+def verify_martingale_zero_mean(spec: Distribution, t_grid, n_paths: int = DEFAULT_PATHS,
+                                master_seed: int = 0) -> list[MartingalePoint]:
+    """The martingale points of :func:`verify_renewal_limits` at its default
+    t_large.  Not exported: ``bench/spans.py`` traces it by this name."""
+    if not t_grid:
+        raise InvalidParameter("t_grid must hold at least one time")
+    return verify_renewal_limits(spec, t_grid, None, n_paths, master_seed)[0]
 
 
 def verify_windowed_count_limit(

@@ -10,6 +10,7 @@ import pytest
 import versionage
 from versionage.cli import parse_config, parse_spec_arg, run
 from versionage.distributions import LITERAL_TYPES, Exponential, Uniform
+from versionage.renewal import verify_renewal_limits, verify_windowed_count_limit
 from versionage.errors import ConfigError
 
 CHAIN_CONFIG = {
@@ -347,6 +348,42 @@ def test_results_never_overwrite_the_config(tmp_path, capsys, monkeypatch, argv)
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("out", ["{dir}/out/nodir/../x", "{config}/x"], ids=["dotdot", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{config}"],
+        ["sweep", "custom", "--config", "{config}", "--vary-source", "rate", "--values", "1,2",
+         "--iterations", "20", "--horizon", "20"],
+        ["analytic", "{config}"],
+        ["verify", "exponential:rate=1", "--paths", "10000"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_unwritable_results_are_refused_before_drawing(tmp_path, capsys, monkeypatch, argv, out):
+    # 'out/nodir/..' does not resolve while nodir is missing, and nothing can
+    # be made under a file: both exit 1 before a single draw
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    for cls in LITERAL_TYPES.values():
+        monkeypatch.setattr(cls, "sample_batch", no_draws)
+    config = write_config(tmp_path, CHAIN_CONFIG, "cfg.json")
+    fill = {"config": config, "dir": tmp_path}
+    argv = [arg.format(**fill) for arg in argv] + ["--out", out.format(**fill)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "is not a directory and cannot be made one" in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_a_result_path_naming_a_directory_is_refused(tmp_path, capsys):
+    for out in (str(tmp_path), str(tmp_path / "sub") + os.sep):
+        assert run(["verify", "exponential:rate=1", "--paths", "10000", "--out", out]) == 1
+        assert "it names a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 #: runs analytic, simulate and verify with scipy unimportable; argv: src dir, config, out dir
 NO_SCIPY_SCRIPT = """
 import sys
@@ -393,6 +430,51 @@ def test_verify_single_spec_passes(tmp_path, capsys):
     assert "all checks passed" in printed
     payload = json.loads(open(out).read())
     assert all(rec["pass"] for rec in payload["checks"])
+
+
+def test_verify_records_equal_the_library_calls(tmp_path, capsys):
+    out = str(tmp_path / "verify.json")
+    argv = ["verify", "uniform:lo=0,hi=2", "--window", "exponential:rate=2", "exponential:rate=1",
+            "--t-grid", "5,10", "--t-large", "80", "--paths", "10000", "--seed", "7", "--out", out]
+    assert run(argv) == 0
+    mart_5, mart_10, recurrence, window = json.loads(open(out).read())["checks"]
+    points, check = verify_renewal_limits(Uniform(lo=0.0, hi=2.0), [5.0, 10.0], 80.0, 10_000, master_seed=7)
+    for rec, point in zip((mart_5, mart_10), points):
+        assert rec["check"] == "martingale"
+        assert (rec["t"], rec["mean"], rec["stderr"], rec["z"]) == (point.t, point.mean, point.stderr, point.z)
+    assert recurrence["check"] == "recurrence-limit"
+    assert (recurrence["estimate"], recurrence["target"], recurrence["stderr"], recurrence["z"]) == (
+        check.estimate, check.target, check.stderr, check.z)
+    lib = verify_windowed_count_limit(Exponential(rate=2.0), Exponential(rate=1.0), 80.0, 10_000, master_seed=7)
+    assert window["check"] == "windowed-count"
+    assert (window["estimate"], window["stderr"], window["z"]) == (lib.estimate, lib.stderr, lib.z)
+
+
+def test_verify_report_hash_covers_the_request(tmp_path, capsys):
+    def config_hash(*argv):
+        out = str(tmp_path / "verify.json")
+        assert run(["verify", *argv, "--paths", "10000", "--out", out]) == 0
+        return json.loads(open(out).read())["meta"]["config_sha256"]
+
+    exp = config_hash("exponential:rate=1")
+    # equal requests hash equally, however a law is written
+    assert config_hash("exponential:rate=1") == exp
+    assert config_hash('{"type": "exponential", "rate": 1.0}', "--t-grid", "10,100") == exp
+    others = {
+        config_hash("uniform:lo=0,hi=2", "--t-large", "200"),
+        config_hash("exponential:rate=1", "--t-large", "200"),
+        config_hash("exponential:rate=1", "--t-grid", "10"),
+        config_hash("exponential:rate=1", "--seed", "2"),
+        config_hash("--window", "exponential:rate=1", "uniform:lo=0,hi=2"),
+        config_hash("exponential:rate=1", "--window", "exponential:rate=1", "uniform:lo=0,hi=2"),
+    }
+    assert len(others) == 6 and exp not in others
+
+
+@pytest.mark.parametrize("grid", ["", ","])
+def test_verify_with_an_empty_grid_exits_one(capsys, grid):
+    assert run(["verify", "exponential:rate=1", "--t-grid", grid, "--paths", "10000"]) == 1
+    assert capsys.readouterr().err.startswith("error: no values in ")
 
 
 def test_verify_window_pair(capsys):

@@ -19,11 +19,11 @@ from versionage import (
     RngStream,
     Uniform,
     verify_backward_recurrence_limit,
-    verify_martingale_zero_mean,
+    verify_renewal_limits,
     verify_windowed_count_limit,
 )
 from versionage import renewal
-from versionage.renewal import RenewalStream, event_times_until, z_score
+from versionage.renewal import RenewalStream, event_times_until, verify_martingale_zero_mean, z_score
 
 N_PATHS = 10_000  # verifier minimum; plenty for 4-sigma gates
 
@@ -93,20 +93,20 @@ def test_elementary_renewal_rate():
 # -- verifiers -----------------------------------------------------------------
 
 def test_martingale_zero_mean_exponential():
-    points = verify_martingale_zero_mean(Exponential(rate=1.0), [10.0], N_PATHS, master_seed=1)
+    points, _ = verify_renewal_limits(Exponential(rate=1.0), [10.0], n_paths=N_PATHS, master_seed=1)
     assert abs(points[0].z) < 4.0
 
 
 def test_martingale_zero_mean_uniform_grid():
-    points = verify_martingale_zero_mean(
-        Uniform(lo=0.0, hi=2.0), [1.0, 5.0, 50.0], N_PATHS, master_seed=2
+    points, _ = verify_renewal_limits(
+        Uniform(lo=0.0, hi=2.0), [1.0, 5.0, 50.0], n_paths=N_PATHS, master_seed=2
     )
     assert [p.t for p in points] == [1.0, 5.0, 50.0]
     assert all(abs(p.z) < 4.0 for p in points)
 
 
 def test_martingale_deterministic_is_exactly_zero():
-    points = verify_martingale_zero_mean(Deterministic(c=1.0), [2.5], N_PATHS, master_seed=3)
+    points, _ = verify_renewal_limits(Deterministic(c=1.0), [2.5], n_paths=N_PATHS, master_seed=3)
     assert points[0].mean == 0.0
     assert points[0].stderr == 0.0
     assert points[0].z == 0.0
@@ -114,9 +114,9 @@ def test_martingale_deterministic_is_exactly_zero():
 
 def test_martingale_rejects_small_ensembles_and_heavy_tails():
     with pytest.raises(InvalidParameter):
-        verify_martingale_zero_mean(Exponential(rate=1.0), [10.0], 100)
+        verify_renewal_limits(Exponential(rate=1.0), [10.0], n_paths=100)
     with pytest.raises(InfiniteSecondMoment):
-        verify_martingale_zero_mean(ParetoI(shape=1.5, scale=1.0), [10.0], N_PATHS)
+        verify_renewal_limits(ParetoI(shape=1.5, scale=1.0), [10.0], n_paths=N_PATHS)
 
 
 def test_backward_recurrence_limit_uniform():
@@ -160,7 +160,7 @@ def test_limit_checks_default_to_60_mean_gaps_of_the_slowest_law():
 def test_verifiers_reject_bad_times(t):
     exp = Exponential(rate=1.0)
     with pytest.raises(InvalidParameter, match="must be a positive finite number"):
-        verify_martingale_zero_mean(exp, [10.0, t], N_PATHS)
+        verify_renewal_limits(exp, [10.0, t], n_paths=N_PATHS)
     with pytest.raises(InvalidParameter, match="must be a positive finite number"):
         verify_backward_recurrence_limit(exp, t, N_PATHS)
     with pytest.raises(InvalidParameter, match="must be a positive finite number"):
@@ -175,13 +175,17 @@ def test_verifiers_check_the_event_budget_before_drawing(monkeypatch):
     fast, slow = Exponential(rate=1e12), Uniform(lo=0.0, hi=2.0)
     budget = "a verifier path of exponential\\(rate=1e\\+12\\) would draw about"
     with pytest.raises(InvalidParameter, match=budget):
-        verify_martingale_zero_mean(fast, [10.0], N_PATHS)
+        verify_renewal_limits(fast, [10.0], n_paths=N_PATHS)
     with pytest.raises(InvalidParameter, match=budget):
         verify_backward_recurrence_limit(fast, 100.0, N_PATHS)
     with pytest.raises(InvalidParameter, match=budget):
         verify_windowed_count_limit(fast, slow, 100.0, N_PATHS)
     with pytest.raises(InvalidParameter, match=budget):
         verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
+    # t_large = 100 is cheap for a mean gap of 1, but the grid's last time
+    # sets how deep each path is drawn
+    with pytest.raises(InvalidParameter, match="a verifier path of exponential\\(rate=1\\) would draw about"):
+        verify_renewal_limits(Exponential(rate=1.0), [10.0, 1e7], 100.0, N_PATHS)
 
 
 def test_verifiers_check_paths_before_drawing(monkeypatch):
@@ -191,7 +195,7 @@ def test_verifiers_check_paths_before_drawing(monkeypatch):
     monkeypatch.setattr(Exponential, "sample_batch", no_draws)
     exp, few = Exponential(rate=1.0), N_PATHS - 1
     with pytest.raises(InvalidParameter, match="at least 10000 paths"):
-        verify_martingale_zero_mean(exp, [10.0], few)
+        verify_renewal_limits(exp, [10.0], n_paths=few)
     with pytest.raises(InvalidParameter, match="at least 10000 paths"):
         verify_backward_recurrence_limit(exp, 100.0, few)
     with pytest.raises(InvalidParameter, match="at least 10000 paths"):
@@ -199,8 +203,28 @@ def test_verifiers_check_paths_before_drawing(monkeypatch):
 
 
 def test_martingale_rejects_an_empty_grid():
+    # verify_renewal_limits takes an empty grid (the recurrence check alone);
+    # the martingale points alone need at least one time
     with pytest.raises(InvalidParameter, match="at least one time"):
         verify_martingale_zero_mean(Exponential(rate=1.0), [], N_PATHS)
+
+
+@pytest.mark.parametrize("spec", [Rayleigh(sigma=1.0), Deterministic(c=1.0)], ids=str)
+def test_recurrence_alone_equals_the_shared_loop(spec):
+    # the martingale points read the recurrence check's paths after it is
+    # done, so asking for them leaves the recurrence estimate bit for bit
+    alone = verify_backward_recurrence_limit(spec, 100.0, N_PATHS, master_seed=13)
+    assert verify_renewal_limits(spec, [], 100.0, N_PATHS, master_seed=13) == ([], alone)
+    points, check = verify_renewal_limits(spec, [10.0, 100.0], 100.0, N_PATHS, master_seed=13)
+    assert check == alone and [p.t for p in points] == [10.0, 100.0]
+
+
+def test_a_grid_past_t_large_extends_the_paths():
+    exp = Exponential(rate=1.0)
+    points, check = verify_renewal_limits(exp, [10.0, 300.0], 100.0, N_PATHS, master_seed=14)
+    assert [p.t for p in points] == [10.0, 300.0]
+    assert all(abs(p.z) < 4.0 for p in points) and abs(check.z) < 4.0
+    assert check == verify_backward_recurrence_limit(exp, 100.0, N_PATHS, master_seed=14)
 
 
 def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
@@ -210,16 +234,21 @@ def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
     asked = []
     draw = renewal._event_matrix
 
-    def recording(spec, rng, rows, t_max):
-        asked.append((rows, int(renewal._row_events(spec, t_max)) + 32))
-        return draw(spec, rng, rows, t_max)
+    def recording(spec, rng, rows, t_max, csum=None):
+        if csum is None:  # a first draw, not an extension of one
+            asked.append((rows, int(renewal._row_events(spec, t_max)) + 32))
+        return draw(spec, rng, rows, t_max, csum)
 
     monkeypatch.setattr(renewal, "_event_matrix", recording)
     slow, fast = Exponential(rate=1.0), Exponential(rate=2.0)
-    verify_martingale_zero_mean(slow, [100.0], N_PATHS)
+    verify_renewal_limits(slow, [100.0], 100.0, N_PATHS)
     verify_backward_recurrence_limit(slow, 100.0, N_PATHS)
     per_check = [(127, 157)] * (N_PATHS // 127) + [(N_PATHS % 127, 157)]
     assert asked == 2 * per_check
+    asked.clear()
+    # a grid past t_large sizes the chunks by its depth, 407 columns at t = 300
+    verify_renewal_limits(slow, [300.0], 100.0, N_PATHS)
+    assert {rows for rows, _ in asked[:-1]} == {20_000 // 407}
     asked.clear()
     verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
     # the window check draws both laws in each chunk, so the wider row sets its size
@@ -237,8 +266,8 @@ def test_z_score_is_signed_and_infinite_without_spread():
 
 def test_martingale_repeated_time_repeats_its_point():
     spec = Exponential(rate=1.0)
-    (once,) = verify_martingale_zero_mean(spec, [10.0], N_PATHS, master_seed=12)
-    assert verify_martingale_zero_mean(spec, [10.0, 10.0], N_PATHS, master_seed=12) == [once, once]
+    (once,), check = verify_renewal_limits(spec, [10.0], n_paths=N_PATHS, master_seed=12)
+    assert verify_renewal_limits(spec, [10.0, 10.0], n_paths=N_PATHS, master_seed=12) == ([once, once], check)
 
 
 def test_windowed_count_poisson_pair():
