@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, a link-order check, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -15,7 +15,29 @@ set -euo pipefail
 summary="${GITHUB_STEP_SUMMARY:-/dev/stdout}"
 
 tier1() {
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
+    export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+    python -m pytest -q --continue-on-collection-errors --durations=15
+    # an all-deterministic general graph in which c -> d ties with the
+    # lateral link e -> c at 1.5, 3, ...: declared in two orders, it must
+    # give the same results
+    work="$(mktemp -d)"
+    trap 'rm -rf "$work"' EXIT
+    python - "$work" <<'EOF'
+import json, sys
+links = [("s", "a", 0.5), ("s", "b", 0.25), ("a", "c", 1.0), ("b", "e", 0.5),
+         ("c", "d", 0.75), ("e", "c", 1.5), ("d", "c", 2.0)]
+for name, order in (("declared", links), ("lateral-first", [links[5], *links[:5], links[6]])):
+    config = {"nodes": ["s", "a", "b", "c", "d", "e"], "source": "s",
+              "source_dist": {"type": "deterministic", "c": 0.25},
+              "links": [{"from": f, "to": t, "dist": {"type": "deterministic", "c": c}} for f, t, c in order],
+              "horizon": 12, "iterations": 4, "targets": ["c", "d"], "estimator": "time_average"}
+    with open(f"{sys.argv[1]}/{name}.json", "w") as fh:
+        json.dump(config, fh)
+EOF
+    for name in declared lateral-first; do
+        python -m versionage.cli simulate "$work/$name.json" --out "$work/$name-run"
+    done
+    cmp "$work/declared-run.csv" "$work/lateral-first-run.csv"
     {
         echo '```'
         wc -l src/versionage/*.py

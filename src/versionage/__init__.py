@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     CycleThroughSource,
     DuplicateLink,
-    DuplicatePriority,
     InfiniteSecondMoment,
     InvalidParameter,
     NetworkError,
@@ -76,7 +75,6 @@ __all__ = [
     "Deterministic",
     "Distribution",
     "DuplicateLink",
-    "DuplicatePriority",
     "Exponential",
     "ExperimentSweep",
     "InfiniteSecondMoment",

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution
-from .errors import InfiniteSecondMoment, InvalidParameter, NotATree
+from .distributions import Distribution, positive_number
+from .errors import InfiniteSecondMoment, NotATree
 from .network import CacheNetwork, NetworkClass
 
 __all__ = [
@@ -52,7 +52,7 @@ def link_contribution(dist: Distribution) -> float:
     m = dist.moments()
     if math.isinf(m.second_moment):
         raise InfiniteSecondMoment(f"{dist} has an infinite second moment")
-    return m.second_moment / (2.0 * m.mean)
+    return m.mean_backward_recurrence
 
 
 def expected_version_age(network: CacheNetwork) -> AnalyticAge:
@@ -110,10 +110,6 @@ def expected_version_age_poisson(source_rate: float, link_rates) -> float:
     precision; kept as an independent formula so the two routes cross-check
     each other.
     """
-    if not (isinstance(source_rate, (int, float)) and source_rate > 0):
-        raise InvalidParameter(f"source rate must be positive, got {source_rate!r}")
-    rates = list(link_rates)
-    for r in rates:
-        if not (isinstance(r, (int, float)) and r > 0):
-            raise InvalidParameter(f"link rates must be positive, got {r!r}")
+    source_rate = positive_number("source rate", source_rate)
+    rates = [positive_number("link rate", r) for r in link_rates]
     return source_rate * math.fsum(1.0 / r for r in rates)

@@ -3,7 +3,9 @@
 Each distribution is an immutable value object with closed-form first and
 second moments.  A divergent moment is represented as ``math.inf`` rather than
 an error: the simulator can still drive a renewal process with infinite
-variance, while the analytic engine refuses such inputs.
+variance, while the analytic engine refuses such inputs.  Parameters are
+stored as validated, as floats (chi-square's k as an int), so equal laws
+write equal literals whatever number type built them.
 
 Sampling is batch-first.  Families with a closed-form quantile (exponential,
 uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
@@ -53,6 +55,12 @@ class Moments:
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.mean) and math.isfinite(self.second_moment)
+
+    @property
+    def mean_backward_recurrence(self) -> float:
+        """E[Y^2] / (2 E[Y]): the long-run mean backward recurrence time of a
+        renewal process with these gaps, one link's share of the age."""
+        return self.second_moment / (2.0 * self.mean)
 
 
 class Distribution(ABC):
@@ -126,7 +134,7 @@ class Exponential(Distribution):
     type_name = "exponential"
 
     def __post_init__(self):
-        positive_number("rate", self.rate)
+        object.__setattr__(self, "rate", positive_number("rate", self.rate))
 
     def moments(self) -> Moments:
         return Moments(1.0 / self.rate, 2.0 / (self.rate * self.rate))
@@ -145,8 +153,8 @@ class Uniform(Distribution):
     type_name = "uniform"
 
     def __post_init__(self):
-        nonnegative_number("lo", self.lo)
-        positive_number("hi", self.hi)
+        object.__setattr__(self, "lo", nonnegative_number("lo", self.lo))
+        object.__setattr__(self, "hi", positive_number("hi", self.hi))
         if not self.hi > self.lo:
             raise InvalidParameter(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
 
@@ -166,7 +174,7 @@ class Rayleigh(Distribution):
     type_name = "rayleigh"
 
     def __post_init__(self):
-        positive_number("sigma", self.sigma)
+        object.__setattr__(self, "sigma", positive_number("sigma", self.sigma))
 
     def moments(self) -> Moments:
         s = self.sigma
@@ -206,8 +214,8 @@ class Beta(Distribution):
     type_name = "beta"
 
     def __post_init__(self):
-        positive_number("alpha", self.alpha)
-        positive_number("beta", self.beta)
+        object.__setattr__(self, "alpha", positive_number("alpha", self.alpha))
+        object.__setattr__(self, "beta", positive_number("beta", self.beta))
 
     def moments(self) -> Moments:
         a, b = self.alpha, self.beta
@@ -232,8 +240,8 @@ class ParetoI(Distribution):
     type_name = "pareto1"
 
     def __post_init__(self):
-        positive_number("shape", self.shape)
-        positive_number("scale", self.scale)
+        object.__setattr__(self, "shape", positive_number("shape", self.shape))
+        object.__setattr__(self, "scale", positive_number("scale", self.scale))
 
     def moments(self) -> Moments:
         a, m = self.shape, self.scale
@@ -256,7 +264,7 @@ class Deterministic(Distribution):
     arithmetic = True
 
     def __post_init__(self):
-        positive_number("c", self.c)
+        object.__setattr__(self, "c", positive_number("c", self.c))
 
     def moments(self) -> Moments:
         return Moments(self.c, self.c * self.c)

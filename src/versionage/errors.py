@@ -30,10 +30,6 @@ class DuplicateLink(NetworkError):
     """Two links share the same (from, to) pair."""
 
 
-class DuplicatePriority(NetworkError):
-    """Two links into the same node carry the same priority."""
-
-
 class SourceHasIncoming(NetworkError):
     """A link terminates at the source node."""
 

@@ -3,7 +3,9 @@
 A network is a directed graph of caches fed from one source node.  The
 classification gates which engines apply: PATH and TREE networks admit the
 closed-form expected version age, while GENERAL graphs (a node with several
-incoming links, or cycles among caches) are simulation-only.
+incoming links, or cycles among caches) are simulation-only.  Links carry
+no order: simultaneous deliveries read their senders' settled versions (see
+:mod:`versionage.simulator`), so declaration order changes no result.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .distributions import Distribution, from_literal, whole_number
+from .distributions import Distribution, from_literal
 from .errors import (
     ConfigError,
     CycleThroughSource,
     DuplicateLink,
-    DuplicatePriority,
+    InvalidParameter,
     NotATree,
     SelfLoop,
     SourceHasIncoming,
@@ -37,12 +39,12 @@ class NetworkClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Link:
-    """A directed update link; ``priority`` breaks simultaneous arrivals."""
+    """A directed update link: at each renewal of ``dist`` the sender's
+    version is copied to the receiver if it is fresher."""
 
     src: str
     dst: str
     dist: Distribution
-    priority: int
 
 
 class CacheNetwork:
@@ -50,8 +52,8 @@ class CacheNetwork:
 
     Structural validation happens here, so every constructed network is
     well formed: all link endpoints declared, no self-loops or duplicate
-    links, unique priorities per incoming set, nothing feeding back into the
-    source, and every node reachable from the source.
+    links, nothing feeding back into the source, and every node reachable
+    from the source.
     """
 
     def __init__(self, nodes, source: str, source_dist: Distribution, links):
@@ -78,16 +80,13 @@ class CacheNetwork:
     def _resolve_links(self, links) -> tuple[Link, ...]:
         node_set = set(self.nodes)
         seen_pairs: set[tuple[str, str]] = set()
-        per_dst_priorities: dict[str, set[int]] = {}
-        per_dst_count: dict[str, int] = {}
         resolved: list[Link] = []
         for entry in links:
             if isinstance(entry, Link):
-                src, dst, dist, priority = entry.src, entry.dst, entry.dist, entry.priority
-            else:
-                src, dst, dist = entry[0], entry[1], entry[2]
-                priority = entry[3] if len(entry) > 3 else None
-            src, dst = str(src), str(dst)
+                entry = (entry.src, entry.dst, entry.dist)
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 3 and isinstance(entry[2], Distribution)):
+                raise InvalidParameter(f"a link must be a Link or a (from, to, dist) triple, got {entry!r}")
+            src, dst, dist = str(entry[0]), str(entry[1]), entry[2]
             if src not in node_set:
                 raise UnknownNode(f"link {src!r}->{dst!r}: {src!r} is not a declared node")
             if dst not in node_set:
@@ -97,18 +96,7 @@ class CacheNetwork:
             if (src, dst) in seen_pairs:
                 raise DuplicateLink(f"link {src!r}->{dst!r} declared twice")
             seen_pairs.add((src, dst))
-            if priority is None:
-                # default: declaration order within the destination's incoming set
-                priority = per_dst_count.get(dst, 0)
-            priority = whole_number(f"link {src!r}->{dst!r}: priority", priority)
-            used = per_dst_priorities.setdefault(dst, set())
-            if priority in used:
-                raise DuplicatePriority(
-                    f"node {dst!r} has two incoming links with priority {priority}"
-                )
-            used.add(priority)
-            per_dst_count[dst] = per_dst_count.get(dst, 0) + 1
-            resolved.append(Link(src=src, dst=dst, dist=dist, priority=priority))
+            resolved.append(Link(src=src, dst=dst, dist=dist))
         return tuple(resolved)
 
     def _check_reachability(self) -> dict[str, int]:
@@ -185,12 +173,7 @@ class CacheNetwork:
             "source": self.source,
             "source_dist": self.source_dist.to_literal(),
             "links": [
-                {
-                    "from": link.src,
-                    "to": link.dst,
-                    "dist": link.dist.to_literal(),
-                    "priority": link.priority,
-                }
+                {"from": link.src, "to": link.dst, "dist": link.dist.to_literal()}
                 for link in self.links
             ],
         }
@@ -200,8 +183,8 @@ class CacheNetwork:
         """Parse a topology dict, the form :meth:`to_dict` writes.
 
         ``nodes``, ``source`` and ``source_dist`` are required and ``links``
-        defaults to none.  A link entry takes ``from``, ``to``, ``dist`` and an
-        optional ``priority``, nothing else.  Malformed input raises
+        defaults to none.  A link entry takes ``from``, ``to`` and ``dist``,
+        nothing else.  Malformed input raises
         :class:`ConfigError` naming the field, e.g. ``links[2]: dist: ...``.
         """
         _check_fields(obj, ("nodes", "source", "source_dist"), ("links",), "")
@@ -216,9 +199,9 @@ class CacheNetwork:
             ctx = f"links[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{ctx}: must be an object")
-            _check_fields(entry, ("from", "to", "dist"), ("priority",), f"{ctx}: ")
+            _check_fields(entry, ("from", "to", "dist"), (), f"{ctx}: ")
             dist = _parse_dist(entry["dist"], f"{ctx}: dist")
-            links.append((entry["from"], entry["to"], dist, entry.get("priority")))
+            links.append((entry["from"], entry["to"], dist))
         return cls(nodes=nodes, source=obj["source"], source_dist=source_dist, links=links)
 
     def __repr__(self) -> str:

@@ -275,7 +275,7 @@ def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = No
         del csum  # free it before the next chunk's draw
     points = [MartingalePoint(t, *_summary(total_t, sq_t, n_paths), n_paths)
               for t, total_t, sq_t in zip(t_grid, sums, sums_sq)]
-    return points, _limit_check(total, total_sq, n_paths, m.second_moment / (2.0 * m.mean))
+    return points, _limit_check(total, total_sq, n_paths, m.mean_backward_recurrence)
 
 
 def verify_backward_recurrence_limit(spec: Distribution, t_large: float | None = None,
@@ -312,7 +312,7 @@ def verify_windowed_count_limit(
     _check_paths(n_paths)
     t_large = _t_large(t_large, m_src, m_probe)
     chunk = _chunk_rows(t_large, probe_spec, source_spec)
-    target = (m_probe.second_moment / (2.0 * m_probe.mean)) / m_src.mean
+    target = m_probe.mean_backward_recurrence / m_src.mean
     total = total_sq = 0.0
     scopes = [("verify-window", part) for part in ("times", "probe", "source")]
     for rows, rng_t, rng_probe, rng_src in _chunks(n_paths, chunk, master_seed, *scopes):

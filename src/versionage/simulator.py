@@ -6,24 +6,26 @@ to the receiver if it is fresher (the receiver discards the staler one).
 Packets carry the sender's state at the delivery instant, with zero
 transmission delay.
 
-Events at equal timestamps are processed in a fixed total order, their
-rank: the source event first (rank 0), then link events by (depth of sending
-node, link priority, declaration index), as :func:`_ranked_links` lists them.
-Ties occur with probability zero for continuous inter-update times; the
-ordering matters only when deterministic links are in play.
+Events at equal times follow one rule: every delivery at time t carries its
+sender's version after every event at t, as the renewal counts are
+right-continuous (N(t) counts the renewals up to and including t).  So the
+events of one instant settle to the least fixed point of keep-the-freshest,
+whatever order the links are declared in.  Ties occur with probability zero
+for the non-arithmetic inter-update times the closed form assumes; they
+matter only with deterministic links or gaps that can be zero.
 
 :func:`monte_carlo` runs one vectorized engine on every network class.  It
 draws each stream's event times up to the horizon and reads only what the
 requested estimator needs: a target's versions at its knots (every delivery
 it receives) in effect at the horizon for ``terminal``, or over [horizon/2,
-horizon] for ``time_average``.  A delivery carries the sender's version after
-the last sender event that the order above puts before it.  On PATH/TREE
+horizon] for ``time_average``.  A delivery reads the sender's last knot at
+or before it, whose version is the sender's settled one.  On PATH/TREE
 networks the engine traces those versions back from the targets, as the
 closed form does: each knot asks one binary search of its sender's events,
 hop by hop up to the source, whose version at its q-th event is q.  On
 GENERAL graphs (several feeds, cycles among caches) it builds every needed
-cache's step function instead, merging a cache's feeds by (time, rank) under
-a running maximum.  Which sender knot each delivery reads depends on event
+cache's step function instead, merging a cache's feeds by time under a
+running maximum.  Which sender knot each delivery reads depends on event
 times alone, so it is found once per replication; a worklist then
 re-evaluates, shallowest first, only the caches whose senders changed, until
 none did.  The operator is monotone and starts from version 0, so this is
@@ -78,13 +80,6 @@ SOURCE_STREAM = ("source",)
 
 def _link_stream(link) -> tuple:
     return ("link", link.src, link.dst)
-
-
-def _ranked_links(network: CacheNetwork) -> list:
-    """The links in rank order: the r-th one's events rank r + 1, after the
-    source's.  Sorting is stable, so declaration order breaks the ties left
-    by (sender depth, priority)."""
-    return sorted(network.links, key=lambda link: (network.depth[link.src], link.priority))
 
 
 @dataclass
@@ -183,14 +178,17 @@ def simulate_once(
 
     Per-stream generators are keyed by (master_seed, iteration, stream id), so
     a replication is reproducible in isolation.  All caches start at version 0.
+    Each instant's events are popped together: the source's renewals count,
+    then the deliveries repeat until no version moves.
     """
     positive_number("horizon", horizon)
-    # stream i has rank i: the source, then the links in rank order
-    links = _ranked_links(network)
+    links = network.links
     laws = [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links]
     _check_streams(horizon, laws)
     streams = [RenewalStream(dist, RngStream(master_seed, iteration, *sid), horizon) for sid, dist in laws]
-    receivers = [None] + [link.dst for link in links]
+    source = network.source
+    # stream i moves node receivers[i]: stream 0 the source, the others links
+    receivers = [source] + [link.dst for link in links]
     senders = [None] + [link.src for link in links]
 
     versions: dict[str, int] = {n: 0 for n in network.nodes}
@@ -202,22 +200,36 @@ def simulate_once(
 
     heap = [(s.peek(), i) for i, s in enumerate(streams)]
     heapq.heapify(heap)
-    source = network.source
     while heap[0][0] <= horizon:
-        t, i = heap[0]
-        stream = streams[i]
-        stream.pop()
-        heapq.heapreplace(heap, (stream.peek(), i))
-        if i == 0:
-            node, new_version = source, versions[source] + 1
-        else:
-            node = receivers[i]
-            new_version = max(versions[node], versions[senders[i]])
-        if new_version != versions[node]:
-            versions[node] = new_version
-            steps[node].append((t, new_version))
-        knot_times[node].append(t)
-        knot_values[node].append(new_version)
+        # every event at instant t; the source's pop first, as its index is 0
+        t = heap[0][0]
+        fired = []
+        while heap[0][0] == t:
+            i = heap[0][1]
+            streams[i].pop()
+            heapq.heapreplace(heap, (streams[i].peek(), i))
+            fired.append(i)
+        changed = set()
+        renewals = fired.count(0)
+        if renewals:
+            versions[source] += renewals
+            changed.add(source)
+        # the deliveries repeat until no version moves; one pass settles a
+        # lone delivery, as no link feeds its own sender
+        deliveries = fired[renewals:]
+        moved = True
+        while moved:
+            moved = False
+            for i in deliveries:
+                if versions[senders[i]] > versions[receivers[i]]:
+                    versions[receivers[i]] = versions[senders[i]]
+                    changed.add(receivers[i])
+                    moved = len(deliveries) > 1
+        for node in changed:
+            steps[node].append((t, versions[node]))
+        for i in fired:
+            knot_times[receivers[i]].append(t)
+            knot_values[receivers[i]].append(versions[receivers[i]])
 
     w0 = versions[source]
     lo = horizon / 2.0
@@ -239,27 +251,6 @@ def simulate_once(
 
 
 # -- vectorized engine ----------------------------------------------------------
-
-
-def _reads(steps, deliveries, step_ranks, rank):
-    """Each delivery's knot in the sender, for a feed of the given rank.
-
-    ``steps`` holds the sender's step times (knot q at steps[q - 1]).  With
-    ``step_ranks`` None every stream that moves the sender ranks before the
-    feed, so simultaneous sender steps count (inclusive search); otherwise
-    ``step_ranks`` holds the rank of each sender step and decides ties.
-    """
-    if step_ranks is None:
-        return np.searchsorted(steps, deliveries, side="right")
-    count = np.searchsorted(steps, deliveries, side="left")
-    width = np.searchsorted(steps, deliveries, side="right") - count
-    tied = np.flatnonzero(width)
-    if tied.size:
-        lo, width = count[tied], width[tied]
-        for j in range(int(width.max())):
-            at = np.minimum(lo + j, steps.size - 1)
-            count[tied] += (j < width) & (step_ranks[at] < rank)
-    return count
 
 
 def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
@@ -292,7 +283,6 @@ class _Replicator:
         self._edges = np.array([horizon / 2.0, horizon])
         self.source_dist = network.source_dist
         self.tree = network.is_tree
-        rank = {(l.src, l.dst): r for r, l in enumerate(_ranked_links(network), 1)}
 
         needed: set[str] = set()
         stack = [t for t in targets if t != network.source]
@@ -306,27 +296,10 @@ class _Replicator:
         caches = [n for n in network.topo_order() if n in needed]
         index = {network.source: 0, **{n: k + 1 for k, n in enumerate(caches)}}
 
-        # A feed reads its sender inclusively at equal times when every
-        # stream that moves the sender ranks before it, as on PATH/TREE
-        # networks.  A sender always has a feed from one level up, which
-        # ranks first, so the other case is a mix: those senders keep the
-        # rank of each step.
-        #: per cache, its feeds in rank order: (stream id, dist, sender, rank, mixed)
-        self.feeds: list[list[tuple]] = []
-        ranked: set[int] = set()
-        for node in caches:
-            feeds = []
-            for link in sorted(network.incoming(node), key=lambda l: rank[l.src, l.dst]):
-                r = rank[link.src, link.dst]
-                mixed = any(rank[l.src, l.dst] > r for l in network.incoming(link.src))
-                if mixed:
-                    ranked.add(index[link.src])
-                feeds.append((_link_stream(link), link.dist, index[link.src], r, mixed))
-            self.feeds.append(feeds)
-        #: per cache whose step ranks some feed reads: the ranks of its feeds
-        self.feed_ranks = [
-            np.array([f[3] for f in feeds]) if k in ranked else None
-            for k, feeds in enumerate(self.feeds, 1)
+        #: per cache, its feeds in declaration order: (stream id, dist, sender)
+        self.feeds = [
+            [(_link_stream(link), link.dist, index[link.src]) for link in network.incoming(node)]
+            for node in caches
         ]
         #: per node, the sender of its first feed, its only one on PATH/TREE
         #: networks (the source's entry is a placeholder)
@@ -334,12 +307,12 @@ class _Replicator:
         #: per node, the caches it feeds
         self.consumers: list[list[int]] = [[] for _ in range(len(caches) + 1)]
         for k, feeds in enumerate(self.feeds, 1):
-            for _, _, s, _, _ in feeds:
+            for _, _, s in feeds:
                 self.consumers[s].append(k)
         self.targets = [(t, index[t]) for t in targets]
         #: every stream a replication draws, as (stream id, law)
         self.streams = [(SOURCE_STREAM, self.source_dist)] + [
-            (sid, dist) for feeds in self.feeds for sid, dist, _, _, _ in feeds
+            (sid, dist) for feeds in self.feeds for sid, dist, _ in feeds
         ]
         self._rng = RngStream(0)
 
@@ -352,7 +325,7 @@ class _Replicator:
         drawn = []
         for feeds in self.feeds:
             events = []
-            for sid, dist, _, _, _ in feeds:
+            for sid, dist, _ in feeds:
                 rng.reseed(master_seed, iteration, *sid)
                 events.append(event_times_until(dist, rng, horizon))
             drawn.append(events)
@@ -422,45 +395,39 @@ class _Replicator:
         """GENERAL: each target's (knot times, i, j, versions at knots i..j),
         from every needed cache's step function settled to a fixed point.
 
-        Which sender knot each delivery reads depends only on event times,
-        so it is found once.  Every node's knot values then lie end to end
-        in one array, and a cache's values are one gather from it (under a
-        running maximum when it has several feeds).  A worklist re-evaluates
-        only caches whose senders changed, shallowest first, until none did.
+        Each delivery reads its sender's last knot at or before it, which
+        depends only on event times, so it is found once.  Every node's
+        knot values then lie end to end in one array, and a cache's values
+        are one gather from it (under a running maximum when it has several
+        feeds).  A worklist re-evaluates only caches whose senders changed,
+        shallowest first, until none did.
         """
         horizon = self.horizon
         w0 = int(np.searchsorted(src_events, horizon, side="right"))
-        # per node (source first): step times and step ranks; per cache its
-        # deliveries per feed and the permutation merging them
+        # per node (source first): step times; per cache its deliveries per
+        # feed and the permutation merging them
         steps = [src_events[:w0]]
-        ranks: list[np.ndarray | None] = [None]
         deliveries: list[list[np.ndarray]] = []
         merges: list[np.ndarray | None] = []
-        for events, feed_ranks in zip(drawn, self.feed_ranks):
+        for events in drawn:
             cut = [d[: int(np.searchsorted(d, horizon, side="right"))] for d in events]
             deliveries.append(cut)
             if len(cut) == 1:
                 steps.append(cut[0])
                 merges.append(None)
-                ranks.append(None)
                 continue
             merged = np.concatenate(cut)
             perm = np.argsort(merged, kind="stable")
             steps.append(merged[perm])
             merges.append(perm)
-            ranks.append(
-                None
-                if feed_ranks is None
-                else np.repeat(feed_ranks, [d.size for d in cut])[perm]
-            )
 
         # node k's knots 0..n_k sit at flat[offsets[k] : offsets[k] + n_k + 1]
         offsets = [0, *accumulate(t.size + 1 for t in steps)]
         gathers = []
         for feeds, cut, perm in zip(self.feeds, deliveries, merges):
             reads = [
-                _reads(steps[s], d, ranks[s] if mixed else None, r) + offsets[s]
-                for (_, _, s, r, mixed), d in zip(feeds, cut)
+                np.searchsorted(steps[s], d, side="right") + offsets[s]
+                for (_, _, s), d in zip(feeds, cut)
             ]
             gathers.append(reads[0] if perm is None else np.concatenate(reads)[perm])
         # from version 0 everywhere

@@ -193,24 +193,35 @@ def test_criterion_6_exact_deterministic_traces():
         if got != want:
             violations.append(f"{label}: {got!r} != {want!r}")
 
+    def replicate(label, net, horizon):
+        # the event loop's replication; monte_carlo, run for that one
+        # iteration, must read the same at every node under both estimators
+        r = simulate_once(net, horizon, master_seed=1)
+        for estimator in ("terminal", "time_average"):
+            out = monte_carlo(net, targets=list(net.nodes), horizon=horizon, iterations=1,
+                              master_seed=1, estimator=estimator)
+            expect(f"{label} monte_carlo {estimator}",
+                   {n: oc.samples[0].item() for n, oc in out.items()}, getattr(r, estimator))
+        return r
+
     # 1-hop, gaps 1 and 1.3, sampled at 3.5
     net = CacheNetwork(nodes=["s", "u"], source="s", source_dist=D(c=1.0),
                        links=[("s", "u", D(c=1.3))])
-    r = simulate_once(net, 3.5, master_seed=1)
+    r = replicate("one-hop", net, 3.5)
     expect("one-hop steps", r.steps["u"], [(1.3, 1), (2.6, 2)])
     expect("one-hop age", r.terminal["u"], 1)
 
     # synchronized source and link: age pinned at zero
     net = CacheNetwork(nodes=["s", "u"], source="s", source_dist=D(c=1.0),
                        links=[("s", "u", D(c=1.0))])
-    r = simulate_once(net, 3.0, master_seed=1)
+    r = replicate("tied", net, 3.0)
     expect("tied steps", r.steps["u"], [(1.0, 1), (2.0, 2), (3.0, 3)])
     expect("tied age", r.terminal["u"], 0)
 
     # 2-hop dyadic chain
     net = CacheNetwork(nodes=["s", "a", "b"], source="s", source_dist=D(c=0.5),
                        links=[("s", "a", D(c=0.75)), ("a", "b", D(c=1.25))])
-    r = simulate_once(net, 4.0, master_seed=1)
+    r = replicate("two-hop", net, 4.0)
     expect("two-hop a", r.steps["a"], [(0.75, 1), (1.5, 3), (2.25, 4), (3.0, 6), (3.75, 7)])
     expect("two-hop b", r.steps["b"], [(1.25, 1), (2.5, 4), (3.75, 7)])
     expect("two-hop age", r.terminal["b"], 1)
@@ -221,7 +232,7 @@ def test_criterion_6_exact_deterministic_traces():
         links=[("s", "a", D(c=1.0)), ("s", "b", D(c=1.5)),
                ("a", "c", D(c=2.0)), ("b", "c", D(c=2.25))],
     )
-    r = simulate_once(net, 9.75, master_seed=1)
+    r = replicate("diamond", net, 9.75)
     expect("diamond c", r.steps["c"],
            [(2.0, 4), (4.0, 8), (4.5, 9), (6.0, 12), (8.0, 16), (9.0, 18)])
     expect("diamond age", r.terminal["c"], 1)
@@ -232,7 +243,7 @@ def test_criterion_6_exact_deterministic_traces():
         links=[("s", "a", D(c=0.5)), ("a", "b", D(c=1.0)),
                ("a", "c", D(c=1.5)), ("s", "d", D(c=2.0))],
     )
-    r = simulate_once(net, 4.8, master_seed=1)
+    r = replicate("multicast", net, 4.8)
     expect("multicast b", r.steps["b"], [(1.0, 4), (2.0, 8), (3.0, 12), (4.0, 16)])
     expect("multicast c", r.steps["c"], [(1.5, 6), (3.0, 12), (4.5, 18)])
     expect("multicast d", r.steps["d"], [(2.0, 8), (4.0, 16)])

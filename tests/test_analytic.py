@@ -187,6 +187,16 @@ def test_poisson_rejects_bad_rates():
         expected_version_age_poisson(1.0, [1.0, -2.0])
 
 
+@pytest.mark.parametrize(
+    "source_rate, link_rates",
+    [(True, [1.0]), (math.inf, [1.0]), (math.nan, [1.0]), (2.0, [math.inf]), (1.0, [True])],
+    ids=["source-bool", "source-infinite", "source-nan", "link-infinite", "link-bool"],
+)
+def test_poisson_rejects_non_finite_and_bool_rates(source_rate, link_rates):
+    with pytest.raises(InvalidParameter, match="positive finite number"):
+        expected_version_age_poisson(source_rate, link_rates)
+
+
 def test_poisson_reduction_consistency():
     rng = RngStream(123, "rates")
     for _ in range(100):

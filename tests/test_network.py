@@ -7,8 +7,9 @@ from versionage import (
     CycleThroughSource,
     Deterministic,
     DuplicateLink,
-    DuplicatePriority,
     Exponential,
+    InvalidParameter,
+    Link,
     NetworkClass,
     NotATree,
     SelfLoop,
@@ -84,21 +85,20 @@ def test_undeclared_source_rejected():
         CacheNetwork(nodes=["s", "a"], source="missing", source_dist=E, links=[("s", "a", E)])
 
 
-def test_duplicate_priority_rejected():
-    with pytest.raises(DuplicatePriority):
-        net(
-            ["s", "a", "b", "c"],
-            [("s", "a", E), ("s", "b", E), ("a", "c", E, 1), ("b", "c", E, 1)],
-        )
+@pytest.mark.parametrize(
+    "entry",
+    [("s", "a", E, 1), ("s", "a"), "sab", None, ("s", "a", "exponential")],
+    ids=["four-fields", "two-fields", "string", "none", "dist-not-a-distribution"],
+)
+def test_malformed_link_entry_rejected(entry):
+    with pytest.raises(InvalidParameter, match="link"):
+        net(["s", "a"], [entry])
 
 
-def test_default_priorities_follow_declaration_order():
-    n = net(
-        ["s", "a", "b", "c"],
-        [("s", "a", E), ("s", "b", E), ("a", "c", E), ("b", "c", E)],
-    )
-    incoming = {l.src: l.priority for l in n.incoming("c")}
-    assert incoming == {"a": 0, "b": 1}
+def test_link_objects_are_accepted():
+    n = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E)])
+    again = net(["s", "a", "b"], n.links)
+    assert again.links == n.links == (Link("s", "a", E), Link("a", "b", E))
 
 
 def test_path_to_source():
@@ -148,9 +148,12 @@ def test_dump_round_trip():
         nodes=["s", "a", "b"],
         source="s",
         source_dist=Deterministic(c=0.5),
-        links=[("s", "a", Exponential(rate=2.0), 5), ("a", "b", Deterministic(c=1.25))],
+        links=[("s", "a", Exponential(rate=2)), ("a", "b", Deterministic(c=1.25))],
     )
     dumped = n.to_dict()
+    # links carry no tie order, and integer parameters dump as floats
+    assert dumped["links"][0] == {"from": "s", "to": "a", "dist": {"type": "exponential", "rate": 2.0}}
+    assert type(dumped["links"][0]["dist"]["rate"]) is float
     again = CacheNetwork.from_dict(dumped)
     assert again.to_dict() == dumped
     assert again.nodes == n.nodes

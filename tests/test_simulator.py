@@ -51,12 +51,24 @@ def realized_events(network, master_seed, iteration, horizon):
     return out
 
 
+def both_engines(network, horizon):
+    """simulate_once's replication (seed 1, iteration 0), after checking that
+    monte_carlo, run for that one iteration on every node, reads the same
+    under each estimator."""
+    r = simulate_once(network, horizon, master_seed=1)
+    for estimator in ESTIMATORS:
+        out = monte_carlo(network, targets=list(network.nodes), horizon=horizon, iterations=1,
+                          master_seed=1, estimator=estimator)
+        assert {n: oc.samples[0].item() for n, oc in out.items()} == getattr(r, estimator), estimator
+    return r
+
+
 # -- hand-traced deterministic instances ------------------------------------------
 
 def test_trace_one_hop():
     # source every 1, deliveries every 1.3, sampled at 3.5
     network = chain(D(1.0), [D(1.3)], names=["s", "u"])
-    r = simulate_once(network, 3.5, master_seed=1)
+    r = both_engines(network, 3.5)
     assert r.steps["s"] == [(1.0, 1), (2.0, 2), (3.0, 3)]
     assert r.steps["u"] == [(1.3, 1), (2.6, 2)]
     assert r.terminal["u"] == 1
@@ -64,10 +76,10 @@ def test_trace_one_hop():
 
 
 def test_trace_synchronized_ties():
-    # deliveries coincide with source updates; the source event applies first,
-    # so the cache always carries the fresh version and its age stays 0
+    # deliveries coincide with source updates and carry the source's version
+    # after that instant's update, so the cache's age stays 0
     network = chain(D(1.0), [D(1.0)], names=["s", "u"])
-    r = simulate_once(network, 3.0, master_seed=1)
+    r = both_engines(network, 3.0)
     assert r.steps["u"] == [(1.0, 1), (2.0, 2), (3.0, 3)]
     assert r.terminal["u"] == 0
     assert r.time_average["u"] == 0.0
@@ -75,7 +87,7 @@ def test_trace_synchronized_ties():
 
 def test_trace_two_hop_dyadic():
     network = chain(D(0.5), [D(0.75), D(1.25)], names=["s", "a", "b"])
-    r = simulate_once(network, 4.0, master_seed=1)
+    r = both_engines(network, 4.0)
     assert r.steps["a"] == [(0.75, 1), (1.5, 3), (2.25, 4), (3.0, 6), (3.75, 7)]
     assert r.steps["b"] == [(1.25, 1), (2.5, 4), (3.75, 7)]
     assert r.terminal == {"s": 0, "a": 1, "b": 1}
@@ -96,7 +108,7 @@ def test_trace_diamond():
             ("b", "c", D(2.25)),
         ],
     )
-    r = simulate_once(network, 9.75, master_seed=1)
+    r = both_engines(network, 9.75)
     assert r.steps["a"][:4] == [(1.0, 2), (2.0, 4), (3.0, 6), (4.0, 8)]
     assert r.steps["b"][:3] == [(1.5, 3), (3.0, 6), (4.5, 9)]
     # deliveries into c at 2, 2.25, 4, 4.5, 6, 6.75, 8, 9; stale ones change nothing
@@ -116,7 +128,7 @@ def test_trace_multicast_tree():
             ("s", "d", D(2.0)),
         ],
     )
-    r = simulate_once(network, 4.8, master_seed=1)
+    r = both_engines(network, 4.8)
     assert r.steps["a"][:4] == [(0.5, 2), (1.0, 4), (1.5, 6), (2.0, 8)]
     assert r.steps["b"] == [(1.0, 4), (2.0, 8), (3.0, 12), (4.0, 16)]
     assert r.steps["c"] == [(1.5, 6), (3.0, 12), (4.5, 18)]
@@ -126,7 +138,7 @@ def test_trace_multicast_tree():
 
 def test_no_events_before_horizon_means_zero_age():
     network = chain(D(5.0), [D(7.0), D(9.0)])
-    r = simulate_once(network, 1.0, master_seed=1)
+    r = both_engines(network, 1.0)
     assert all(v == 0 for v in r.terminal.values())
     assert all(v == 0.0 for v in r.time_average.values())
 
@@ -154,7 +166,7 @@ def test_recursion_oracle_on_dyadic_chain():
     horizon = 4.0
     events = realized_events(network, 1, 0, horizon + 10.0)
     want = recursion_age(events, [("a", "b"), ("s", "a")], horizon)
-    got = simulate_once(network, horizon, master_seed=1).terminal["b"]
+    got = both_engines(network, horizon).terminal["b"]
     assert got == want == 1
 
 
@@ -200,8 +212,8 @@ def test_diamond_matches_direct_recurrence_evaluation():
         return float(events[key][n - 1]) if n else 0.0
 
     def age_c(t):
-        # the most recent feed into c wins; priorities break exact ties
-        # (a->c has priority 0, b->c priority 1)
+        # the most recent feed into c wins; its feeds deliver at 2, 4, ...
+        # and 2.25, 4.5, ..., which never coincide before the horizon
         la, lb = last_delivery(("a", "c"), t), last_delivery(("b", "c"), t)
         if la >= lb:
             winner, upstream, s = ("a", "c"), ("s", "a"), la
@@ -287,21 +299,6 @@ def test_link_declaration_order_is_irrelevant():
         r = simulate_once(shuffled, 60.0, master_seed=9)
         assert r.terminal == ref.terminal
         assert r.steps == ref.steps
-
-
-def test_priority_cannot_change_versions_under_ties():
-    # simultaneous deliveries into one node commute under keep-the-freshest
-    def build(p_ac, p_bc):
-        return CacheNetwork(
-            nodes=["s", "a", "b", "c"],
-            source="s",
-            source_dist=D(0.5),
-            links=[("s", "a", D(1.0)), ("s", "b", D(1.0)),
-                   ("a", "c", D(2.0), p_ac), ("b", "c", D(2.0), p_bc)],
-        )
-    r1 = simulate_once(build(0, 1), 12.0, master_seed=1)
-    r2 = simulate_once(build(1, 0), 12.0, master_seed=1)
-    assert r1.steps == r2.steps
 
 
 # -- engine equivalence ---------------------------------------------------------------
@@ -474,8 +471,8 @@ BACKWARD_GRAPH = CacheNetwork(
            ("a", "b", Exponential(rate=2.0)), ("b", "c", Uniform(lo=0.0, hi=1.0)),
            ("c", "x", Exponential(rate=2.0)), ("x", "y", Rayleigh(sigma=0.5))],
 )
-# every link dyadic: c -> d ties with e -> c at 1.5, 3, ... and ranks first
-# (same sender depth, declared first), so d must not see e's fresher version
+# every link dyadic: c -> d ties with e -> c at 1.5, 3, ..., so d reads c's
+# version after e's delivery at that instant (first at 1.5: 6, not 4)
 DYADIC_CYCLE = CacheNetwork(
     nodes=["s", "a", "b", "c", "d", "e"],
     source="s",
@@ -515,6 +512,43 @@ def test_general_fixed_point_matches_simulate_once(network, targets, quiet):
             for t in targets:
                 assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], (
                     estimator, threads, t)
+
+
+def assert_link_order_changes_nothing(network, order, horizon, seed):
+    """Both engines give the same results with the links declared in
+    ``order``, a permutation of their indices."""
+    links = [(l.src, l.dst, l.dist) for l in network.links]
+    shuffled = CacheNetwork(nodes=network.nodes, source=network.source, source_dist=network.source_dist,
+                            links=[links[i] for i in order])
+    for i in range(3):
+        assert simulate_once(shuffled, horizon, seed, i).steps == simulate_once(network, horizon, seed, i).steps
+    kw = dict(targets=list(network.nodes), horizon=horizon, iterations=3, master_seed=seed)
+    for estimator in ESTIMATORS:
+        want = monte_carlo(network, **kw, estimator=estimator)
+        got = monte_carlo(shuffled, **kw, estimator=estimator)
+        assert {n: oc.samples.tolist() for n, oc in got.items()} == {
+            n: oc.samples.tolist() for n, oc in want.items()}, estimator
+
+
+def test_dyadic_cycle_delivery_reads_settled_sender():
+    # at 1.5, e -> c raises c to 6 and c -> d carries that 6, not c's 4
+    r = simulate_once(DYADIC_CYCLE, 12.0, 21)
+    assert r.steps["c"][:2] == [(1.0, 4), (1.5, 6)]
+    assert r.steps["d"][0] == (1.5, 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(len(DYADIC_CYCLE.links))))
+def test_link_order_changes_nothing_on_dyadic_cycle(order):
+    # every instant settles to one fixed point, whichever feed is listed first
+    assert_link_order_changes_nothing(DYADIC_CYCLE, order, 12.0, 21)
+
+
+@settings(max_examples=60, deadline=None)
+@given(network=random_networks(), seed=st.integers(0, 2**32), data=st.data())
+def test_link_order_changes_nothing_on_random_networks(network, seed, data):
+    order = data.draw(st.permutations(range(len(network.links))))
+    assert_link_order_changes_nothing(network, order, 12.0, seed)
 
 
 def test_monte_carlo_default_targets_are_leaves():
