@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, a link-order check, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order and thread checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -38,6 +38,10 @@ EOF
         python -m versionage.cli simulate "$work/$name.json" --out "$work/$name-run"
     done
     cmp "$work/declared-run.csv" "$work/lateral-first-run.csv"
+    # the same run through the process pool, which receives the pickled
+    # replicator; a one-CPU runner falls back to one worker
+    python -m versionage.cli simulate "$work/declared.json" --threads 2 --out "$work/declared-threads-run"
+    cmp "$work/declared-run.csv" "$work/declared-threads-run.csv"
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -10,9 +10,11 @@ write equal literals whatever number type built them.
 Sampling is batch-first.  Families with a closed-form quantile (exponential,
 uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
 draw consumes exactly one uniform and is a deterministic function of the
-stream state.  Chi-square and beta draws come from numpy's own samplers run
-on the stream's Philox generator; their consumption of the generator varies
-per draw, which is safe because every renewal stream owns its own generator.
+stream state.  The transforms run in place on the batch of uniforms, one
+numpy operation at a time in the order the quantile formula reads.
+Chi-square and beta draws come from numpy's own samplers run on the
+stream's Philox generator; their consumption of the generator varies per
+draw, which is safe because every renewal stream owns its own generator.
 """
 
 from __future__ import annotations
@@ -141,7 +143,11 @@ class Exponential(Distribution):
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
-        return -np.log1p(-u) / self.rate
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u /= self.rate
+        return u
 
 
 @dataclass(frozen=True, eq=True)
@@ -163,7 +169,10 @@ class Uniform(Distribution):
         return Moments((lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0)
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.uniforms(n)
+        u = rng.uniforms(n)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
 
 @dataclass(frozen=True, eq=True)
@@ -182,7 +191,12 @@ class Rayleigh(Distribution):
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
-        return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u *= -2.0
+        np.sqrt(u, out=u)
+        u *= self.sigma
+        return u
 
 
 @dataclass(frozen=True, eq=True)
@@ -251,7 +265,10 @@ class ParetoI(Distribution):
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
-        return self.scale * (1.0 - u) ** (-1.0 / self.shape)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.shape
+        u *= self.scale
+        return u
 
 
 @dataclass(frozen=True, eq=True)

@@ -53,7 +53,9 @@ class CacheNetwork:
     Structural validation happens here, so every constructed network is
     well formed: all link endpoints declared, no self-loops or duplicate
     links, nothing feeding back into the source, and every node reachable
-    from the source.
+    from the source.  Node ids may not contain NUL, which separates the
+    parts of a random stream's scope: with it, the links "a\\0b"->"c" and
+    "a"->"b\\0c" would draw the same stream.
     """
 
     def __init__(self, nodes, source: str, source_dist: Distribution, links):
@@ -62,6 +64,9 @@ class CacheNetwork:
         self.source_dist = source_dist
         if len(set(self.nodes)) != len(self.nodes):
             raise UnknownNode("node ids must be unique")
+        for n in self.nodes:
+            if "\x00" in n:
+                raise InvalidParameter(f"node id {n!r} contains a NUL character")
         if self.source not in self.nodes:
             raise UnknownNode(f"source {self.source!r} is not a declared node")
 
@@ -191,6 +196,8 @@ class CacheNetwork:
         nodes, links_lit = obj["nodes"], obj.get("links", [])
         if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
             raise ConfigError("'nodes' must be a list of strings")
+        if not isinstance(obj["source"], str):
+            raise ConfigError("'source' must be a string")
         if not isinstance(links_lit, list):
             raise ConfigError("'links' must be a list")
         source_dist = _parse_dist(obj["source_dist"], "source_dist")
@@ -200,9 +207,15 @@ class CacheNetwork:
             if not isinstance(entry, dict):
                 raise ConfigError(f"{ctx}: must be an object")
             _check_fields(entry, ("from", "to", "dist"), (), f"{ctx}: ")
+            for end in ("from", "to"):
+                if not isinstance(entry[end], str):
+                    raise ConfigError(f"{ctx}: {end!r} must be a string")
             dist = _parse_dist(entry["dist"], f"{ctx}: dist")
             links.append((entry["from"], entry["to"], dist))
-        return cls(nodes=nodes, source=obj["source"], source_dist=source_dist, links=links)
+        try:
+            return cls(nodes=nodes, source=obj["source"], source_dist=source_dist, links=links)
+        except InvalidParameter as exc:
+            raise ConfigError(f"'nodes': {exc}") from None
 
     def __repr__(self) -> str:
         return (

@@ -61,15 +61,21 @@ _VERIFIER_CHUNK = 4096
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
-    """Event times from 0 up to and beyond t (the final entry exceeds t)."""
-    chunks = []
-    tail = 0.0
+    """Event times from 0 up to and beyond t (the final entry exceeds t).
+
+    Each event is the previous batches' last event plus the running sum of
+    its own batch's gaps; one batch that passes t is returned as summed."""
+    times = np.add.accumulate(spec.sample_batch(rng, GAP_BATCH))
+    tail = float(times[-1])
+    if tail > t:
+        return times
+    chunks = [times]
     while tail <= t:
-        gaps = spec.sample_batch(rng, GAP_BATCH)
-        times = tail + np.cumsum(gaps)
+        times = np.add.accumulate(spec.sample_batch(rng, GAP_BATCH))
+        times += tail
         tail = float(times[-1])
         chunks.append(times)
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    return np.concatenate(chunks)
 
 
 class RenewalStream:

@@ -6,6 +6,11 @@ Streams with distinct scopes are statistically independent, and a stream's
 output depends only on (master_seed, scope), never on how many other streams
 exist or on any execution schedule.  That property is what makes Monte Carlo
 results reproducible bit for bit regardless of chunking or thread count.
+
+:func:`derive_key` defines every key.  :meth:`RngStream.reseed` computes the
+same key, but keeps the hash of the scope's head (the master seed and the
+first scope part) and, while the head repeats, hashes only the rest: a
+replication's streams share their (seed, iteration) head.
 """
 
 from __future__ import annotations
@@ -24,9 +29,17 @@ _MASK64 = (1 << 64) - 1
 _U_FLOOR = 2.0 ** -54
 
 
+def _encode(scope) -> bytes:
+    return b"".join([str(part).encode("utf-8") + b"\x00" for part in scope])
+
+
+def _scope_head(master_seed: int, scope: tuple) -> bytes:
+    """The digest input's head: the packed master seed and the first scope part."""
+    return struct.pack("<Q", master_seed & _MASK64) + _encode(scope[:1])
+
+
 def _scope_digest(master_seed: int, scope: tuple) -> bytes:
-    parts = b"".join([str(part).encode("utf-8") + b"\x00" for part in scope])
-    return hashlib.sha256(struct.pack("<Q", master_seed & _MASK64) + parts).digest()
+    return hashlib.sha256(_scope_head(master_seed, scope) + _encode(scope[1:])).digest()
 
 
 def derive_key(master_seed: int, *scope) -> np.ndarray:
@@ -41,6 +54,10 @@ def derive_seed(master_seed: int, *scope) -> int:
     return struct.unpack("<Q", digest[16:24])[0]
 
 
+#: a fresh Philox counter and output buffer; the state setter copies each word
+_ZEROS = (0, 0, 0, 0)
+
+
 class RngStream:
     """Single-owner random stream; mutate only from one task at a time.
 
@@ -48,28 +65,51 @@ class RngStream:
     samplers numpy already provides; :meth:`reseed` rewinds it too.
     """
 
-    __slots__ = ("_bitgen", "generator", "key")
+    __slots__ = ("_bitgen", "generator", "_head", "_head_hash")
 
     def __init__(self, master_seed: int, *scope):
-        self.key = derive_key(master_seed, *scope)
-        self._bitgen = np.random.Philox(key=self.key)
+        self._bitgen = np.random.Philox(key=derive_key(master_seed, *scope))
         self.generator = np.random.Generator(self._bitgen)
+        self._head = self._head_hash = None
+
+    @property
+    def key(self) -> np.ndarray:
+        """This stream's 128-bit Philox key, as two uint64 words."""
+        return self._bitgen.state["state"]["key"]
 
     def reseed(self, master_seed: int, *scope) -> "RngStream":
         """Rewind this stream to the state a fresh (master_seed, scope)
         construction would have.  Cheaper than building a new generator;
-        verified bit-identical to a fresh construction."""
-        key = derive_key(master_seed, *scope)
+        verified bit-identical to a fresh construction.
+
+        The key is :func:`derive_key`'s.  The hash of the last head is kept,
+        keyed by its bytes (``1``, ``1.0`` and ``True`` are distinct heads),
+        so a run of reseeds that share (master_seed, scope[0]) hashes only
+        the rest of each scope."""
+        head = _scope_head(master_seed, scope)
+        if head != self._head:
+            self._head, self._head_hash = head, hashlib.sha256(head)
+        digest = self._head_hash.copy()
+        digest.update(_encode(scope[1:]))
+        # the key's two words in derive_key's (native) byte order
+        key = struct.unpack_from("=2Q", digest.digest())
         self._bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": _ZEROS, "key": key},
+            "buffer": _ZEROS,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.key = key
         return self
+
+    def __getstate__(self):
+        # a hashlib object does not pickle; the head cache is rebuilt on use
+        return self._bitgen, self.generator
+
+    def __setstate__(self, state):
+        self._bitgen, self.generator = state
+        self._head = self._head_hash = None
 
     def uniforms(self, n: int) -> np.ndarray:
         """n i.i.d. uniforms on (0, 1), floored away from exact zero."""

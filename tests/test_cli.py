@@ -95,6 +95,13 @@ def test_parse_config_defaults():
                      "source_dist: rate must be a positive finite number", id="rate-bool"),
         pytest.param(lambda c: c["links"][1].update(dist={"type": "chi_square", "k": True}),
                      r"links\[1\]: dist: k must be a whole number", id="chi-square-k-bool"),
+        pytest.param(lambda c: c["links"][0].update(to=1), r"links\[0\]: 'to' must be a string",
+                     id="link-to-number"),
+        pytest.param(lambda c: c["links"][1].update({"from": None}), r"links\[1\]: 'from' must be a string",
+                     id="link-from-null"),
+        pytest.param(lambda c: c.update(source=["s"]), "'source' must be a string", id="source-list"),
+        pytest.param(lambda c: c.update(nodes=["s", "a", "b\0"]), r"'nodes': node id 'b\\x00' contains a NUL",
+                     id="node-nul"),
     ],
 )
 def test_parse_config_diagnostics(mutate, fragment):
@@ -156,6 +163,28 @@ def test_analytic_rejects_bad_uniform_lo(tmp_path, capsys, lo):
     assert run(["analytic", write_config(tmp_path, payload)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "lo must be a nonnegative finite number" in err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda c: (c["nodes"].append("1"), c["links"].append(
+            {"from": "b", "to": 1, "dist": {"type": "exponential", "rate": 1.0}})),
+         "links[2]: 'to' must be a string"),
+        (lambda c: (c.update(nodes=["0", "a", "b"], source=0), c["links"][0].update({"from": "0"})),
+         "'source' must be a string"),
+    ],
+    ids=["link-to-number", "source-number"],
+)
+def test_non_string_endpoints_exit_one(tmp_path, capsys, mutate, message):
+    # str() used to turn these into the declared node ids "1" and "0"
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    mutate(payload)
+    base = str(tmp_path / "run")
+    assert run(["simulate", write_config(tmp_path, payload), "--out", base]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not os.path.exists(base + ".json")
 
 
 def test_analytic_rejects_rate_too_large_for_a_float(tmp_path, capsys):

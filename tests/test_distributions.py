@@ -122,19 +122,25 @@ def test_jensen_inequality(family, a, b):
 # -- sampling -----------------------------------------------------------------
 
 def test_inverse_transform_matches_quantile_formulas():
-    # inverse-transform draws are a pure function of the stream's uniforms
+    # inverse-transform draws are a pure function of the stream's uniforms;
+    # the transforms run in place, yet each bit is the out-of-place formula's
+    # (numpy's special cases for scalar powers included)
     cases = [
         (Exponential(rate=2.0), lambda u: -np.log1p(-u) / 2.0),
+        (Exponential(rate=0.3), lambda u: -np.log1p(-u) / 0.3),
         (Uniform(lo=0.0, hi=2.0), lambda u: 2.0 * u),
+        (Uniform(lo=0.5, hi=3.7), lambda u: 0.5 + (3.7 - 0.5) * u),
         (Rayleigh(sigma=1.0), lambda u: np.sqrt(-2.0 * np.log1p(-u))),
+        (Rayleigh(sigma=0.35), lambda u: 0.35 * np.sqrt(-2.0 * np.log1p(-u))),
         (ParetoI(shape=3.0, scale=0.5), lambda u: 0.5 * (1.0 - u) ** (-1.0 / 3.0)),
+        *[(ParetoI(shape=a, scale=0.7), lambda u, a=a: 0.7 * (1.0 - u) ** (-1.0 / a))
+          for a in (0.5, 1.0, 2.0, 3.0)],
         (Deterministic(c=1.5), lambda u: np.full_like(u, 1.5)),
     ]
     for spec, quantile in cases:
         u = RngStream(11, "q").uniforms(1000)
         draws = spec.sample_batch(RngStream(11, "q"), 1000)
-        expected = quantile(u) if not isinstance(spec, Deterministic) else quantile(u)
-        assert np.array_equal(draws, expected), str(spec)
+        assert draws.tobytes() == quantile(u).tobytes(), str(spec)
 
 
 def test_exponential_quantile_midpoint_value():

@@ -1,9 +1,11 @@
 """Topology validation, classification, and path queries."""
 
+import numpy as np
 import pytest
 
 from versionage import (
     CacheNetwork,
+    ConfigError,
     CycleThroughSource,
     Deterministic,
     DuplicateLink,
@@ -16,6 +18,7 @@ from versionage import (
     SourceHasIncoming,
     UnknownNode,
     UnreachableNode,
+    derive_key,
 )
 
 E = Exponential(rate=1.0)
@@ -93,6 +96,21 @@ def test_undeclared_source_rejected():
 def test_malformed_link_entry_rejected(entry):
     with pytest.raises(InvalidParameter, match="link"):
         net(["s", "a"], [entry])
+
+
+def test_node_ids_with_nul_are_rejected():
+    # stream scopes join their parts with NUL, so these two links would draw
+    # one random stream
+    assert np.array_equal(derive_key(1, 0, "link", "a\0b", "c"), derive_key(1, 0, "link", "a", "b\0c"))
+    with pytest.raises(InvalidParameter, match="NUL"):
+        net(["s", "a", "a\0b", "b\0c", "c"],
+            [("s", "a", E), ("s", "a\0b", E), ("a\0b", "c", E), ("a", "b\0c", E)])
+    with pytest.raises(InvalidParameter, match="NUL"):
+        net(["s", "a\0"], [("s", "a\0", E)])
+    config = {"nodes": ["s", "a\0b"], "source": "s", "source_dist": E.to_literal(),
+              "links": [{"from": "s", "to": "a\0b", "dist": E.to_literal()}]}
+    with pytest.raises(ConfigError, match=r"'nodes': node id 'a\\x00b' contains a NUL"):
+        CacheNetwork.from_dict(config)
 
 
 def test_link_objects_are_accepted():

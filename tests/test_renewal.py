@@ -62,6 +62,37 @@ def test_advance_chunking_invariance_property(horizons):
         assert np.array_equal(short, long[: short.size])
 
 
+def _batchwise_events(spec, rng, t):
+    """Reference: each batch's events as its start plus the running sum of
+    its gaps, the batches concatenated."""
+    chunks, tail = [], 0.0
+    while tail <= t:
+        times = tail + np.cumsum(spec.sample_batch(rng, renewal.GAP_BATCH))
+        tail = float(times[-1])
+        chunks.append(times)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, batches",
+    [
+        (Uniform(lo=0.0, hi=2.0), 500.0, 1),
+        (Uniform(lo=0.0, hi=2.0), 1500.0, 2),
+        (Uniform(lo=0.0, hi=2.0), 3500.0, 4),
+        (ParetoI(shape=3.0, scale=1.0 / 3.0), 1800.0, 4),
+        # most gaps are exactly zero, so events repeat
+        (Beta(alpha=0.001, beta=1.0), 0.2, 1),
+        (Beta(alpha=0.001, beta=1.0), 1.0, 2),
+        (Beta(alpha=0.001, beta=1.0), 4.0, 4),
+    ],
+    ids=str,
+)
+def test_event_times_equal_the_batchwise_sums(spec, horizon, batches):
+    times = event_times_until(spec, RngStream(6, "acc"), horizon)
+    assert times.size == batches * renewal.GAP_BATCH
+    assert times.tobytes() == _batchwise_events(spec, RngStream(6, "acc"), horizon).tobytes()
+
+
 def test_stream_pops_the_events_up_to_the_horizon():
     spec, horizon = Exponential(rate=3.0), 500.0  # about 1 500 events, two batches
     stream = RenewalStream(spec, RngStream(4, "s"), horizon)

@@ -413,6 +413,21 @@ def test_monte_carlo_threads_do_not_change_results():
             assert np.array_equal(serial[t].samples, parallel[t].samples)
 
 
+def test_a_replicator_that_has_run_still_goes_through_the_pool():
+    # a run reseeds the replicator's stream, which then keeps a hash object
+    # that does not pickle; the pool must still receive it and replay it
+    # (monte_carlo sends a fresh replicator, so this one is sent directly)
+    from concurrent.futures import ProcessPoolExecutor
+
+    from versionage.simulator import _run_iteration_block
+
+    rep = _Replicator(CYCLIC_GRAPH, ["c", "d"], 30.0, "terminal")
+    serial = _run_iteration_block((rep, 4, 0, 12))
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        blocks = list(pool.map(_run_iteration_block, [(rep, 4, 0, 6), (rep, 4, 6, 12)]))
+    assert [row for block in blocks for row in block] == serial
+
+
 def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch):
     import os
 
