@@ -42,6 +42,11 @@ EOF
     # replicator; a one-CPU runner falls back to one worker
     python -m versionage.cli simulate "$work/declared.json" --threads 2 --out "$work/declared-threads-run"
     cmp "$work/declared-run.csv" "$work/declared-threads-run.csv"
+    # fig5's beta and chi-square samplers, in process and in the pool
+    for threads in 1 2; do
+        python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"
+    done
+    cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-2.csv"
     {
         echo '```'
         wc -l src/versionage/*.py

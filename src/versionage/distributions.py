@@ -12,9 +12,13 @@ uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
 draw consumes exactly one uniform and is a deterministic function of the
 stream state.  The transforms run in place on the batch of uniforms, one
 numpy operation at a time in the order the quantile formula reads.
-Chi-square and beta draws come from numpy's own samplers run on the
-stream's Philox generator; their consumption of the generator varies per
-draw, which is safe because every renewal stream owns its own generator.
+Beta(a, b) with a whole b up to a small cap also consumes a fixed number of
+uniforms: b per draw, raised to powers and multiplied (Devroye 1986, ch.
+IX), so it does not depend on numpy's beta algorithm.  Chi-square with one
+degree of freedom is a squared standard normal.  Other beta and chi-square
+draws come from numpy's own samplers; those and the normal run on the
+stream's Philox generator with a consumption that varies per draw, which is
+safe because every renewal stream owns its own generator.
 """
 
 from __future__ import annotations
@@ -216,7 +220,19 @@ class ChiSquare(Distribution):
         return Moments(float(self.k), float(self.k * (self.k + 2)))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
+        if self.k == 1:
+            z = rng.generator.standard_normal(n)
+            return np.square(z, out=z)
         return rng.generator.chisquare(self.k, n)
+
+
+#: largest whole beta drawn as a product of powered uniforms; above it numpy's
+#: two-gamma sampler is as fast (per 1024 draws on a 2-vCPU Xeon, numpy 2.4.6:
+#: b = 4 takes 59-67 us against numpy's 68-95 us, b = 5 72-105 us against 66-110 us)
+_BETA_PRODUCT_MAX_B = 4
+#: draws per block of uniforms for the product's later factors, so a batch
+#: holds one n-sized array beside a block
+_BETA_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=True)
@@ -238,7 +254,20 @@ class Beta(Distribution):
         return Moments(mean, second)
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
-        return rng.generator.beta(self.alpha, self.beta, n)
+        a, b = self.alpha, self.beta
+        if not (b.is_integer() and b <= _BETA_PRODUCT_MAX_B):
+            return rng.generator.beta(a, b, n)
+        # Beta(a, b) = U_0^(1/a) U_1^(1/(a+1)) ... U_(b-1)^(1/(a+b-1)) for
+        # whole b; factor i takes uniforms i*n .. (i+1)*n - 1 of the stream
+        x = rng.uniforms(n)
+        x **= 1.0 / a
+        for i in range(1, int(b)):
+            power = 1.0 / (a + i)
+            for lo in range(0, n, _BETA_BLOCK):
+                u = rng.uniforms(min(_BETA_BLOCK, n - lo))
+                u **= power
+                x[lo:lo + u.size] *= u
+        return x
 
 
 @dataclass(frozen=True, eq=True)

@@ -168,14 +168,18 @@ def _chunk_rows(t_max: float, *specs: Distribution) -> int:
 def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float,
                   csum: np.ndarray | None = None) -> np.ndarray:
     """Per-row cumulative event times, every row guaranteed past t_max; given
-    ``csum``, its rows are extended rather than drawn anew."""
+    ``csum``, its rows are extended rather than drawn anew.  Gaps are summed
+    in place, so a first draw holds no second matrix beside its samples."""
     cols = int(_row_events(spec, t_max)) + 32
     if csum is None:
-        csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
+        csum = spec.sample_batch(rng, rows * cols).reshape(rows, cols)
+        np.add.accumulate(csum, axis=1, out=csum)
     while float(csum[:, -1].min()) <= t_max:
         ext = max(32, cols // 8)
         gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
-        csum = np.hstack([csum, csum[:, -1:] + np.cumsum(gaps, axis=1)])
+        np.add.accumulate(gaps, axis=1, out=gaps)
+        gaps += csum[:, -1:]
+        csum = np.hstack([csum, gaps])
     return csum
 
 

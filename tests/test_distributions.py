@@ -30,6 +30,7 @@ from versionage import (
     Uniform,
     from_literal,
 )
+from versionage.distributions import _BETA_BLOCK, _BETA_PRODUCT_MAX_B
 
 ALL_SPECS = [
     Exponential(rate=1.0),
@@ -37,10 +38,16 @@ ALL_SPECS = [
     Uniform(lo=0.0, hi=2.0),
     Uniform(lo=0.5, hi=3.0),
     Rayleigh(sigma=1.0),
-    ChiSquare(k=1),
+    ChiSquare(k=1),  # a squared normal
+    ChiSquare(k=3),  # numpy's sampler, as for every k >= 2
     ChiSquare(k=4),
+    # whole beta up to the cap: a product of powered uniforms
     Beta(alpha=2.0, beta=3.0),
     Beta(alpha=0.8, beta=2.0),
+    Beta(alpha=2.5, beta=1.0),
+    # numpy's sampler: whole beta above the cap, and fractional beta
+    Beta(alpha=1.5, beta=_BETA_PRODUCT_MAX_B + 1.0),
+    Beta(alpha=2.0, beta=2.5),
     ParetoI(shape=3.0, scale=1.0 / 3.0),
     Deterministic(c=1.5),
 ]
@@ -141,6 +148,40 @@ def test_inverse_transform_matches_quantile_formulas():
         u = RngStream(11, "q").uniforms(1000)
         draws = spec.sample_batch(RngStream(11, "q"), 1000)
         assert draws.tobytes() == quantile(u).tobytes(), str(spec)
+
+
+class _CountingStream(RngStream):
+    """A stream that counts the uniforms drawn from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.drawn = 0
+
+    def uniforms(self, n):
+        self.drawn += n
+        return super().uniforms(n)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (0.8, 2.0), (2.5, 1.0), (1.7, _BETA_PRODUCT_MAX_B)])
+def test_whole_beta_is_a_product_of_powered_uniforms(alpha, beta):
+    # b blocks of n uniforms, the i-th raised to 1/(alpha+i), multiplied in
+    # order: drawing the later factors in blocks changes no bit, and a draw
+    # takes exactly b uniforms
+    n, b = _BETA_BLOCK + 1000, int(beta)
+    rng = _CountingStream(5, "product")
+    draws = Beta(alpha=alpha, beta=beta).sample_batch(rng, n)
+    assert rng.drawn == b * n
+    fresh = RngStream(5, "product")
+    expected = fresh.uniforms(n) ** (1.0 / alpha)
+    for i in range(1, b):
+        expected = expected * fresh.uniforms(n) ** (1.0 / (alpha + i))
+    assert draws.tobytes() == expected.tobytes()
+    assert rng.uniforms(10).tobytes() == fresh.uniforms(10).tobytes()
+
+
+def test_chi_square_one_is_a_squared_normal():
+    draws = ChiSquare(k=1).sample_batch(RngStream(5, "chi"), 1000)
+    assert draws.tobytes() == (RngStream(5, "chi").generator.standard_normal(1000) ** 2).tobytes()
 
 
 def test_exponential_quantile_midpoint_value():

@@ -1,6 +1,7 @@
 """Renewal streams, recurrence times, and the limit-theorem verifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,9 +82,9 @@ def _batchwise_events(spec, rng, t):
         (Uniform(lo=0.0, hi=2.0), 3500.0, 4),
         (ParetoI(shape=3.0, scale=1.0 / 3.0), 1800.0, 4),
         # most gaps are exactly zero, so events repeat
-        (Beta(alpha=0.001, beta=1.0), 0.2, 1),
-        (Beta(alpha=0.001, beta=1.0), 1.0, 2),
-        (Beta(alpha=0.001, beta=1.0), 4.0, 4),
+        (Beta(alpha=0.001, beta=1.0), 0.1, 1),
+        (Beta(alpha=0.001, beta=1.0), 0.2, 2),
+        (Beta(alpha=0.001, beta=1.0), 4.0, 6),
     ],
     ids=str,
 )
@@ -256,6 +257,43 @@ def test_a_grid_past_t_large_extends_the_paths():
     assert [p.t for p in points] == [10.0, 300.0]
     assert all(abs(p.z) < 4.0 for p in points) and abs(check.z) < 4.0
     assert check == verify_backward_recurrence_limit(exp, 100.0, N_PATHS, master_seed=14)
+
+
+def _two_array_event_matrix(spec, rng, rows, t_max, csum=None):
+    """Reference: the running sums built beside the gaps, in new arrays."""
+    cols = int(renewal._row_events(spec, t_max)) + 32
+    if csum is None:
+        csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
+    while float(csum[:, -1].min()) <= t_max:
+        ext = max(32, cols // 8)
+        gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
+        csum = np.hstack([csum, csum[:, -1:] + np.cumsum(gaps, axis=1)])
+    return csum
+
+
+def test_event_matrix_sums_in_place():
+    # chi_square(1) rows of 157 gaps reach t = 100; t = 110 extends them
+    # once, by 32 columns.  Each call may allocate its result plus a gap
+    # block, not a second copy of its samples: the two-array sum peaks at
+    # 2x the first matrix and 1.34x the extended one
+    spec, rows = ChiSquare(k=1), 2048
+    rng, ref_rng = RngStream(3, "matrix"), RngStream(3, "matrix")
+    tracemalloc.start()
+    try:
+        first = renewal._event_matrix(spec, rng, rows, 100.0)
+        first_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        extended = renewal._event_matrix(spec, rng, rows, 110.0, first)
+        extension_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (first.shape, extended.shape) == ((rows, 157), (rows, 189))
+    assert first_peak <= 1.25 * first.nbytes
+    assert extension_peak <= 1.25 * extended.nbytes
+    ref_first = _two_array_event_matrix(spec, ref_rng, rows, 100.0)
+    assert first.tobytes() == ref_first.tobytes()
+    assert extended.tobytes() == _two_array_event_matrix(spec, ref_rng, rows, 110.0, ref_first).tobytes()
 
 
 def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
