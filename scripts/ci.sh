@@ -81,15 +81,16 @@ EOF
 }
 
 bench_smoke() {
-    # run.py exits 0 even when a run is incorrect, so each run's verdict is
-    # read from the "correct" field of the JSON on its last line
+    # run.py exits 0 even when a run is incorrect or a statistical gate
+    # fails, so each run's verdict is read from the JSON on its last line:
+    # "correct" must be true and "failed" 0
     out="$(mktemp)"
     trap 'rm -f "$out"' EXIT
     for workload in tree-sweeps general-simulate verify-battery; do
         for trace in 0 1; do
             python3 bench/run.py --workload "$workload" --seed 1 --seconds 2 --trace "$trace" > "$out"
             tail -n 1 "$out"
-            tail -n 1 "$out" | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
+            tail -n 1 "$out" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
         done
     done
 }

@@ -61,7 +61,7 @@ from .renewal import (
 )
 # not exported, but bench/spans.py traces it under this name
 from .renewal import verify_martingale_zero_mean  # noqa: F401
-from .rng import RngStream, derive_key, derive_seed
+from .rng import RngStream, derive_seed
 from .simulator import ReplicationResult, SimOutcome, monte_carlo, simulate_once
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "UnknownNode",
     "UnreachableNode",
     "VersionAgeError",
-    "derive_key",
     "derive_seed",
     "expected_version_age",
     "expected_version_age_poisson",

@@ -49,10 +49,10 @@ class AnalyticAge:
 
 def link_contribution(dist: Distribution) -> float:
     """E[Y^2] / (2 E[Y]) for one link's inter-update time."""
-    m = dist.moments()
-    if math.isinf(m.second_moment):
-        raise InfiniteSecondMoment(f"{dist} has an infinite second moment")
-    return m.mean_backward_recurrence
+    fault = dist.moment_fault()
+    if fault:
+        raise InfiniteSecondMoment(f"{dist} has {fault}")
+    return dist.moments().mean_backward_recurrence
 
 
 def expected_version_age(network: CacheNetwork) -> AnalyticAge:
@@ -65,11 +65,10 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     """
     if network.classification is NetworkClass.GENERAL:
         raise NotATree("closed form requires tree")
+    fault = network.source_dist.moment_fault()
+    if fault:
+        raise InfiniteSecondMoment(f"source distribution {network.source_dist} has {fault}")
     m0 = network.source_dist.moments()
-    if not m0.is_finite:
-        raise InfiniteSecondMoment(
-            f"source distribution {network.source_dist} has a divergent moment"
-        )
     warnings: list[str] = []
     if network.source_dist.arithmetic:
         warnings.append(

@@ -46,7 +46,7 @@ from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, verify_renewal_limits, v
 # not called here, but bench/spans.py traces both verifiers under these names
 from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import ESTIMATORS, check_run, monte_carlo
+from .simulator import ESTIMATORS, MAX_SWEEP_VALUES, check_run, monte_carlo
 
 SIMULATE_CSV_HEADER = "target,estimator,mean,stderr,iterations,horizon,seed"
 
@@ -336,16 +336,22 @@ def _cmd_verify(args) -> int:
 
 def _parse_values(raw: str) -> list:
     """Comma-separated numbers, fractions such as 1/3 and inclusive integer
-    ranges such as 1..6."""
+    ranges such as 1..6; at most :data:`MAX_SWEEP_VALUES` of them, counted
+    before a range is expanded."""
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
+        if len(out) == MAX_SWEEP_VALUES:
+            raise ConfigError(f"more than {MAX_SWEEP_VALUES} values in {raw!r}")
         try:
             if ".." in item:
                 lo, _, hi = item.partition("..")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
+                if hi - lo + 1 > MAX_SWEEP_VALUES - len(out):
+                    raise ConfigError(f"more than {MAX_SWEEP_VALUES} values in {raw!r}")
+                out.extend(range(lo, hi + 1))
             elif "/" in item:
                 num, _, den = item.partition("/")
                 out.append(float(num) / float(den))

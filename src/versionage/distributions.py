@@ -3,9 +3,11 @@
 Each distribution is an immutable value object with closed-form first and
 second moments.  A divergent moment is represented as ``math.inf`` rather than
 an error: the simulator can still drive a renewal process with infinite
-variance, while the analytic engine refuses such inputs.  Parameters are
-stored as validated, as floats (chi-square's k as an int), so equal laws
-write equal literals whatever number type built them.
+variance, while the analytic engine refuses such inputs.  A finite moment too
+large for a float also reads ``math.inf``; :meth:`Distribution.moment_fault`
+tells the two apart.  Parameters are stored as validated, as floats
+(chi-square's k as an int), so equal laws write equal literals whatever
+number type built them.
 
 Sampling is batch-first.  Families with a closed-form quantile (exponential,
 uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
@@ -17,7 +19,7 @@ uniforms: b per draw, raised to powers and multiplied (Devroye 1986, ch.
 IX), so it does not depend on numpy's beta algorithm.  Chi-square with one
 degree of freedom is a squared standard normal.  Other beta and chi-square
 draws come from numpy's own samplers; those and the normal run on the
-stream's Philox generator with a consumption that varies per draw, which is
+stream's SFC64 generator with a consumption that varies per draw, which is
 safe because every renewal stream owns its own generator.
 """
 
@@ -85,6 +87,16 @@ class Distribution(ABC):
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         """n i.i.d. draws consumed from ``rng`` in a deterministic pattern."""
 
+    def _moments_diverge(self) -> bool:
+        """True when E[Y] or E[Y^2] is infinite, not just too large for a float."""
+        return False
+
+    def moment_fault(self) -> str | None:
+        """None when both moments are finite floats; else what reads inf."""
+        if self.moments().is_finite:
+            return None
+        return "a divergent moment" if self._moments_diverge() else "a moment too large for a float"
+
     def to_literal(self) -> dict:
         """Config-file literal: a ``type`` tag plus named parameters."""
         params = {k: v for k, v in self.__dict__.items()}
@@ -143,7 +155,9 @@ class Exponential(Distribution):
         object.__setattr__(self, "rate", positive_number("rate", self.rate))
 
     def moments(self) -> Moments:
-        return Moments(1.0 / self.rate, 2.0 / (self.rate * self.rate))
+        # the square underflows to 0 below a rate of about 1.5e-154
+        square = self.rate * self.rate
+        return Moments(1.0 / self.rate, 2.0 / square if square else math.inf)
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)
@@ -212,12 +226,13 @@ class ChiSquare(Distribution):
 
     def __post_init__(self):
         k = whole_number("k", self.k)
-        if k < 1:
+        if k < 1 or _finite_real(k) is None:
             raise InvalidParameter(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", k)
 
     def moments(self) -> Moments:
-        return Moments(float(self.k), float(self.k * (self.k + 2)))
+        k = float(self.k)
+        return Moments(k, k * (k + 2.0))
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         if self.k == 1:
@@ -291,6 +306,9 @@ class ParetoI(Distribution):
         mean = a * m / (a - 1.0) if a > 1.0 else math.inf
         second = a * m * m / (a - 2.0) if a > 2.0 else math.inf
         return Moments(mean, second)
+
+    def _moments_diverge(self) -> bool:
+        return self.shape <= 2.0
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         u = rng.uniforms(n)

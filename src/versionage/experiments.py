@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
 from .rng import derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import SimOutcome, monte_carlo
+from .simulator import MAX_SWEEP_VALUES, SimOutcome, monte_carlo
 
 __all__ = [
     "CSV_HEADER",
@@ -148,8 +149,8 @@ def fig6_network(n: int) -> CacheNetwork:
     be an integral float such as 3.0, but not a fraction.
     """
     n = whole_number("hop count", n)
-    if n < 0:
-        raise InvalidParameter(f"hop count must be >= 0, got {n}")
+    if not 0 <= n <= MAX_SWEEP_VALUES:
+        raise InvalidParameter(f"hop count must lie in 0..{MAX_SWEEP_VALUES}, got {n}")
     nodes = ["src"] + [f"n{i}" for i in range(1, n + 1)]
     links = [(nodes[i], nodes[i + 1], Uniform(lo=0.0, hi=2.0)) for i in range(n)]
     return CacheNetwork(
@@ -172,8 +173,11 @@ def fig7_network(v: float) -> CacheNetwork:
     )
 
 
-def _require_monotone(values) -> list:
-    values = list(values)
+def _sweep_values(values) -> list:
+    """``values`` as a list: at most :data:`MAX_SWEEP_VALUES`, strictly monotone."""
+    values = list(itertools.islice(values, MAX_SWEEP_VALUES + 1))
+    if len(values) > MAX_SWEEP_VALUES:
+        raise InvalidParameter(f"a sweep takes at most {MAX_SWEEP_VALUES} values")
     if len(values) >= 2:
         diffs = np.diff(np.asarray(values, dtype=float))
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -202,7 +206,7 @@ def sweep_network_family(
             f"a sweep needs iterations >= 2, got {iterations}: its z gate divides "
             "by the standard error, which a single replication does not give"
         )
-    values = _require_monotone(values)
+    values = _sweep_values(values)
     # every point's network is built, and so validated, before any point runs
     networks = [make_network(value) for value in values]
     points: list[SweepPoint] = []

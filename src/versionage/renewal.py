@@ -134,10 +134,10 @@ class LimitCheck:
 
 
 def _require_finite_moments(spec: Distribution):
-    m = spec.moments()
-    if not m.is_finite:
-        raise InfiniteSecondMoment(f"{spec} has a divergent moment; the limit theorems need E[Y] and E[Y^2] finite")
-    return m
+    fault = spec.moment_fault()
+    if fault:
+        raise InfiniteSecondMoment(f"{spec} has {fault}; the limit theorems need E[Y] and E[Y^2] finite")
+    return spec.moments()
 
 
 def _check_paths(n_paths: int) -> None:

@@ -74,6 +74,9 @@ DEFAULT_SEED = 1
 
 #: most Monte Carlo replications one run may ask for; each is kept as a sample
 _MAX_ITERATIONS = 10_000_000
+#: most values one sweep or value list may hold, and most hops of a fig6
+#: chain: every sweep point's network is built before the first draw
+MAX_SWEEP_VALUES = 10_000
 
 SOURCE_STREAM = ("source",)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -558,6 +559,39 @@ def test_verify_rejects_bad_spec(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (["analytic", "{config}"], "a moment too large for a float"),
+        (["verify", "exponential:rate=1e-200"], "a moment too large for a float"),
+        (["verify", "rayleigh:sigma=1e200"], "a moment too large for a float"),
+        (["verify", "uniform:lo=1e200,hi=1e201"], "a moment too large for a float"),
+        (["sweep", "custom", "--config", "{config}", "--vary-source", "rate", "--values", "1e-200",
+          "--iterations", "20", "--horizon", "20"], "a moment too large for a float"),
+        (["verify", "pareto1:shape=1.5,scale=1"], "a divergent moment"),
+    ],
+    ids=lambda arg: " ".join(arg[:2]) if isinstance(arg, list) else None,
+)
+def test_infinite_moments_exit_one(tmp_path, capsys, argv, fault):
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["source_dist"]["rate"] = 1e-200
+    config = write_config(tmp_path, payload)
+    argv = [config if arg == "{config}" else arg for arg in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"has {fault}" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_runs_a_source_too_slow_for_a_float_moment(tmp_path):
+    # the engine needs only the mean; no source event falls in the horizon
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["source_dist"]["rate"] = 1e-200
+    base = str(tmp_path / "slow")
+    assert run(["simulate", write_config(tmp_path, payload), "--out", base]) == 0
+    assert {o["mean"] for o in json.load(open(base + ".json"))["outcomes"].values()} == {0.0}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "fig5", "--values", "abc"],
@@ -650,4 +684,24 @@ def test_values_range_syntax(tmp_path):
     assert run(["sweep", "fig6", "--values", "1..2", "--iterations", "80",
                 "--horizon", "50", "--out", base]) == 0
     assert len(open(base + ".csv").read().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("1..1000000000000", "more than 10000 values"),
+        ("1..6000,7000..12000", "more than 10000 values"),
+        ("100000", "hop count must lie in 0..10000"),
+    ],
+)
+def test_sweep_size_is_bounded_before_anything_is_built(tmp_path, capsys, values, message):
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "fig6", "--values", values, "--out", str(tmp_path / "big")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 

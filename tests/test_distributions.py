@@ -92,6 +92,25 @@ def test_pareto_divergent_moments():
     assert math.isfinite(ParetoI(shape=1.5, scale=1.0).moments().mean)
     assert ParetoI(shape=0.8, scale=1.0).moments().mean == math.inf
     assert ParetoI(shape=2.0, scale=1.0).moments().second_moment == math.inf
+    assert ParetoI(shape=1.5, scale=1.0).moment_fault() == "a divergent moment"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Exponential(rate=1e-200), Exponential(rate=5e-324), Uniform(lo=1e200, hi=1e201),
+     Rayleigh(sigma=1e200), ChiSquare(k=10**200), Deterministic(c=1e200),
+     ParetoI(shape=3.0, scale=1e200)],
+    ids=str,
+)
+def test_moments_too_large_for_a_float_read_inf(spec):
+    # finite moments whose float overflows: inf, never a division by zero
+    assert spec.moments().second_moment == math.inf
+    assert spec.moment_fault() == "a moment too large for a float"
+
+
+def test_moment_fault_is_none_for_finite_moments():
+    assert Exponential(rate=1e-150).moment_fault() is None
+    assert ParetoI(shape=2.5, scale=1.0).moment_fault() is None
 
 
 def test_quadrature_oracle_matches_closed_forms(scipy_law):
@@ -271,6 +290,7 @@ def test_invalid_parameters_rejected(build):
         (lambda: Uniform(lo=10**400, hi=2.0), "lo must be a nonnegative finite number"),
         (lambda: from_literal({"type": "pareto1", "shape": 3, "scale": -(10**400)}),
          "scale must be a positive finite number"),
+        (lambda: ChiSquare(k=10**400), "k must be a positive integer"),
     ],
 )
 def test_integers_too_large_for_a_float_are_rejected(build, fragment):

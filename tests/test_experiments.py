@@ -18,7 +18,7 @@ from versionage import (
 )
 from versionage.experiments import CSV_HEADER
 from versionage.renewal import z_score
-from versionage.simulator import SimOutcome
+from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
 
 THREE_LINK_SUM = 2.5478845608028653
 
@@ -65,6 +65,14 @@ def test_fig6_network_shape():
     with pytest.raises(InvalidParameter, match="whole number"):
         fig6_network(2.5)
     assert len(fig6_network(3.0).links) == 3
+    assert len(fig6_network(MAX_SWEEP_VALUES).links) == MAX_SWEEP_VALUES
+    with pytest.raises(InvalidParameter, match="hop count"):
+        fig6_network(MAX_SWEEP_VALUES + 1)
+
+
+def test_sweep_value_count_is_bounded_before_any_network_is_built():
+    with pytest.raises(InvalidParameter, match=f"at most {MAX_SWEEP_VALUES} values"):
+        sweep_study("fig6", range(1, 10**12))
 
 
 def test_zero_hop_point_is_exactly_zero():

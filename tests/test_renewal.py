@@ -83,8 +83,8 @@ def _batchwise_events(spec, rng, t):
         (ParetoI(shape=3.0, scale=1.0 / 3.0), 1800.0, 4),
         # most gaps are exactly zero, so events repeat
         (Beta(alpha=0.001, beta=1.0), 0.1, 1),
-        (Beta(alpha=0.001, beta=1.0), 0.2, 2),
-        (Beta(alpha=0.001, beta=1.0), 4.0, 6),
+        (Beta(alpha=0.001, beta=1.0), 1.4, 2),
+        (Beta(alpha=0.001, beta=1.0), 4.0, 4),
     ],
     ids=str,
 )
