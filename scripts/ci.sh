@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order and thread checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, thread and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -47,6 +47,13 @@ EOF
         python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"
     done
     cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-2.csv"
+    # a recurrence and a window check, twice: the verifier's chunked
+    # streams must write the same report each time
+    for run in 1 2; do
+        python -m versionage.cli verify exponential:rate=1 --window exponential:rate=2 exponential:rate=1 \
+            --paths 10000 --out "$work/verify-$run.json"
+    done
+    cmp "$work/verify-1.json" "$work/verify-2.json"
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -265,8 +265,14 @@ class Beta(Distribution):
     def moments(self) -> Moments:
         a, b = self.alpha, self.beta
         mean = a / (a + b)
-        second = a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-        return Moments(mean, second)
+        denominator = (a + b) * (a + b + 1.0)
+        if math.isinf(denominator) and math.isfinite(a + b):
+            # shapes near 1e155 and up overflow the products; this order does
+            # not, but would change the last bit of the finite moments below.
+            # A sum past the float range still reads nan and is refused:
+            # numpy's sampler returns zeros there
+            return Moments(mean, mean * ((a + 1.0) / (a + b + 1.0)))
+        return Moments(mean, a * (a + 1.0) / denominator)
 
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         a, b = self.alpha, self.beta

@@ -22,10 +22,18 @@ Their horizon t defaults to 60 mean gaps of the slowest process, at least 100.
 One law's martingale and recurrence checks read the same paths, so their
 z-scores are correlated, though each is a valid test on its own; and a
 martingale estimate depends on t, which sets how those paths are drawn.
+
+A verifier chunk holds its paths' event times as a matrix with one path per
+column and one event per row.  The running sum then adds one contiguous row
+of all paths at a time, rather than waiting on each path's previous event,
+and since times increase down every column, a count at t skips the rows
+every path reaches by min(t) and those no path reaches by max(t), comparing
+only the band between.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -57,7 +65,7 @@ _EVENT_BUDGET = 10_000_000
 #: paths each verifier check draws unless told otherwise
 DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
-_VERIFIER_CHUNK = 4096
+_VERIFIER_CHUNK = 2048
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
@@ -147,64 +155,81 @@ def _check_paths(n_paths: int) -> None:
         )
 
 
-def _row_events(spec: Distribution, t_max: float) -> float:
-    """Events each :func:`_event_matrix` row is first drawn for, before its
-    32 spare columns: 1.25 t_max over the mean gap."""
+def _path_events(spec: Distribution, t_max: float) -> float:
+    """Events each :func:`_event_matrix` path is first drawn for, before its
+    32 spare events: 1.25 t_max over the mean gap."""
     return 1.25 * t_max / spec.moments().mean
 
 
-def _chunk_rows(t_max: float, *specs: Distribution) -> int:
-    """Rows per verifier chunk drawing each spec up to t_max: at most
+def _chunk_paths(t_max: float, *specs: Distribution) -> int:
+    """Paths per verifier chunk drawing each spec up to t_max: at most
     :data:`_VERIFIER_CHUNK`, and each first :func:`_event_matrix` draw within
-    :data:`_EVENT_BUDGET`.  Rejects a spec whose one row is over the budget."""
-    rows = _VERIFIER_CHUNK
+    :data:`_EVENT_BUDGET`.  Rejects a spec whose one path is over the budget."""
+    paths = _VERIFIER_CHUNK
     for spec in specs:
-        events = _row_events(spec, t_max)
+        events = _path_events(spec, t_max)
         _check_event_budget(f"a verifier path of {spec}", events + 32)
-        rows = min(rows, _EVENT_BUDGET // (int(events) + 32))
-    return rows
+        paths = min(paths, _EVENT_BUDGET // (int(events) + 32))
+    return paths
 
 
-def _event_matrix(spec: Distribution, rng: RngStream, rows: int, t_max: float,
+def _sum_down(block: np.ndarray) -> None:
+    """Running sum down each column of ``block``, in place: one vector add
+    per row, each column's sums still sequential, so it equals
+    ``np.cumsum(axis=0)`` bit for bit."""
+    for prev, row in zip(block[:-1], block[1:]):
+        np.add(row, prev, out=row)
+
+
+def _event_matrix(spec: Distribution, rng: RngStream, paths: int, t_max: float,
                   csum: np.ndarray | None = None) -> np.ndarray:
-    """Per-row cumulative event times, every row guaranteed past t_max; given
-    ``csum``, its rows are extended rather than drawn anew.  Gaps are summed
-    in place, so a first draw holds no second matrix beside its samples."""
-    cols = int(_row_events(spec, t_max)) + 32
+    """Cumulative event times, one path per column and one event per row,
+    every column guaranteed past t_max; given ``csum``, event rows are
+    appended to it rather than drawn anew.
+
+    Stream position p is event p // paths of path p % paths, so the running
+    sum is a vector add over all paths per event row, and an extension
+    continues the stream and the sums exactly as one deeper draw would."""
+    depth = int(_path_events(spec, t_max)) + 32
     if csum is None:
-        csum = spec.sample_batch(rng, rows * cols).reshape(rows, cols)
-        np.add.accumulate(csum, axis=1, out=csum)
-    while float(csum[:, -1].min()) <= t_max:
-        ext = max(32, cols // 8)
-        gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
-        np.add.accumulate(gaps, axis=1, out=gaps)
-        gaps += csum[:, -1:]
-        csum = np.hstack([csum, gaps])
+        csum = spec.sample_batch(rng, depth * paths).reshape(depth, paths)
+        _sum_down(csum)
+    while float(csum[-1].min()) <= t_max:
+        ext = max(32, depth // 8)
+        gaps = spec.sample_batch(rng, ext * paths).reshape(ext, paths)
+        gaps[0] += csum[-1]
+        _sum_down(gaps)
+        csum = np.concatenate([csum, gaps])
     return csum
 
 
-def _chunks(n_paths: int, rows: int, master_seed: int, *scopes: tuple):
-    """Each verifier chunk's row count (``rows`` but for the last), then one
+def _chunks(n_paths: int, paths: int, master_seed: int, *scopes: tuple):
+    """Each verifier chunk's path count (``paths`` but for the last), then one
     stream per scope reseeded to (master_seed, *scope, chunk index)."""
     rngs = [RngStream(master_seed, *scope, 0) for scope in scopes]
-    for chunk_idx, done in enumerate(range(0, n_paths, rows)):
+    for chunk_idx, done in enumerate(range(0, n_paths, paths)):
         for rng, scope in zip(rngs, scopes):
             rng.reseed(master_seed, *scope, chunk_idx)
-        yield (min(rows, n_paths - done), *rngs)
+        yield (min(paths, n_paths - done), *rngs)
 
 
 def _count_at(csum: np.ndarray, t) -> np.ndarray:
-    """Row-wise N(t); t is a scalar or a per-row vector."""
+    """Per-path N(t); t is a scalar or a per-path vector.
+
+    Times increase down each column, so a row's max and min do too, and two
+    bisections find the band of event rows that can tell paths apart: rows
+    before ``lo`` (max at most min(t)) count whole, rows from ``hi`` on (min
+    past max(t)) not at all.  The counts equal ``(csum <= t).sum(axis=0)``."""
     t = np.asarray(t)
-    if t.ndim == 1:
-        t = t[:, None]
-    return (csum <= t).sum(axis=1)
+    lo = bisect.bisect_right(csum, float(t.min()), key=np.ndarray.max)
+    hi = bisect.bisect_right(csum, float(t.max()), key=np.ndarray.min)
+    return lo + (csum[lo:hi] <= t).sum(axis=0)
 
 
 def _last_event(csum: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row-wise time of the last event at or before t (per row), 0 if none."""
+    """Per-path time of the last event at or before t (per path), 0 if none."""
     counts = _count_at(csum, t)
-    return np.where(counts > 0, csum[np.arange(csum.shape[0]), np.maximum(counts - 1, 0)], 0.0)
+    return np.where(counts > 0, csum[np.maximum(counts - 1, 0), np.arange(csum.shape[1])], 0.0)
 
 
 #: 4-sigma gate on every z-score, sweep points and verifier checks alike
@@ -247,9 +272,9 @@ def _t_large(t_large: float | None, *moments) -> float:
     return t_large
 
 
-def _window_times(rng: RngStream, rows: int, t_large: float) -> np.ndarray:
+def _window_times(rng: RngStream, paths: int, t_large: float) -> np.ndarray:
     """Per-path evaluation times, uniform over [t/2, t]."""
-    return t_large * (0.5 + 0.5 * rng.uniforms(rows))
+    return t_large * (0.5 + 0.5 * rng.uniforms(paths))
 
 
 def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = None, n_paths: int = DEFAULT_PATHS,
@@ -267,19 +292,19 @@ def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = No
     t_grid = [positive_number("t", t) for t in t_grid]
     t_large = _t_large(t_large, m)
     t_max = max([t_large, *t_grid])
-    chunk = _chunk_rows(t_max, spec)
+    chunk = _chunk_paths(t_max, spec)
     sums, sums_sq = [0.0] * len(t_grid), [0.0] * len(t_grid)
     total = total_sq = 0.0
-    for rows, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
-        t_eval = _window_times(rng, rows, t_large)
-        csum = _event_matrix(spec, rng, rows, t_large)
+    for paths, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
+        t_eval = _window_times(rng, paths, t_large)
+        csum = _event_matrix(spec, rng, paths, t_large)
         backward = t_eval - _last_event(csum, t_eval)
         total += float(backward.sum())
         total_sq += float((backward * backward).sum())
-        csum = _event_matrix(spec, rng, rows, t_max, csum)
+        csum = _event_matrix(spec, rng, paths, t_max, csum)
         for k, t in enumerate(t_grid):
             counts = _count_at(csum, t)
-            mart = counts + 1.0 - csum[np.arange(rows), counts] / m.mean
+            mart = counts + 1.0 - csum[counts, np.arange(paths)] / m.mean
             sums[k] += float(mart.sum())
             sums_sq[k] += float((mart * mart).sum())
         del csum  # free it before the next chunk's draw
@@ -321,14 +346,14 @@ def verify_windowed_count_limit(
     m_probe = _require_finite_moments(probe_spec)
     _check_paths(n_paths)
     t_large = _t_large(t_large, m_src, m_probe)
-    chunk = _chunk_rows(t_large, probe_spec, source_spec)
+    chunk = _chunk_paths(t_large, probe_spec, source_spec)
     target = m_probe.mean_backward_recurrence / m_src.mean
     total = total_sq = 0.0
     scopes = [("verify-window", part) for part in ("times", "probe", "source")]
-    for rows, rng_t, rng_probe, rng_src in _chunks(n_paths, chunk, master_seed, *scopes):
-        t_eval = _window_times(rng_t, rows, t_large)
-        p_last = _last_event(_event_matrix(probe_spec, rng_probe, rows, t_large), t_eval)
-        src_csum = _event_matrix(source_spec, rng_src, rows, t_large)
+    for paths, rng_t, rng_probe, rng_src in _chunks(n_paths, chunk, master_seed, *scopes):
+        t_eval = _window_times(rng_t, paths, t_large)
+        p_last = _last_event(_event_matrix(probe_spec, rng_probe, paths, t_large), t_eval)
+        src_csum = _event_matrix(source_spec, rng_src, paths, t_large)
         diff = _count_at(src_csum, t_eval) - _count_at(src_csum, p_last)
         del src_csum  # free it before the next chunk's draw
         total += float(diff.sum())

@@ -540,8 +540,8 @@ def test_verify_lattice_alignment_fails_gate(capsys):
 
 def test_verify_fast_law_at_default_times_passes(capsys):
     # 2 500 events per path at the default t_large of 100: within the event
-    # budget, which also caps a chunk's first draw, so a chunk holds fewer
-    # paths than the usual 4 096
+    # budget, which also caps a chunk's first draw (here at 3 949 paths,
+    # above the usual 2 048)
     assert run(["verify", "exponential:rate=20", "--paths", "10000"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
@@ -580,6 +580,16 @@ def test_infinite_moments_exit_one(tmp_path, capsys, argv, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"has {fault}" in err
     assert "Traceback" not in err
+
+
+def test_verify_runs_a_beta_whose_moment_products_overflow(tmp_path, capsys):
+    # a(a+1) and (a+b)(a+b+1) overflow at a = b = 1e200; E[Y^2] is about 1/4
+    out = str(tmp_path / "beta.json")
+    assert run(["verify", "beta:alpha=1e200,beta=1e200", "--paths", "10000", "--out", out]) in (0, 2)
+    err = capsys.readouterr().err
+    assert "too large for a float" not in err and "Traceback" not in err
+    recurrence = json.load(open(out))["checks"][-1]
+    assert recurrence["check"] == "recurrence-limit" and recurrence["target"] == 0.25
 
 
 def test_simulate_runs_a_source_too_slow_for_a_float_moment(tmp_path):

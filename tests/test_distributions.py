@@ -322,3 +322,20 @@ def test_literal_errors():
         from_literal({"type": "chi_square", "k": 1.5})
     # integral floats are accepted for the chi-square dof
     assert from_literal({"type": "chi_square", "k": 3.0}) == ChiSquare(k=3)
+
+
+@pytest.mark.parametrize("alpha, beta, mean, second", [(1e200, 1e200, 0.5, 0.25), (1e155, 3.0, 1.0, 1.0),
+                                                      (1e100, 1e160, 1e-60, 1e-120)])
+def test_beta_moments_of_huge_shapes_stay_finite(alpha, beta, mean, second):
+    # the products a(a+1) and (a+b)(a+b+1) overflow; E[Y^2] does not
+    spec = Beta(alpha=alpha, beta=beta)
+    assert spec.moments().mean == mean
+    assert spec.moments().second_moment == pytest.approx(second, rel=1e-15)
+    assert spec.moment_fault() is None
+
+
+def test_beta_moments_keep_their_bits_and_refuse_a_sum_past_the_float_range():
+    assert Beta(alpha=2.0, beta=3.0).moments().second_moment == 2.0 * 3.0 / (5.0 * 6.0)
+    assert Beta(alpha=1e150, beta=1e150).moments().second_moment == 1e150 * (1e150 + 1.0) / (2e150 * (2e150 + 1.0))
+    # numpy's sampler returns zeros once a + b overflows, so that law stays refused
+    assert Beta(alpha=1e308, beta=1e308).moment_fault() == "a moment too large for a float"

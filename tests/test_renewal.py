@@ -259,54 +259,76 @@ def test_a_grid_past_t_large_extends_the_paths():
     assert check == verify_backward_recurrence_limit(exp, 100.0, N_PATHS, master_seed=14)
 
 
-def _two_array_event_matrix(spec, rng, rows, t_max, csum=None):
-    """Reference: the running sums built beside the gaps, in new arrays."""
-    cols = int(renewal._row_events(spec, t_max)) + 32
-    if csum is None:
-        csum = np.cumsum(spec.sample_batch(rng, rows * cols).reshape(rows, cols), axis=1)
-    while float(csum[:, -1].min()) <= t_max:
-        ext = max(32, cols // 8)
-        gaps = spec.sample_batch(rng, rows * ext).reshape(rows, ext)
-        csum = np.hstack([csum, csum[:, -1:] + np.cumsum(gaps, axis=1)])
-    return csum
-
-
 def test_event_matrix_sums_in_place():
-    # chi_square(1) rows of 157 gaps reach t = 100; t = 110 extends them
-    # once, by 32 columns.  Each call may allocate its result plus a gap
-    # block, not a second copy of its samples: the two-array sum peaks at
-    # 2x the first matrix and 1.34x the extended one
-    spec, rows = ChiSquare(k=1), 2048
-    rng, ref_rng = RngStream(3, "matrix"), RngStream(3, "matrix")
+    # chi_square(1) paths of 157 events reach t = 100; t = 110 extends them
+    # once, by 32 event rows.  Each call may allocate its result plus a gap
+    # block, not a second copy of its samples: a sum beside the gaps would
+    # peak at 2x the first matrix and 1.34x the extended one
+    spec, paths = ChiSquare(k=1), 2048
+    rng = RngStream(3, "matrix")
     tracemalloc.start()
     try:
-        first = renewal._event_matrix(spec, rng, rows, 100.0)
+        first = renewal._event_matrix(spec, rng, paths, 100.0)
         first_peak = tracemalloc.get_traced_memory()[1]
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        extended = renewal._event_matrix(spec, rng, rows, 110.0, first)
+        extended = renewal._event_matrix(spec, rng, paths, 110.0, first)
         extension_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert (first.shape, extended.shape) == ((rows, 157), (rows, 189))
+    assert (first.shape, extended.shape) == ((157, paths), (189, paths))
     assert first_peak <= 1.25 * first.nbytes
     assert extension_peak <= 1.25 * extended.nbytes
-    ref_first = _two_array_event_matrix(spec, ref_rng, rows, 100.0)
+    # stream position p is event p // paths of path p % paths, and the
+    # extension's gaps continue each path's running sum
+    ref_rng = RngStream(3, "matrix")
+    gaps = [spec.sample_batch(ref_rng, depth * paths).reshape(depth, paths) for depth in (157, 32)]
+    ref_first = np.cumsum(gaps[0], axis=0)
     assert first.tobytes() == ref_first.tobytes()
-    assert extended.tobytes() == _two_array_event_matrix(spec, ref_rng, rows, 110.0, ref_first).tobytes()
+    assert extended.tobytes() == np.cumsum(np.concatenate(gaps), axis=0).tobytes()
+
+
+@st.composite
+def _count_cases(draw):
+    """A column event matrix (one path per column) and a scalar or per-path t."""
+    depth, paths = draw(st.integers(1, 24)), draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["deterministic", "whole", "real"]))
+    if kind == "deterministic":  # every event time is hit exactly by some t below
+        gaps = np.full((depth, paths), draw(st.sampled_from([0.25, 1.0, 3.0])))
+    else:
+        gap = st.integers(0, 3).map(float) if kind == "whole" else st.floats(0.0, 4.0)
+        gaps = np.array(draw(st.lists(gap, min_size=depth * paths, max_size=depth * paths)))
+    csum = np.cumsum(gaps.reshape(depth, paths), axis=0)
+    special = [0.0, float(csum[0].min()) / 2, float(csum[-1].min()), float(csum[-1].max())]
+    scalar = (st.sampled_from(special) | st.sampled_from(csum.ravel().tolist())
+              | st.floats(0.0, float(csum.max()) + 1.0))
+    per_path = st.lists(scalar, min_size=paths, max_size=paths).map(np.array)
+    t = draw(scalar | per_path | st.sampled_from([csum[-1], csum[0] / 2, csum[depth // 2]]))
+    return csum, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_count_cases())
+def test_banded_counts_equal_the_full_comparison(case):
+    csum, t = case
+    full = csum <= t
+    assert renewal._count_at(csum, t).tolist() == full.sum(axis=0).tolist()
+    t_path = np.broadcast_to(t, csum.shape[1:])
+    last = np.where(full, csum, 0.0).max(axis=0)  # event times are >= 0
+    assert renewal._last_event(csum, t_path).tolist() == last.tolist()
 
 
 def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
-    # with a budget of 20 000 values, a 157-column row (exponential(1) up to
-    # t = 100) fits 127 to a chunk, and a 282-column one (rate 2) 70
+    # with a budget of 20 000 values, a path of 157 events (exponential(1) up
+    # to t = 100) fits 127 to a chunk, and one of 282 events (rate 2) 70
     monkeypatch.setattr(renewal, "_EVENT_BUDGET", 20_000)
     asked = []
     draw = renewal._event_matrix
 
-    def recording(spec, rng, rows, t_max, csum=None):
+    def recording(spec, rng, paths, t_max, csum=None):
         if csum is None:  # a first draw, not an extension of one
-            asked.append((rows, int(renewal._row_events(spec, t_max)) + 32))
-        return draw(spec, rng, rows, t_max, csum)
+            asked.append((paths, int(renewal._path_events(spec, t_max)) + 32))
+        return draw(spec, rng, paths, t_max, csum)
 
     monkeypatch.setattr(renewal, "_event_matrix", recording)
     slow, fast = Exponential(rate=1.0), Exponential(rate=2.0)
@@ -315,15 +337,15 @@ def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
     per_check = [(127, 157)] * (N_PATHS // 127) + [(N_PATHS % 127, 157)]
     assert asked == 2 * per_check
     asked.clear()
-    # a grid past t_large sizes the chunks by its depth, 407 columns at t = 300
+    # a grid past t_large sizes the chunks by its depth, 407 events at t = 300
     verify_renewal_limits(slow, [300.0], 100.0, N_PATHS)
-    assert {rows for rows, _ in asked[:-1]} == {20_000 // 407}
+    assert {paths for paths, _ in asked[:-1]} == {20_000 // 407}
     asked.clear()
     verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
-    # the window check draws both laws in each chunk, so the wider row sets its size
-    assert {rows for rows, _ in asked[:-2]} == {70}
-    assert sum(rows for rows, _ in asked) == 2 * N_PATHS
-    assert all(rows * cols <= 20_000 for rows, cols in asked)
+    # the window check draws both laws in each chunk, so the deeper path sets its size
+    assert {paths for paths, _ in asked[:-2]} == {70}
+    assert sum(paths for paths, _ in asked) == 2 * N_PATHS
+    assert all(paths * depth <= 20_000 for paths, depth in asked)
 
 
 def test_z_score_is_signed_and_infinite_without_spread():
@@ -372,3 +394,12 @@ def test_verifiers_are_reproducible():
     a = verify_backward_recurrence_limit(Uniform(lo=0.0, hi=2.0), 100.0, N_PATHS, master_seed=10)
     b = verify_backward_recurrence_limit(Uniform(lo=0.0, hi=2.0), 100.0, N_PATHS, master_seed=10)
     assert a == b
+
+
+def test_verify_record_fingerprint():
+    # pinned output of the verifier's streams: any change to how a chunk's
+    # gaps are drawn, laid out or summed changes these records
+    check = verify_backward_recurrence_limit(Rayleigh(sigma=1.0), None, N_PATHS, master_seed=1)
+    window = verify_windowed_count_limit(Exponential(rate=1.0), Exponential(rate=2.0), None, N_PATHS, master_seed=1)
+    assert (repr(check.estimate), repr(check.stderr)) == ("0.7898667496163772", "0.0059604756475203835")
+    assert (repr(window.estimate), repr(window.stderr)) == ("0.4875", "0.008435134269768023")
