@@ -66,6 +66,11 @@ _EVENT_BUDGET = 10_000_000
 DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 2048
+#: narrowest chunk whose running sum adds one row of all paths at a time;
+#: deep paths narrow a chunk below it (see :func:`_chunk_paths`)
+_ROW_SUM_MIN_PATHS = 256
+#: elements per band of a narrower chunk's running sum, small enough for cache
+_SUM_BAND = 1 << 15
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
@@ -174,11 +179,24 @@ def _chunk_paths(t_max: float, *specs: Distribution) -> int:
 
 
 def _sum_down(block: np.ndarray) -> None:
-    """Running sum down each column of ``block``, in place: one vector add
-    per row, each column's sums still sequential, so it equals
-    ``np.cumsum(axis=0)`` bit for bit."""
-    for prev, row in zip(block[:-1], block[1:]):
-        np.add(row, prev, out=row)
+    """Running sum down each column of ``block``, in place; each column's
+    sums stay sequential, so it equals ``np.cumsum(axis=0)`` bit for bit.
+
+    A block of at least :data:`_ROW_SUM_MIN_PATHS` paths takes one vector
+    add per row.  A narrower one, whose per-row call would cost more than its
+    adds, runs ``cumsum`` over bands of :data:`_SUM_BAND` elements, each
+    band's first row first adding the last row above it."""
+    paths = block.shape[1]
+    if paths >= _ROW_SUM_MIN_PATHS:
+        for prev, row in zip(block[:-1], block[1:]):
+            np.add(row, prev, out=row)
+        return
+    rows = max(1, _SUM_BAND // paths)
+    for start in range(0, len(block), rows):
+        band = block[start:start + rows]
+        if start:
+            band[0] += block[start - 1]
+        np.cumsum(band, axis=0, out=band)
 
 
 def _event_matrix(spec: Distribution, rng: RngStream, paths: int, t_max: float,

@@ -288,6 +288,17 @@ def test_event_matrix_sums_in_place():
     assert extended.tobytes() == np.cumsum(np.concatenate(gaps), axis=0).tobytes()
 
 
+@pytest.mark.parametrize("paths", [1, 79, renewal._ROW_SUM_MIN_PATHS - 1, renewal._ROW_SUM_MIN_PATHS, 2048])
+def test_running_sum_equals_cumsum_either_side_of_the_row_threshold(paths):
+    # narrow blocks sum in cumsum bands, wide ones one row at a time; the
+    # depth spans two bands and part of a third
+    depth = 2 * max(1, renewal._SUM_BAND // paths) + 7
+    gaps = np.random.default_rng(paths).exponential(size=(depth, paths))
+    block = gaps.copy()
+    renewal._sum_down(block)
+    assert block.tobytes() == np.cumsum(gaps, axis=0).tobytes()
+
+
 @st.composite
 def _count_cases(draw):
     """A column event matrix (one path per column) and a scalar or per-path t."""
