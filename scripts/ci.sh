@@ -54,6 +54,11 @@ EOF
             --paths 10000 --out "$work/verify-$run.json"
     done
     cmp "$work/verify-1.json" "$work/verify-2.json"
+    # a fast law's 12 532 events per path span several slabs of a chunk
+    for run in 1 2; do
+        python -m versionage.cli verify exponential:rate=100 --paths 10000 --out "$work/verify-deep-$run.json"
+    done
+    cmp "$work/verify-deep-1.json" "$work/verify-deep-2.json"
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -4,10 +4,10 @@ Each distribution is an immutable value object with closed-form first and
 second moments.  A divergent moment is represented as ``math.inf`` rather than
 an error: the simulator can still drive a renewal process with infinite
 variance, while the analytic engine refuses such inputs.  A finite moment too
-large for a float also reads ``math.inf``; :meth:`Distribution.moment_fault`
-tells the two apart.  Parameters are stored as validated, as floats
-(chi-square's k as an int), so equal laws write equal literals whatever
-number type built them.
+large for a float also reads ``math.inf``, and a positive mean too small for
+one reads 0; :meth:`Distribution.moment_fault` tells these apart.
+Parameters are stored as validated, as floats (chi-square's k as an int), so
+equal laws write equal literals whatever number type built them.
 
 Sampling is batch-first.  Families with a closed-form quantile (exponential,
 uniform, rayleigh, pareto1, deterministic) use the inverse transform, so each
@@ -92,9 +92,10 @@ class Distribution(ABC):
         return False
 
     def moment_fault(self) -> str | None:
-        """None when both moments are finite floats; else what reads inf."""
-        if self.moments().is_finite:
-            return None
+        """None when both moments are finite floats, the mean not 0; else what reads inf or 0."""
+        m = self.moments()
+        if m.is_finite:
+            return None if m.mean else "a mean that underflows to 0"
         return "a divergent moment" if self._moments_diverge() else "a moment too large for a float"
 
     def to_literal(self) -> dict:

@@ -23,12 +23,12 @@ One law's martingale and recurrence checks read the same paths, so their
 z-scores are correlated, though each is a valid test on its own; and a
 martingale estimate depends on t, which sets how those paths are drawn.
 
-A verifier chunk holds its paths' event times as a matrix with one path per
-column and one event per row.  The running sum then adds one contiguous row
-of all paths at a time, rather than waiting on each path's previous event,
-and since times increase down every column, a count at t skips the rows
-every path reaches by min(t) and those no path reaches by max(t), comparing
-only the band between.
+A verifier chunk holds its paths' event times in slabs of event rows, one
+path per column, each slab within :data:`_EVENT_BUDGET` values and freed once
+read.  The running sum adds one contiguous row of all paths at a time, rather
+than waiting on each path's previous event, and since times increase down
+every column, a count at t skips the rows every path reaches by min(t) and
+those no path reaches by max(t), comparing only the band between.
 """
 
 from __future__ import annotations
@@ -59,18 +59,14 @@ __all__ = [
 GAP_BATCH = 1024
 
 #: most events one stream or verifier path may be expected to draw, and most
-#: gaps a verifier chunk first draws; past it a run would allocate without bound
+#: gaps one verifier slab holds; past it a run would allocate without bound
 _EVENT_BUDGET = 10_000_000
 
 #: paths each verifier check draws unless told otherwise
 DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
+#: paths per verifier chunk; the last chunk holds the rest
 _VERIFIER_CHUNK = 2048
-#: narrowest chunk whose running sum adds one row of all paths at a time;
-#: deep paths narrow a chunk below it (see :func:`_chunk_paths`)
-_ROW_SUM_MIN_PATHS = 256
-#: elements per band of a narrower chunk's running sum, small enough for cache
-_SUM_BAND = 1 << 15
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
@@ -149,7 +145,7 @@ class LimitCheck:
 def _require_finite_moments(spec: Distribution):
     fault = spec.moment_fault()
     if fault:
-        raise InfiniteSecondMoment(f"{spec} has {fault}; the limit theorems need E[Y] and E[Y^2] finite")
+        raise InfiniteSecondMoment(f"{spec} has {fault}; the limit theorems need a positive E[Y] and a finite E[Y^2]")
     return spec.moments()
 
 
@@ -161,93 +157,92 @@ def _check_paths(n_paths: int) -> None:
 
 
 def _path_events(spec: Distribution, t_max: float) -> float:
-    """Events each :func:`_event_matrix` path is first drawn for, before its
-    32 spare events: 1.25 t_max over the mean gap."""
-    return 1.25 * t_max / spec.moments().mean
+    """Events each verifier path is first drawn for, before its 32 spare
+    events: 1.25 t_max over the mean gap, or inf for a mean of 0."""
+    mean = spec.moments().mean
+    return 1.25 * t_max / mean if mean else math.inf
 
 
-def _chunk_paths(t_max: float, *specs: Distribution) -> int:
-    """Paths per verifier chunk drawing each spec up to t_max: at most
-    :data:`_VERIFIER_CHUNK`, and each first :func:`_event_matrix` draw within
-    :data:`_EVENT_BUDGET`.  Rejects a spec whose one path is over the budget."""
-    paths = _VERIFIER_CHUNK
+def _check_path_budget(t_max: float, *specs: Distribution) -> None:
+    """Reject a spec whose one verifier path, drawn up to t_max, is expected
+    to be over :data:`_EVENT_BUDGET`; callers check before any draw."""
     for spec in specs:
-        events = _path_events(spec, t_max)
-        _check_event_budget(f"a verifier path of {spec}", events + 32)
-        paths = min(paths, _EVENT_BUDGET // (int(events) + 32))
-    return paths
+        _check_event_budget(f"a verifier path of {spec}", _path_events(spec, t_max) + 32)
 
 
-def _sum_down(block: np.ndarray) -> None:
-    """Running sum down each column of ``block``, in place; each column's
-    sums stay sequential, so it equals ``np.cumsum(axis=0)`` bit for bit.
-
-    A block of at least :data:`_ROW_SUM_MIN_PATHS` paths takes one vector
-    add per row.  A narrower one, whose per-row call would cost more than its
-    adds, runs ``cumsum`` over bands of :data:`_SUM_BAND` elements, each
-    band's first row first adding the last row above it."""
-    paths = block.shape[1]
-    if paths >= _ROW_SUM_MIN_PATHS:
-        for prev, row in zip(block[:-1], block[1:]):
-            np.add(row, prev, out=row)
-        return
-    rows = max(1, _SUM_BAND // paths)
-    for start in range(0, len(block), rows):
-        band = block[start:start + rows]
-        if start:
-            band[0] += block[start - 1]
-        np.cumsum(band, axis=0, out=band)
+def _sum_down(slab: np.ndarray) -> None:
+    """Running sum down each column of ``slab``, in place, one vector add per
+    event row; each column's sums stay sequential, so it equals
+    ``np.cumsum(axis=0)`` bit for bit.  A function of its own, so that its
+    row views die with the call rather than keep the slab alive."""
+    for prev, row in zip(slab[:-1], slab[1:]):
+        np.add(row, prev, out=row)
 
 
-def _event_matrix(spec: Distribution, rng: RngStream, paths: int, t_max: float,
-                  csum: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative event times, one path per column and one event per row,
-    every column guaranteed past t_max; given ``csum``, event rows are
-    appended to it rather than drawn anew.
-
-    Stream position p is event p // paths of path p % paths, so the running
-    sum is a vector add over all paths per event row, and an extension
-    continues the stream and the sums exactly as one deeper draw would."""
-    depth = int(_path_events(spec, t_max)) + 32
-    if csum is None:
-        csum = spec.sample_batch(rng, depth * paths).reshape(depth, paths)
-        _sum_down(csum)
-    while float(csum[-1].min()) <= t_max:
-        ext = max(32, depth // 8)
-        gaps = spec.sample_batch(rng, ext * paths).reshape(ext, paths)
-        gaps[0] += csum[-1]
-        _sum_down(gaps)
-        csum = np.concatenate([csum, gaps])
-    return csum
+def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float, t_max: float):
+    """A chunk's cumulative event times in slabs of event rows, one path per
+    column, until every path is past t_max; stream position p of a slab is
+    event p // paths of its rows, path p % paths.  The first slab holds the
+    rows drawn for t_large, each later one an eighth of those so far (at
+    least 32), all within :data:`_EVENT_BUDGET` values, so a draw to t_large
+    is a prefix of one to any later t_max."""
+    cap = _EVENT_BUDGET // paths
+    rows, drawn = min(int(_path_events(spec, t_large)) + 32, cap), 0
+    while not drawn or float(tail.min()) <= t_max:
+        slab = spec.sample_batch(rng, rows * paths).reshape(rows, paths)
+        if drawn:
+            slab[0] += tail
+        _sum_down(slab)
+        tail, drawn = slab[-1].copy(), drawn + rows
+        yield slab
+        del slab  # free it before the next slab's draw
+        rows = min(max(32, drawn // 8), cap)
 
 
-def _chunks(n_paths: int, paths: int, master_seed: int, *scopes: tuple):
-    """Each verifier chunk's path count (``paths`` but for the last), then one
-    stream per scope reseeded to (master_seed, *scope, chunk index)."""
+def _read(slabs, paths: int, *queries) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per query time q (a scalar or a per-path vector), each path's N(q),
+    its last event at or before q (0 if none) and its first event after q
+    (inf if none), from one pass over a chunk's :func:`_event_slabs`."""
+    cols = np.arange(paths)
+    out = [(np.zeros(paths, np.intp), np.zeros(paths), np.full(paths, np.inf)) for _ in queries]
+    for slab in slabs:
+        rows, flat = len(slab), slab.reshape(-1)
+        for q, (counts, last, after) in zip(queries, out):
+            here = _count_at(slab, q)
+            # each path's first event of this slab past q; an index clipped
+            # into the slab is one the masks below leave unread
+            at = here * paths + cols
+            np.copyto(last, flat.take(at - paths, mode="clip"), where=here > 0)
+            # times grow from slab to slab, so the first event after q is the least found
+            np.minimum(after, flat.take(at, mode="clip"), out=after, where=here < rows)
+            counts += here
+        del slab, flat  # free it before the next slab's draw
+    return out
+
+
+def _chunks(n_paths: int, master_seed: int, *scopes: tuple):
+    """Each verifier chunk's path count (:data:`_VERIFIER_CHUNK` but for the
+    last), then one stream per scope reseeded to (master_seed, *scope, chunk
+    index)."""
     rngs = [RngStream(master_seed, *scope, 0) for scope in scopes]
-    for chunk_idx, done in enumerate(range(0, n_paths, paths)):
+    for chunk_idx, done in enumerate(range(0, n_paths, _VERIFIER_CHUNK)):
         for rng, scope in zip(rngs, scopes):
             rng.reseed(master_seed, *scope, chunk_idx)
-        yield (min(paths, n_paths - done), *rngs)
+        yield (min(_VERIFIER_CHUNK, n_paths - done), *rngs)
 
 
-def _count_at(csum: np.ndarray, t) -> np.ndarray:
-    """Per-path N(t); t is a scalar or a per-path vector.
+def _count_at(slab: np.ndarray, t) -> np.ndarray:
+    """Per-path count of a slab's events at or before t; t is a scalar or a
+    per-path vector.
 
     Times increase down each column, so a row's max and min do too, and two
     bisections find the band of event rows that can tell paths apart: rows
     before ``lo`` (max at most min(t)) count whole, rows from ``hi`` on (min
-    past max(t)) not at all.  The counts equal ``(csum <= t).sum(axis=0)``."""
+    past max(t)) not at all.  The counts equal ``(slab <= t).sum(axis=0)``."""
     t = np.asarray(t)
-    lo = bisect.bisect_right(csum, float(t.min()), key=np.ndarray.max)
-    hi = bisect.bisect_right(csum, float(t.max()), key=np.ndarray.min)
-    return lo + (csum[lo:hi] <= t).sum(axis=0)
-
-
-def _last_event(csum: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-path time of the last event at or before t (per path), 0 if none."""
-    counts = _count_at(csum, t)
-    return np.where(counts > 0, csum[np.maximum(counts - 1, 0), np.arange(csum.shape[1])], 0.0)
+    lo = bisect.bisect_right(slab, float(t.min()), key=np.ndarray.max)
+    hi = bisect.bisect_right(slab, float(t.max()), key=np.ndarray.min)
+    return lo + (slab[lo:hi] <= t).sum(axis=0)
 
 
 #: 4-sigma gate on every z-score, sweep points and verifier checks alike
@@ -303,29 +298,27 @@ def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = No
     time of ``t_grid`` (zero in the population for any finite mean), and the
     mean backward recurrence time at a uniform time in [t_large/2, t_large]
     against its long-run limit E[Y^2]/(2E[Y]).  Each chunk's paths are drawn
-    to t_large for the latter, then extended to the grid's last time.
+    as for the latter alone, then on to the grid's last time.
     """
     m = _require_finite_moments(spec)
     _check_paths(n_paths)
     t_grid = [positive_number("t", t) for t in t_grid]
     t_large = _t_large(t_large, m)
     t_max = max([t_large, *t_grid])
-    chunk = _chunk_paths(t_max, spec)
+    _check_path_budget(t_max, spec)
     sums, sums_sq = [0.0] * len(t_grid), [0.0] * len(t_grid)
     total = total_sq = 0.0
-    for paths, rng in _chunks(n_paths, chunk, master_seed, ("verify-recurrence",)):
+    for paths, rng in _chunks(n_paths, master_seed, ("verify-recurrence",)):
         t_eval = _window_times(rng, paths, t_large)
-        csum = _event_matrix(spec, rng, paths, t_large)
-        backward = t_eval - _last_event(csum, t_eval)
+        slabs = _event_slabs(spec, rng, paths, t_large, t_max)
+        (_, last, _), *at_grid = _read(slabs, paths, t_eval, *t_grid)
+        backward = t_eval - last
         total += float(backward.sum())
         total_sq += float((backward * backward).sum())
-        csum = _event_matrix(spec, rng, paths, t_max, csum)
-        for k, t in enumerate(t_grid):
-            counts = _count_at(csum, t)
-            mart = counts + 1.0 - csum[counts, np.arange(paths)] / m.mean
+        for k, (counts, _, after) in enumerate(at_grid):
+            mart = counts + 1.0 - after / m.mean
             sums[k] += float(mart.sum())
             sums_sq[k] += float((mart * mart).sum())
-        del csum  # free it before the next chunk's draw
     points = [MartingalePoint(t, *_summary(total_t, sq_t, n_paths), n_paths)
               for t, total_t, sq_t in zip(t_grid, sums, sums_sq)]
     return points, _limit_check(total, total_sq, n_paths, m.mean_backward_recurrence)
@@ -364,16 +357,16 @@ def verify_windowed_count_limit(
     m_probe = _require_finite_moments(probe_spec)
     _check_paths(n_paths)
     t_large = _t_large(t_large, m_src, m_probe)
-    chunk = _chunk_paths(t_large, probe_spec, source_spec)
+    _check_path_budget(t_large, probe_spec, source_spec)
     target = m_probe.mean_backward_recurrence / m_src.mean
     total = total_sq = 0.0
     scopes = [("verify-window", part) for part in ("times", "probe", "source")]
-    for paths, rng_t, rng_probe, rng_src in _chunks(n_paths, chunk, master_seed, *scopes):
+    for paths, rng_t, rng_probe, rng_src in _chunks(n_paths, master_seed, *scopes):
         t_eval = _window_times(rng_t, paths, t_large)
-        p_last = _last_event(_event_matrix(probe_spec, rng_probe, paths, t_large), t_eval)
-        src_csum = _event_matrix(source_spec, rng_src, paths, t_large)
-        diff = _count_at(src_csum, t_eval) - _count_at(src_csum, p_last)
-        del src_csum  # free it before the next chunk's draw
+        [(_, p_last, _)] = _read(_event_slabs(probe_spec, rng_probe, paths, t_large, t_large), paths, t_eval)
+        src_slabs = _event_slabs(source_spec, rng_src, paths, t_large, t_large)
+        (now, _, _), (then, _, _) = _read(src_slabs, paths, t_eval, p_last)
+        diff = now - then
         total += float(diff.sum())
         total_sq += float((diff * diff).sum())
     return _limit_check(total, total_sq, n_paths, target)

@@ -153,10 +153,11 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
 
 def _check_streams(horizon: float, streams) -> None:
     """Reject a run in which some stream, given as (stream id, law), would
-    draw too many events."""
+    draw too many events; a mean that underflows to 0 draws without end."""
     for sid, dist in streams:
         name = "source" if sid == SOURCE_STREAM else f"link {sid[1]}->{sid[2]}"
-        _check_event_budget(f"stream {name}", horizon / dist.moments().mean)
+        mean = dist.moments().mean
+        _check_event_budget(f"stream {name}", horizon / mean if mean else math.inf)
 
 
 def _window_integral(

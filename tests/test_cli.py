@@ -540,8 +540,7 @@ def test_verify_lattice_alignment_fails_gate(capsys):
 
 def test_verify_fast_law_at_default_times_passes(capsys):
     # 2 500 events per path at the default t_large of 100: within the event
-    # budget, which also caps a chunk's first draw (here at 3 949 paths,
-    # above the usual 2 048)
+    # budget, and a 2 048-path chunk's 2 532 event rows fit in one slab
     assert run(["verify", "exponential:rate=20", "--paths", "10000"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
@@ -580,6 +579,31 @@ def test_infinite_moments_exit_one(tmp_path, capsys, argv, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"has {fault}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "law", [{"type": "uniform", "lo": 0, "hi": 5e-324}, {"type": "beta", "alpha": 1e-300, "beta": 1e300}],
+    ids=lambda law: law["type"],
+)
+@pytest.mark.parametrize("command", ["verify", "verify window", "analytic", "simulate", "sweep custom"])
+def test_a_mean_that_underflows_to_zero_exits_one(tmp_path, capsys, law, command):
+    # the mean reads 0, so its link's age share and its stream's event count
+    # would divide by it
+    payload = json.loads(json.dumps(CHAIN_CONFIG))
+    payload["links"][1]["dist"] = law
+    config = write_config(tmp_path, payload)
+    argv = {
+        "verify": ["verify", json.dumps(law), "--paths", "10000"],
+        "verify window": ["verify", "--window", "exponential:rate=1", json.dumps(law), "--paths", "10000"],
+        "analytic": ["analytic", config],
+        "simulate": ["simulate", config],
+        "sweep custom": ["sweep", "custom", "--config", config, "--vary-source", "rate", "--values", "1,2",
+                         "--iterations", "20", "--horizon", "20"],
+    }[command]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    fault = "link a->b would draw about inf events" if command == "simulate" else "has a mean that underflows to 0"
+    assert err.startswith("error: ") and fault in err and "Traceback" not in err
 
 
 def test_verify_runs_a_beta_whose_moment_products_overflow(tmp_path, capsys):

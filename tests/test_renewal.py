@@ -241,14 +241,21 @@ def test_martingale_rejects_an_empty_grid():
         verify_martingale_zero_mean(Exponential(rate=1.0), [], N_PATHS)
 
 
-@pytest.mark.parametrize("spec", [Rayleigh(sigma=1.0), Deterministic(c=1.0)], ids=str)
-def test_recurrence_alone_equals_the_shared_loop(spec):
-    # the martingale points read the recurrence check's paths after it is
-    # done, so asking for them leaves the recurrence estimate bit for bit
+@pytest.mark.parametrize(
+    "spec, grid",
+    [pytest.param(spec, grid, id=str(spec)) for spec, grid in [
+        (Rayleigh(sigma=1.0), [10.0, 100.0]), (Deterministic(c=1.0), [10.0, 100.0]),
+        # beta(2, 3)'s product sampler depends on batch sizes, so this holds
+        # only while a draw to t_large is a prefix of the draw on to 300
+        (Beta(alpha=2.0, beta=3.0), [10.0, 300.0])]],
+)
+def test_recurrence_alone_equals_the_shared_loop(spec, grid):
+    # the martingale points read the recurrence check's paths, drawn as for
+    # it alone, so asking for them leaves the recurrence estimate bit for bit
     alone = verify_backward_recurrence_limit(spec, 100.0, N_PATHS, master_seed=13)
     assert verify_renewal_limits(spec, [], 100.0, N_PATHS, master_seed=13) == ([], alone)
-    points, check = verify_renewal_limits(spec, [10.0, 100.0], 100.0, N_PATHS, master_seed=13)
-    assert check == alone and [p.t for p in points] == [10.0, 100.0]
+    points, check = verify_renewal_limits(spec, grid, 100.0, N_PATHS, master_seed=13)
+    assert check == alone and [p.t for p in points] == grid
 
 
 def test_a_grid_past_t_large_extends_the_paths():
@@ -259,49 +266,47 @@ def test_a_grid_past_t_large_extends_the_paths():
     assert check == verify_backward_recurrence_limit(exp, 100.0, N_PATHS, master_seed=14)
 
 
-def test_event_matrix_sums_in_place():
-    # chi_square(1) paths of 157 events reach t = 100; t = 110 extends them
-    # once, by 32 event rows.  Each call may allocate its result plus a gap
-    # block, not a second copy of its samples: a sum beside the gaps would
-    # peak at 2x the first matrix and 1.34x the extended one
-    spec, paths = ChiSquare(k=1), 2048
-    rng = RngStream(3, "matrix")
+@pytest.mark.parametrize("paths", [2048, 79])
+def test_event_slabs_sum_in_place(monkeypatch, paths):
+    # a budget of 64 event rows a slab: chi_square(1) paths of 157 events
+    # reach t_large = 100, so the first slab is capped at 64 rows; later ones
+    # grow from 32 with the rows drawn so far, never with t_max, until every
+    # path is past t_max = 400
+    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 64 * paths)
+    spec, cap = ChiSquare(k=1), 64 * paths * 8
+
+    def slabs():
+        return renewal._event_slabs(spec, RngStream(3, "slabs"), paths, 100.0, 400.0)
+
+    # stream position p of a slab is event p // paths of its rows, path p %
+    # paths; each slab continues its paths' running sums, and the last is
+    # the first whose every path is past t_max
+    stacked = list(slabs())
+    sizes = [len(slab) for slab in stacked]
+    expected = [64]
+    while len(expected) < len(sizes):
+        expected.append(min(max(32, sum(expected) // 8), 64))
+    assert len(sizes) >= 3 and sizes == expected and max(sizes[1:]) > 32
+    ref_rng = RngStream(3, "slabs")
+    gaps = np.concatenate([spec.sample_batch(ref_rng, rows * paths).reshape(rows, paths) for rows in sizes])
+    assert np.concatenate(stacked).tobytes() == np.cumsum(gaps, axis=0).tobytes()
+    assert stacked[-1][-1].min() > 400.0 and stacked[-2][-1].min() <= 400.0
+    del stacked, gaps
+    # a slab is drawn into its own gaps, and freed before the next is drawn
     tracemalloc.start()
     try:
-        first = renewal._event_matrix(spec, rng, paths, 100.0)
-        first_peak = tracemalloc.get_traced_memory()[1]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        extended = renewal._event_matrix(spec, rng, paths, 110.0, first)
-        extension_peak = tracemalloc.get_traced_memory()[1] - held
+        for slab in slabs():
+            del slab
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (first.shape, extended.shape) == ((157, paths), (189, paths))
-    assert first_peak <= 1.25 * first.nbytes
-    assert extension_peak <= 1.25 * extended.nbytes
-    # stream position p is event p // paths of path p % paths, and the
-    # extension's gaps continue each path's running sum
-    ref_rng = RngStream(3, "matrix")
-    gaps = [spec.sample_batch(ref_rng, depth * paths).reshape(depth, paths) for depth in (157, 32)]
-    ref_first = np.cumsum(gaps[0], axis=0)
-    assert first.tobytes() == ref_first.tobytes()
-    assert extended.tobytes() == np.cumsum(np.concatenate(gaps), axis=0).tobytes()
-
-
-@pytest.mark.parametrize("paths", [1, 79, renewal._ROW_SUM_MIN_PATHS - 1, renewal._ROW_SUM_MIN_PATHS, 2048])
-def test_running_sum_equals_cumsum_either_side_of_the_row_threshold(paths):
-    # narrow blocks sum in cumsum bands, wide ones one row at a time; the
-    # depth spans two bands and part of a third
-    depth = 2 * max(1, renewal._SUM_BAND // paths) + 7
-    gaps = np.random.default_rng(paths).exponential(size=(depth, paths))
-    block = gaps.copy()
-    renewal._sum_down(block)
-    assert block.tobytes() == np.cumsum(gaps, axis=0).tobytes()
+    assert peak <= 1.25 * cap
 
 
 @st.composite
 def _count_cases(draw):
-    """A column event matrix (one path per column) and a scalar or per-path t."""
+    """A column event matrix (one path per column), a scalar or per-path t,
+    and the rows to split the matrix into slabs at."""
     depth, paths = draw(st.integers(1, 24)), draw(st.integers(1, 16))
     kind = draw(st.sampled_from(["deterministic", "whole", "real"]))
     if kind == "deterministic":  # every event time is hit exactly by some t below
@@ -315,48 +320,52 @@ def _count_cases(draw):
               | st.floats(0.0, float(csum.max()) + 1.0))
     per_path = st.lists(scalar, min_size=paths, max_size=paths).map(np.array)
     t = draw(scalar | per_path | st.sampled_from([csum[-1], csum[0] / 2, csum[depth // 2]]))
-    return csum, t
+    cuts = draw(st.lists(st.integers(1, depth - 1), max_size=4, unique=True)) if depth > 1 else []
+    return csum, t, sorted(cuts)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_count_cases())
 def test_banded_counts_equal_the_full_comparison(case):
-    csum, t = case
+    csum, t, cuts = case
     full = csum <= t
     assert renewal._count_at(csum, t).tolist() == full.sum(axis=0).tolist()
-    t_path = np.broadcast_to(t, csum.shape[1:])
-    last = np.where(full, csum, 0.0).max(axis=0)  # event times are >= 0
-    assert renewal._last_event(csum, t_path).tolist() == last.tolist()
+    # the same matrix split into slabs at random rows, read in one pass
+    [(counts, last, after)] = renewal._read(iter(np.split(csum, cuts)), csum.shape[1], t)
+    assert counts.tolist() == full.sum(axis=0).tolist()
+    assert last.tolist() == np.where(full, csum, 0.0).max(axis=0).tolist()  # event times are >= 0
+    assert after.tolist() == np.where(full, np.inf, csum).min(axis=0).tolist()
 
 
 def test_verifier_chunks_stay_within_the_event_budget(monkeypatch):
-    # with a budget of 20 000 values, a path of 157 events (exponential(1) up
-    # to t = 100) fits 127 to a chunk, and one of 282 events (rate 2) 70
-    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 20_000)
-    asked = []
-    draw = renewal._event_matrix
-
-    def recording(spec, rng, paths, t_max, csum=None):
-        if csum is None:  # a first draw, not an extension of one
-            asked.append((paths, int(renewal._path_events(spec, t_max)) + 32))
-        return draw(spec, rng, paths, t_max, csum)
-
-    monkeypatch.setattr(renewal, "_event_matrix", recording)
+    # a budget of 20 000 values holds 9 event rows of a 2 048-path chunk, so
+    # every path is drawn in many slabs; the records equal those drawn whole
     slow, fast = Exponential(rate=1.0), Exponential(rate=2.0)
-    verify_renewal_limits(slow, [100.0], 100.0, N_PATHS)
-    verify_backward_recurrence_limit(slow, 100.0, N_PATHS)
-    per_check = [(127, 157)] * (N_PATHS // 127) + [(N_PATHS % 127, 157)]
-    assert asked == 2 * per_check
-    asked.clear()
-    # a grid past t_large sizes the chunks by its depth, 407 events at t = 300
-    verify_renewal_limits(slow, [300.0], 100.0, N_PATHS)
-    assert {paths for paths, _ in asked[:-1]} == {20_000 // 407}
-    asked.clear()
-    verify_windowed_count_limit(slow, fast, 100.0, N_PATHS)
-    # the window check draws both laws in each chunk, so the deeper path sets its size
-    assert {paths for paths, _ in asked[:-2]} == {70}
-    assert sum(paths for paths, _ in asked) == 2 * N_PATHS
-    assert all(paths * depth <= 20_000 for paths, depth in asked)
+
+    def checks():
+        return (verify_renewal_limits(slow, [10.0, 300.0], 100.0, N_PATHS, master_seed=4),
+                verify_windowed_count_limit(slow, fast, 100.0, N_PATHS, master_seed=4))
+
+    whole = checks()
+    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 20_000)
+    drawn, widths = [], []
+    sample, slabs = Exponential.sample_batch, renewal._event_slabs
+
+    def recording_sample(self, rng, n):
+        drawn.append(n)
+        return sample(self, rng, n)
+
+    def recording_slabs(spec, rng, paths, t_large, t_max):
+        widths.append(paths)
+        return slabs(spec, rng, paths, t_large, t_max)
+
+    monkeypatch.setattr(Exponential, "sample_batch", recording_sample)
+    monkeypatch.setattr(renewal, "_event_slabs", recording_slabs)
+    assert checks() == whole
+    assert max(drawn) <= 20_000 and len(drawn) > 3 * len(widths)
+    # one chunk per recurrence draw, then a probe and a source per window chunk
+    last = N_PATHS % 2048
+    assert widths == [2048] * 4 + [last] + [w for w in [2048] * 4 + [last] for _ in (0, 1)]
 
 
 def test_z_score_is_signed_and_infinite_without_spread():
