@@ -59,6 +59,12 @@ EOF
         python -m versionage.cli verify exponential:rate=100 --paths 10000 --out "$work/verify-deep-$run.json"
     done
     cmp "$work/verify-deep-1.json" "$work/verify-deep-2.json"
+    # a grid time past T: every chunk's paths are extended past the first
+    # slab, which is drawn only to T
+    for run in 1 2; do
+        python -m versionage.cli verify chi_square:k=1 --t-grid 10,400 --paths 10000 --out "$work/verify-extend-$run.json"
+    done
+    cmp "$work/verify-extend-1.json" "$work/verify-extend-2.json"
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -25,10 +25,14 @@ martingale estimate depends on t, which sets how those paths are drawn.
 
 A verifier chunk holds its paths' event times in slabs of event rows, one
 path per column, each slab within :data:`_EVENT_BUDGET` values and freed once
-read.  The running sum adds one contiguous row of all paths at a time, rather
-than waiting on each path's previous event, and since times increase down
-every column, a count at t skips the rows every path reaches by min(t) and
-those no path reaches by max(t), comparing only the band between.
+read.  The first slab is sized from the law's mean and variance to reach the
+horizon on nearly every path, never deeper than the 1.25 t / E[Y] + 32 rows a
+path is admitted for; a chunk whose deepest path falls short draws further
+slabs, which continue every path's running sum.  The running sum adds one
+contiguous row of all paths at a time, rather than waiting on each path's
+previous event, and since times increase down every column, a count at t
+skips the rows every path reaches by min(t) and those no path reaches by
+max(t), comparing only the band between.
 """
 
 from __future__ import annotations
@@ -157,10 +161,29 @@ def _check_paths(n_paths: int) -> None:
 
 
 def _path_events(spec: Distribution, t_max: float) -> float:
-    """Events each verifier path is first drawn for, before its 32 spare
-    events: 1.25 t_max over the mean gap, or inf for a mean of 0."""
+    """Events a verifier path is admitted for, before its 32 spare events:
+    1.25 t_max over the mean gap, or inf for a mean of 0.  It also bounds a
+    chunk's first slab (:func:`_first_rows`)."""
     mean = spec.moments().mean
     return 1.25 * t_max / mean if mean else math.inf
+
+
+def _first_rows(spec: Distribution, t_large: float) -> int:
+    """Event rows a verifier chunk's first slab is drawn for.
+
+    N(t) is about Normal(n, sigma^2) with n = t / E[Y] and sigma^2 =
+    n (E[Y^2] / E[Y]^2 - 1) (the renewal central limit theorem), so n +
+    4 sigma + 8 rows reach t_large on nearly every path of a chunk; never
+    more than the 1.25 n + 32 a path is admitted for, which a heavy-variance
+    law would pass.  A path that falls short is extended, so the rows chosen
+    here change no result of a law whose draws do not depend on batch size.
+    """
+    m = spec.moments()
+    n = t_large / m.mean
+    cap = int(_path_events(spec, t_large)) + 32
+    deep = n + 4.0 * math.sqrt(n * max(m.second_moment / m.mean / m.mean - 1.0, 0.0))
+    # deep is inf where E[Y^2] / E[Y]^2 overflows, as for beta(1e-320, 1)
+    return min(int(deep) + 8, cap) if deep < cap else cap
 
 
 def _check_path_budget(t_max: float, *specs: Distribution) -> None:
@@ -182,12 +205,13 @@ def _sum_down(slab: np.ndarray) -> None:
 def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float, t_max: float):
     """A chunk's cumulative event times in slabs of event rows, one path per
     column, until every path is past t_max; stream position p of a slab is
-    event p // paths of its rows, path p % paths.  The first slab holds the
-    rows drawn for t_large, each later one an eighth of those so far (at
-    least 32), all within :data:`_EVENT_BUDGET` values, so a draw to t_large
-    is a prefix of one to any later t_max."""
+    event p // paths of its rows, path p % paths.  The first slab holds
+    :func:`_first_rows` rows, sized from the law's mean and variance to reach
+    t_large, each later one an eighth of those so far (at least 32), all
+    within :data:`_EVENT_BUDGET` values, so a draw to t_large is a prefix of
+    one to any later t_max."""
     cap = _EVENT_BUDGET // paths
-    rows, drawn = min(int(_path_events(spec, t_large)) + 32, cap), 0
+    rows, drawn = min(_first_rows(spec, t_large), cap), 0
     while not drawn or float(tail.min()) <= t_max:
         slab = spec.sample_batch(rng, rows * paths).reshape(rows, paths)
         if drawn:

@@ -540,7 +540,8 @@ def test_verify_lattice_alignment_fails_gate(capsys):
 
 def test_verify_fast_law_at_default_times_passes(capsys):
     # 2 500 events per path at the default t_large of 100: within the event
-    # budget, and a 2 048-path chunk's 2 532 event rows fit in one slab
+    # budget, and a 2 048-path chunk's first slab of n + 4 sigma + 8 = 2 186
+    # event rows fits in the slab budget of 4 882
     assert run(["verify", "exponential:rate=20", "--paths", "10000"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 

@@ -24,6 +24,7 @@ from versionage import (
     verify_windowed_count_limit,
 )
 from versionage import renewal
+from versionage.cli import VERIFY_SPECS, VERIFY_WINDOW_PAIRS
 from versionage.renewal import RenewalStream, event_times_until, verify_martingale_zero_mean, z_score
 
 N_PATHS = 10_000  # verifier minimum; plenty for 4-sigma gates
@@ -301,6 +302,55 @@ def test_event_slabs_sum_in_place(monkeypatch, paths):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * cap
+
+
+# the default verify battery's laws, window sources and probes included
+BATTERY = list(dict.fromkeys([*VERIFY_SPECS, *(law for pair in VERIFY_WINDOW_PAIRS for law in pair)]))
+
+
+@pytest.mark.parametrize("spec", [*BATTERY, ParetoI(shape=2.0000001, scale=1.0)], ids=str)
+def test_first_slab_reaches_n_plus_4_sigma_within_the_admitted_depth(spec):
+    # N(t) is about Normal(n, sigma^2) for n = t / E[Y]: the first slab holds
+    # n + 4 sigma + 8 rows, and never more than the 1.25 n + 32 a path is
+    # admitted for
+    m = spec.moments()
+    n = 100.0 / m.mean
+    sigma = math.sqrt(n * (m.second_moment / m.mean**2 - 1.0))
+    admitted = int(1.25 * n) + 32
+    slabs = renewal._event_slabs(spec, RngStream(5, "depth"), 2048, 100.0, 100.0)
+    rows = len(next(slabs))
+    assert rows == min(int(n + 4.0 * sigma) + 8, admitted) <= admitted
+    if isinstance(spec, ParetoI) and spec.shape < 3.0:  # sigma is about 15 800 at n = 50
+        assert rows == admitted == 94
+    if isinstance(spec, Deterministic):  # no spread: n + 8 rows and no second slab
+        assert rows == 108 and next(slabs, None) is None
+
+
+def test_first_slab_takes_the_admitted_depth_where_the_spread_overflows():
+    # E[Y^2] / E[Y]^2 is about 1 / alpha, past the largest float
+    tiny = Beta(alpha=1e-310, beta=1.0)
+    assert renewal._first_rows(tiny, 1e-308) == int(renewal._path_events(tiny, 1e-308)) + 32 == 157
+
+
+@pytest.mark.parametrize("spec", [s for s in BATTERY if not isinstance(s, Beta)], ids=str)
+def test_first_slab_depth_moves_no_record(monkeypatch, spec):
+    # these laws draw the same gaps however a draw is split into batches, and
+    # an extension continues each column's running sum, so no record depends
+    # on the first slab's depth: neither the admitted 1.25 n + 32 rows nor 16
+    # rows, which extend every chunk several times (beta(2, 3)'s product
+    # sampler depends on batch sizes, so its records do)
+    def checks():
+        return (verify_renewal_limits(spec, [10.0, 100.0], 100.0, N_PATHS, master_seed=8),
+                verify_windowed_count_limit(spec, spec, 100.0, N_PATHS, master_seed=8))
+
+    fitted, slabs, sum_down = checks(), [], renewal._sum_down
+    monkeypatch.setattr(renewal, "_first_rows", lambda spec, t: int(renewal._path_events(spec, t)) + 32)
+    assert checks() == fitted
+    monkeypatch.setattr(renewal, "_first_rows", lambda spec, t: 16)
+    monkeypatch.setattr(renewal, "_sum_down", lambda slab: slabs.append(len(slab)) or sum_down(slab))
+    assert checks() == fitted
+    # 5 recurrence chunks, then a probe and a source per window chunk
+    assert slabs.count(16) == 15 and len(slabs) >= 3 * 15
 
 
 @st.composite
