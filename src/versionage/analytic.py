@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Distribution, positive_number
-from .errors import InfiniteSecondMoment, NotATree
+from .errors import InfiniteSecondMoment, InvalidParameter, NotATree
 from .network import CacheNetwork, NetworkClass
 
 __all__ = [
@@ -60,8 +60,9 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
 
     Sums per-path link contributions with ``math.fsum`` (correctly rounded, so
     reordering links along a path cannot change any node's value) and divides
-    by the source mean.  Raises :class:`NotATree` on general graphs and
-    :class:`InfiniteSecondMoment` naming the offending distribution.
+    by the source mean.  Raises :class:`NotATree` on general graphs,
+    :class:`InfiniteSecondMoment` naming the offending distribution, and
+    :class:`InvalidParameter` naming a node whose age overflows a float.
     """
     if network.classification is NetworkClass.GENERAL:
         raise NotATree("closed form requires tree")
@@ -91,9 +92,9 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     per_node: dict[str, float] = {network.source: 0.0}
     for node in network.topo_order():
         path = network.path_to_source(node)
-        per_node[node] = (
-            math.fsum(contributions[(l.src, l.dst)] for l in path) / m0.mean
-        )
+        per_node[node] = math.fsum(contributions[(l.src, l.dst)] for l in path) / m0.mean
+        if math.isinf(per_node[node]):
+            raise InvalidParameter(f"node {node} has an expected age too large for a float (source mean {m0.mean:g})")
     return AnalyticAge(
         per_node=per_node,
         contributions=contributions,

@@ -1,10 +1,9 @@
 """Renewal event streams and statistical limit verifiers.
 
 :func:`event_times_until` realizes a renewal counting process up to a
-horizon: gaps are drawn from the owning distribution in fixed-size batches
-until one batch ends past the horizon, so the event sequence depends only on
-(seed, scope).  A :class:`RenewalStream` is a cursor over those events, for
-the reference event loop.
+horizon, as the one-path case of the verifiers' slab draw below.  A
+:class:`RenewalStream` is a cursor over its events, for the reference event
+loop.
 
 The verifiers check the renewal limit theorems this package's closed forms
 rest on, by Monte Carlo at a 4-sigma gate:
@@ -25,19 +24,21 @@ martingale estimate depends on t, which sets how those paths are drawn.
 
 A verifier chunk holds its paths' event times in slabs of event rows, one
 path per column, each slab within :data:`_EVENT_BUDGET` values and freed once
-read.  The first slab is sized from the law's mean and variance to reach the
+read; a simulator stream is the one-path case, its slabs kept and joined.
+The first slab is sized from the law's mean and variance to reach the
 horizon on nearly every path, never deeper than the 1.25 t / E[Y] + 32 rows a
 path is admitted for; a chunk whose deepest path falls short draws further
 slabs, which continue every path's running sum.  The running sum adds one
-contiguous row of all paths at a time, rather than waiting on each path's
-previous event, and since times increase down every column, a count at t
-skips the rows every path reaches by min(t) and those no path reaches by
-max(t), comparing only the band between.
+contiguous row of all paths at a time (one accumulate down a lone path),
+rather than waiting on each path's previous event, and since times increase
+down every column, a count at t skips the rows every path reaches by min(t)
+and those no path reaches by max(t), comparing only the band between.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,6 @@ from .errors import InfiniteSecondMoment, InvalidParameter
 from .rng import RngStream
 
 __all__ = [
-    "GAP_BATCH",
     "RenewalStream",
     "MartingalePoint",
     "LimitCheck",
@@ -57,10 +57,6 @@ __all__ = [
     "verify_windowed_count_limit",
     "z_score",
 ]
-
-#: gaps drawn per batch; fixed so an event sequence depends only on its
-#: stream, and a shorter horizon draws a prefix of a longer one's batches
-GAP_BATCH = 1024
 
 #: most events one stream or verifier path may be expected to draw, and most
 #: gaps one verifier slab holds; past it a run would allocate without bound
@@ -74,21 +70,10 @@ _VERIFIER_CHUNK = 2048
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
-    """Event times from 0 up to and beyond t (the final entry exceeds t).
-
-    Each event is the previous batches' last event plus the running sum of
-    its own batch's gaps; one batch that passes t is returned as summed."""
-    times = np.add.accumulate(spec.sample_batch(rng, GAP_BATCH))
-    tail = float(times[-1])
-    if tail > t:
-        return times
-    chunks = [times]
-    while tail <= t:
-        times = np.add.accumulate(spec.sample_batch(rng, GAP_BATCH))
-        times += tail
-        tail = float(times[-1])
-        chunks.append(times)
-    return np.concatenate(chunks)
+    """Event times from 0 up to and beyond t (the final entry exceeds t): the
+    column of a one-path :func:`_event_slabs`, its slabs joined if several."""
+    slabs = [slab.reshape(-1) for slab in _event_slabs(spec, rng, 1, t, t)]
+    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
 
 
 class RenewalStream:
@@ -168,18 +153,21 @@ def _path_events(spec: Distribution, t_max: float) -> float:
     return 1.25 * t_max / mean if mean else math.inf
 
 
+@functools.lru_cache(maxsize=256)  # a simulation asks it once per stream and replication
 def _first_rows(spec: Distribution, t_large: float) -> int:
-    """Event rows a verifier chunk's first slab is drawn for.
+    """Event rows of the first slab of a verifier chunk or simulator stream.
 
     N(t) is about Normal(n, sigma^2) with n = t / E[Y] and sigma^2 =
     n (E[Y^2] / E[Y]^2 - 1) (the renewal central limit theorem), so n +
     4 sigma + 8 rows reach t_large on nearly every path of a chunk; never
     more than the 1.25 n + 32 a path is admitted for, which a heavy-variance
     law would pass.  A path that falls short is extended, so the rows chosen
-    here change no result of a law whose draws do not depend on batch size.
-    """
+    here change no result of a law whose draws do not depend on batch size
+    (all but a beta with a whole b of at most 4).  A path expected to draw
+    over :data:`_EVENT_BUDGET` events, as where the mean is 0, is refused."""
     m = spec.moments()
-    n = t_large / m.mean
+    n = t_large / m.mean if m.mean else math.inf
+    _check_event_budget(f"a stream of {spec}", n)
     cap = int(_path_events(spec, t_large)) + 32
     deep = n + 4.0 * math.sqrt(n * max(m.second_moment / m.mean / m.mean - 1.0, 0.0))
     # deep is inf where E[Y^2] / E[Y]^2 overflows, as for beta(1e-320, 1)
@@ -194,25 +182,35 @@ def _check_path_budget(t_max: float, *specs: Distribution) -> None:
 
 
 def _sum_down(slab: np.ndarray) -> None:
-    """Running sum down each column of ``slab``, in place, one vector add per
-    event row; each column's sums stay sequential, so it equals
-    ``np.cumsum(axis=0)`` bit for bit.  A function of its own, so that its
-    row views die with the call rather than keep the slab alive."""
+    """Running sum down each column of ``slab``, in place, equal to
+    ``np.cumsum(axis=0)`` bit for bit: one accumulate down a lone path, else
+    one vector add per event row.  A function of its own, so that its row
+    views die with the call rather than keep the slab alive."""
+    if slab.shape[1] == 1:
+        np.add.accumulate(slab, axis=0, out=slab)
+        return
     for prev, row in zip(slab[:-1], slab[1:]):
         np.add(row, prev, out=row)
 
 
 def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float, t_max: float):
-    """A chunk's cumulative event times in slabs of event rows, one path per
-    column, until every path is past t_max; stream position p of a slab is
-    event p // paths of its rows, path p % paths.  The first slab holds
+    """Cumulative event times in slabs of event rows, one path per column,
+    until every path is past t_max: a verifier chunk's paths, or one
+    simulator stream's (``paths`` 1).  Stream position p of a slab is event
+    p // paths of its rows, path p % paths.  The first slab holds
     :func:`_first_rows` rows, sized from the law's mean and variance to reach
     t_large, each later one an eighth of those so far (at least 32), all
     within :data:`_EVENT_BUDGET` values, so a draw to t_large is a prefix of
-    one to any later t_max."""
+    one to any later t_max.  Paths still at 0 after over a budget of gaps in
+    all are refused, as a law's draws underflowing to 0: one with P(Y > 0) = q
+    does that with probability below exp(-q budget), yet expects 1 / q events
+    a path or more, so chance refuses only a law near the budget anyway."""
     cap = _EVENT_BUDGET // paths
     rows, drawn = min(_first_rows(spec, t_large), cap), 0
     while not drawn or float(tail.min()) <= t_max:
+        if drawn * paths > _EVENT_BUDGET and not tail.any():
+            raise InvalidParameter(f"{spec} drew only gaps of 0, {drawn} a path, so its events never "
+                                   f"reach t = {t_max:g}: its draws underflow to 0")
         slab = spec.sample_batch(rng, rows * paths).reshape(rows, paths)
         if drawn:
             slab[0] += tail

@@ -271,8 +271,8 @@ def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
 class _Replicator:
     """Per-replication evaluator of one estimator for every network class.
 
-    Draws the same gap sequences as the event loop (same streams, same
-    batching) for the targets and every cache that feeds them, then reads
+    Draws the same event times as the event loop (same streams, each by
+    :func:`~versionage.renewal.event_times_until`) for the targets and every cache that feeds them, then reads
     only what the estimator needs: each target's versions at its knots in
     effect at the horizon (``terminal``) or over [horizon/2, horizon]
     (``time_average``).  Knot 0 of a node is time 0 with version 0, knot q

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import signal
+
 import pytest
 from scipy import stats
 
@@ -21,3 +23,16 @@ def scipy_law():
     """Map a continuous distribution to its frozen ``scipy.stats`` law, the
     independent oracle for its moments and its sampler."""
     return lambda spec: SCIPY_LAWS[type(spec)](spec)
+
+
+@pytest.fixture
+def alarm():
+    """Arm an alarm of the given seconds that fails the test, so a draw that
+    would never end fails instead of hanging the suite."""
+    def expire(signum, frame):
+        pytest.fail("still running when the alarm rang")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)

@@ -607,6 +607,41 @@ def test_a_mean_that_underflows_to_zero_exits_one(tmp_path, capsys, law, command
     assert err.startswith("error: ") and fault in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "analytic", "sweep custom"])
+def test_a_law_whose_draws_underflow_to_zero_exits_one(tmp_path, capsys, alarm, command):
+    # beta(1e-310, 1) has mean 1e-310, but U^(1 / alpha) is 0 for every float
+    # U < 1: no stream reaches its horizon, and the age 1 / 1e-310 is past
+    # the float range
+    tiny = {"type": "beta", "alpha": 1e-310, "beta": 1}
+    payload = {"nodes": ["s", "a"], "source": "s", "source_dist": tiny, "horizon": 1e-308,
+               "links": [{"from": "s", "to": "a", "dist": {"type": "exponential", "rate": 1.0}}]}
+    config = write_config(tmp_path, payload)
+    argv = {
+        "simulate": ["simulate", config, "--iterations", "20"],
+        "verify": ["verify", json.dumps(tiny), "--t-large", "1e-308", "--t-grid", "1e-309", "--paths", "10000"],
+        "analytic": ["analytic", config],
+        "sweep custom": ["sweep", "custom", "--config", config, "--vary-source", "alpha", "--values", "1e-310",
+                         "--iterations", "20", "--horizon", "1e-308"],
+    }[command]
+    alarm(10)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    fault = ("drew only gaps of 0" if command in ("simulate", "verify")
+             else "node a has an expected age too large for a float")
+    assert err.startswith("error: ") and fault in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_a_link_that_mostly_draws_zeros_simulates(tmp_path):
+    # beta(1e-4, 1) draws 0 for 93% of its gaps; its streams extend past
+    # their first slab, often through 32-gap extensions that are all 0
+    payload = {"nodes": ["s", "a"], "source": "s", "source_dist": {"type": "exponential", "rate": 1.0},
+               "links": [{"from": "s", "to": "a", "dist": {"type": "beta", "alpha": 1e-4, "beta": 1}}],
+               "horizon": 0.01}
+    config = write_config(tmp_path, payload)
+    assert run(["simulate", config, "--iterations", "40", "--out", str(tmp_path / "out")]) == 0
+
+
 def test_verify_runs_a_beta_whose_moment_products_overflow(tmp_path, capsys):
     # a(a+1) and (a+b)(a+b+1) overflow at a = b = 1e200; E[Y^2] is about 1/4
     out = str(tmp_path / "beta.json")

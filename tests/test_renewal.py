@@ -56,47 +56,50 @@ def test_events_inclusive_right_edge():
 @given(st.lists(st.floats(min_value=0.01, max_value=3000.0), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_advance_chunking_invariance_property(horizons):
-    # a shorter horizon draws a prefix of a longer one's events: a horizon
-    # past a GAP_BATCH boundary only draws further batches
+    # a shorter horizon draws a prefix of a longer one's events: rayleigh's
+    # inverse transform draws the same gaps however a draw is split, so a
+    # longer horizon's deeper first slab or extensions only draw further ones
     spec = Rayleigh(sigma=1.0)
     draws = [event_times_until(spec, RngStream(11, "s"), h) for h in sorted(horizons)]
     for short, long in zip(draws, draws[1:]):
         assert np.array_equal(short, long[: short.size])
 
 
-def _batchwise_events(spec, rng, t):
-    """Reference: each batch's events as its start plus the running sum of
-    its gaps, the batches concatenated."""
-    chunks, tail = [], 0.0
-    while tail <= t:
-        times = tail + np.cumsum(spec.sample_batch(rng, renewal.GAP_BATCH))
-        tail = float(times[-1])
-        chunks.append(times)
-    return np.concatenate(chunks)
-
-
 @pytest.mark.parametrize(
-    "spec, horizon, batches",
+    "spec, horizon",
     [
-        (Uniform(lo=0.0, hi=2.0), 500.0, 1),
-        (Uniform(lo=0.0, hi=2.0), 1500.0, 2),
-        (Uniform(lo=0.0, hi=2.0), 3500.0, 4),
-        (ParetoI(shape=3.0, scale=1.0 / 3.0), 1800.0, 4),
+        (Uniform(lo=0.0, hi=2.0), 500.0),
+        (Uniform(lo=0.0, hi=2.0), 1500.0),
+        (Uniform(lo=0.0, hi=2.0), 3500.0),
+        (ParetoI(shape=3.0, scale=1.0 / 3.0), 1800.0),
         # most gaps are exactly zero, so events repeat
-        (Beta(alpha=0.001, beta=1.0), 0.1, 1),
-        (Beta(alpha=0.001, beta=1.0), 1.4, 2),
-        (Beta(alpha=0.001, beta=1.0), 4.0, 4),
+        (Beta(alpha=0.001, beta=1.0), 0.1),
+        (Beta(alpha=0.001, beta=1.0), 1.4),
+        (Beta(alpha=0.001, beta=1.0), 4.0),
     ],
     ids=str,
 )
-def test_event_times_equal_the_batchwise_sums(spec, horizon, batches):
+def test_event_times_are_the_running_sums(monkeypatch, spec, horizon):
     times = event_times_until(spec, RngStream(6, "acc"), horizon)
-    assert times.size == batches * renewal.GAP_BATCH
-    assert times.tobytes() == _batchwise_events(spec, RngStream(6, "acc"), horizon).tobytes()
+    assert times[-1] > horizon
+    assert times.tobytes() == np.cumsum(spec.sample_batch(RngStream(6, "acc"), times.size)).tobytes()
+    # a 16-row first slab extends the stream several times, each extension
+    # going on with the running sum; beta(0.001, 1)'s product sampler
+    # depends on batch sizes, so only its sums of the same slabs are equal
+    slabs, sum_down = [], renewal._sum_down
+    monkeypatch.setattr(renewal, "_first_rows", lambda spec, t: 16)
+    monkeypatch.setattr(renewal, "_sum_down", lambda slab: slabs.append(len(slab)) or sum_down(slab))
+    extended = event_times_until(spec, RngStream(6, "acc"), horizon)
+    assert len(slabs) >= 3 and extended.size == sum(slabs) and extended[-1] > horizon >= extended[-slabs[-1] - 1]
+    rng = RngStream(6, "acc")
+    gaps = np.concatenate([spec.sample_batch(rng, rows) for rows in slabs])
+    assert extended.tobytes() == np.cumsum(gaps).tobytes()
+    if not isinstance(spec, Beta):
+        assert extended.tobytes() == np.cumsum(spec.sample_batch(RngStream(6, "acc"), extended.size)).tobytes()
 
 
 def test_stream_pops_the_events_up_to_the_horizon():
-    spec, horizon = Exponential(rate=3.0), 500.0  # about 1 500 events, two batches
+    spec, horizon = Exponential(rate=3.0), 500.0  # about 1 500 events
     stream = RenewalStream(spec, RngStream(4, "s"), horizon)
     popped = []
     while stream.peek() <= horizon:
@@ -267,7 +270,7 @@ def test_a_grid_past_t_large_extends_the_paths():
     assert check == verify_backward_recurrence_limit(exp, 100.0, N_PATHS, master_seed=14)
 
 
-@pytest.mark.parametrize("paths", [2048, 79])
+@pytest.mark.parametrize("paths", [2048, 79, 1])
 def test_event_slabs_sum_in_place(monkeypatch, paths):
     # a budget of 64 event rows a slab: chi_square(1) paths of 157 events
     # reach t_large = 100, so the first slab is capped at 64 rows; later ones
@@ -293,6 +296,8 @@ def test_event_slabs_sum_in_place(monkeypatch, paths):
     assert np.concatenate(stacked).tobytes() == np.cumsum(gaps, axis=0).tobytes()
     assert stacked[-1][-1].min() > 400.0 and stacked[-2][-1].min() <= 400.0
     del stacked, gaps
+    if paths == 1:  # a 512-byte slab is below the interpreter's own allocations
+        return
     # a slab is drawn into its own gaps, and freed before the next is drawn
     tracemalloc.start()
     try:
@@ -330,6 +335,21 @@ def test_first_slab_takes_the_admitted_depth_where_the_spread_overflows():
     # E[Y^2] / E[Y]^2 is about 1 / alpha, past the largest float
     tiny = Beta(alpha=1e-310, beta=1.0)
     assert renewal._first_rows(tiny, 1e-308) == int(renewal._path_events(tiny, 1e-308)) + 32 == 157
+
+
+def test_gaps_that_underflow_to_zero_are_refused_rather_than_drawn_forever(alarm):
+    # beta(1e-310, 1) has mean 1e-310, but U^(1 / alpha) is 0 for every float
+    # U < 1, so no path ever reaches t: paths still at 0 after over a budget
+    # of gaps in all are refused, past 4 882 rows of a 2 048-path chunk or
+    # 10 M of a lone stream; a mean that is 0 itself is refused before any draw
+    tiny = Beta(alpha=1e-310, beta=1.0)
+    alarm(10)
+    with pytest.raises(InvalidParameter, match=r"beta\(alpha=1e-310, beta=1\) drew only gaps of 0, \d+ a path, .* t = 1e-308"):
+        verify_backward_recurrence_limit(tiny, 1e-308, N_PATHS)
+    with pytest.raises(InvalidParameter, match=r"drew only gaps of 0, \d{8} a path"):
+        event_times_until(tiny, RngStream(0, "s"), 1e-308)
+    with pytest.raises(InvalidParameter, match="would draw about inf events"):
+        event_times_until(Uniform(lo=0.0, hi=5e-324), RngStream(0, "s"), 1.0)
 
 
 @pytest.mark.parametrize("spec", [s for s in BATTERY if not isinstance(s, Beta)], ids=str)
