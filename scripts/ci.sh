@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, thread and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, thread and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -38,6 +38,34 @@ EOF
         python -m versionage.cli simulate "$work/$name.json" --out "$work/$name-run"
     done
     cmp "$work/declared-run.csv" "$work/lateral-first-run.csv"
+    # a 10 000-hop chain whose links cycle through four laws, and the same
+    # laws in reverse hop order: the closed form sums each path exactly in
+    # one pass, so both finish in time and the leaf's age is the correctly
+    # rounded path sum over the source mean
+    python - "$work" <<'EOF'
+import json, sys
+laws = [{"type": "uniform", "lo": 0.0, "hi": 2.0}, {"type": "rayleigh", "sigma": 1.0},
+        {"type": "chi_square", "k": 1}, {"type": "exponential", "rate": 3.0}]
+hops = [laws[i % 4] for i in range(10_000)]
+nodes = ["s"] + [f"n{i}" for i in range(1, 10_001)]
+for name, order in (("hop-order", hops), ("reversed", hops[::-1])):
+    config = {"nodes": nodes, "source": "s", "source_dist": {"type": "pareto1", "shape": 3.0, "scale": 1 / 3},
+              "links": [{"from": nodes[i], "to": nodes[i + 1], "dist": d} for i, d in enumerate(order)]}
+    with open(f"{sys.argv[1]}/chain-{name}.json", "w") as fh:
+        json.dump(config, fh)
+EOF
+    for name in hop-order reversed; do
+        timeout 10 python -m versionage.cli analytic "$work/chain-$name.json" --out "$work/chain-$name-age.json" > /dev/null
+    done
+    # summed left to right in floats, the contributions read
+    # 8244.71140200742 in hop order and 8244.711402007419 in reverse
+    python - "$work" <<'EOF'
+import json, math, sys
+reports = [json.load(open(f"{sys.argv[1]}/chain-{name}-age.json"))["analytic"] for name in ("hop-order", "reversed")]
+ages = [r["per_node"]["n10000"] for r in reports]
+exact = math.fsum(reports[0]["contributions"].values()) / reports[0]["source_mean"]
+assert ages[0] == ages[1] == exact, (ages, exact)
+EOF
     # the same run through the process pool, which receives the pickled
     # replicator; a one-CPU runner falls back to one worker
     python -m versionage.cli simulate "$work/declared.json" --threads 2 --out "$work/declared-threads-run"

@@ -1,10 +1,10 @@
 """Closed-form long-run expected version age on PATH/TREE networks.
 
 Each link contributes E[Y^2] / (2 E[Y]) -- the limiting mean backward
-recurrence time of its update process -- and a node's expected age is the sum
-of the contributions along its path from the source, divided by the source's
-mean inter-update time.  The result is additive in the links, invariant to
-their ordering along a path, and inversely proportional to the source mean.
+recurrence time of its update process.  A node's path sum is its sender's plus
+its feed's contribution, and its expected age is that sum over the source's
+mean inter-update time: additive in the links, invariant to their order along
+a path, and inversely proportional to the source mean.
 
 The closed form assumes non-arithmetic inter-update distributions; networks
 containing deterministic links are still computed but carry a structured
@@ -27,6 +27,8 @@ __all__ = [
     "expected_version_age",
     "expected_version_age_poisson",
 ]
+
+_UNITS_PER_ONE = 1 << 1074  # every finite float is a whole number of units of 2**-1074
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,12 @@ def link_contribution(dist: Distribution) -> float:
 def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     """Exact limiting expected version age at every node of a PATH/TREE network.
 
-    Sums per-path link contributions with ``math.fsum`` (correctly rounded, so
-    reordering links along a path cannot change any node's value) and divides
-    by the source mean.  Raises :class:`NotATree` on general graphs,
-    :class:`InfiniteSecondMoment` naming the offending distribution, and
-    :class:`InvalidParameter` naming a node whose age overflows a float.
+    One pass in depth order: a node's exact path sum, its sender's plus its
+    feed's contribution, is rounded to a float once (so reordering links along
+    a path cannot change any value) and divided by the source mean.  Raises
+    :class:`NotATree` on general graphs, :class:`InfiniteSecondMoment` naming
+    the offending distribution, and :class:`InvalidParameter` naming a node
+    whose age overflows a float.
     """
     if network.classification is NetworkClass.GENERAL:
         raise NotATree("closed form requires tree")
@@ -90,9 +93,12 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
                 "the closed form assumes non-arithmetic inter-update times"
             )
     per_node: dict[str, float] = {network.source: 0.0}
+    exact = {network.source: 0}
     for node in network.topo_order():
-        path = network.path_to_source(node)
-        per_node[node] = math.fsum(contributions[(l.src, l.dst)] for l in path) / m0.mean
+        (feed,) = network.incoming(node)
+        n, d = contributions[(feed.src, node)].as_integer_ratio()
+        exact[node] = exact[feed.src] + n * (_UNITS_PER_ONE // d)
+        per_node[node] = exact[node] / _UNITS_PER_ONE / m0.mean
         if math.isinf(per_node[node]):
             raise InvalidParameter(f"node {node} has an expected age too large for a float (source mean {m0.mean:g})")
     return AnalyticAge(

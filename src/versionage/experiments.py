@@ -207,10 +207,13 @@ def sweep_network_family(
             "by the standard error, which a single replication does not give"
         )
     values = _sweep_values(values)
-    # every point's network is built, and so validated, before any point runs
-    networks = [make_network(value) for value in values]
+    # every value is validated by building its network before any point runs;
+    # a point builds its own again, so a sweep holds one network at a time
+    for value in values:
+        make_network(value)
     points: list[SweepPoint] = []
-    for idx, (value, network) in enumerate(zip(values, networks)):
+    for idx, value in enumerate(values):
+        network = make_network(value)
         leaves = network.leaves()
         target = max(leaves, key=lambda n: network.depth[n]) if leaves else network.source
         ana = expected_version_age(network).per_node[target]

@@ -1,4 +1,4 @@
-"""Cache-network topology: validation, classification, and path extraction.
+"""Cache-network topology: validation, classification, and depth order.
 
 A network is a directed graph of caches fed from one source node.  The
 classification gates which engines apply: PATH and TREE networks admit the
@@ -20,7 +20,6 @@ from .errors import (
     CycleThroughSource,
     DuplicateLink,
     InvalidParameter,
-    NotATree,
     SelfLoop,
     SourceHasIncoming,
     UnknownNode,
@@ -143,31 +142,13 @@ class CacheNetwork:
     def is_tree(self) -> bool:
         return self.classification is not NetworkClass.GENERAL
 
-    def path_to_source(self, node: str) -> list[Link]:
-        """Links from the source down to ``node``, in hop order."""
-        if node not in self._incoming:
-            raise UnknownNode(f"{node!r} is not a declared node")
-        if not self.is_tree:
-            raise NotATree("paths to the source are only defined on PATH/TREE networks")
-        path: list[Link] = []
-        cur = node
-        while cur != self.source:
-            link = self._incoming[cur][0]
-            path.append(link)
-            cur = link.src
-        path.reverse()
-        return path
-
     def leaves(self) -> list[str]:
         """Nodes with no outgoing links, excluding the source."""
         return [n for n in self.nodes if n != self.source and not self._outgoing[n]]
 
     def topo_order(self) -> list[str]:
-        """Non-source nodes ordered by increasing depth (parents first on trees)."""
-        return sorted(
-            (n for n in self.nodes if n != self.source),
-            key=lambda n: (self.depth[n], self.nodes.index(n)),
-        )
+        """Non-source nodes by increasing depth, ties in declaration order."""
+        return sorted((n for n in self.nodes if n != self.source), key=self.depth.__getitem__)
 
     # -- serialization -----------------------------------------------------------
 

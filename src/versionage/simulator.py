@@ -146,7 +146,7 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
             "no targets: the target list is empty, or none was given and the network "
             "has no leaves (every cache forwards to another); name the targets"
         )
-    unknown = [t for t in targets if t not in network.nodes]
+    unknown = [t for t in targets if t not in network.depth]
     if unknown:
         raise UnknownNode(f"targets reference undeclared nodes {unknown}")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from versionage import (
     expected_version_age,
     expected_version_age_poisson,
     fig5_network,
+    fig6_network,
     fig7_network,
     link_contribution,
 )
@@ -121,6 +123,46 @@ def test_ordering_invariance_is_exact():
         if reference is None:
             reference = age
         assert age == reference  # bitwise: the path sum is correctly rounded
+
+
+def test_every_age_is_the_correctly_rounded_path_sum():
+    # random trees of mixed laws whose contributions span 1e-150..1e150,
+    # each with its links declared in three shuffled orders
+    rnd = random.Random(2024)
+    laws = [
+        lambda x: Exponential(rate=1.0 / x),
+        lambda x: Uniform(lo=0.0, hi=2.0 * x),
+        lambda x: Rayleigh(sigma=x),
+        lambda x: Deterministic(c=x),
+        lambda x: Beta(alpha=rnd.uniform(0.5, 4.0), beta=rnd.uniform(0.5, 4.0)),
+        lambda x: ChiSquare(k=rnd.randint(1, 5)),
+    ]
+    for _ in range(40):
+        size = rnd.randint(1, 30)
+        names = ["s"] + [f"c{i}" for i in range(1, size + 1)]
+        links = [
+            (names[rnd.randrange(i)], names[i], rnd.choice(laws)(10.0 ** rnd.uniform(-150, 150)))
+            for i in range(1, size + 1)
+        ]
+        source = Exponential(rate=10.0 ** rnd.uniform(-3, 3))
+        for _ in range(3):
+            rnd.shuffle(links)
+            net = CacheNetwork(nodes=rnd.sample(names, len(names)), source="s",
+                               source_dist=source, links=links)
+            ages = expected_version_age(net)
+            for node in names:
+                path, cur = [], node
+                while cur != "s":
+                    (link,) = net.incoming(cur)
+                    path.append(link_contribution(link.dist))
+                    cur = link.src
+                assert ages.per_node[node] == math.fsum(path) / ages.source_mean
+
+
+def test_a_ten_thousand_hop_chain_takes_linear_time(alarm):
+    alarm(2)
+    ages = expected_version_age(fig6_network(10_000))
+    assert ages.per_node["n10000"] == math.fsum([2.0 / 3.0] * 10_000) / 0.5
 
 
 def test_additivity_along_path():

@@ -4,6 +4,8 @@ Monte Carlo sizes here are deliberately small; the full-scale reproduction
 runs live in the acceptance suite.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from versionage import (
     sweep_network_family,
     sweep_study,
 )
+from versionage import experiments
 from versionage.experiments import CSV_HEADER
 from versionage.renewal import z_score
 from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
@@ -129,6 +132,27 @@ def test_sweep_needs_two_iterations_before_building_anything():
             sweep_network_family("custom", (1, 2), no_build, iterations=iterations, horizon=50.0)
     sweep = sweep_study("fig6", (1,), iterations=2, horizon=50.0, seed=3)
     assert sweep.points[0].outcome.stderr > 0.0
+
+
+def test_a_bad_last_value_is_refused_before_any_point_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "monte_carlo", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidParameter, match="hop count must lie in"):
+        sweep_study("fig6", (1, 2, MAX_SWEEP_VALUES + 1), **FAST)
+    assert calls == []
+
+
+def test_a_sweep_holds_one_network_at_a_time():
+    # hops 1..60 total 1 830 hops, about 1 MB of networks held at once; one
+    # network at a time peaks near the largest, 60 hops
+    sweep_study("fig6", (1, 2), iterations=2, horizon=5.0, seed=1)
+    tracemalloc.start()
+    try:
+        sweep_study("fig6", range(1, 61), iterations=2, horizon=5.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_csv_bytes_reproducible():

@@ -1,4 +1,4 @@
-"""Topology validation, classification, and path queries."""
+"""Topology validation, classification, and depth queries."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from versionage import (
     InvalidParameter,
     Link,
     NetworkClass,
-    NotATree,
     RngStream,
     SelfLoop,
     SourceHasIncoming,
@@ -119,37 +118,23 @@ def test_link_objects_are_accepted():
     assert again.links == n.links == (Link("s", "a", E), Link("a", "b", E))
 
 
-def test_path_to_source():
-    n = net(
-        ["s", "a", "b", "c", "d"],
-        [("s", "a", E), ("s", "b", E), ("a", "c", E), ("c", "d", E)],
-    )
-    assert [(l.src, l.dst) for l in n.path_to_source("d")] == [("s", "a"), ("a", "c"), ("c", "d")]
-    assert n.path_to_source("s") == []
-    chain = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E)])
-    assert [(l.src, l.dst) for l in chain.path_to_source("b")] == [("s", "a"), ("a", "b")]
-
-
-def test_path_to_source_requires_tree():
-    n = net(
-        ["s", "a", "b", "c"],
-        [("s", "a", E), ("s", "b", E), ("a", "c", E), ("b", "c", E)],
-    )
-    with pytest.raises(NotATree):
-        n.path_to_source("c")
-
-
 def test_tree_path_lengths_and_link_coverage():
     n = net(
         ["s", "a", "b", "c", "d", "e"],
         [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E), ("c", "e", E)],
     )
+
+    def path(node):
+        hops = []
+        while node != "s":
+            (link,) = n.incoming(node)
+            hops.append((link.src, link.dst))
+            node = link.src
+        return hops
+
     for node in n.nodes:
-        if node != "s":
-            assert len(n.path_to_source(node)) == n.depth[node]
-    on_leaf_paths = {
-        (l.src, l.dst) for leaf in n.leaves() for l in n.path_to_source(leaf)
-    }
+        assert len(path(node)) == n.depth[node]
+    on_leaf_paths = {hop for leaf in n.leaves() for hop in path(leaf)}
     assert on_leaf_paths == {(l.src, l.dst) for l in n.links}
 
 
