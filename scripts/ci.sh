@@ -75,6 +75,13 @@ EOF
         python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"
     done
     cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-2.csv"
+    # fig6's tree time average, in process and in the pool, whose workers
+    # unpickle the replicator's stream and rebuild its reseed caches
+    for threads in 1 2; do
+        python -m versionage.cli sweep fig6 --values 1..3 --estimator time_average --iterations 40 \
+            --threads "$threads" --out "$work/fig6-threads-$threads"
+    done
+    cmp "$work/fig6-threads-1.csv" "$work/fig6-threads-2.csv"
     # a beta(0.001, 1) link draws mostly zero gaps: at horizon 12 its first
     # slab takes the admitted 1.25 n + 32 events, and some streams extend
     # past it, in process and in the pool

@@ -71,9 +71,10 @@ _VERIFIER_CHUNK = 2048
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
     """Event times from 0 up to and beyond t (the final entry exceeds t): the
-    column of a one-path :func:`_event_slabs`, its slabs joined if several."""
-    slabs = [slab.reshape(-1) for slab in _event_slabs(spec, rng, 1, t, t)]
-    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+    column of a one-path :func:`_event_slabs`, its slabs joined if several
+    and then flattened, a view of the one slab where there is only one."""
+    slabs = list(_event_slabs(spec, rng, 1, t, t))
+    return (slabs[0] if len(slabs) == 1 else np.concatenate(slabs)).reshape(-1)
 
 
 class RenewalStream:
@@ -85,16 +86,17 @@ class RenewalStream:
     __slots__ = ("_times", "_pos")
 
     def __init__(self, spec: Distribution, rng: RngStream, horizon: float):
-        self._times = event_times_until(spec, rng, horizon)
+        # a list of floats: indexing it boxes no numpy scalar
+        self._times = event_times_until(spec, rng, horizon).tolist()
         self._pos = 0
 
     def peek(self) -> float:
         """Next event time, without consuming it."""
-        return float(self._times[self._pos])
+        return self._times[self._pos]
 
     def pop(self) -> float:
         """Consume and return the next event time."""
-        t = self.peek()
+        t = self._times[self._pos]
         self._pos += 1
         return t
 
@@ -204,10 +206,15 @@ def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float,
     one to any later t_max.  Paths still at 0 after over a budget of gaps in
     all are refused, as a law's draws underflowing to 0: one with P(Y > 0) = q
     does that with probability below exp(-q budget), yet expects 1 / q events
-    a path or more, so chance refuses only a law near the budget anyway."""
+    a path or more, so chance refuses only a law near the budget anyway.
+
+    The loop goes on while the path that reaches least is not past t_max.
+    A lone path's reach is its last time, read by one index, and carried as
+    that scalar; a wider slab's last row is copied, so that the slab can be
+    freed once read, and its least value is the reach."""
     cap = _EVENT_BUDGET // paths
     rows, drawn = min(_first_rows(spec, t_large), cap), 0
-    while not drawn or float(tail.min()) <= t_max:
+    while not drawn or reach <= t_max:
         if drawn * paths > _EVENT_BUDGET and not tail.any():
             raise InvalidParameter(f"{spec} drew only gaps of 0, {drawn} a path, so its events never "
                                    f"reach t = {t_max:g}: its draws underflow to 0")
@@ -215,7 +222,12 @@ def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float,
         if drawn:
             slab[0] += tail
         _sum_down(slab)
-        tail, drawn = slab[-1].copy(), drawn + rows
+        if paths == 1:
+            tail = reach = slab[-1, 0]
+        else:
+            tail = slab[-1].copy()
+            reach = tail.min()
+        drawn += rows
         yield slab
         del slab  # free it before the next slab's draw
         rows = min(max(32, drawn // 8), cap)

@@ -335,17 +335,16 @@ class _Replicator:
             drawn.append(events)
 
         windows = (self._trace if self.tree else self._iterate)(src_events, drawn)
-        names = [t for t, _ in self.targets]
         i0, w0 = self._window(src_events)
         if self.terminal:
-            return {t: int(w0 - versions[-1]) for t, (_, _, _, versions) in zip(names, windows)}
+            return {t: int(w0 - versions[-1]) for (t, _), (_, _, _, versions) in zip(self.targets, windows)}
         lo = horizon / 2.0
         width = horizon - lo
         src_integral = _window_integral(
             src_events, np.arange(i0, w0 + 1, dtype=np.float64), i0, w0, lo, horizon
         )
         readings = {}
-        for t, (knot_times, i, j, versions) in zip(names, windows):
+        for (t, _), (knot_times, i, j, versions) in zip(self.targets, windows):
             values = versions.astype(np.float64, copy=False)
             readings[t] = (src_integral - _window_integral(knot_times, values, i, j, lo, horizon)) / width
         return readings
@@ -407,14 +406,14 @@ class _Replicator:
         shallowest first, until none did.
         """
         horizon = self.horizon
-        w0 = int(np.searchsorted(src_events, horizon, side="right"))
+        w0 = int(src_events.searchsorted(horizon, side="right"))
         # per node (source first): step times; per cache its deliveries per
         # feed and the permutation merging them
         steps = [src_events[:w0]]
         deliveries: list[list[np.ndarray]] = []
         merges: list[np.ndarray | None] = []
         for events in drawn:
-            cut = [d[: int(np.searchsorted(d, horizon, side="right"))] for d in events]
+            cut = [d[: int(d.searchsorted(horizon, side="right"))] for d in events]
             deliveries.append(cut)
             if len(cut) == 1:
                 steps.append(cut[0])

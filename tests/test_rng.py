@@ -67,6 +67,65 @@ def test_reseed_equals_fresh_construction():
         assert np.array_equal(again.generator.beta(2.0, 3.0, size=8), fresh.generator.beta(2.0, 3.0, size=8))
 
 
+class _Spoof(str):
+    """Equal to its value as a str, but encoded as "spoof"."""
+
+    def __str__(self):
+        return "spoof"
+
+
+# each scope's first uniform, pinned from streams that encoded every scope
+# afresh.  Neighbours differ only in a part's type or sign, or switch heads
+# and back, so a cache keyed by value alone conflates them: 0.0 == -0.0 and
+# 1 == 1.0 == True, yet each encodes apart (np.int64(1) encodes as 1 does)
+CACHE_KEY_SCOPES = [
+    ((1, 0.0, "a"), "0x1.1173bae5990f7p-1"),
+    ((1, -0.0, "a"), "0x1.6b9fe82c730bbp-1"),
+    ((1, 0.0, "a"), "0x1.1173bae5990f7p-1"),
+    ((1, 1, "a"), "0x1.6a32c54e25510p-1"),
+    ((1, 1.0, "a"), "0x1.e9c2c38ef3460p-1"),
+    ((1, True, "a"), "0x1.e12dbdcdb5743p-1"),
+    ((1, np.int64(1), "a"), "0x1.6a32c54e25510p-1"),
+    ((1, 1, "a"), "0x1.6a32c54e25510p-1"),
+    ((True, 1, "a"), "0x1.6a32c54e25510p-1"),
+    ((1, "x", "a"), "0x1.cb756cfb35e15p-1"),
+    ((1, _Spoof("x"), "a"), "0x1.1071bf0cc34f0p-1"),
+    ((1, "x", "a"), "0x1.cb756cfb35e15p-1"),
+    ((1, 2, "a", 1), "0x1.05b7e1714ce46p-2"),
+    ((1, 3, "a", 1.0), "0x1.cca5f88436872p-2"),
+    ((1, 2, "a", True), "0x1.70bd540b26640p-7"),
+    ((1, 3, "a", np.int64(1)), "0x1.c7502f867e49ep-2"),
+    ((1, 2, "a", 1), "0x1.05b7e1714ce46p-2"),
+    ((1, 2, "a", 0.0), "0x1.3858dff4f486cp-1"),
+    ((1, 3, "a", -0.0), "0x1.4576ef4756d0dp-1"),
+    ((1, 2, "a", -0.0), "0x1.9d0aef0b7acefp-1"),
+    ((1, 2, "a"), "0x1.cfc9bac484317p-1"),
+    ((1, 2, _Spoof("a")), "0x1.5a7f6f9ae7dc4p-3"),
+    ((1, 3, "a"), "0x1.fc7dc81a64da7p-1"),
+    ((1, 0, "b"), "0x1.0f9cce191d1b0p-4"),
+    ((1, 1, "b"), "0x1.a3f212425c2d6p-1"),
+    ((1, 0, "b"), "0x1.0f9cce191d1b0p-4"),
+    ((1,), "0x1.642694e5ad000p-1"),
+    ((1, 0), "0x1.75310aa605374p-2"),
+    # unhashable parts, and an array whose == answers element by element
+    ((1, [1, 2], "a"), "0x1.e40fd97ad7a4ep-1"),
+    ((1, 0, [1, 2]), "0x1.19d836731d444p-1"),
+    ((1, np.arange(2), "a"), "0x1.5876dd014ad86p-2"),
+    ((1, 0, "a", np.arange(2)), "0x1.9137c2c4ca1a0p-1"),
+    ((1, 0, "a"), "0x1.c092e2c8341e8p-3"),
+]
+
+
+def test_reseed_caches_never_conflate_scopes():
+    stream = RngStream(0, "other")
+    for _ in range(2):
+        for scope, first in CACHE_KEY_SCOPES:
+            fresh = RngStream(*scope).uniforms(1)[0].hex()
+            assert stream.reseed(*scope).uniforms(1)[0].hex() == fresh == first, scope
+        # again through a pickled copy, whose caches start empty
+        stream = pickle.loads(pickle.dumps(stream))
+
+
 @pytest.mark.parametrize(
     "scope, raw, uniforms",
     [
