@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, thread and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, thread and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -70,6 +70,41 @@ EOF
     # replicator; a one-CPU runner falls back to one worker
     python -m versionage.cli simulate "$work/declared.json" --threads 2 --out "$work/declared-threads-run"
     cmp "$work/declared-run.csv" "$work/declared-threads-run.csv"
+    # the benchmark's general graph (diamond s -> {a, b} -> c, cache cycle
+    # c <-> d, leaf tail d -> e) with random laws: a and b read no cache with
+    # two feeds, so alone they are traced, and every cache as a target runs
+    # the fixed point; both must give a and b the same samples
+    python - "$work" <<'EOF'
+import json, sys
+u = lambda lo, hi: {"type": "uniform", "lo": lo, "hi": hi}
+links = [("s", "a", u(0.0, 2.0)), ("s", "b", {"type": "exponential", "rate": 1.0}),
+         ("a", "c", {"type": "rayleigh", "sigma": 1.0}), ("b", "c", u(0.5, 1.5)),
+         ("c", "d", {"type": "exponential", "rate": 2.0}), ("d", "c", u(0.0, 1.0)),
+         ("d", "e", {"type": "rayleigh", "sigma": 0.8})]
+config = {"nodes": ["s", "a", "b", "c", "d", "e"], "source": "s",
+          "source_dist": {"type": "pareto1", "shape": 3.0, "scale": 0.5},
+          "links": [{"from": f, "to": t, "dist": d} for f, t, d in links],
+          "horizon": 100, "iterations": 40, "master_seed": 5}
+with open(f"{sys.argv[1]}/general.json", "w") as fh:
+    json.dump(config, fh)
+EOF
+    for estimator in terminal time_average; do
+        for targets in a,b a,b,c,d,e; do
+            python -m versionage.cli simulate "$work/general.json" --estimator "$estimator" --targets "$targets" \
+                --out "$work/general-$estimator-$targets" > /dev/null
+        done
+    done
+    python - "$work" <<'EOF'
+import json, sys
+for estimator in ("terminal", "time_average"):
+    traced, iterated = (json.load(open(f"{sys.argv[1]}/general-{estimator}-{t}.json"))["outcomes"]
+                        for t in ("a,b", "a,b,c,d,e"))
+    for node in ("a", "b"):
+        assert traced[node]["samples"] == iterated[node]["samples"], (estimator, node)
+EOF
+    python -m versionage.cli simulate "$work/general.json" --estimator time_average --targets a,b --threads 2 \
+        --out "$work/general-threads" > /dev/null
+    cmp "$work/general-time_average-a,b.csv" "$work/general-threads.csv"
     # fig5's beta and chi-square samplers, in process and in the pool
     for threads in 1 2; do
         python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"

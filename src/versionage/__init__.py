@@ -3,9 +3,9 @@
 A source node versions its state at renewal instants; caches pull from their
 upstream node over links that renew independently, always keeping the fresher
 version.  This package provides the exact limiting expected version age on
-path and tree topologies, an event-driven Monte Carlo simulator for arbitrary
-networks, statistical verifiers for the underlying renewal limit theorems,
-and reproducible comparison sweeps.
+path and tree topologies, a vectorized Monte Carlo simulator for arbitrary
+networks (checked against a reference event loop), statistical verifiers for
+the underlying renewal limit theorems, and reproducible comparison sweeps.
 """
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ from .experiments import (
     sweep_network_family,
     sweep_study,
 )
-from .network import CacheNetwork, Link, NetworkClass
+from .network import CacheNetwork, Link
 from .renewal import (
     LimitCheck,
     MartingalePoint,
@@ -83,7 +83,6 @@ __all__ = [
     "Link",
     "MartingalePoint",
     "Moments",
-    "NetworkClass",
     "NetworkError",
     "NotATree",
     "ParetoI",

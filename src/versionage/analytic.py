@@ -1,4 +1,4 @@
-"""Closed-form long-run expected version age on PATH/TREE networks.
+"""Closed-form long-run expected version age on paths and trees.
 
 Each link contributes E[Y^2] / (2 E[Y]) -- the limiting mean backward
 recurrence time of its update process.  A node's path sum is its sender's plus
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .distributions import Distribution, positive_number
 from .errors import InfiniteSecondMoment, InvalidParameter, NotATree
-from .network import CacheNetwork, NetworkClass
+from .network import CacheNetwork
 
 __all__ = [
     "AnalyticAge",
@@ -58,17 +58,22 @@ def link_contribution(dist: Distribution) -> float:
 
 
 def expected_version_age(network: CacheNetwork) -> AnalyticAge:
-    """Exact limiting expected version age at every node of a PATH/TREE network.
+    """Exact limiting expected version age at every node of a network in
+    which every cache has exactly one feed (a path or a tree).
 
     One pass in depth order: a node's exact path sum, its sender's plus its
     feed's contribution, is rounded to a float once (so reordering links along
     a path cannot change any value) and divided by the source mean.  Raises
-    :class:`NotATree` on general graphs, :class:`InfiniteSecondMoment` naming
-    the offending distribution, and :class:`InvalidParameter` naming a node
-    whose age overflows a float.
+    :class:`NotATree` naming the first cache in depth order with several
+    feeds, before any moment is checked; then :class:`InfiniteSecondMoment`
+    naming the offending distribution, and :class:`InvalidParameter` naming a
+    node whose age overflows a float.
     """
-    if network.classification is NetworkClass.GENERAL:
-        raise NotATree("closed form requires tree")
+    order = network.topo_order()
+    for node in order:
+        feeds = len(network.incoming(node))
+        if feeds != 1:
+            raise NotATree(f"closed form requires tree: {node} has {feeds} feeds")
     fault = network.source_dist.moment_fault()
     if fault:
         raise InfiniteSecondMoment(f"source distribution {network.source_dist} has {fault}")
@@ -94,7 +99,7 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
             )
     per_node: dict[str, float] = {network.source: 0.0}
     exact = {network.source: 0}
-    for node in network.topo_order():
+    for node in order:
         (feed,) = network.incoming(node)
         n, d = contributions[(feed.src, node)].as_integer_ratio()
         exact[node] = exact[feed.src] + n * (_UNITS_PER_ONE // d)

@@ -43,7 +43,7 @@ class UnreachableNode(NetworkError):
 
 
 class NotATree(NetworkError):
-    """An operation requiring a PATH or TREE network was given a general graph."""
+    """The closed form was given a network in which some cache has several feeds."""
 
 
 class ConfigError(VersionAgeError):

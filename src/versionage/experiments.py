@@ -1,7 +1,7 @@
 """Parameter sweeps comparing the closed form against Monte Carlo.
 
 Three built-in studies (:data:`STUDIES`, keyed by the CLI kinds fig5, fig6
-and fig7), each a family of PATH networks:
+and fig7), each a family of chains:
 
 * ``source_mean``: 3-hop chain rayleigh(1) / chi_square(1) / beta(2, 3) with a
   pareto1(3, m) source, swept over the scale m.  The predicted end-node age is
@@ -196,7 +196,7 @@ def sweep_network_family(
     threads: int = 1,
     fit: bool = False,
 ) -> ExperimentSweep:
-    """Run one comparison point per value over a family of PATH/TREE networks.
+    """Run one comparison point per value over a family of paths or trees.
 
     The target is the deepest leaf; the analytic column comes straight from
     :func:`expected_version_age` on each point's network.

@@ -1,16 +1,15 @@
-"""Cache-network topology: validation, classification, and depth order.
+"""Cache-network topology: validation and depth order.
 
-A network is a directed graph of caches fed from one source node.  The
-classification gates which engines apply: PATH and TREE networks admit the
-closed-form expected version age, while GENERAL graphs (a node with several
-incoming links, or cycles among caches) are simulation-only.  Links carry
-no order: simultaneous deliveries read their senders' settled versions (see
-:mod:`versionage.simulator`), so declaration order changes no result.
+A network is a directed graph of caches fed from one source node.  Any
+validated network can be simulated; the closed form covers a network in
+which every cache has exactly one feed (a path or a tree), and the simulator
+traces back from its targets when every cache they read has one.  Links
+carry no order: simultaneous deliveries read their senders' settled versions
+(see :mod:`versionage.simulator`), so declaration order changes no result.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,13 +26,7 @@ from .errors import (
     VersionAgeError,
 )
 
-__all__ = ["Link", "NetworkClass", "CacheNetwork"]
-
-
-class NetworkClass(enum.Enum):
-    PATH = "path"
-    TREE = "tree"
-    GENERAL = "general"
+__all__ = ["Link", "CacheNetwork"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,6 @@ class CacheNetwork:
             self._outgoing[link.src].append(link)
 
         self.depth = self._check_reachability()
-        self.classification = self._classify()
 
     # -- construction helpers -------------------------------------------------
 
@@ -126,21 +118,10 @@ class CacheNetwork:
             raise UnreachableNode(f"nodes unreachable from source: {missing}")
         return depth
 
-    def _classify(self) -> NetworkClass:
-        if any(len(self._incoming[n]) != 1 for n in self.nodes if n != self.source):
-            return NetworkClass.GENERAL
-        if all(len(self._outgoing[n]) <= 1 for n in self.nodes):
-            return NetworkClass.PATH
-        return NetworkClass.TREE
-
     # -- queries ---------------------------------------------------------------
 
     def incoming(self, node: str) -> tuple[Link, ...]:
         return tuple(self._incoming[node])
-
-    @property
-    def is_tree(self) -> bool:
-        return self.classification is not NetworkClass.GENERAL
 
     def leaves(self) -> list[str]:
         """Nodes with no outgoing links, excluding the source."""
@@ -199,10 +180,7 @@ class CacheNetwork:
             raise ConfigError(f"'nodes': {exc}") from None
 
     def __repr__(self) -> str:
-        return (
-            f"CacheNetwork({len(self.nodes)} nodes, {len(self.links)} links, "
-            f"{self.classification.value})"
-        )
+        return f"CacheNetwork({len(self.nodes)} nodes, {len(self.links)} links)"
 
 
 def _check_fields(obj: dict, required: tuple, optional: tuple, ctx: str) -> None:

@@ -14,22 +14,23 @@ whatever order the links are declared in.  Ties occur with probability zero
 for the non-arithmetic inter-update times the closed form assumes; they
 matter only with deterministic links or gaps that can be zero.
 
-:func:`monte_carlo` runs one vectorized engine on every network class.  It
-draws each stream's event times up to the horizon and reads only what the
+:func:`monte_carlo` runs one vectorized engine on any network.  It draws
+each stream's event times up to the horizon and reads only what the
 requested estimator needs: a target's versions at its knots (every delivery
 it receives) in effect at the horizon for ``terminal``, or over [horizon/2,
 horizon] for ``time_average``.  A delivery reads the sender's last knot at
-or before it, whose version is the sender's settled one.  On PATH/TREE
-networks the engine traces those versions back from the targets, as the
-closed form does: each knot asks one binary search of its sender's events,
-hop by hop up to the source, whose version at its q-th event is q.  On
-GENERAL graphs (several feeds, cycles among caches) it builds every needed
-cache's step function instead, merging a cache's feeds by time under a
-running maximum.  Which sender knot each delivery reads depends on event
-times alone, so it is found once per replication; a worklist then
-re-evaluates, shallowest first, only the caches whose senders changed, until
-none did.  The operator is monotone and starts from version 0, so this is
-its least fixed point, the same one any order of evaluation reaches.
+or before it, whose version is the sender's settled one.  When every cache
+it draws (the targets and every cache upstream of them) has one feed, the
+engine traces those versions back from the targets, as the closed form does:
+each knot asks one binary search of its sender's events, hop by hop up to
+the source, whose version at its q-th event is q.  Otherwise (a cache with
+several feeds, as on any cycle among caches) it builds every drawn cache's
+step function instead, merging a cache's feeds by time under a running
+maximum.  Which sender knot each delivery reads depends on event times
+alone, so it is found once per replication; a worklist then re-evaluates,
+shallowest first, only the caches whose senders changed, until none did.
+The operator is monotone and starts from version 0, so this is its least
+fixed point, the same one any order of evaluation reaches.
 
 :func:`simulate_once` is the reference engine: a heap event loop over one
 :class:`~versionage.renewal.RenewalStream` cursor per stream, which also
@@ -89,7 +90,6 @@ def _link_stream(link) -> tuple:
 class ReplicationResult:
     """Per-node version-age readings from one replication."""
 
-    horizon: float
     terminal: dict[str, int]
     time_average: dict[str, float]
     #: version step history per node: (time, new version) at each change
@@ -245,7 +245,6 @@ def simulate_once(
         integrals[n] = _window_integral(times, values, i, times.size, lo, horizon)
     width = horizon - lo
     return ReplicationResult(
-        horizon=horizon,
         terminal={n: w0 - versions[n] for n in network.nodes},
         time_average={
             n: (integrals[source] - integrals[n]) / width for n in network.nodes
@@ -269,16 +268,17 @@ def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
 
 
 class _Replicator:
-    """Per-replication evaluator of one estimator for every network class.
+    """Per-replication evaluator of one estimator on any network.
 
     Draws the same event times as the event loop (same streams, each by
-    :func:`~versionage.renewal.event_times_until`) for the targets and every cache that feeds them, then reads
-    only what the estimator needs: each target's versions at its knots in
-    effect at the horizon (``terminal``) or over [horizon/2, horizon]
-    (``time_average``).  Knot 0 of a node is time 0 with version 0, knot q
-    its q-th delivery.  PATH/TREE networks trace those versions back to the
-    source (:meth:`_trace`); GENERAL graphs settle every needed cache's
-    step function to a fixed point with a worklist (:meth:`_iterate`).
+    :func:`~versionage.renewal.event_times_until`) for the targets and every
+    cache upstream of them, then reads only what the estimator needs: each
+    target's versions at its knots in effect at the horizon (``terminal``)
+    or over [horizon/2, horizon] (``time_average``).  Knot 0 of a node is
+    time 0 with version 0, knot q its q-th delivery.  When every drawn cache
+    has one feed, those versions are traced back to the source
+    (:meth:`_trace`); otherwise every drawn cache's step function settles to
+    a fixed point with a worklist (:meth:`_iterate`).
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
@@ -286,7 +286,7 @@ class _Replicator:
         self.terminal = estimator != "time_average"
         self._edges = np.array([horizon / 2.0, horizon])
         self.source_dist = network.source_dist
-        self.tree = network.is_tree
+        self.dtype = np.int64 if self.terminal else np.float64
 
         needed: set[str] = set()
         stack = [t for t in targets if t != network.source]
@@ -305,23 +305,25 @@ class _Replicator:
             [(_link_stream(link), link.dist, index[link.src]) for link in network.incoming(node)]
             for node in caches
         ]
-        #: per node, the sender of its first feed, its only one on PATH/TREE
-        #: networks (the source's entry is a placeholder)
+        #: every drawn cache has one feed: depth order puts each sender first
+        self.tree = all(len(feeds) == 1 for feeds in self.feeds)
+        #: per node, the sender of its first feed, its only one when
+        #: :attr:`tree` (the source's entry is a placeholder)
         self.senders = [0] + [feeds[0][2] for feeds in self.feeds]
         #: per node, the caches it feeds
         self.consumers: list[list[int]] = [[] for _ in range(len(caches) + 1)]
         for k, feeds in enumerate(self.feeds, 1):
             for _, _, s in feeds:
                 self.consumers[s].append(k)
-        self.targets = [(t, index[t]) for t in targets]
+        self.targets = [index[t] for t in targets]
         #: every stream a replication draws, as (stream id, law)
         self.streams = [(SOURCE_STREAM, self.source_dist)] + [
             (sid, dist) for feeds in self.feeds for sid, dist, _ in feeds
         ]
         self._rng = RngStream(0)
 
-    def run(self, master_seed: int, iteration: int) -> dict[str, int | float]:
-        """Each target's estimator reading in replication ``iteration``."""
+    def run(self, master_seed: int, iteration: int) -> list[int | float]:
+        """The targets' readings in replication ``iteration``, in target order."""
         horizon, rng = self.horizon, self._rng
         rng.reseed(master_seed, iteration, *SOURCE_STREAM)
         src_events = event_times_until(self.source_dist, rng, horizon)
@@ -337,16 +339,16 @@ class _Replicator:
         windows = (self._trace if self.tree else self._iterate)(src_events, drawn)
         i0, w0 = self._window(src_events)
         if self.terminal:
-            return {t: int(w0 - versions[-1]) for (t, _), (_, _, _, versions) in zip(self.targets, windows)}
+            return [int(w0 - versions[-1]) for _, _, _, versions in windows]
         lo = horizon / 2.0
         width = horizon - lo
         src_integral = _window_integral(
             src_events, np.arange(i0, w0 + 1, dtype=np.float64), i0, w0, lo, horizon
         )
-        readings = {}
-        for (t, _), (knot_times, i, j, versions) in zip(self.targets, windows):
+        readings = []
+        for knot_times, i, j, versions in windows:
             values = versions.astype(np.float64, copy=False)
-            readings[t] = (src_integral - _window_integral(knot_times, values, i, j, lo, horizon)) / width
+            readings.append((src_integral - _window_integral(knot_times, values, i, j, lo, horizon)) / width)
         return readings
 
     def _window(self, knot_times: np.ndarray) -> tuple[int, int]:
@@ -358,8 +360,8 @@ class _Replicator:
         return tuple(knot_times.searchsorted(self._edges, side="right").tolist())
 
     def _trace(self, src_events, drawn) -> list[tuple]:
-        """PATH/TREE: each target's (knot times, i, j, versions at knots
-        i..j), traced back from the target to the source.
+        """One feed per drawn cache: each target's (knot times, i, j,
+        versions at knots i..j), traced back from the target to the source.
 
         A delivery at knot q carries the sender's version at the sender's
         last event at or before it, so a cache asks its sender only for the
@@ -370,7 +372,7 @@ class _Replicator:
         events = [src_events, *(feed for (feed,) in drawn)]
         asks: list[list[np.ndarray]] = [[] for _ in events]
         windows = []
-        for _, k in self.targets:
+        for k in self.targets:
             i, j = self._window(events[k])
             windows.append((events[k], i, j, len(asks[k])))
             asks[k].append(np.arange(i, j + 1))
@@ -392,11 +394,12 @@ class _Replicator:
         for k in range(1, len(events)):
             versions = answers[self.senders[k]][slot[k]]
             answers.append([versions] if where[k] is None else [versions[w] for w in where[k]])
-        return [(knots, i, j, answers[k][r]) for (_, k), (knots, i, j, r) in zip(self.targets, windows)]
+        return [(knots, i, j, answers[k][r]) for k, (knots, i, j, r) in zip(self.targets, windows)]
 
     def _iterate(self, src_events, drawn) -> list[tuple]:
-        """GENERAL: each target's (knot times, i, j, versions at knots i..j),
-        from every needed cache's step function settled to a fixed point.
+        """Any drawn caches: each target's (knot times, i, j, versions at
+        knots i..j), from every drawn cache's step function settled to a
+        fixed point.
 
         Each delivery reads its sender's last knot at or before it, which
         depends only on event times, so it is found once.  Every node's
@@ -450,16 +453,17 @@ class _Replicator:
                     if c not in todo:
                         heapq.heappush(todo, c)
         windows = []
-        for _, k in self.targets:
+        for k in self.targets:
             i, j = self._window(steps[k])
             windows.append((steps[k], i, j, flat[offsets[k] + i : offsets[k] + j + 1]))
         return windows
 
 
-def _run_iteration_block(args) -> list[dict]:
-    """Worker: replications [start, stop) in iteration order."""
+def _run_iteration_block(args) -> np.ndarray:
+    """Worker: replications [start, stop) in iteration order, one row of
+    the targets' readings each."""
     rep, master_seed, start, stop = args
-    return [rep.run(master_seed, it) for it in range(start, stop)]
+    return np.array([rep.run(master_seed, it) for it in range(start, stop)], rep.dtype)
 
 
 def monte_carlo(
@@ -493,9 +497,5 @@ def monte_carlo(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_iteration_block, blocks))
 
-    rows = [row for block in done for row in block]
-    dtype = np.int64 if rep.terminal else np.float64
-    return {
-        t: SimOutcome.from_samples(t, estimator, np.fromiter((r[t] for r in rows), dtype, iterations), horizon)
-        for t in targets
-    }
+    rows = np.concatenate(done)
+    return {t: SimOutcome.from_samples(t, estimator, rows[:, k].copy(), horizon) for k, t in enumerate(targets)}

@@ -55,7 +55,6 @@ def test_parse_config_defaults():
     assert cfg.iterations == 20_000
     assert cfg.estimator == "terminal"
     assert cfg.targets is None
-    assert cfg.network.classification.value == "path"
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,6 @@ def test_fig7_rejects_variance_beyond_support():
 
 def test_fig6_network_shape():
     net = fig6_network(4)
-    assert net.classification.value == "path"
     assert len(net.links) == 4
     with pytest.raises(InvalidParameter):
         fig6_network(-1)

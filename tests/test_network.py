@@ -1,4 +1,4 @@
-"""Topology validation, classification, and depth queries."""
+"""Topology validation, the closed form's one-feed rule, and depth queries."""
 
 import pytest
 
@@ -11,12 +11,13 @@ from versionage import (
     Exponential,
     InvalidParameter,
     Link,
-    NetworkClass,
+    NotATree,
     RngStream,
     SelfLoop,
     SourceHasIncoming,
     UnknownNode,
     UnreachableNode,
+    expected_version_age,
 )
 
 E = Exponential(rate=1.0)
@@ -28,7 +29,7 @@ def net(nodes, links, source="s"):
 
 def test_chain_is_path():
     n = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E)])
-    assert n.classification is NetworkClass.PATH
+    assert expected_version_age(n).per_node == {"s": 0.0, "a": 1.0, "b": 2.0}
 
 
 def test_multicast_tree():
@@ -36,7 +37,7 @@ def test_multicast_tree():
         ["s", "a", "b", "c", "d"],
         [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E)],
     )
-    assert n.classification is NetworkClass.TREE
+    assert expected_version_age(n).per_node == {"s": 0.0, "a": 1.0, "b": 1.0, "c": 2.0, "d": 2.0}
 
 
 def test_two_feeds_make_general():
@@ -44,17 +45,20 @@ def test_two_feeds_make_general():
         ["s", "a", "b", "c"],
         [("s", "a", E), ("s", "b", E), ("a", "c", E), ("b", "c", E)],
     )
-    assert n.classification is NetworkClass.GENERAL
+    with pytest.raises(NotATree, match="^closed form requires tree: c has 2 feeds$"):
+        expected_version_age(n)
 
 
 def test_cache_cycle_is_general_but_valid():
     n = net(["s", "a", "b"], [("s", "a", E), ("a", "b", E), ("b", "a", E)])
-    assert n.classification is NetworkClass.GENERAL
+    assert n.depth == {"s": 0, "a": 1, "b": 2}
+    with pytest.raises(NotATree, match="^closed form requires tree: a has 2 feeds$"):
+        expected_version_age(n)
 
 
 def test_single_node_network_is_path():
     n = net(["s"], [])
-    assert n.classification is NetworkClass.PATH
+    assert expected_version_age(n).per_node == {"s": 0.0}
     assert n.leaves() == []
 
 
@@ -138,12 +142,17 @@ def test_tree_path_lengths_and_link_coverage():
     assert on_leaf_paths == {(l.src, l.dst) for l in n.links}
 
 
-def test_classification_is_declaration_order_independent():
-    links = [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E)]
-    reference = net(["s", "a", "b", "c", "d"], links).classification
+def test_tree_verdict_is_declaration_order_independent():
+    nodes = ["s", "a", "b", "c", "d"]
+    tree = [("s", "a", E), ("s", "b", E), ("a", "c", E), ("a", "d", E)]
+    reference = expected_version_age(net(nodes, tree)).per_node
     for perm in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
-        shuffled = [links[i] for i in perm]
-        assert net(["s", "a", "b", "c", "d"], shuffled).classification is reference
+        assert expected_version_age(net(nodes, [tree[i] for i in perm])).per_node == reference
+        # a second feed into d, declared first or last
+        shuffled = [("b", "d", E), *(tree[i] for i in perm)]
+        for links in (shuffled, shuffled[::-1]):
+            with pytest.raises(NotATree, match="d has 2 feeds"):
+                expected_version_age(net(nodes, links))
 
 
 def test_dump_round_trip():
@@ -161,4 +170,4 @@ def test_dump_round_trip():
     assert again.to_dict() == dumped
     assert again.nodes == n.nodes
     assert again.links == n.links
-    assert again.classification is n.classification
+    assert repr(again) == repr(n) == "CacheNetwork(3 nodes, 2 links)"

@@ -325,9 +325,7 @@ def test_tree_fast_path_matches_event_engine():
     for it in range(30):
         slow = simulate_once(MIXED_TREE, 40.0, master_seed=123, iteration=it)
         for estimator, rep in reps.items():
-            readings = rep.run(123, it)
-            for t in targets:
-                assert readings[t] == getattr(slow, estimator)[t], (estimator, t, it)
+            assert rep.run(123, it) == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
 
 
 TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
@@ -451,7 +449,7 @@ def test_a_replicator_that_has_run_still_goes_through_the_pool():
     serial = _run_iteration_block((rep, 4, 0, 12))
     with ProcessPoolExecutor(max_workers=2) as pool:
         blocks = list(pool.map(_run_iteration_block, [(rep, 4, 0, 6), (rep, 4, 6, 12)]))
-    assert [row for block in blocks for row in block] == serial
+    assert np.array_equal(np.concatenate(blocks), serial)
 
 
 def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch):
@@ -500,6 +498,31 @@ def test_monte_carlo_general_graph_matches_simulate_once():
                           master_seed=3, estimator=estimator)
         for t in targets:
             assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs]
+
+
+# a chain s -> a -> b -> c beside a cache x fed by both s and b: the graph is
+# general, but no cache that c or a reads has two feeds
+SIDE_CACHE = CacheNetwork(
+    nodes=["s", "a", "b", "c", "x"],
+    source="s",
+    source_dist=Exponential(rate=2.0),
+    links=[("s", "a", Uniform(lo=0.0, hi=2.0)), ("a", "b", D(0.5)), ("b", "c", Rayleigh(sigma=0.5)),
+           ("s", "x", Exponential(rate=1.0)), ("b", "x", D(0.5))],
+)
+
+
+def test_targets_whose_caches_have_one_feed_are_traced_on_a_general_graph():
+    targets, every = ["c", "a"], list(SIDE_CACHE.nodes)
+    assert _Replicator(SIDE_CACHE, targets, 20.0, "terminal").tree
+    assert not _Replicator(SIDE_CACHE, every, 20.0, "terminal").tree
+    runs = [simulate_once(SIDE_CACHE, 20.0, 11, iteration=i) for i in range(20)]
+    for estimator in ESTIMATORS:
+        kw = dict(horizon=20.0, iterations=20, master_seed=11, estimator=estimator)
+        traced = monte_carlo(SIDE_CACHE, targets=targets, **kw)
+        iterated = monte_carlo(SIDE_CACHE, targets=every, **kw)
+        for t in targets:
+            assert traced[t].samples.tobytes() == iterated[t].samples.tobytes(), (estimator, t)
+            assert traced[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], (estimator, t)
 
 
 # versions reach y only against depth order, twice: s -> a -> b -> c, then
