@@ -111,12 +111,23 @@ EOF
     done
     cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-2.csv"
     # fig6's tree time average, in process and in the pool, whose workers
-    # unpickle the replicator's stream and rebuild its reseed caches
+    # unpickle the replicator and its streams
     for threads in 1 2; do
         python -m versionage.cli sweep fig6 --values 1..3 --estimator time_average --iterations 40 \
             --threads "$threads" --out "$work/fig6-threads-$threads"
     done
     cmp "$work/fig6-threads-1.csv" "$work/fig6-threads-2.csv"
+    # 13 replications: the first worker takes block 0 (replications 0-7) and
+    # the second the rest, so its range ends mid-block; fig5 draws its beta
+    # rows one at a time and its other streams a block at a time
+    for threads in 1 2; do
+        python -m versionage.cli sweep fig5 --values 1/3,2/3 --iterations 13 --threads "$threads" \
+            --out "$work/fig5-13-threads-$threads"
+        python -m versionage.cli simulate "$work/general.json" --estimator time_average --iterations 13 \
+            --threads "$threads" --out "$work/general-13-threads-$threads" > /dev/null
+    done
+    cmp "$work/fig5-13-threads-1.csv" "$work/fig5-13-threads-2.csv"
+    cmp "$work/general-13-threads-1.json" "$work/general-13-threads-2.json"
     # a beta(0.001, 1) link draws mostly zero gaps: at horizon 12 its first
     # slab takes the admitted 1.25 n + 32 events, and some streams extend
     # past it, in process and in the pool

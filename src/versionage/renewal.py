@@ -38,7 +38,6 @@ and those no path reaches by max(t), comparing only the band between.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -101,12 +100,13 @@ class RenewalStream:
         return t
 
 
-def _check_event_budget(stream: str, expected: float) -> None:
+def _check_event_budget(expected: float, *stream) -> None:
     """Reject a draw whose expected event count is over :data:`_EVENT_BUDGET`,
-    naming the stream; callers check once per call, before drawing."""
+    naming the stream by its parts, which are formatted only then; callers
+    check once per call, before drawing."""
     if not expected <= _EVENT_BUDGET:
         raise InvalidParameter(
-            f"{stream} would draw about {expected:.3g} events, over the budget of "
+            f"{' '.join(map(str, stream))} would draw about {expected:.3g} events, over the budget of "
             f"{_EVENT_BUDGET:.3g}; shorten the horizon or lengthen the mean gap"
         )
 
@@ -155,7 +155,6 @@ def _path_events(spec: Distribution, t_max: float) -> float:
     return 1.25 * t_max / mean if mean else math.inf
 
 
-@functools.lru_cache(maxsize=256)  # a simulation asks it once per stream and replication
 def _first_rows(spec: Distribution, t_large: float) -> int:
     """Event rows of the first slab of a verifier chunk or simulator stream.
 
@@ -164,12 +163,14 @@ def _first_rows(spec: Distribution, t_large: float) -> int:
     4 sigma + 8 rows reach t_large on nearly every path of a chunk; never
     more than the 1.25 n + 32 a path is admitted for, which a heavy-variance
     law would pass.  A path that falls short is extended, so the rows chosen
-    here change no result of a law whose draws do not depend on batch size
-    (all but a beta with a whole b of at most 4).  A path expected to draw
+    here change no verifier record of a law whose draws do not depend on the
+    draw size (``Distribution.draws_depend_on_size``).  A simulator stream
+    serves several replications by successive draws, so there they set
+    where each later replication's gaps start.  A path expected to draw
     over :data:`_EVENT_BUDGET` events, as where the mean is 0, is refused."""
     m = spec.moments()
     n = t_large / m.mean if m.mean else math.inf
-    _check_event_budget(f"a stream of {spec}", n)
+    _check_event_budget(n, "a stream of", spec)
     cap = int(_path_events(spec, t_large)) + 32
     deep = n + 4.0 * math.sqrt(n * max(m.second_moment / m.mean / m.mean - 1.0, 0.0))
     # deep is inf where E[Y^2] / E[Y]^2 overflows, as for beta(1e-320, 1)
@@ -180,7 +181,7 @@ def _check_path_budget(t_max: float, *specs: Distribution) -> None:
     """Reject a spec whose one verifier path, drawn up to t_max, is expected
     to be over :data:`_EVENT_BUDGET`; callers check before any draw."""
     for spec in specs:
-        _check_event_budget(f"a verifier path of {spec}", _path_events(spec, t_max) + 32)
+        _check_event_budget(_path_events(spec, t_max) + 32, "a verifier path of", spec)
 
 
 def _sum_down(slab: np.ndarray) -> None:

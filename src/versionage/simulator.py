@@ -32,6 +32,15 @@ shallowest first, only the caches whose senders changed, until none did.
 The operator is monotone and starts from version 0, so this is its least
 fixed point, the same one any order of evaluation reaches.
 
+Streams come in blocks of :data:`BLOCK` replications: stream s of block b
+is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
+reads its (j + 1)-th successive draw up to the horizon, so a replication is
+a function of (master seed, iteration) alone, whatever the run's length or
+worker count.  :func:`monte_carlo` draws a stream's rows of a block as one
+batch where that is the successive draws bit for bit (the law's draws do not
+depend on the draw size, the batch fits the event budget and every row
+passes the horizon within the events of a first draw), else one at a time.
+
 :func:`simulate_once` is the reference engine: a heap event loop over one
 :class:`~versionage.renewal.RenewalStream` cursor per stream, which also
 returns each node's step history.  Both engines integrate the same knots
@@ -46,14 +55,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import RenewalStream, _check_event_budget, event_times_until
+from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, event_times_until
 from .rng import RngStream
 
 __all__ = [
@@ -80,6 +89,11 @@ _MAX_ITERATIONS = 10_000_000
 MAX_SWEEP_VALUES = 10_000
 
 SOURCE_STREAM = ("source",)
+
+#: replications per block: stream s of block b is one generator keyed by
+#: (master seed, b, s), and replication BLOCK * b + j reads its (j + 1)-th
+#: successive event_times_until draw
+BLOCK = 8
 
 
 def _link_stream(link) -> tuple:
@@ -146,6 +160,9 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
             "no targets: the target list is empty, or none was given and the network "
             "has no leaves (every cache forwards to another); name the targets"
         )
+    repeated = [t for t in dict.fromkeys(targets) if targets.count(t) > 1]
+    if repeated:
+        raise InvalidParameter(f"targets name {repeated} more than once")
     unknown = [t for t in targets if t not in network.depth]
     if unknown:
         raise UnknownNode(f"targets reference undeclared nodes {unknown}")
@@ -157,7 +174,7 @@ def _check_streams(horizon: float, streams) -> None:
     for sid, dist in streams:
         name = "source" if sid == SOURCE_STREAM else f"link {sid[1]}->{sid[2]}"
         mean = dist.moments().mean
-        _check_event_budget(f"stream {name}", horizon / mean if mean else math.inf)
+        _check_event_budget(horizon / mean if mean else math.inf, "stream", name)
 
 
 def _window_integral(
@@ -180,8 +197,11 @@ def simulate_once(
 ) -> ReplicationResult:
     """One replication via the event loop, exact for any validated network.
 
-    Per-stream generators are keyed by (master_seed, iteration, stream id), so
-    a replication is reproducible in isolation.  All caches start at version 0.
+    Each stream is drawn as :func:`monte_carlo` draws it: replication
+    ``iteration`` = BLOCK * b + j reads the (j + 1)-th draw of the generator
+    keyed by (master_seed, b, stream id), so the j draws before it are made
+    and dropped, and a replication is reproducible in isolation.  All caches
+    start at version 0.
     Each instant's events are popped together: the source's renewals count,
     then the deliveries repeat until no version moves.
     """
@@ -189,7 +209,13 @@ def simulate_once(
     links = network.links
     laws = [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links]
     _check_streams(horizon, laws)
-    streams = [RenewalStream(dist, RngStream(master_seed, iteration, *sid), horizon) for sid, dist in laws]
+    block, row = divmod(iteration, BLOCK)
+    streams = []
+    for sid, dist in laws:
+        rng = RngStream(master_seed, block, *sid)
+        for _ in range(row):
+            event_times_until(dist, rng, horizon)
+        streams.append(RenewalStream(dist, rng, horizon))
     source = network.source
     # stream i moves node receivers[i]: stream 0 the source, the others links
     receivers = [source] + [link.dst for link in links]
@@ -268,11 +294,12 @@ def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
 
 
 class _Replicator:
-    """Per-replication evaluator of one estimator on any network.
+    """Block-by-block evaluator of one estimator on any network.
 
-    Draws the same event times as the event loop (same streams, each by
-    :func:`~versionage.renewal.event_times_until`) for the targets and every
-    cache upstream of them, then reads only what the estimator needs: each
+    Draws the same event times as the event loop (same streams, each row
+    equal to an :func:`~versionage.renewal.event_times_until` draw) for the
+    targets and every cache upstream of them, a block of :data:`BLOCK`
+    replications at a time, then reads only what the estimator needs: each
     target's versions at its knots in effect at the horizon (``terminal``)
     or over [horizon/2, horizon] (``time_average``).  Knot 0 of a node is
     time 0 with version 0, knot q its q-th delivery.  When every drawn cache
@@ -320,23 +347,54 @@ class _Replicator:
         self.streams = [(SOURCE_STREAM, self.source_dist)] + [
             (sid, dist) for feeds in self.feeds for sid, dist, _ in feeds
         ]
-        self._rng = RngStream(0)
+        _check_streams(horizon, self.streams)
+        #: per cache, where its feeds' rows sit among the streams'
+        self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
+        self._rngs = [RngStream(0) for _ in self.streams]
+        #: per stream, the events R of its first draw when one batch of BLOCK
+        #: rows of R may serve a block, else 0
+        self._widths = []
+        for _, dist in self.streams:
+            width = 0 if dist.draws_depend_on_size() else _first_rows(dist, horizon)
+            self._widths.append(width if BLOCK * width <= _EVENT_BUDGET else 0)
 
     def run(self, master_seed: int, iteration: int) -> list[int | float]:
         """The targets' readings in replication ``iteration``, in target order."""
-        horizon, rng = self.horizon, self._rng
-        rng.reseed(master_seed, iteration, *SOURCE_STREAM)
-        src_events = event_times_until(self.source_dist, rng, horizon)
-        # per cache, each feed's events; every array runs past the horizon
-        drawn = []
-        for feeds in self.feeds:
-            events = []
-            for sid, dist, _ in feeds:
-                rng.reseed(master_seed, iteration, *sid)
-                events.append(event_times_until(dist, rng, horizon))
-            drawn.append(events)
+        return next(self.replications(master_seed, iteration, iteration + 1))
 
-        windows = (self._trace if self.tree else self._iterate)(src_events, drawn)
+    def replications(self, master_seed: int, start: int, stop: int):
+        """The targets' readings in replications [start, stop), in order;
+        each block is drawn once, the rows before ``start`` dropped."""
+        for block in range(start // BLOCK, -(-stop // BLOCK)):
+            first = block * BLOCK
+            rows = zip(*[self._rows(k, master_seed, block) for k in range(len(self.streams))])
+            for events in islice(rows, max(start - first, 0), min(stop - first, BLOCK)):
+                yield self._read(events)
+
+    def _rows(self, k: int, master_seed: int, block: int):
+        """Stream k's rows in ``block``, in replication order: the BLOCK
+        successive event_times_until draws at the horizon of its generator
+        keyed by (master_seed, block, stream id).
+
+        Where the stream has a width R, one batch of BLOCK * R gaps summed
+        along its rows is those draws bit for bit, if every row passes the
+        horizon within its R events, as each first draw does; otherwise, or
+        with no width, the rows are drawn one at a time as they are read."""
+        sid, dist = self.streams[k]
+        rng, width = self._rngs[k].reseed(master_seed, block, *sid), self._widths[k]
+        if width:
+            rows = dist.sample_batch(rng, BLOCK * width).reshape(BLOCK, width)
+            np.add.accumulate(rows, axis=1, out=rows)
+            if (rows[:, -1] > self.horizon).all():
+                return rows
+            rng.reseed(master_seed, block, *sid)
+        return (event_times_until(dist, rng, self.horizon) for _ in range(BLOCK))
+
+    def _read(self, events) -> list[int | float]:
+        """The targets' readings from one replication's rows, one per stream
+        in :attr:`streams` order; each runs past the horizon."""
+        horizon, src_events = self.horizon, events[0]
+        windows = self._trace(events) if self.tree else self._iterate(events)
         i0, w0 = self._window(src_events)
         if self.terminal:
             return [int(w0 - versions[-1]) for _, _, _, versions in windows]
@@ -359,7 +417,7 @@ class _Replicator:
             return j, j
         return tuple(knot_times.searchsorted(self._edges, side="right").tolist())
 
-    def _trace(self, src_events, drawn) -> list[tuple]:
+    def _trace(self, events) -> list[tuple]:
         """One feed per drawn cache: each target's (knot times, i, j,
         versions at knots i..j), traced back from the target to the source.
 
@@ -367,9 +425,9 @@ class _Replicator:
         last event at or before it, so a cache asks its sender only for the
         knots its own asked knots read.  Caches ask deepest first; one that
         several consumers read is traced once, over the span of their asks.
-        The source's version at knot q is q.
+        The source's version at knot q is q; with one feed per cache, the
+        streams are in node order.
         """
-        events = [src_events, *(feed for (feed,) in drawn)]
         asks: list[list[np.ndarray]] = [[] for _ in events]
         windows = []
         for k in self.targets:
@@ -396,7 +454,7 @@ class _Replicator:
             answers.append([versions] if where[k] is None else [versions[w] for w in where[k]])
         return [(knots, i, j, answers[k][r]) for k, (knots, i, j, r) in zip(self.targets, windows)]
 
-    def _iterate(self, src_events, drawn) -> list[tuple]:
+    def _iterate(self, events) -> list[tuple]:
         """Any drawn caches: each target's (knot times, i, j, versions at
         knots i..j), from every drawn cache's step function settled to a
         fixed point.
@@ -408,7 +466,8 @@ class _Replicator:
         feeds).  A worklist re-evaluates only caches whose senders changed,
         shallowest first, until none did.
         """
-        horizon = self.horizon
+        horizon, src_events = self.horizon, events[0]
+        drawn = [events[a:b] for a, b in zip(self._cuts, self._cuts[1:])]
         w0 = int(src_events.searchsorted(horizon, side="right"))
         # per node (source first): step times; per cache its deliveries per
         # feed and the permutation merging them
@@ -463,7 +522,7 @@ def _run_iteration_block(args) -> np.ndarray:
     """Worker: replications [start, stop) in iteration order, one row of
     the targets' readings each."""
     rep, master_seed, start, stop = args
-    return np.array([rep.run(master_seed, it) for it in range(start, stop)], rep.dtype)
+    return np.array(list(rep.replications(master_seed, start, stop)), rep.dtype)
 
 
 def monte_carlo(
@@ -477,25 +536,28 @@ def monte_carlo(
 ) -> dict[str, SimOutcome]:
     """Independent replications; returns one :class:`SimOutcome` per target.
 
-    Replication ``i`` draws every stream from generators keyed by
-    (master_seed, i, stream id) and results are aggregated in iteration
-    order, so the output is bit-identical for a fixed master_seed no matter
-    how the work is scheduled; ``threads`` affects speed only, and at most
-    one worker process runs per CPU.
+    Replications come in blocks of :data:`BLOCK`: replication BLOCK * b + j
+    reads the (j + 1)-th successive draw of each stream's generator keyed by
+    (master_seed, b, stream id), so it is a function of (master_seed, i)
+    alone, whatever the run's length (:func:`simulate_once` reproduces it).
+    Results are aggregated in iteration order, so the output is
+    bit-identical for a fixed master_seed no matter how the work is
+    scheduled; ``threads`` affects speed only, at most one worker process
+    runs per CPU, and each takes whole blocks but for the last.
     """
     targets = network.leaves() if targets is None else list(targets)
     check_run(network, horizon, iterations, estimator, targets)
     rep = _Replicator(network, targets, horizon, estimator)
-    _check_streams(horizon, rep.streams)
 
-    workers = max(1, min(int(threads), os.cpu_count() or 1, iterations))
-    step = -(-iterations // workers)
-    blocks = [(rep, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
-    if workers == 1:
-        done = [_run_iteration_block(block) for block in blocks]
+    blocks = -(-iterations // BLOCK)
+    workers = max(1, min(int(threads), os.cpu_count() or 1, blocks))
+    step = -(-blocks // workers) * BLOCK
+    ranges = [(rep, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
+    if len(ranges) == 1:
+        done = [_run_iteration_block(ranges[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_iteration_block, blocks))
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            done = list(pool.map(_run_iteration_block, ranges))
 
     rows = np.concatenate(done)
     return {t: SimOutcome.from_samples(t, estimator, rows[:, k].copy(), horizon) for k, t in enumerate(targets)}

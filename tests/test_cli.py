@@ -336,6 +336,17 @@ def test_simulate_without_leaves_or_targets_exits_one(tmp_path, capsys):
     assert not os.path.exists(base + ".json")
 
 
+def test_simulate_refuses_a_target_named_twice(tmp_path, capsys):
+    base = str(tmp_path / "twice")
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    assert run(["simulate", config, "--targets", "a,b,a", "--out", base]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "targets name ['a'] more than once" in err
+    assert not os.path.exists(base + ".csv")
+    with pytest.raises(ConfigError, match=r"targets name \['b'\] more than once"):
+        parse_config(json.dumps(dict(CHAIN_CONFIG, targets=["b", "b"])))
+
+
 def test_simulate_rejects_empty_targets(tmp_path, capsys):
     base = str(tmp_path / "none")
     assert run(["simulate", write_config(tmp_path, dict(CHAIN_CONFIG, targets=[])), "--out", base]) == 1

@@ -276,8 +276,12 @@ def test_event_slabs_sum_in_place(monkeypatch, paths):
     # reach t_large = 100, so the first slab is capped at 64 rows; later ones
     # grow from 32 with the rows drawn so far, never with t_max, until every
     # path is past t_max = 400
-    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 64 * paths)
     spec, cap = ChiSquare(k=1), 64 * paths * 8
+    # the first slab's depth is sized at the full budget: a lone path of
+    # 157 events is refused under a budget of 64
+    first = renewal._first_rows(spec, 100.0)
+    monkeypatch.setattr(renewal, "_first_rows", lambda *_: first)
+    monkeypatch.setattr(renewal, "_EVENT_BUDGET", 64 * paths)
 
     def slabs():
         return renewal._event_slabs(spec, RngStream(3, "slabs"), paths, 100.0, 400.0)

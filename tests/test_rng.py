@@ -38,9 +38,9 @@ def test_derive_seed_is_64_bit_and_stable():
 
 
 def test_reseed_equals_fresh_construction():
-    # in turn these hit and miss the hash of the last (seed, scope[0]) head
-    # that reseed keeps; 1, 1.0 and True are equal values but distinct
-    # heads, and -1 and 2**64 + 5 pack to the words 2**64 - 1 and 5
+    # neighbours share or switch their (seed, scope[0]) head; 1, 1.0 and True
+    # are equal values but distinct heads, and -1 and 2**64 + 5 pack to the
+    # words 2**64 - 1 and 5
     scopes = [
         (7, 12, "source"), (7, 12, "link", "a", "b"), (7, 12, "link", "b", "c"),
         (7, 13, "link", "a", "b"), (7, 12, "link", "a", "b"), (2**64 + 3, 0, "source"), (1,),
@@ -76,7 +76,7 @@ class _Spoof(str):
 
 # each scope's first uniform, pinned from streams that encoded every scope
 # afresh.  Neighbours differ only in a part's type or sign, or switch heads
-# and back, so a cache keyed by value alone conflates them: 0.0 == -0.0 and
+# and back, so a reseed memo keyed by value alone conflates them: 0.0 == -0.0 and
 # 1 == 1.0 == True, yet each encodes apart (np.int64(1) encodes as 1 does)
 CACHE_KEY_SCOPES = [
     ((1, 0.0, "a"), "0x1.1173bae5990f7p-1"),
@@ -122,7 +122,7 @@ def test_reseed_caches_never_conflate_scopes():
         for scope, first in CACHE_KEY_SCOPES:
             fresh = RngStream(*scope).uniforms(1)[0].hex()
             assert stream.reseed(*scope).uniforms(1)[0].hex() == fresh == first, scope
-        # again through a pickled copy, whose caches start empty
+        # again through a pickled copy
         stream = pickle.loads(pickle.dumps(stream))
 
 
@@ -146,11 +146,7 @@ def test_stream_fingerprint(scope, raw, uniforms):
     # upgrade, changes every simulated and verified result
     def stream():
         s = RngStream(0, "fingerprint")
-        if scope is not None:
-            head_hash = s._head_hash
-            s.reseed(*scope)
-            assert (s._head_hash is head_hash) == (scope[0] == 0)
-        return s
+        return s if scope is None else s.reseed(*scope)
 
     assert [f"{w:016x}" for w in stream().generator.bit_generator.random_raw(4)] == raw
     assert [u.hex() for u in stream().uniforms(2)] == uniforms
@@ -161,7 +157,7 @@ def test_a_reseeded_stream_pickles():
         stream.uniforms(5)
         copy = pickle.loads(pickle.dumps(stream))
         assert copy.uniforms(8).tobytes() == stream.uniforms(8).tobytes()
-        # the copy keeps no head hash; its next reseeds still equal fresh streams
+        # the copy's next reseeds still equal fresh streams
         for scope in ((7, 12, "link", "a", "b"), (7, 12, "source"), (8, 0, "source")):
             assert copy.reseed(*scope).uniforms(8).tobytes() == RngStream(*scope).uniforms(8).tobytes()
 

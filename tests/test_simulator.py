@@ -21,6 +21,7 @@ from versionage import (
     Deterministic,
     Exponential,
     InvalidParameter,
+    ParetoI,
     Rayleigh,
     RngStream,
     Uniform,
@@ -29,7 +30,7 @@ from versionage import (
 )
 from versionage.experiments import fig5_network, fig6_network
 from versionage.renewal import event_times_until
-from versionage.simulator import ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
+from versionage.simulator import BLOCK, ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
 
 
 def D(c):
@@ -44,12 +45,19 @@ def chain(source_dist, link_dists, names=None):
 
 def realized_events(network, master_seed, iteration, horizon):
     """Each stream's event times up to and past horizon, drawn exactly as the
-    simulator draws them."""
-    rng = RngStream(master_seed, iteration, *SOURCE_STREAM)
-    out = {"source": event_times_until(network.source_dist, rng, horizon)}
+    simulator draws them at that horizon: replication BLOCK * b + j reads the
+    (j + 1)-th draw of the generator keyed by (master_seed, b, stream id)."""
+    block, row = divmod(iteration, BLOCK)
+
+    def draw(sid, dist):
+        rng = RngStream(master_seed, block, *sid)
+        for _ in range(row + 1):
+            events = event_times_until(dist, rng, horizon)
+        return events
+
+    out = {"source": draw(SOURCE_STREAM, network.source_dist)}
     for link in network.links:
-        rng = RngStream(master_seed, iteration, *_link_stream(link))
-        out[(link.src, link.dst)] = event_times_until(link.dist, rng, horizon)
+        out[(link.src, link.dst)] = draw(_link_stream(link), link.dist)
     return out
 
 
@@ -180,7 +188,7 @@ def test_recursion_oracle_on_random_chains():
     )
     horizon = 80.0
     for it in range(25):
-        events = realized_events(network, 77, it, horizon + 50.0)
+        events = realized_events(network, 77, it, horizon)
         want = recursion_age(events, [("b", "c"), ("a", "b"), ("s", "a")], horizon)
         got = simulate_once(network, horizon, master_seed=77, iteration=it).terminal["c"]
         assert got == want
@@ -409,12 +417,12 @@ CYCLIC_GRAPH = CacheNetwork(
     [
         # beta(2, 3)'s product sampler depends on the draw size
         (fig5_network(1 / 3), dict(horizon=1e3, iterations=24, master_seed=5),
-         "aee8f45c3a372e0cd7d862929e3529463ceb86cab31e78606859efe81ad9c77b"),
+         "9a8b533ff60846d4064efcebf96f1be9d1f5b70db52bc6926a3e09161c68429d"),
         (fig6_network(3), dict(horizon=1e3, iterations=24, master_seed=6, estimator="time_average"),
-         "a8828ceec1ef72555873894d3b12d816f9ad0f55fb02edd8658da2641f605ccd"),
+         "c780c1a106e326385fe981bc981961655dd10a2bb3063794a3dfd5f5522e99e8"),
         (CYCLIC_GRAPH, dict(targets=["c", "d"], horizon=40.0, iterations=60, master_seed=7,
                             estimator="time_average"),
-         "1f8a661abb72b52c88af3b4d8e61b01f2be2eccedce67d591f419092d7ff10de"),
+         "cd95ca954eb9d31bbb81a3cd4af0ae57e7ce419ffb51fe7374ca4eee6149a7f6"),
     ],
     ids=["fig5-terminal", "fig6-3-time-average", "cyclic-general"],
 )
@@ -426,6 +434,64 @@ def test_replications_keep_their_bytes(network, kw, digest):
     for t in sorted(out):
         h.update(out[t].samples.tobytes())
     assert h.hexdigest() == digest
+
+
+#: every law family.  beta(2, 3)'s draws depend on the draw size, so its rows
+#: come one at a time; pareto1 near shape 2 and beta(0.01, 1.5) have their
+#: first draw capped at 1.25 n + 32 events, and at horizon 20 some rows of
+#: the beta end short of the horizon (a pareto1 row never does: every gap is
+#: at least 1)
+SHORT_ROWS = Beta(alpha=0.01, beta=1.5)
+BLOCK_LAWS = [
+    Exponential(rate=1.0), Uniform(lo=0.0, hi=2.0), Rayleigh(sigma=1.0), ChiSquare(k=1), ChiSquare(k=3),
+    Beta(alpha=0.5, beta=1.5), Beta(alpha=2.0, beta=3.0), SHORT_ROWS, ParetoI(shape=3.0, scale=1 / 3),
+    ParetoI(shape=2.0000001, scale=1.0), D(0.75),
+]
+
+
+@pytest.mark.parametrize("squeeze", [False, True], ids=["in-budget", "past-budget"])
+@pytest.mark.parametrize("horizon", [20.0, 1e3])
+@pytest.mark.parametrize("law", BLOCK_LAWS, ids=str)
+def test_a_block_is_eight_successive_draws(law, horizon, squeeze, monkeypatch):
+    from versionage import renewal, simulator
+
+    if squeeze:
+        # a budget with room for one first draw but not for a block of them
+        budget = 2 * renewal._first_rows(law, horizon)
+        monkeypatch.setattr(renewal, "_EVENT_BUDGET", budget)
+        monkeypatch.setattr(simulator, "_EVENT_BUDGET", budget)
+    network = chain(law, [law])
+    rep = _Replicator(network, ["n1"], horizon, "terminal")
+    one_at_a_time = squeeze or law.draws_depend_on_size()
+    assert (rep._widths[1] == 0) == one_at_a_time
+    batched = []
+    for block in range(4):
+        rows = rep._rows(1, 9, block)
+        batched.append(isinstance(rows, np.ndarray))
+        rng = RngStream(9, block, *_link_stream(network.links[0]))
+        want = [event_times_until(law, rng, horizon).tobytes() for _ in range(BLOCK)]
+        assert [row.tobytes() for row in rows] == want
+    if one_at_a_time:
+        assert not any(batched)
+    elif law is SHORT_ROWS and horizon == 20.0:
+        assert 0 < sum(batched) < len(batched)
+    else:
+        assert all(batched)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize(
+    "network, targets",
+    [(chain(Exponential(rate=2.0), [Uniform(lo=0.0, hi=2.0), Beta(alpha=2.0, beta=3.0), Rayleigh(sigma=1.0)]),
+      ["n2", "n3"]),
+     (CYCLIC_GRAPH, ["c", "d"])],
+    ids=["chain", "cyclic"],
+)
+def test_simulate_once_reproduces_any_replication(network, targets, estimator):
+    out = monte_carlo(network, targets=targets, horizon=40.0, iterations=21, master_seed=12, estimator=estimator)
+    for i in (0, BLOCK - 1, BLOCK, 20):
+        alone = getattr(simulate_once(network, 40.0, 12, iteration=i), estimator)
+        assert [out[t].samples[i].item() for t in targets] == [alone[t] for t in targets], i
 
 
 def test_monte_carlo_threads_do_not_change_results():
@@ -634,6 +700,17 @@ def test_monte_carlo_without_leaves_needs_targets():
 def test_monte_carlo_rejects_empty_targets():
     with pytest.raises(InvalidParameter, match="the target list is empty"):
         monte_carlo(MIXED_TREE, targets=[], horizon=10.0, iterations=3)
+
+
+def test_monte_carlo_refuses_a_target_named_twice(monkeypatch):
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    monkeypatch.setattr(Uniform, "sample_batch", no_draws)
+    with pytest.raises(InvalidParameter, match=r"targets name \['n2'\] more than once"):
+        monte_carlo(fig6_network(2), targets=["n2", "n2"], horizon=10.0, iterations=3)
+    with pytest.raises(InvalidParameter, match=r"targets name \['n1', 'n2'\] more than once"):
+        monte_carlo(fig6_network(2), targets=("n1", "n2", "n1", "n2"), horizon=10.0, iterations=3)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf])
