@@ -19,7 +19,8 @@ tier1() {
     python -m pytest -q --continue-on-collection-errors --durations=15
     # an all-deterministic general graph in which c -> d ties with the
     # lateral link e -> c at 1.5, 3, ...: declared in two orders, it must
-    # give the same results
+    # give the same results under each estimator, whose windows open on
+    # the ties at 6 (time_average) and at the horizon 12 (terminal)
     work="$(mktemp -d)"
     trap 'rm -rf "$work"' EXIT
     python - "$work" <<'EOF'
@@ -36,8 +37,10 @@ for name, order in (("declared", links), ("lateral-first", [links[5], *links[:5]
 EOF
     for name in declared lateral-first; do
         python -m versionage.cli simulate "$work/$name.json" --out "$work/$name-run"
+        python -m versionage.cli simulate "$work/$name.json" --estimator terminal --out "$work/$name-terminal-run"
     done
     cmp "$work/declared-run.csv" "$work/lateral-first-run.csv"
+    cmp "$work/declared-terminal-run.csv" "$work/lateral-first-terminal-run.csv"
     # a 10 000-hop chain whose links cycle through four laws, and the same
     # laws in reverse hop order: the closed form sums each path exactly in
     # one pass, so both finish in time and the leaf's age is the correctly

@@ -24,13 +24,21 @@ it draws (the targets and every cache upstream of them) has one feed, the
 engine traces those versions back from the targets, as the closed form does:
 each knot asks one binary search of its sender's events, hop by hop up to
 the source, whose version at its q-th event is q.  Otherwise (a cache with
-several feeds, as on any cycle among caches) it builds every drawn cache's
-step function instead, merging a cache's feeds by time under a running
-maximum.  Which sender knot each delivery reads depends on event times
-alone, so it is found once per replication; a worklist then re-evaluates,
-shallowest first, only the caches whose senders changed, until none did.
-The operator is monotone and starts from version 0, so this is its least
-fixed point, the same one any order of evaluation reaches.
+several feeds, as on any cycle among caches) it settles the drawn caches
+over the estimator's window alone, from lo = horizon/2 (``time_average``)
+or lo = horizon (``terminal``) to the horizon.  A cache's version at lo is
+its freshest feed's sender's version at that feed's last delivery at or
+before lo; a best-first backward search over (node, time) pairs, latest
+first, finds the latest source time that any path of deliveries reaches,
+and the source's count there is the version.  So ``terminal`` runs the
+search alone, with no forward pass.  For the time average each drawn
+cache's step function over (lo, horizon] starts from its version at lo,
+merging a cache's feeds by time under a running maximum from it.  Which
+sender knot each delivery reads depends on event times alone, so it is
+found once per replication; a worklist then re-evaluates, shallowest
+first, only the caches whose senders changed, until none did.  The
+operator is monotone and starts below its fixed point, so this is its
+least fixed point, the same one any order of evaluation reaches.
 
 Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
@@ -301,11 +309,13 @@ class _Replicator:
     targets and every cache upstream of them, a block of :data:`BLOCK`
     replications at a time, then reads only what the estimator needs: each
     target's versions at its knots in effect at the horizon (``terminal``)
-    or over [horizon/2, horizon] (``time_average``).  Knot 0 of a node is
-    time 0 with version 0, knot q its q-th delivery.  When every drawn cache
+    or over [horizon/2, horizon] (``time_average``).  When every drawn cache
     has one feed, those versions are traced back to the source
-    (:meth:`_trace`); otherwise every drawn cache's step function settles to
-    a fixed point with a worklist (:meth:`_iterate`).
+    (:meth:`_trace`), knot 0 of a node being time 0 with version 0 and knot
+    q its q-th delivery.  Otherwise each drawn cache's version where the
+    window opens comes from a backward search (:meth:`_settled`), and for
+    the time average the step functions over the window settle from there
+    to a fixed point with a worklist (:meth:`_iterate`).
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
@@ -394,8 +404,8 @@ class _Replicator:
         """The targets' readings from one replication's rows, one per stream
         in :attr:`streams` order; each runs past the horizon."""
         horizon, src_events = self.horizon, events[0]
-        windows = self._trace(events) if self.tree else self._iterate(events)
         i0, w0 = self._window(src_events)
+        windows = self._trace(events) if self.tree else self._iterate(events, i0, w0)
         if self.terminal:
             return [int(w0 - versions[-1]) for _, _, _, versions in windows]
         lo = horizon / 2.0
@@ -454,34 +464,48 @@ class _Replicator:
             answers.append([versions] if where[k] is None else [versions[w] for w in where[k]])
         return [(knots, i, j, answers[k][r]) for k, (knots, i, j, r) in zip(self.targets, windows)]
 
-    def _iterate(self, events) -> list[tuple]:
+    def _iterate(self, events, i0: int, w0: int) -> list[tuple]:
         """Any drawn caches: each target's (knot times, i, j, versions at
-        knots i..j), from every drawn cache's step function settled to a
-        fixed point.
+        knots i..j), settled over the estimator's window alone; i0 and w0 are
+        the source's knots in effect where the window opens and at the
+        horizon.
 
-        Each delivery reads its sender's last knot at or before it, which
-        depends only on event times, so it is found once.  Every node's
-        knot values then lie end to end in one array, and a cache's values
-        are one gather from it (under a running maximum when it has several
-        feeds).  A worklist re-evaluates only caches whose senders changed,
-        shallowest first, until none did.
+        The window opens at lo, horizon/2 for the time average and the
+        horizon for ``terminal``.  Each drawn cache's knot 0 holds its
+        settled version at lo, found by :meth:`_settled`, and its knots 1..
+        are its deliveries in (lo, horizon]; so ``terminal`` reads the search
+        alone (no knot times, and the version at the horizon).  Each
+        delivery reads its sender's last knot at or before it, which depends
+        only on event times, so it is found once.  Every node's knot values
+        then lie end to end in one array, and a cache's values are one
+        gather from it (under a running maximum from its version at lo when
+        it has several feeds).  A worklist re-evaluates only caches whose
+        senders changed, shallowest first, until none did.
         """
         horizon, src_events = self.horizon, events[0]
         drawn = [events[a:b] for a, b in zip(self._cuts, self._cuts[1:])]
-        w0 = int(src_events.searchsorted(horizon, side="right"))
-        # per node (source first): step times; per cache its deliveries per
-        # feed and the permutation merging them
-        steps = [src_events[:w0]]
+        if self.terminal:
+            at_lo = [[int(d.searchsorted(horizon, side="right")) for d in feeds] for feeds in drawn]
+            return [(None, 0, 0, (self._settled(k, horizon, src_events, drawn, at_lo),)) for k in self.targets]
+        lo = horizon / 2.0
+        # per feed, its deliveries at or before lo and at or before the horizon
+        cuts = [[d.searchsorted(self._edges, side="right").tolist() for d in feeds] for feeds in drawn]
+        at_lo = [[a for a, _ in feeds] for feeds in cuts]
+        # per node (source first): its version at lo and its step times in
+        # (lo, horizon]; per cache its deliveries there per feed and the
+        # permutation merging them (None with one feed or none delivered)
+        starts = [i0] + [self._settled(k, lo, src_events, drawn, at_lo) for k in range(1, len(drawn) + 1)]
+        steps = [src_events[i0:w0]]
         deliveries: list[list[np.ndarray]] = []
         merges: list[np.ndarray | None] = []
-        for events in drawn:
-            cut = [d[: int(d.searchsorted(horizon, side="right"))] for d in events]
-            deliveries.append(cut)
-            if len(cut) == 1:
-                steps.append(cut[0])
+        for feeds, cut in zip(drawn, cuts):
+            window = [d[a:b] for d, (a, b) in zip(feeds, cut)]
+            deliveries.append(window)
+            merged = window[0] if len(window) == 1 else np.concatenate(window)
+            if len(window) == 1 or not merged.size:
+                steps.append(merged)
                 merges.append(None)
                 continue
-            merged = np.concatenate(cut)
             perm = np.argsort(merged, kind="stable")
             steps.append(merged[perm])
             merges.append(perm)
@@ -489,21 +513,24 @@ class _Replicator:
         # node k's knots 0..n_k sit at flat[offsets[k] : offsets[k] + n_k + 1]
         offsets = [0, *accumulate(t.size + 1 for t in steps)]
         gathers = []
-        for feeds, cut, perm in zip(self.feeds, deliveries, merges):
+        for feeds, window, perm in zip(self.feeds, deliveries, merges):
             reads = [
-                np.searchsorted(steps[s], d, side="right") + offsets[s]
-                for (_, _, s), d in zip(feeds, cut)
+                steps[s].searchsorted(d, side="right") + offsets[s]
+                for (_, _, s), d in zip(feeds, window)
             ]
             gathers.append(reads[0] if perm is None else np.concatenate(reads)[perm])
-        # from version 0 everywhere
+        # each knot 0 at its version at lo, the source's knots as counted,
+        # version 0 elsewhere
         flat = np.zeros(offsets[-1])
-        flat[: w0 + 1] = np.arange(w0 + 1)
+        flat[offsets[:-1]] = starts
+        flat[: w0 - i0 + 1] = np.arange(i0, w0 + 1)
         # a heap of the caches due, by depth order; all are due at first
         todo = list(range(1, len(steps)))
         while todo:
             k = heapq.heappop(todo)
             new = flat[gathers[k - 1]]
             if merges[k - 1] is not None:
+                new[0] = max(new[0], starts[k])
                 np.maximum.accumulate(new, out=new)
             old = flat[offsets[k] + 1 : offsets[k + 1]]
             if not np.array_equal(new, old):
@@ -511,11 +538,29 @@ class _Replicator:
                 for c in self.consumers[k]:
                     if c not in todo:
                         heapq.heappush(todo, c)
-        windows = []
-        for k in self.targets:
-            i, j = self._window(steps[k])
-            windows.append((steps[k], i, j, flat[offsets[k] + i : offsets[k] + j + 1]))
-        return windows
+        return [(steps[k], 0, steps[k].size, flat[offsets[k] : offsets[k + 1]]) for k in self.targets]
+
+    def _settled(self, k: int, lo: float, src_events: np.ndarray, drawn, at_lo) -> int:
+        """Node k's settled version at lo: a best-first search over (node,
+        time) pairs, latest first, where each feed of a popped cache leads to
+        its sender at the feed's last delivery at or before that time, and a
+        node popped again is no fresher.  The first source pair is the latest
+        source time reached; its count there (inclusive) is the version, else
+        0.  ``at_lo`` holds each feed's deliveries at or before lo."""
+        heap, popped = [(-lo, k)], set()
+        while heap:
+            t, n = heapq.heappop(heap)
+            if n == 0:
+                return int(src_events.searchsorted(-t, side="right"))
+            if n in popped:
+                continue
+            popped.add(n)
+            for (_, _, s), d, c in zip(self.feeds[n - 1], drawn[n - 1], at_lo[n - 1]):
+                if -t != lo:
+                    c = int(d.searchsorted(-t, side="right"))
+                if c:
+                    heapq.heappush(heap, (-float(d[c - 1]), s))
+        return 0
 
 
 def _run_iteration_block(args) -> np.ndarray:

@@ -423,8 +423,11 @@ CYCLIC_GRAPH = CacheNetwork(
         (CYCLIC_GRAPH, dict(targets=["c", "d"], horizon=40.0, iterations=60, master_seed=7,
                             estimator="time_average"),
          "cd95ca954eb9d31bbb81a3cd4af0ae57e7ce419ffb51fe7374ca4eee6149a7f6"),
+        (CYCLIC_GRAPH, dict(targets=["c", "d"], horizon=40.0, iterations=60, master_seed=7,
+                            estimator="terminal"),
+         "06c667762013ec489cc16c2fc09e06533f5d28ffadeb7ce0454e3980b2644c05"),
     ],
-    ids=["fig5-terminal", "fig6-3-time-average", "cyclic-general"],
+    ids=["fig5-terminal", "fig6-3-time-average", "cyclic-general", "cyclic-general-terminal"],
 )
 def test_replications_keep_their_bytes(network, kw, digest):
     # pinned: a change that moves any stream or reading changes these, and
@@ -642,6 +645,42 @@ def test_general_fixed_point_matches_simulate_once(network, targets, quiet):
             for t in targets:
                 assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], (
                     estimator, threads, t)
+
+
+def version_at(steps, t):
+    """A node's version at t from its step history (0 before its first step)."""
+    return max((v for s, v in steps if s <= t), default=0)
+
+
+def first_delivery_after(events, node, t):
+    """(time, sender) of node's first delivery after t."""
+    return min((float(e[np.searchsorted(e, t, side="right")]), key[0])
+               for key, e in events.items() if key != "source" and key[1] == node)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize(
+    "targets, horizon",
+    [(["c", "d"], 40.0), (["s", "c", "d"], 40.0), (["c", "d"], 0.3), (["c", "d"], 1.0)],
+    ids=["older-feed-after-lo", "source-target", "horizon-0.3", "horizon-1"],
+)
+def test_window_start_matches_simulate_once(targets, horizon, estimator, threads):
+    # each cache enters the estimator's window [horizon/2, horizon] at its
+    # settled version there: at horizon 0.3 no event falls before horizon/2,
+    # and at 1.0 d -> c first delivers exactly at horizon/2
+    seed, iterations = 13, 12
+    runs = [simulate_once(CYCLIC_GRAPH, horizon, seed, iteration=i) for i in range(iterations)]
+    out = monte_carlo(CYCLIC_GRAPH, targets=targets, horizon=horizon, iterations=iterations,
+                      master_seed=seed, estimator=estimator, threads=threads)
+    for t in targets:
+        assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], t
+    if horizon == 40.0:
+        # in replication 1, c's first delivery after horizon/2 (from d)
+        # carries an older version than c holds there: c keeps its own
+        lo = horizon / 2
+        when, sender = first_delivery_after(realized_events(CYCLIC_GRAPH, seed, 1, horizon), "c", lo)
+        assert sender == "d" and version_at(runs[1].steps["d"], when) < version_at(runs[1].steps["c"], lo)
 
 
 def assert_link_order_changes_nothing(network, order, horizon, seed):
