@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, thread and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -74,9 +74,12 @@ EOF
     python -m versionage.cli simulate "$work/declared.json" --threads 2 --out "$work/declared-threads-run"
     cmp "$work/declared-run.csv" "$work/declared-threads-run.csv"
     # the benchmark's general graph (diamond s -> {a, b} -> c, cache cycle
-    # c <-> d, leaf tail d -> e) with random laws: a and b read no cache with
-    # two feeds, so alone they are traced, and every cache as a target runs
-    # the fixed point; both must give a and b the same samples
+    # c <-> d, leaf tail d -> e) with random laws; both target lists must
+    # give a and b the same samples.  Under time_average, a and b read no
+    # cache with two feeds, so alone they are traced, and every cache as a
+    # target runs the fixed point.  Under terminal, both lists run the one
+    # backward search, so this checks that a start's answer does not depend
+    # on which other starts share its search
     python - "$work" <<'EOF'
 import json, sys
 u = lambda lo, hi: {"type": "uniform", "lo": lo, "hi": hi}
@@ -108,6 +111,24 @@ EOF
     python -m versionage.cli simulate "$work/general.json" --estimator time_average --targets a,b --threads 2 \
         --out "$work/general-threads" > /dev/null
     cmp "$work/general-time_average-a,b.csv" "$work/general-threads.csv"
+    # a ring of 300 caches closed back onto c1: the window start's one
+    # search settles every cache in time linear in the depth, in process
+    # and in the pool
+    python - "$work" <<'EOF'
+import json, sys
+nodes = ["s"] + [f"c{i}" for i in range(1, 301)]
+links = [{"from": a, "to": b, "dist": {"type": "exponential", "rate": 1.0}} for a, b in zip(nodes, nodes[1:])]
+links.append({"from": "c300", "to": "c1", "dist": {"type": "uniform", "lo": 0.0, "hi": 2.0}})
+config = {"nodes": nodes, "source": "s", "source_dist": {"type": "exponential", "rate": 1.0}, "links": links,
+          "horizon": 1e3, "iterations": 16, "targets": ["c1", "c150", "c300"]}
+with open(f"{sys.argv[1]}/ring.json", "w") as fh:
+    json.dump(config, fh)
+EOF
+    for threads in 1 2; do
+        timeout 60 python -m versionage.cli simulate "$work/ring.json" --estimator time_average --threads "$threads" \
+            --out "$work/ring-threads-$threads" > /dev/null
+    done
+    cmp "$work/ring-threads-1.csv" "$work/ring-threads-2.csv"
     # fig5's beta and chi-square samplers, in process and in the pool
     for threads in 1 2; do
         python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"

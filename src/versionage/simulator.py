@@ -15,30 +15,29 @@ for the non-arithmetic inter-update times the closed form assumes; they
 matter only with deterministic links or gaps that can be zero.
 
 :func:`monte_carlo` runs one vectorized engine on any network.  It draws
-each stream's event times up to the horizon and reads only what the
-requested estimator needs: a target's versions at its knots (every delivery
-it receives) in effect at the horizon for ``terminal``, or over [horizon/2,
-horizon] for ``time_average``.  A delivery reads the sender's last knot at
-or before it, whose version is the sender's settled one.  When every cache
-it draws (the targets and every cache upstream of them) has one feed, the
-engine traces those versions back from the targets, as the closed form does:
-each knot asks one binary search of its sender's events, hop by hop up to
-the source, whose version at its q-th event is q.  Otherwise (a cache with
-several feeds, as on any cycle among caches) it settles the drawn caches
-over the estimator's window alone, from lo = horizon/2 (``time_average``)
-or lo = horizon (``terminal``) to the horizon.  A cache's version at lo is
-its freshest feed's sender's version at that feed's last delivery at or
-before lo; a best-first backward search over (node, time) pairs, latest
-first, finds the latest source time that any path of deliveries reaches,
-and the source's count there is the version.  So ``terminal`` runs the
-search alone, with no forward pass.  For the time average each drawn
-cache's step function over (lo, horizon] starts from its version at lo,
-merging a cache's feeds by time under a running maximum from it.  Which
-sender knot each delivery reads depends on event times alone, so it is
-found once per replication; a worklist then re-evaluates, shallowest
-first, only the caches whose senders changed, until none did.  The
-operator is monotone and starts below its fixed point, so this is its
-least fixed point, the same one any order of evaluation reaches.
+each stream's event times up to the horizon, for the targets and every cache
+upstream of them, and reads only what the requested estimator needs.  A
+cache's version at t is the freshest of its feeds' senders' versions, each
+read at that feed's last delivery at or before t; the source's is its count
+of renewals up to t.  ``terminal`` reads the targets' versions at the
+horizon on every graph from one best-first backward search over (node, time)
+pairs, latest first, started from all the targets at once: the first source
+pair a target reaches is the latest source time that any path of deliveries
+carries to it, and the source's count there is its version.
+``time_average`` integrates each target's versions at its knots (every
+delivery it receives) over [horizon/2, horizon].  When every cache it draws
+has one feed, the engine traces those versions back from the targets, as the
+closed form does: each knot asks one binary search of its sender's events,
+hop by hop up to the source, whose version at its q-th event is q.
+Otherwise (a cache with several feeds, as on any cycle among caches) the
+same search, started from every drawn cache at horizon/2, gives each its
+version there, and each cache's step function over (horizon/2, horizon]
+starts from it, merging a cache's feeds by time under a running maximum from
+it.  Which sender knot each delivery reads depends on event times alone, so
+it is found once per replication; a worklist then re-evaluates, shallowest
+first, only the caches whose senders changed, until none did.  The operator
+is monotone and starts below its fixed point, so this is its least fixed
+point, the same one any order of evaluation reaches.
 
 Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
@@ -307,15 +306,15 @@ class _Replicator:
     Draws the same event times as the event loop (same streams, each row
     equal to an :func:`~versionage.renewal.event_times_until` draw) for the
     targets and every cache upstream of them, a block of :data:`BLOCK`
-    replications at a time, then reads only what the estimator needs: each
-    target's versions at its knots in effect at the horizon (``terminal``)
-    or over [horizon/2, horizon] (``time_average``).  When every drawn cache
-    has one feed, those versions are traced back to the source
+    replications at a time, then reads only what the estimator needs.
+    ``terminal`` takes the targets' versions at the horizon from one
+    backward search (:meth:`_settled`) on any graph.  ``time_average``
+    integrates their versions at their knots over [horizon/2, horizon]:
+    when every drawn cache has one feed, these are traced back to the source
     (:meth:`_trace`), knot 0 of a node being time 0 with version 0 and knot
-    q its q-th delivery.  Otherwise each drawn cache's version where the
-    window opens comes from a backward search (:meth:`_settled`), and for
-    the time average the step functions over the window settle from there
-    to a fixed point with a worklist (:meth:`_iterate`).
+    q its q-th delivery; otherwise one search gives every drawn cache's
+    version at horizon/2, and the step functions settle from there to a
+    fixed point with a worklist (:meth:`_iterate`).
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
@@ -368,10 +367,6 @@ class _Replicator:
             width = 0 if dist.draws_depend_on_size() else _first_rows(dist, horizon)
             self._widths.append(width if BLOCK * width <= _EVENT_BUDGET else 0)
 
-    def run(self, master_seed: int, iteration: int) -> list[int | float]:
-        """The targets' readings in replication ``iteration``, in target order."""
-        return next(self.replications(master_seed, iteration, iteration + 1))
-
     def replications(self, master_seed: int, start: int, stop: int):
         """The targets' readings in replications [start, stop), in order;
         each block is drawn once, the rows before ``start`` dropped."""
@@ -404,10 +399,11 @@ class _Replicator:
         """The targets' readings from one replication's rows, one per stream
         in :attr:`streams` order; each runs past the horizon."""
         horizon, src_events = self.horizon, events[0]
+        if self.terminal:
+            w0 = int(src_events.searchsorted(horizon, side="right"))
+            return [w0 - v for v in self._settled(self.targets, horizon, events)]
         i0, w0 = self._window(src_events)
         windows = self._trace(events) if self.tree else self._iterate(events, i0, w0)
-        if self.terminal:
-            return [int(w0 - versions[-1]) for _, _, _, versions in windows]
         lo = horizon / 2.0
         width = horizon - lo
         src_integral = _window_integral(
@@ -420,16 +416,14 @@ class _Replicator:
         return readings
 
     def _window(self, knot_times: np.ndarray) -> tuple[int, int]:
-        """The knots in effect where the estimator starts reading (the
-        horizon, or horizon/2 for the time average) and at the horizon."""
-        if self.terminal:
-            j = int(knot_times.searchsorted(self.horizon, side="right"))
-            return j, j
+        """The knots in effect at horizon/2 and at the horizon."""
         return tuple(knot_times.searchsorted(self._edges, side="right").tolist())
 
     def _trace(self, events) -> list[tuple]:
-        """One feed per drawn cache: each target's (knot times, i, j,
-        versions at knots i..j), traced back from the target to the source.
+        """One feed per drawn cache, for the time average: each target's
+        (knot times, i, j, versions at knots i..j), where i and j are its
+        knots in effect at horizon/2 and at the horizon, traced back from
+        the target to the source.
 
         A delivery at knot q carries the sender's version at the sender's
         last event at or before it, so a cache asks its sender only for the
@@ -465,58 +459,44 @@ class _Replicator:
         return [(knots, i, j, answers[k][r]) for k, (knots, i, j, r) in zip(self.targets, windows)]
 
     def _iterate(self, events, i0: int, w0: int) -> list[tuple]:
-        """Any drawn caches: each target's (knot times, i, j, versions at
-        knots i..j), settled over the estimator's window alone; i0 and w0 are
-        the source's knots in effect where the window opens and at the
-        horizon.
+        """Any drawn caches, for the time average: each target's (knot
+        times, i, j, versions at knots i..j), settled over [horizon/2,
+        horizon] alone; i0 and w0 are the source's knots in effect at
+        horizon/2 and at the horizon.
 
-        The window opens at lo, horizon/2 for the time average and the
-        horizon for ``terminal``.  Each drawn cache's knot 0 holds its
-        settled version at lo, found by :meth:`_settled`, and its knots 1..
-        are its deliveries in (lo, horizon]; so ``terminal`` reads the search
-        alone (no knot times, and the version at the horizon).  Each
-        delivery reads its sender's last knot at or before it, which depends
-        only on event times, so it is found once.  Every node's knot values
-        then lie end to end in one array, and a cache's values are one
-        gather from it (under a running maximum from its version at lo when
-        it has several feeds).  A worklist re-evaluates only caches whose
-        senders changed, shallowest first, until none did.
+        Each drawn cache's knot 0 holds its settled version at lo =
+        horizon/2, found for every cache by one :meth:`_settled` search, and
+        its knots 1.. are its deliveries in (lo, horizon].  Each delivery
+        reads its sender's last knot at or before it, which depends only on
+        event times, so it is found once.  Every node's knot values then lie
+        end to end in one array, and a cache's values are one gather from it
+        (under a running maximum from its version at lo when it has several
+        feeds).  A worklist re-evaluates only caches whose senders changed,
+        shallowest first, until none did.
         """
-        horizon, src_events = self.horizon, events[0]
-        drawn = [events[a:b] for a, b in zip(self._cuts, self._cuts[1:])]
-        if self.terminal:
-            at_lo = [[int(d.searchsorted(horizon, side="right")) for d in feeds] for feeds in drawn]
-            return [(None, 0, 0, (self._settled(k, horizon, src_events, drawn, at_lo),)) for k in self.targets]
-        lo = horizon / 2.0
-        # per feed, its deliveries at or before lo and at or before the horizon
-        cuts = [[d.searchsorted(self._edges, side="right").tolist() for d in feeds] for feeds in drawn]
-        at_lo = [[a for a, _ in feeds] for feeds in cuts]
+        # per stream, its events at or before lo and at or before the
+        # horizon, and its events in (lo, horizon]
+        cuts = [(i0, w0), *(d.searchsorted(self._edges, side="right").tolist() for d in events[1:])]
+        recent = [d[a:b] for d, (a, b) in zip(events, cuts)]
         # per node (source first): its version at lo and its step times in
-        # (lo, horizon]; per cache its deliveries there per feed and the
-        # permutation merging them (None with one feed or none delivered)
-        starts = [i0] + [self._settled(k, lo, src_events, drawn, at_lo) for k in range(1, len(drawn) + 1)]
-        steps = [src_events[i0:w0]]
-        deliveries: list[list[np.ndarray]] = []
+        # (lo, horizon]; per cache the permutation merging its feeds'
+        # deliveries there (None with one feed or none delivered)
+        starts = [i0, *self._settled(range(1, len(self.senders)), self.horizon / 2.0, events, [a for a, _ in cuts])]
+        steps = [recent[0]]
         merges: list[np.ndarray | None] = []
-        for feeds, cut in zip(drawn, cuts):
-            window = [d[a:b] for d, (a, b) in zip(feeds, cut)]
-            deliveries.append(window)
-            merged = window[0] if len(window) == 1 else np.concatenate(window)
-            if len(window) == 1 or not merged.size:
-                steps.append(merged)
-                merges.append(None)
-                continue
-            perm = np.argsort(merged, kind="stable")
-            steps.append(merged[perm])
+        for a, b in zip(self._cuts, self._cuts[1:]):
+            merged = recent[a] if b - a == 1 else np.concatenate(recent[a:b])
+            perm = None if b - a == 1 or not merged.size else np.argsort(merged, kind="stable")
+            steps.append(merged if perm is None else merged[perm])
             merges.append(perm)
 
         # node k's knots 0..n_k sit at flat[offsets[k] : offsets[k] + n_k + 1]
         offsets = [0, *accumulate(t.size + 1 for t in steps)]
         gathers = []
-        for feeds, window, perm in zip(self.feeds, deliveries, merges):
+        for feeds, first, perm in zip(self.feeds, self._cuts, merges):
             reads = [
-                steps[s].searchsorted(d, side="right") + offsets[s]
-                for (_, _, s), d in zip(feeds, window)
+                steps[s].searchsorted(recent[row], side="right") + offsets[s]
+                for row, (_, _, s) in enumerate(feeds, first)
             ]
             gathers.append(reads[0] if perm is None else np.concatenate(reads)[perm])
         # each knot 0 at its version at lo, the source's knots as counted,
@@ -540,27 +520,45 @@ class _Replicator:
                         heapq.heappush(todo, c)
         return [(steps[k], 0, steps[k].size, flat[offsets[k] : offsets[k + 1]]) for k in self.targets]
 
-    def _settled(self, k: int, lo: float, src_events: np.ndarray, drawn, at_lo) -> int:
-        """Node k's settled version at lo: a best-first search over (node,
-        time) pairs, latest first, where each feed of a popped cache leads to
-        its sender at the feed's last delivery at or before that time, and a
-        node popped again is no fresher.  The first source pair is the latest
-        source time reached; its count there (inclusive) is the version, else
-        0.  ``at_lo`` holds each feed's deliveries at or before lo."""
-        heap, popped = [(-lo, k)], set()
-        while heap:
-            t, n = heapq.heappop(heap)
-            if n == 0:
-                return int(src_events.searchsorted(-t, side="right"))
-            if n in popped:
+    def _settled(self, starts, t: float, events, counts=None) -> list[int]:
+        """The settled versions at t of the nodes ``starts``, from one
+        best-first search over (node, time) pairs, latest first, where each
+        feed of a popped cache leads to its sender at the feed's last
+        delivery at or before that time.  A heap entry carries a bit mask of
+        the starts (by place) that reach its pair, and entries for one pair
+        merge when popped.  A start expands a node only at the latest time it
+        reaches it (``seen``), as no earlier pair there is fresher.  The
+        first source pair a start reaches is the latest source time that any
+        path of deliveries from it reaches; the source's count there
+        (inclusive) is its version, else 0.  A start with its version
+        expands nothing more, and the search stops once all have theirs.
+        ``counts``, if given, holds each stream's events at or before t,
+        which the expansions at t reuse."""
+        versions, seen = [0] * len(starts), [0] * len(self.senders)
+        due = (1 << len(starts)) - 1  # the starts still without a version
+        heap = [(-t, n, 1 << b) for b, n in enumerate(starts)]
+        heapq.heapify(heap)
+        while due and heap:
+            at, n, mask = heapq.heappop(heap)
+            while heap and heap[0][0] == at and heap[0][1] == n:
+                mask |= heapq.heappop(heap)[2]
+            mask &= due & ~seen[n]
+            if not mask:
                 continue
-            popped.add(n)
-            for (_, _, s), d, c in zip(self.feeds[n - 1], drawn[n - 1], at_lo[n - 1]):
-                if -t != lo:
-                    c = int(d.searchsorted(-t, side="right"))
+            seen[n] |= mask
+            if n == 0:
+                due &= ~mask
+                version = int(events[0].searchsorted(-at, side="right"))
+                while mask:
+                    versions[(mask & -mask).bit_length() - 1] = version
+                    mask &= mask - 1
+                continue
+            for row, (_, _, s) in enumerate(self.feeds[n - 1], self._cuts[n - 1]):
+                d = events[row]
+                c = counts[row] if counts and -at == t else int(d.searchsorted(-at, side="right"))
                 if c:
-                    heapq.heappush(heap, (-float(d[c - 1]), s))
-        return 0
+                    heapq.heappush(heap, (-float(d[c - 1]), s, mask))
+        return versions
 
 
 def _run_iteration_block(args) -> np.ndarray:

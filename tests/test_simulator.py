@@ -7,7 +7,9 @@ trajectories can be compared against the hand tables with ==.
 """
 
 import hashlib
+import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from versionage import (
     simulate_once,
 )
 from versionage.experiments import fig5_network, fig6_network
-from versionage.renewal import event_times_until
+from versionage.analytic import link_contribution
+from versionage.renewal import Z_GATE, event_times_until, z_score
 from versionage.simulator import BLOCK, ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
 
 
@@ -333,7 +336,8 @@ def test_tree_fast_path_matches_event_engine():
     for it in range(30):
         slow = simulate_once(MIXED_TREE, 40.0, master_seed=123, iteration=it)
         for estimator, rep in reps.items():
-            assert rep.run(123, it) == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
+            assert next(rep.replications(123, it, it + 1)) == [getattr(slow, estimator)[t] for t in targets], (
+                estimator, it)
 
 
 TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
@@ -658,29 +662,93 @@ def first_delivery_after(events, node, t):
                for key, e in events.items() if key != "source" and key[1] == node)
 
 
+def deep_graph(hops, closing):
+    """A chain s -> c1 -> ... -> c<hops> of fast links plus one more link,
+    ``closing`` = (sender, receiver, law): (c<hops>, c1, law) closes a ring,
+    and (s, c<hops>, law) gives the leaf a second feed."""
+    nodes = ["s"] + [f"c{i}" for i in range(1, hops + 1)]
+    links = [(a, b, Exponential(rate=4.0)) for a, b in zip(nodes, nodes[1:])]
+    return CacheNetwork(nodes=nodes, source="s", source_dist=Exponential(rate=2.0), links=[*links, closing])
+
+
+RING = deep_graph(40, ("c40", "c1", Uniform(lo=0.0, hi=0.5)))
+# the leaf's slow second feed and its 40-hop chain each hold the fresher
+# version part of the time
+FED_LEAF_CHAIN = deep_graph(40, ("s", "c40", Exponential(rate=0.05)))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize(
-    "targets, horizon",
-    [(["c", "d"], 40.0), (["s", "c", "d"], 40.0), (["c", "d"], 0.3), (["c", "d"], 1.0)],
-    ids=["older-feed-after-lo", "source-target", "horizon-0.3", "horizon-1"],
+    "network, targets, horizon",
+    [(CYCLIC_GRAPH, ["c", "d"], 40.0), (CYCLIC_GRAPH, ["s", "c", "d"], 40.0), (CYCLIC_GRAPH, ["c", "d"], 0.3),
+     (CYCLIC_GRAPH, ["c", "d"], 1.0), (CYCLIC_GRAPH, ["a", "b", "c", "d"], 40.0),
+     (RING, RING.nodes[1:], 40.0), (FED_LEAF_CHAIN, FED_LEAF_CHAIN.nodes[1:], 40.0)],
+    ids=["older-feed-after-lo", "source-target", "horizon-0.3", "horizon-1", "every-cache", "ring-40",
+         "fed-leaf-chain-40"],
 )
-def test_window_start_matches_simulate_once(targets, horizon, estimator, threads):
+def test_window_start_matches_simulate_once(network, targets, horizon, estimator, threads):
     # each cache enters the estimator's window [horizon/2, horizon] at its
     # settled version there: at horizon 0.3 no event falls before horizon/2,
-    # and at 1.0 d -> c first delivers exactly at horizon/2
+    # and at 1.0 d -> c first delivers exactly at horizon/2.  Every start
+    # shares one search, so with every cache a target (on CYCLIC_GRAPH and
+    # on the 40-cache graphs) the starts share the pairs upstream of them
     seed, iterations = 13, 12
-    runs = [simulate_once(CYCLIC_GRAPH, horizon, seed, iteration=i) for i in range(iterations)]
-    out = monte_carlo(CYCLIC_GRAPH, targets=targets, horizon=horizon, iterations=iterations,
+    runs = [simulate_once(network, horizon, seed, iteration=i) for i in range(iterations)]
+    out = monte_carlo(network, targets=targets, horizon=horizon, iterations=iterations,
                       master_seed=seed, estimator=estimator, threads=threads)
     for t in targets:
         assert out[t].samples.tolist() == [getattr(r, estimator)[t] for r in runs], t
-    if horizon == 40.0:
+    if network is CYCLIC_GRAPH and targets == ["c", "d"] and horizon == 40.0:
         # in replication 1, c's first delivery after horizon/2 (from d)
         # carries an older version than c holds there: c keeps its own
         lo = horizon / 2
         when, sender = first_delivery_after(realized_events(CYCLIC_GRAPH, seed, 1, horizon), "c", lo)
         assert sender == "d" and version_at(runs[1].steps["d"], when) < version_at(runs[1].steps["c"], lo)
+
+
+@pytest.fixture
+def heap_pops(monkeypatch):
+    """Count the heap entries the simulator pops: the returned list's one
+    item grows by one with each pop."""
+    from versionage import simulator
+
+    pops = [0]
+
+    def heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(simulator, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heapify=heapq.heapify, heapreplace=heapq.heapreplace, heappop=heappop))
+    return pops
+
+
+def test_one_search_keeps_a_deep_ring_linear(alarm, heap_pops):
+    # a replication's one search merges the starts that meet on a (node,
+    # time) pair, so on a 400-cache ring it pops about 7 000 heap entries
+    # where a search per cache pops about 81 000
+    alarm(30)
+    ring = deep_graph(400, ("c400", "c1", Uniform(lo=0.0, hi=2.0)))
+    out = monte_carlo(ring, targets=["c400"], horizon=250.0, iterations=BLOCK, master_seed=3, estimator="time_average")
+    assert out["c400"].iterations == BLOCK
+    assert heap_pops[0] <= 20_000 * BLOCK, heap_pops[0] / BLOCK
+
+
+def test_a_start_expands_each_node_once(alarm, heap_pops):
+    # a ladder of 50 rungs, each cache fed by both caches of the rung above:
+    # the target reaches a cache k rungs up along 2^k paths, at up to k
+    # times.  Expanding each node only at the latest time a start reaches
+    # it, one start pushes (and so pops) at most one entry per link, plus
+    # its own; a search that expanded every time reached pops over 1 600
+    alarm(30)
+    rungs = [("s", "x0"), ("s", "y0")] + [
+        (f"{a}{i}", f"{b}{i + 1}") for i in range(49) for a in "xy" for b in "xy"]
+    ladder = CacheNetwork(nodes=["s"] + [f"{a}{i}" for i in range(50) for a in "xy"], source="s",
+                          source_dist=Exponential(rate=1.0),
+                          links=[(a, b, Exponential(rate=1.0)) for a, b in rungs])
+    monte_carlo(ladder, targets=["x49"], horizon=1e3, iterations=BLOCK, master_seed=3, estimator="terminal")
+    assert heap_pops[0] <= (len(rungs) + 1) * BLOCK, heap_pops[0] / BLOCK
 
 
 def assert_link_order_changes_nothing(network, order, horizon, seed):
@@ -816,3 +884,30 @@ def test_poisson_two_hop_mean():
     out = monte_carlo(network, targets=["n2"], horizon=500.0, iterations=4000,
                       master_seed=17, estimator="time_average")["n2"]
     assert abs(out.mean - 2.0) <= 4.0 * out.stderr
+
+
+@pytest.mark.parametrize(
+    "network",
+    [fig5_network(1 / 3),
+     chain(ParetoI(shape=3.0, scale=1 / 3),
+           [Exponential(rate=1.0), Uniform(lo=0.0, hi=2.0), ParetoI(shape=4.0, scale=0.75)])],
+    ids=["fig5", "exponential-uniform-pareto1"],
+)
+def test_each_link_adds_its_own_share(network):
+    # the closed form is additive: a link adds E[Y^2]/(2E[Y]) / E[Y_source]
+    # to its receiver's age.  With every hop a target, the hops of one
+    # replication read common streams, so the difference between
+    # consecutive hops measures one link's share with a paired stderr far
+    # below either hop's own; the leaf's total alone would pass a chain whose
+    # laws sit in the wrong hops
+    iterations = 6_000
+    out = monte_carlo(network, targets=[l.dst for l in network.links], horizon=1e3, iterations=iterations,
+                      master_seed=11, estimator="time_average", threads=2)
+    source_mean = network.source_dist.moments().mean
+    above = np.zeros(iterations)
+    for link in network.links:
+        increments = out[link.dst].samples - above
+        above = out[link.dst].samples
+        stderr = increments.std(ddof=1) / math.sqrt(iterations)
+        z = z_score(increments.mean(), link_contribution(link.dist) / source_mean, stderr)
+        assert abs(z) <= Z_GATE, (link.dst, increments.mean(), stderr)
