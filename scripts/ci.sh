@@ -142,16 +142,29 @@ EOF
     done
     cmp "$work/fig6-threads-1.csv" "$work/fig6-threads-2.csv"
     # 13 replications: the first worker takes block 0 (replications 0-7) and
-    # the second the rest, so its range ends mid-block; fig5 draws its beta
-    # rows one at a time and its other streams a block at a time
+    # the second the rest, so its range ends mid-block.  fig5 reads each
+    # stream's block as one batch; a beta(0.01, 1.5) link at horizon 20 has
+    # rows that end short of the horizon, so at seed 1 its block 1 is drawn
+    # one row at a time, each row drawing on past its share of the batch
+    python - "$work" <<'EOF'
+import json, sys
+config = {"nodes": ["s", "a"], "source": "s", "source_dist": {"type": "exponential", "rate": 2.0},
+          "links": [{"from": "s", "to": "a", "dist": {"type": "beta", "alpha": 0.01, "beta": 1.5}}],
+          "horizon": 20, "iterations": 13, "master_seed": 1}
+with open(f"{sys.argv[1]}/short-rows.json", "w") as fh:
+    json.dump(config, fh)
+EOF
     for threads in 1 2; do
         python -m versionage.cli sweep fig5 --values 1/3,2/3 --iterations 13 --threads "$threads" \
             --out "$work/fig5-13-threads-$threads"
         python -m versionage.cli simulate "$work/general.json" --estimator time_average --iterations 13 \
             --threads "$threads" --out "$work/general-13-threads-$threads" > /dev/null
+        python -m versionage.cli simulate "$work/short-rows.json" --threads "$threads" \
+            --out "$work/short-rows-threads-$threads" > /dev/null
     done
     cmp "$work/fig5-13-threads-1.csv" "$work/fig5-13-threads-2.csv"
     cmp "$work/general-13-threads-1.json" "$work/general-13-threads-2.json"
+    cmp "$work/short-rows-threads-1.json" "$work/short-rows-threads-2.json"
     # a beta(0.001, 1) link draws mostly zero gaps: at horizon 12 its first
     # slab takes the admitted 1.25 n + 32 events, and some streams extend
     # past it, in process and in the pool

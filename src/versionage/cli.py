@@ -45,6 +45,7 @@ from .network import CacheNetwork
 from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, verify_renewal_limits, verify_windowed_count_limit
 # not called here, but bench/spans.py traces both verifiers under these names
 from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
+from .rng import check_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import ESTIMATORS, MAX_SWEEP_VALUES, check_run, monte_carlo
 
@@ -106,7 +107,7 @@ def _run_config(obj: dict) -> RunConfig:
     if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
         raise ConfigError(f"'horizon' must be a number, got {horizon!r}")
     iterations = whole_number("'iterations'", run.get("iterations", DEFAULT_ITERATIONS))
-    master_seed = whole_number("'master_seed'", run.get("master_seed", DEFAULT_SEED))
+    master_seed = check_seed(whole_number("'master_seed'", run.get("master_seed", DEFAULT_SEED)))
     estimator = run.get("estimator", DEFAULT_ESTIMATOR)
     targets = run.get("targets")
     if targets is not None and not (isinstance(targets, list) and targets

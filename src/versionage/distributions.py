@@ -91,12 +91,6 @@ class Distribution(ABC):
         """True when E[Y] or E[Y^2] is infinite, not just too large for a float."""
         return False
 
-    def draws_depend_on_size(self) -> bool:
-        """True when a batch of n + m draws is not a batch of n followed by
-        one of m from the same stream; then successive draws cannot be
-        served by one larger batch."""
-        return False
-
     def moment_fault(self) -> str | None:
         """None when both moments are finite floats, the mean not 0; else what reads inf or 0."""
         m = self.moments()
@@ -281,13 +275,9 @@ class Beta(Distribution):
             return Moments(mean, mean * ((a + 1.0) / (a + b + 1.0)))
         return Moments(mean, a * (a + 1.0) / denominator)
 
-    def draws_depend_on_size(self) -> bool:
-        """A whole b up to the cap draws factor by factor over the batch."""
-        return self.beta.is_integer() and self.beta <= _BETA_PRODUCT_MAX_B
-
     def sample_batch(self, rng: RngStream, n: int) -> np.ndarray:
         a, b = self.alpha, self.beta
-        if not self.draws_depend_on_size():
+        if not (b.is_integer() and b <= _BETA_PRODUCT_MAX_B):
             return rng.generator.beta(a, b, n)
         # Beta(a, b) = U_0^(1/a) U_1^(1/(a+1)) ... U_(b-1)^(1/(a+b-1)) for
         # whole b; factor i takes uniforms i*n .. (i+1)*n - 1 of the stream

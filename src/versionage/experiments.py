@@ -35,7 +35,7 @@ from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, whole_nu
 from .errors import InvalidParameter
 from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import MAX_SWEEP_VALUES, SimOutcome, monte_carlo
 
@@ -201,6 +201,7 @@ def sweep_network_family(
     The target is the deepest leaf; the analytic column comes straight from
     :func:`expected_version_age` on each point's network.
     """
+    check_seed(seed)
     if iterations < 2:
         raise InvalidParameter(
             f"a sweep needs iterations >= 2, got {iterations}: its z gate divides "

@@ -2,8 +2,8 @@
 
 :func:`event_times_until` realizes a renewal counting process up to a
 horizon, as the one-path case of the verifiers' slab draw below.  A
-:class:`RenewalStream` is a cursor over its events, for the reference event
-loop.
+:class:`RenewalStream` is a cursor over one stream's event times, for the
+reference event loop.
 
 The verifiers check the renewal limit theorems this package's closed forms
 rest on, by Monte Carlo at a 4-sigma gate:
@@ -45,7 +45,7 @@ import numpy as np
 
 from .distributions import Distribution, positive_number
 from .errors import InfiniteSecondMoment, InvalidParameter
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 __all__ = [
     "RenewalStream",
@@ -68,25 +68,25 @@ _MIN_VERIFIER_PATHS = 10_000
 _VERIFIER_CHUNK = 2048
 
 
-def event_times_until(spec: Distribution, rng: RngStream, t: float) -> np.ndarray:
-    """Event times from 0 up to and beyond t (the final entry exceeds t): the
-    column of a one-path :func:`_event_slabs`, its slabs joined if several
-    and then flattened, a view of the one slab where there is only one."""
-    slabs = list(_event_slabs(spec, rng, 1, t, t))
+def event_times_until(spec: Distribution, rng: RngStream, t: float, head: list | None = None) -> np.ndarray:
+    """Event times from 0 up to and beyond t (the final entry exceeds t),
+    from gaps taken off ``head`` (:func:`_gaps`), then drawn: the column of a
+    one-path :func:`_event_slabs`, its slabs joined if several and then
+    flattened, a view of the one slab where there is only one."""
+    slabs = list(_event_slabs(spec, rng, 1, t, t, head))
     return (slabs[0] if len(slabs) == 1 else np.concatenate(slabs)).reshape(-1)
 
 
 class RenewalStream:
-    """Cursor over one renewal process's :func:`event_times_until` events.
-
-    Every event at or before ``horizon`` can be popped, and one more peeked.
-    """
+    """Cursor over one renewal process's event times, which run past the
+    horizon: each event up to the horizon can be popped, and the next one
+    peeked."""
 
     __slots__ = ("_times", "_pos")
 
-    def __init__(self, spec: Distribution, rng: RngStream, horizon: float):
+    def __init__(self, times: np.ndarray):
         # a list of floats: indexing it boxes no numpy scalar
-        self._times = event_times_until(spec, rng, horizon).tolist()
+        self._times = times.tolist()
         self._pos = 0
 
     def peek(self) -> float:
@@ -163,11 +163,12 @@ def _first_rows(spec: Distribution, t_large: float) -> int:
     4 sigma + 8 rows reach t_large on nearly every path of a chunk; never
     more than the 1.25 n + 32 a path is admitted for, which a heavy-variance
     law would pass.  A path that falls short is extended, so the rows chosen
-    here change no verifier record of a law whose draws do not depend on the
-    draw size (``Distribution.draws_depend_on_size``).  A simulator stream
-    serves several replications by successive draws, so there they set
-    where each later replication's gaps start.  A path expected to draw
-    over :data:`_EVENT_BUDGET` events, as where the mean is 0, is refused."""
+    here change no verifier record of any law but a beta with a whole b,
+    whose product sampler draws factor by factor over the batch.  A
+    simulator block's successive rows take their first slabs from one
+    batch, so there they set where each later replication's gaps start.  A
+    path expected to draw over :data:`_EVENT_BUDGET` events, as where the
+    mean is 0, is refused."""
     m = spec.moments()
     n = t_large / m.mean if m.mean else math.inf
     _check_event_budget(n, "a stream of", spec)
@@ -196,10 +197,20 @@ def _sum_down(slab: np.ndarray) -> None:
         np.add(row, prev, out=row)
 
 
-def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float, t_max: float):
+def _gaps(spec: Distribution, rng: RngStream, n: int, head: list | None) -> np.ndarray:
+    """n gaps of ``spec``: first those left in ``head``, a list of one array
+    of gaps drawn before, which keeps the rest, then new draws from rng."""
+    if not head or not head[0].size:
+        return spec.sample_batch(rng, n)
+    gaps, head[0] = head[0][:n], head[0][n:]
+    return gaps if gaps.size == n else np.concatenate([gaps, spec.sample_batch(rng, n - gaps.size)])
+
+
+def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float, t_max: float, head=None):
     """Cumulative event times in slabs of event rows, one path per column,
     until every path is past t_max: a verifier chunk's paths, or one
-    simulator stream's (``paths`` 1).  Stream position p of a slab is event
+    simulator stream's (``paths`` 1), whose gaps may start with a ``head``
+    drawn before (:func:`_gaps`).  Stream position p of a slab is event
     p // paths of its rows, path p % paths.  The first slab holds
     :func:`_first_rows` rows, sized from the law's mean and variance to reach
     t_large, each later one an eighth of those so far (at least 32), all
@@ -219,7 +230,7 @@ def _event_slabs(spec: Distribution, rng: RngStream, paths: int, t_large: float,
         if drawn * paths > _EVENT_BUDGET and not tail.any():
             raise InvalidParameter(f"{spec} drew only gaps of 0, {drawn} a path, so its events never "
                                    f"reach t = {t_max:g}: its draws underflow to 0")
-        slab = spec.sample_batch(rng, rows * paths).reshape(rows, paths)
+        slab = _gaps(spec, rng, rows * paths, head).reshape(rows, paths)
         if drawn:
             slab[0] += tail
         _sum_down(slab)
@@ -258,8 +269,8 @@ def _read(slabs, paths: int, *queries) -> list[tuple[np.ndarray, np.ndarray, np.
 def _chunks(n_paths: int, master_seed: int, *scopes: tuple):
     """Each verifier chunk's path count (:data:`_VERIFIER_CHUNK` but for the
     last), then one stream per scope reseeded to (master_seed, *scope, chunk
-    index)."""
-    rngs = [RngStream(master_seed, *scope, 0) for scope in scopes]
+    index); a seed outside 64 bits is refused before the first chunk."""
+    rngs = [RngStream(check_seed(master_seed), *scope, 0) for scope in scopes]
     for chunk_idx, done in enumerate(range(0, n_paths, _VERIFIER_CHUNK)):
         for rng, scope in zip(rngs, scopes):
             rng.reseed(master_seed, *scope, chunk_idx)

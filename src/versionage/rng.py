@@ -23,7 +23,9 @@ import struct
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStream"]
+from .errors import InvalidParameter
+
+__all__ = ["derive_seed", "RngStream", "check_seed"]
 
 _MASK64 = (1 << 64) - 1
 _SEED = struct.Struct("<Q")
@@ -40,6 +42,13 @@ def _encode(scope) -> bytes:
 
 def _scope_digest(master_seed: int, scope: tuple) -> bytes:
     return hashlib.sha256(_SEED.pack(master_seed & _MASK64) + _encode(scope)).digest()
+
+
+def check_seed(master_seed: int) -> int:
+    """``master_seed``, if 0 <= it < 2**64: streams pack a seed mod 2**64."""
+    if not 0 <= master_seed <= _MASK64:
+        raise InvalidParameter(f"a master seed must be in 0 <= seed < 2**64, got {master_seed}")
+    return master_seed
 
 
 def derive_seed(master_seed: int, *scope) -> int:

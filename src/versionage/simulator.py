@@ -41,12 +41,10 @@ point, the same one any order of evaluation reaches.
 
 Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
-reads its (j + 1)-th successive draw up to the horizon, so a replication is
-a function of (master seed, iteration) alone, whatever the run's length or
-worker count.  :func:`monte_carlo` draws a stream's rows of a block as one
-batch where that is the successive draws bit for bit (the law's draws do not
-depend on the draw size, the batch fits the event budget and every row
-passes the horizon within the events of a first draw), else one at a time.
+reads row j of its :func:`_block_rows`, so a replication is a function of
+(master seed, iteration) alone, whatever the run's length or worker count.
+The rows are successive draws whose first gaps are one batch, read as one
+array where every row passes the horizon within its share of the batch.
 
 :func:`simulate_once` is the reference engine: a heap event loop over one
 :class:`~versionage.renewal.RenewalStream` cursor per stream, which also
@@ -70,7 +68,7 @@ from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
 from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, event_times_until
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 __all__ = [
     "ReplicationResult",
@@ -97,9 +95,8 @@ MAX_SWEEP_VALUES = 10_000
 
 SOURCE_STREAM = ("source",)
 
-#: replications per block: stream s of block b is one generator keyed by
-#: (master seed, b, s), and replication BLOCK * b + j reads its (j + 1)-th
-#: successive event_times_until draw
+#: replications per block: replication BLOCK * b + j reads row j of each
+#: stream's :func:`_block_rows` in block b
 BLOCK = 8
 
 
@@ -184,6 +181,28 @@ def _check_streams(horizon: float, streams) -> None:
         _check_event_budget(horizon / mean if mean else math.inf, "stream", name)
 
 
+def _block_rows(dist, rng: RngStream, horizon: float, master_seed: int, block: int, sid: tuple, whole=True):
+    """Stream ``sid``'s event times in ``block``, one row per replication:
+    BLOCK successive event_times_until draws at the horizon from ``rng``
+    reseeded to (master_seed, block, stream id), made as read, whose first
+    BLOCK * R gaps (R = :func:`_first_rows` at the horizon) are one batch
+    where that fits :data:`_EVENT_BUDGET`; that changes no bit of them but
+    for a beta with a whole b, whose sampler draws factor by factor.  With
+    ``whole``, if every row passes the horizon within its R gaps, they are
+    one array, the batch summed along rows of R."""
+    rng.reseed(master_seed, block, *sid)
+    width = _first_rows(dist, horizon)
+    fits = BLOCK * width <= _EVENT_BUDGET
+    if whole and fits:
+        rows = dist.sample_batch(rng, BLOCK * width).reshape(BLOCK, width)
+        np.add.accumulate(rows, axis=1, out=rows)
+        if (rows[:, -1] > horizon).all():
+            return rows
+        rng.reseed(master_seed, block, *sid)  # the batch again, as the draws' head
+    head = [dist.sample_batch(rng, BLOCK * width)] if fits else []
+    return (event_times_until(dist, rng, horizon, head) for _ in range(BLOCK))
+
+
 def _window_integral(
     knot_times: np.ndarray, values: np.ndarray, i: int, j: int, lo: float, hi: float
 ) -> float:
@@ -205,10 +224,11 @@ def simulate_once(
     """One replication via the event loop, exact for any validated network.
 
     Each stream is drawn as :func:`monte_carlo` draws it: replication
-    ``iteration`` = BLOCK * b + j reads the (j + 1)-th draw of the generator
-    keyed by (master_seed, b, stream id), so the j draws before it are made
-    and dropped, and a replication is reproducible in isolation.  All caches
-    start at version 0.
+    ``iteration`` = BLOCK * b + j steps through row j of the stream's
+    :func:`_block_rows` in block b, so a replication is reproducible in
+    isolation.  It reads the draws, never their one-array form, so it checks
+    that form, and draws rows 0..j - 1 off the block's batch too, since row j
+    starts where they end.  All caches start at version 0.
     Each instant's events are popped together: the source's renewals count,
     then the deliveries repeat until no version moves.
     """
@@ -217,12 +237,9 @@ def simulate_once(
     laws = [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links]
     _check_streams(horizon, laws)
     block, row = divmod(iteration, BLOCK)
-    streams = []
-    for sid, dist in laws:
-        rng = RngStream(master_seed, block, *sid)
-        for _ in range(row):
-            event_times_until(dist, rng, horizon)
-        streams.append(RenewalStream(dist, rng, horizon))
+    rng = RngStream(check_seed(master_seed))  # each stream's block reseeds it
+    streams = [RenewalStream(next(islice(_block_rows(dist, rng, horizon, master_seed, block, sid, whole=False),
+                                         row, None))) for sid, dist in laws]
     source = network.source
     # stream i moves node receivers[i]: stream 0 the source, the others links
     receivers = [source] + [link.dst for link in links]
@@ -303,10 +320,10 @@ def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
 class _Replicator:
     """Block-by-block evaluator of one estimator on any network.
 
-    Draws the same event times as the event loop (same streams, each row
-    equal to an :func:`~versionage.renewal.event_times_until` draw) for the
-    targets and every cache upstream of them, a block of :data:`BLOCK`
-    replications at a time, then reads only what the estimator needs.
+    Draws the same event times as the event loop (the same
+    :func:`_block_rows`) for the targets and every cache upstream of them, a
+    block of :data:`BLOCK` replications at a time, then reads only what the
+    estimator needs.
     ``terminal`` takes the targets' versions at the horizon from one
     backward search (:meth:`_settled`) on any graph.  ``time_average``
     integrates their versions at their knots over [horizon/2, horizon]:
@@ -360,40 +377,16 @@ class _Replicator:
         #: per cache, where its feeds' rows sit among the streams'
         self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
         self._rngs = [RngStream(0) for _ in self.streams]
-        #: per stream, the events R of its first draw when one batch of BLOCK
-        #: rows of R may serve a block, else 0
-        self._widths = []
-        for _, dist in self.streams:
-            width = 0 if dist.draws_depend_on_size() else _first_rows(dist, horizon)
-            self._widths.append(width if BLOCK * width <= _EVENT_BUDGET else 0)
 
     def replications(self, master_seed: int, start: int, stop: int):
         """The targets' readings in replications [start, stop), in order;
         each block is drawn once, the rows before ``start`` dropped."""
         for block in range(start // BLOCK, -(-stop // BLOCK)):
             first = block * BLOCK
-            rows = zip(*[self._rows(k, master_seed, block) for k in range(len(self.streams))])
+            rows = zip(*[_block_rows(dist, rng, self.horizon, master_seed, block, sid)
+                         for (sid, dist), rng in zip(self.streams, self._rngs)])
             for events in islice(rows, max(start - first, 0), min(stop - first, BLOCK)):
                 yield self._read(events)
-
-    def _rows(self, k: int, master_seed: int, block: int):
-        """Stream k's rows in ``block``, in replication order: the BLOCK
-        successive event_times_until draws at the horizon of its generator
-        keyed by (master_seed, block, stream id).
-
-        Where the stream has a width R, one batch of BLOCK * R gaps summed
-        along its rows is those draws bit for bit, if every row passes the
-        horizon within its R events, as each first draw does; otherwise, or
-        with no width, the rows are drawn one at a time as they are read."""
-        sid, dist = self.streams[k]
-        rng, width = self._rngs[k].reseed(master_seed, block, *sid), self._widths[k]
-        if width:
-            rows = dist.sample_batch(rng, BLOCK * width).reshape(BLOCK, width)
-            np.add.accumulate(rows, axis=1, out=rows)
-            if (rows[:, -1] > self.horizon).all():
-                return rows
-            rng.reseed(master_seed, block, *sid)
-        return (event_times_until(dist, rng, self.horizon) for _ in range(BLOCK))
 
     def _read(self, events) -> list[int | float]:
         """The targets' readings from one replication's rows, one per stream
@@ -579,10 +572,8 @@ def monte_carlo(
 ) -> dict[str, SimOutcome]:
     """Independent replications; returns one :class:`SimOutcome` per target.
 
-    Replications come in blocks of :data:`BLOCK`: replication BLOCK * b + j
-    reads the (j + 1)-th successive draw of each stream's generator keyed by
-    (master_seed, b, stream id), so it is a function of (master_seed, i)
-    alone, whatever the run's length (:func:`simulate_once` reproduces it).
+    Replication i is a function of (master_seed, i) alone, whatever the
+    run's length (see :data:`BLOCK`; :func:`simulate_once` reproduces it).
     Results are aggregated in iteration order, so the output is
     bit-identical for a fixed master_seed no matter how the work is
     scheduled; ``threads`` affects speed only, at most one worker process
@@ -590,6 +581,7 @@ def monte_carlo(
     """
     targets = network.leaves() if targets is None else list(targets)
     check_run(network, horizon, iterations, estimator, targets)
+    check_seed(master_seed)
     rep = _Replicator(network, targets, horizon, estimator)
 
     blocks = -(-iterations // BLOCK)

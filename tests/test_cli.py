@@ -303,6 +303,37 @@ def test_config_iterations_over_the_cap_are_rejected_when_read(tmp_path, capsys)
     parse_config(json.dumps(dict(CHAIN_CONFIG, iterations=10**7)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seeds_outside_64_bits_exit_one_before_drawing(tmp_path, capsys, monkeypatch, seed):
+    # streams pack a seed mod 2**64, so these would run as -1 + 2**64, 0
+    # and 1 do; every command that takes a seed refuses them, naming the range
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    for cls in LITERAL_TYPES.values():
+        monkeypatch.setattr(cls, "sample_batch", no_draws)
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    base = str(tmp_path / "out")
+    for argv in (
+        ["simulate", config, "--seed", str(seed)],
+        ["sweep", "fig6", "--values", "1", "--iterations", "4", "--seed", str(seed)],
+        ["verify", "exponential:rate=1", "--paths", "10000", "--seed", str(seed)],
+        ["analytic", write_config(tmp_path, dict(CHAIN_CONFIG, master_seed=seed))],
+    ):
+        assert run([*argv, "--out", base + ("" if argv[0] in ("simulate", "sweep") else ".json")]) == 1
+        assert f"a master seed must be in 0 <= seed < 2**64, got {seed}" in capsys.readouterr().err
+        assert not os.path.exists(base + ".json")
+    with pytest.raises(ConfigError, match="master seed"):
+        parse_config(json.dumps(dict(CHAIN_CONFIG, master_seed=seed)))
+
+
+def test_the_largest_64_bit_seed_runs(tmp_path):
+    base = str(tmp_path / "out")
+    assert run(["sweep", "fig6", "--values", "1", "--iterations", "4", "--horizon", "50",
+                "--seed", str(2**64 - 1), "--out", base]) == 0
+    assert json.load(open(base + ".json"))["meta"]["master_seed"] == 2**64 - 1
+
+
 def test_simulate_rejects_streams_over_the_event_budget(tmp_path, capsys, monkeypatch):
     def no_draws(self, rng, n):
         raise AssertionError("sample_batch must not run")

@@ -98,9 +98,22 @@ def test_event_times_are_the_running_sums(monkeypatch, spec, horizon):
         assert extended.tobytes() == np.cumsum(spec.sample_batch(RngStream(6, "acc"), extended.size)).tobytes()
 
 
+@pytest.mark.parametrize("spec", [Exponential(rate=1.0), Beta(alpha=0.01, beta=1.5)], ids=str)
+def test_a_head_drawn_before_changes_no_bit_of_the_draws(spec):
+    # 200 gaps drawn before three draws to t = 50, which take them first:
+    # the exponential's first slabs of 86 gaps leave 28 for its third draw,
+    # the beta's first slab of 9 469 takes them all and draws the rest
+    rng = RngStream(3, "s")
+    head = [spec.sample_batch(rng, 200)]
+    with_head = [event_times_until(spec, rng, 50.0, head).tobytes() for _ in range(3)]
+    rng = RngStream(3, "s")
+    assert with_head == [event_times_until(spec, rng, 50.0).tobytes() for _ in range(3)]
+    assert not head[0].size
+
+
 def test_stream_pops_the_events_up_to_the_horizon():
     spec, horizon = Exponential(rate=3.0), 500.0  # about 1 500 events
-    stream = RenewalStream(spec, RngStream(4, "s"), horizon)
+    stream = RenewalStream(event_times_until(spec, RngStream(4, "s"), horizon))
     popped = []
     while stream.peek() <= horizon:
         popped.append(stream.pop())

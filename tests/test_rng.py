@@ -5,7 +5,20 @@ import pickle
 import numpy as np
 import pytest
 
-from versionage import RngStream, derive_seed
+from versionage import (
+    CacheNetwork,
+    Exponential,
+    InvalidParameter,
+    RngStream,
+    derive_seed,
+    fig6_network,
+    monte_carlo,
+    simulate_once,
+    sweep_network_family,
+    verify_renewal_limits,
+    verify_windowed_count_limit,
+)
+from versionage.rng import check_seed
 
 
 def _draws(*scope) -> bytes:
@@ -35,6 +48,30 @@ def test_derive_seed_is_64_bit_and_stable():
     assert s == derive_seed(9, "sweep", "hop_count", 2)
     assert 0 <= s < 2**64
     assert s != derive_seed(9, "sweep", "hop_count", 3)
+
+
+def test_check_seed_takes_exactly_the_64_bit_seeds():
+    for seed in (0, 1, 2**64 - 1):
+        assert check_seed(seed) == seed
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(InvalidParameter, match=r"0 <= seed < 2\*\*64"):
+            check_seed(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seeded_run_refuses_a_seed_outside_64_bits(seed):
+    exp = Exponential(rate=1.0)
+    net = CacheNetwork(["s", "a"], "s", exp, [("s", "a", exp)])
+    runs = [
+        lambda: monte_carlo(net, horizon=10.0, iterations=2, master_seed=seed),
+        lambda: simulate_once(net, 10.0, seed),
+        lambda: sweep_network_family("hop_count", [1], fig6_network, iterations=2, horizon=10.0, seed=seed),
+        lambda: verify_renewal_limits(exp, [10.0], n_paths=10_000, master_seed=seed),
+        lambda: verify_windowed_count_limit(exp, exp, n_paths=10_000, master_seed=seed),
+    ]
+    for call in runs:
+        with pytest.raises(InvalidParameter, match=r"0 <= seed < 2\*\*64"):
+            call()
 
 
 def test_reseed_equals_fresh_construction():

@@ -33,7 +33,7 @@ from versionage import (
 from versionage.experiments import fig5_network, fig6_network
 from versionage.analytic import link_contribution
 from versionage.renewal import Z_GATE, event_times_until, z_score
-from versionage.simulator import BLOCK, ESTIMATORS, SOURCE_STREAM, _link_stream, _Replicator
+from versionage.simulator import BLOCK, ESTIMATORS, SOURCE_STREAM, _block_rows, _link_stream, _Replicator
 
 
 def D(c):
@@ -48,15 +48,12 @@ def chain(source_dist, link_dists, names=None):
 
 def realized_events(network, master_seed, iteration, horizon):
     """Each stream's event times up to and past horizon, drawn exactly as the
-    simulator draws them at that horizon: replication BLOCK * b + j reads the
-    (j + 1)-th draw of the generator keyed by (master_seed, b, stream id)."""
+    simulator draws them at that horizon: replication BLOCK * b + j reads row
+    j of the stream's block b."""
     block, row = divmod(iteration, BLOCK)
 
     def draw(sid, dist):
-        rng = RngStream(master_seed, block, *sid)
-        for _ in range(row + 1):
-            events = event_times_until(dist, rng, horizon)
-        return events
+        return list(_block_rows(dist, RngStream(0), horizon, master_seed, block, sid))[row]
 
     out = {"source": draw(SOURCE_STREAM, network.source_dist)}
     for link in network.links:
@@ -419,9 +416,9 @@ CYCLIC_GRAPH = CacheNetwork(
 @pytest.mark.parametrize(
     "network, kw, digest",
     [
-        # beta(2, 3)'s product sampler depends on the draw size
+        # beta(2, 3)'s product sampler draws its blocks as one batch
         (fig5_network(1 / 3), dict(horizon=1e3, iterations=24, master_seed=5),
-         "9a8b533ff60846d4064efcebf96f1be9d1f5b70db52bc6926a3e09161c68429d"),
+         "ecf0352c6315566ba8c7c503415060b3451c9c66b18a751040769cc1c779f327"),
         (fig6_network(3), dict(horizon=1e3, iterations=24, master_seed=6, estimator="time_average"),
          "c780c1a106e326385fe981bc981961655dd10a2bb3063794a3dfd5f5522e99e8"),
         (CYCLIC_GRAPH, dict(targets=["c", "d"], horizon=40.0, iterations=60, master_seed=7,
@@ -443,61 +440,111 @@ def test_replications_keep_their_bytes(network, kw, digest):
     assert h.hexdigest() == digest
 
 
-#: every law family.  beta(2, 3)'s draws depend on the draw size, so its rows
-#: come one at a time; pareto1 near shape 2 and beta(0.01, 1.5) have their
-#: first draw capped at 1.25 n + 32 events, and at horizon 20 some rows of
-#: the beta end short of the horizon (a pareto1 row never does: every gap is
-#: at least 1)
+#: every law family.  The betas with a whole b draw factor by factor over a
+#: batch, so a batch of their gaps is not their successive draws; pareto1
+#: near shape 2 and the betas with alpha 0.01 have their first draw capped
+#: at 1.25 n + 32 events, and at horizon 20 some rows of those betas end
+#: short of the horizon (a pareto1 row never does: every gap is at least 1)
+WHOLE_B = Beta(alpha=2.0, beta=3.0)
 SHORT_ROWS = Beta(alpha=0.01, beta=1.5)
+WHOLE_B_SHORT_ROWS = Beta(alpha=0.01, beta=2.0)
 BLOCK_LAWS = [
     Exponential(rate=1.0), Uniform(lo=0.0, hi=2.0), Rayleigh(sigma=1.0), ChiSquare(k=1), ChiSquare(k=3),
-    Beta(alpha=0.5, beta=1.5), Beta(alpha=2.0, beta=3.0), SHORT_ROWS, ParetoI(shape=3.0, scale=1 / 3),
+    Beta(alpha=0.5, beta=1.5), WHOLE_B, SHORT_ROWS, WHOLE_B_SHORT_ROWS, ParetoI(shape=3.0, scale=1 / 3),
     ParetoI(shape=2.0000001, scale=1.0), D(0.75),
 ]
+
+
+def squeeze_budget(monkeypatch, budget):
+    from versionage import renewal, simulator
+
+    monkeypatch.setattr(renewal, "_EVENT_BUDGET", budget)
+    monkeypatch.setattr(simulator, "_EVENT_BUDGET", budget)
 
 
 @pytest.mark.parametrize("squeeze", [False, True], ids=["in-budget", "past-budget"])
 @pytest.mark.parametrize("horizon", [20.0, 1e3])
 @pytest.mark.parametrize("law", BLOCK_LAWS, ids=str)
 def test_a_block_is_eight_successive_draws(law, horizon, squeeze, monkeypatch):
-    from versionage import renewal, simulator
+    # a block is eight successive draws whose first gaps are one batch where
+    # it fits the budget, which changes no bit of them but for a whole-b
+    # beta; where every row passes the horizon within its share of the
+    # batch, the rows come as one array, the batch summed along them
+    from versionage import renewal
 
+    width = renewal._first_rows(law, horizon)
     if squeeze:
         # a budget with room for one first draw but not for a block of them
-        budget = 2 * renewal._first_rows(law, horizon)
-        monkeypatch.setattr(renewal, "_EVENT_BUDGET", budget)
-        monkeypatch.setattr(simulator, "_EVENT_BUDGET", budget)
-    network = chain(law, [law])
-    rep = _Replicator(network, ["n1"], horizon, "terminal")
-    one_at_a_time = squeeze or law.draws_depend_on_size()
-    assert (rep._widths[1] == 0) == one_at_a_time
-    batched = []
+        squeeze_budget(monkeypatch, 2 * width)
+    sid = ("link", "s", "n1")
+    arrays = []
     for block in range(4):
-        rows = rep._rows(1, 9, block)
-        batched.append(isinstance(rows, np.ndarray))
-        rng = RngStream(9, block, *_link_stream(network.links[0]))
-        want = [event_times_until(law, rng, horizon).tobytes() for _ in range(BLOCK)]
-        assert [row.tobytes() for row in rows] == want
-    if one_at_a_time:
-        assert not any(batched)
-    elif law is SHORT_ROWS and horizon == 20.0:
-        assert 0 < sum(batched) < len(batched)
+        rows = _block_rows(law, RngStream(0), horizon, 9, block, sid)
+        got = [row.tobytes() for row in rows]
+        rng = RngStream(9, block, *sid)
+        head = [] if squeeze else [law.sample_batch(rng, BLOCK * width)]
+        batch = np.cumsum(head[0].reshape(BLOCK, width), axis=1) if head else None
+        assert got == [event_times_until(law, rng, horizon, head).tobytes() for _ in range(BLOCK)]
+        drawn = _block_rows(law, RngStream(0), horizon, 9, block, sid, whole=False)
+        assert [row.tobytes() for row in drawn] == got
+        arrays.append(isinstance(rows, np.ndarray))
+        assert arrays[-1] == (batch is not None and bool((batch[:, -1] > horizon).all()))
+        if arrays[-1]:
+            assert got == [row.tobytes() for row in batch]
+        rng = RngStream(9, block, *sid)
+        successive = [event_times_until(law, rng, horizon).tobytes() for _ in range(BLOCK)]
+        assert (got == successive) == (squeeze or law not in (WHOLE_B, WHOLE_B_SHORT_ROWS))
+    if squeeze:
+        assert not any(arrays)
+    elif law in (SHORT_ROWS, WHOLE_B_SHORT_ROWS) and horizon == 20.0:
+        assert 0 < sum(arrays) < len(arrays)
     else:
-        assert all(batched)
+        assert all(arrays)
+
+
+def test_a_whole_b_beta_whose_rows_end_short_keeps_its_law():
+    # beta(0.01, 2) at horizon 20: a first draw is capped at 1.25 n + 32
+    # events, about 2 sigma past the mean count, so about one block in five
+    # has a row that ends short of the horizon and draws on past its share
+    # of the batch.  Keeping a batch only when all its rows pass would drop
+    # the rows with the most events, over 5 sigma below the renewal
+    # function t / E[Y] + E[Y^2] / (2 E[Y]^2) - 1 here
+    law, horizon = WHOLE_B_SHORT_ROWS, 20.0
+    m = law.moments()
+    target = horizon / m.mean + m.second_moment / (2.0 * m.mean * m.mean) - 1.0
+    counts = np.array([np.searchsorted(row, horizon, side="right") for block in range(1500)
+                       for row in _block_rows(law, RngStream(0), horizon, 5, block, ("link", "s", "a"))])
+    stderr = counts.std(ddof=1) / math.sqrt(counts.size)
+    assert abs(z_score(counts.mean(), target, stderr)) <= Z_GATE, (counts.mean(), target, stderr)
+
+
+MIXED_CHAIN = chain(Exponential(rate=2.0), [Uniform(lo=0.0, hi=2.0), WHOLE_B, Rayleigh(sigma=1.0)])
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize(
-    "network, targets",
-    [(chain(Exponential(rate=2.0), [Uniform(lo=0.0, hi=2.0), Beta(alpha=2.0, beta=3.0), Rayleigh(sigma=1.0)]),
-      ["n2", "n3"]),
-     (CYCLIC_GRAPH, ["c", "d"])],
-    ids=["chain", "cyclic"],
+    "network, targets, horizon, squeeze",
+    [(MIXED_CHAIN, ["n2", "n3"], 40.0, False),
+     (CYCLIC_GRAPH, ["c", "d"], 40.0, False),
+     # at seed 12 the beta's block 1 ends a row short of the horizon, so
+     # its rows are drawn one at a time off the batch
+     (chain(Exponential(rate=2.0), [SHORT_ROWS]), ["n1"], 20.0, False),
+     # the same for a whole-b beta, whose blocks 1 and 2 do so at seed 12
+     (chain(Exponential(rate=2.0), [WHOLE_B_SHORT_ROWS]), ["n1"], 10.0, False),
+     # no block fits the budget: every stream is drawn without a batch
+     (MIXED_CHAIN, ["n2", "n3"], 40.0, True)],
+    ids=["chain", "cyclic", "short-rows", "whole-b-short-rows", "past-budget"],
 )
-def test_simulate_once_reproduces_any_replication(network, targets, estimator):
-    out = monte_carlo(network, targets=targets, horizon=40.0, iterations=21, master_seed=12, estimator=estimator)
+def test_simulate_once_reproduces_any_replication(network, targets, horizon, squeeze, estimator, monkeypatch):
+    from versionage import renewal
+
+    if squeeze:
+        widths = [renewal._first_rows(law, horizon) for law in [network.source_dist, *(l.dist for l in network.links)]]
+        squeeze_budget(monkeypatch, 2 * max(widths))
+        assert BLOCK * min(widths) > 2 * max(widths)
+    out = monte_carlo(network, targets=targets, horizon=horizon, iterations=21, master_seed=12, estimator=estimator)
     for i in (0, BLOCK - 1, BLOCK, 20):
-        alone = getattr(simulate_once(network, 40.0, 12, iteration=i), estimator)
+        alone = getattr(simulate_once(network, horizon, 12, iteration=i), estimator)
         assert [out[t].samples[i].item() for t in targets] == [alone[t] for t in targets], i
 
 
