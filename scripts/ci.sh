@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -141,6 +141,16 @@ EOF
             --threads "$threads" --out "$work/fig6-threads-$threads"
     done
     cmp "$work/fig6-threads-1.csv" "$work/fig6-threads-2.csv"
+    # a fig6 sweep is one run of its longest chain, every hop a target: the
+    # 4-hop point of 1..6 must be the 4-hop sweep's row, seed column and all
+    for estimator in terminal time_average; do
+        for values in 1..6 4; do
+            python -m versionage.cli sweep fig6 --values "$values" --estimator "$estimator" --iterations 40 \
+                --out "$work/fig6-nested-$estimator-$values" > /dev/null
+        done
+        cmp <(awk -F, '$2 == "4.0"' "$work/fig6-nested-$estimator-1..6.csv") \
+            <(tail -n +2 "$work/fig6-nested-$estimator-4.csv")
+    done
     # 13 replications: the first worker takes block 0 (replications 0-7) and
     # the second the rest, so its range ends mid-block.  fig5 reads each
     # stream's block as one batch; a beta(0.01, 1.5) link at horizon 20 has

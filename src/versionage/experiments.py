@@ -16,7 +16,10 @@ Every point records the analytic value, the Monte Carlo mean, its standard
 error, and the z-score of their difference.  A sweep passes its statistical
 gate when at most 1 point in 20 lands beyond 4 sigma.  Runs are reproducible:
 point seeds derive from (master seed, kind, point index), so equal seeds give
-byte-identical CSV output.
+byte-identical CSV output.  A sweep whose networks nest inside its largest one
+(the hop counts) is one run of that network at the seed of index 0, with every
+point's leaf a target: each point reads the samples of its own single-value
+run, and the points are correlated.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
 from .rng import check_seed, derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import MAX_SWEEP_VALUES, SimOutcome, monte_carlo
+from .simulator import MAX_SWEEP_VALUES, SimOutcome, check_samples, monte_carlo
 
 __all__ = [
     "CSV_HEADER",
@@ -185,6 +188,22 @@ def _sweep_values(values) -> list:
     return values
 
 
+def _deepest_leaf(network: CacheNetwork) -> str:
+    leaves = network.leaves()
+    return max(leaves, key=lambda n: network.depth[n]) if leaves else network.source
+
+
+def _nests(network: CacheNetwork, big: CacheNetwork) -> bool:
+    """Whether ``big`` draws, for every node of ``network``, the streams that
+    ``network`` draws: the same source and source law, and each node fed by
+    the same links (ids and laws) in both."""
+    return (
+        network.source == big.source
+        and network.source_dist == big.source_dist
+        and all(n in big.depth and network.incoming(n) == big.incoming(n) for n in network.nodes)
+    )
+
+
 def sweep_network_family(
     kind: str,
     values,
@@ -199,7 +218,13 @@ def sweep_network_family(
     """Run one comparison point per value over a family of paths or trees.
 
     The target is the deepest leaf; the analytic column comes straight from
-    :func:`expected_version_age` on each point's network.
+    :func:`expected_version_age` on each point's network.  Point i runs at
+    the seed derived from (seed, kind, i).  When there are two or more
+    points, each point's network nests in the one with the most nodes (see
+    :func:`_nests`) and their targets differ, the points are instead one run
+    of that network, at point 0's seed, with every point's target a target:
+    a target reads only its upstream streams, so each point's samples are
+    those of its own run at that seed.
     """
     check_seed(seed)
     if iterations < 2:
@@ -208,27 +233,32 @@ def sweep_network_family(
             "by the standard error, which a single replication does not give"
         )
     values = _sweep_values(values)
+    check_samples(iterations, len(values), "points")
     # every value is validated by building its network before any point runs;
-    # a point builds its own again, so a sweep holds one network at a time
+    # later passes build each again, so a sweep holds at most the largest
+    # network and one other
+    sizes = [len(make_network(value).nodes) for value in values]
+    big = make_network(values[sizes.index(max(sizes))]) if len(values) >= 2 else None
+    nested = big is not None
+    runs = []  # per point: (value, target, analytic)
     for value in values:
-        make_network(value)
-    points: list[SweepPoint] = []
-    for idx, value in enumerate(values):
         network = make_network(value)
-        leaves = network.leaves()
-        target = max(leaves, key=lambda n: network.depth[n]) if leaves else network.source
-        ana = expected_version_age(network).per_node[target]
-        point_seed = derive_seed(seed, "sweep", kind, idx)
-        outcome = monte_carlo(
-            network,
-            targets=[target],
-            horizon=horizon,
-            iterations=iterations,
-            master_seed=point_seed,
-            estimator=estimator,
-            threads=threads,
-        )[target]
-        points.append(SweepPoint(param=value, analytic=ana, outcome=outcome, seed=point_seed))
+        target = _deepest_leaf(network)
+        runs.append((value, target, expected_version_age(network).per_node[target]))
+        nested = nested and _nests(network, big)
+    targets = [target for _, target, _ in runs]
+    run = dict(horizon=horizon, iterations=iterations, estimator=estimator, threads=threads)
+    if nested and len(set(targets)) == len(targets):
+        point_seed = derive_seed(seed, "sweep", kind, 0)
+        outcomes = monte_carlo(big, targets=targets, master_seed=point_seed, **run)
+        points = [SweepPoint(value, ana, outcomes[target], point_seed) for value, target, ana in runs]
+    else:
+        big = None
+        points = []
+        for idx, (value, target, ana) in enumerate(runs):
+            point_seed = derive_seed(seed, "sweep", kind, idx)
+            outcome = monte_carlo(make_network(value), targets=[target], master_seed=point_seed, **run)[target]
+            points.append(SweepPoint(value, ana, outcome, point_seed))
     sweep = ExperimentSweep(kind=kind, points=points, estimator=estimator, master_seed=seed)
     if fit and len(points) >= 2:
         xs = np.asarray([p.param for p in points], dtype=float)

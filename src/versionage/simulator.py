@@ -78,6 +78,7 @@ __all__ = [
     "ESTIMATORS",
     "DEFAULT_ESTIMATOR",
     "check_run",
+    "check_samples",
 ]
 
 ESTIMATORS = ("terminal", "time_average")
@@ -87,7 +88,8 @@ DEFAULT_HORIZON = 1e3
 DEFAULT_ITERATIONS = 20_000
 DEFAULT_SEED = 1
 
-#: most Monte Carlo replications one run may ask for; each is kept as a sample
+#: most samples one run may keep: its replications times the targets each
+#: one reads (a sweep: times its points)
 _MAX_ITERATIONS = 10_000_000
 #: most values one sweep or value list may hold, and most hops of a fig6
 #: chain: every sweep point's network is built before the first draw
@@ -152,10 +154,7 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
         raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
-    if iterations > _MAX_ITERATIONS:
-        raise InvalidParameter(
-            f"iterations must be at most {_MAX_ITERATIONS:.3g}: every replication is kept as a sample"
-        )
+    check_samples(iterations, 1, "target")
     positive_number("horizon", horizon)
     if targets is None:
         return
@@ -170,6 +169,21 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
     unknown = [t for t in targets if t not in network.depth]
     if unknown:
         raise UnknownNode(f"targets reference undeclared nodes {unknown}")
+    check_samples(iterations, len(targets), "targets")
+
+
+def check_samples(iterations: int, count: int, what: str) -> None:
+    """Reject a run that would keep more than :data:`_MAX_ITERATIONS`
+    samples: ``iterations`` replications, each read at ``count`` ``what``."""
+    if iterations > _MAX_ITERATIONS:
+        raise InvalidParameter(
+            f"iterations must be at most {_MAX_ITERATIONS:.3g}: every replication is kept as a sample"
+        )
+    if iterations * count > _MAX_ITERATIONS:
+        raise InvalidParameter(
+            f"{iterations} iterations x {count} {what} must be at most {_MAX_ITERATIONS:.3g}: "
+            "every replication's reading of each is kept as a sample"
+        )
 
 
 def _check_streams(horizon: float, streams) -> None:
@@ -558,7 +572,10 @@ def _run_iteration_block(args) -> np.ndarray:
     """Worker: replications [start, stop) in iteration order, one row of
     the targets' readings each."""
     rep, master_seed, start, stop = args
-    return np.array(list(rep.replications(master_seed, start, stop)), rep.dtype)
+    rows = np.empty((stop - start, len(rep.targets)), rep.dtype)
+    for row, readings in zip(rows, rep.replications(master_seed, start, stop)):
+        row[:] = readings
+    return rows
 
 
 def monte_carlo(

@@ -816,3 +816,34 @@ def test_sweep_size_is_bounded_before_anything_is_built(tmp_path, capsys, values
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "{config}", "--targets", "a,b", "--iterations", "5000001"],
+         "5000001 iterations x 2 targets must be at most 1e+07"),
+        (["sweep", "fig6", "--values", "1..3", "--iterations", "4000000"],
+         "4000000 iterations x 3 points must be at most 1e+07"),
+        (["sweep", "fig5", "--values", "1/3,2/3,1", "--iterations", "4000000"],
+         "4000000 iterations x 3 points must be at most 1e+07"),
+    ],
+)
+def test_samples_kept_are_bounded_before_anything_is_drawn(tmp_path, capsys, monkeypatch, argv, message):
+    # every replication's reading of every target (or sweep point) is kept,
+    # so their product is capped, each count alone being under the cap
+    def no_draws(self, rng, n):
+        raise AssertionError("sample_batch must not run")
+
+    for cls in LITERAL_TYPES.values():
+        monkeypatch.setattr(cls, "sample_batch", no_draws)
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    base = str(tmp_path / "out")
+    tracemalloc.start()
+    try:
+        assert run([a.replace("{config}", config) for a in argv] + ["--out", base]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["net.json"]

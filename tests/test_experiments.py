@@ -10,17 +10,22 @@ import numpy as np
 import pytest
 
 from versionage import (
+    CacheNetwork,
+    Exponential,
     ExperimentSweep,
     InvalidParameter,
     SweepPoint,
+    Uniform,
     fig6_network,
     fig7_network,
+    monte_carlo,
     sweep_network_family,
     sweep_study,
 )
 from versionage import experiments
 from versionage.experiments import CSV_HEADER
 from versionage.renewal import z_score
+from versionage.rng import derive_seed
 from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
 
 THREE_LINK_SUM = 2.5478845608028653
@@ -173,10 +178,55 @@ def test_csv_format():
 
 
 def test_point_seeds_differ_per_point_and_kind():
+    # nested fig6 points are one run at point 0's seed; fig7's links change
+    # law from point to point, so each of its points runs at its own seed
     sweep = sweep_study("fig6", (1, 2), **FAST)
-    assert sweep.points[0].seed != sweep.points[1].seed
+    assert sweep.points[0].seed == sweep.points[1].seed == derive_seed(FAST["seed"], "sweep", "hop_count", 0)
     other = sweep_study("fig7", (0.05, 0.15), **FAST)
+    assert other.points[0].seed != other.points[1].seed
     assert other.points[0].seed != sweep.points[0].seed
+
+
+@pytest.mark.parametrize("estimator", ["terminal", "time_average"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("values", [(0, 2, 3, 5), (6, 5, 4, 3, 2, 1)])
+def test_nested_points_are_their_own_runs(values, threads, estimator):
+    # a fig6 sweep is one run of its longest chain; each point's samples are
+    # bit for bit those of its own chain's run at the shared seed
+    run = dict(iterations=40, horizon=60.0, estimator=estimator)
+    sweep = sweep_study("fig6", values, seed=5, threads=threads, **run)
+    for p in sweep.points:
+        leaf = f"n{p.param}" if p.param else "src"
+        alone = monte_carlo(fig6_network(p.param), targets=[leaf], master_seed=p.seed, **run)[leaf]
+        assert p.outcome.samples.dtype == alone.samples.dtype
+        assert np.array_equal(p.outcome.samples, alone.samples)
+
+
+def test_sweeps_that_do_not_nest_run_each_point_at_its_own_seed():
+    def chain(n, first=None, rate=1.0):
+        # an n-hop chain of uniform(0, 2) links but for the first's law
+        nodes = ["s"] + [f"n{i}" for i in range(1, n + 1)]
+        laws = [first or Uniform(lo=0.0, hi=2.0)] + [Uniform(lo=0.0, hi=2.0)] * (n - 1)
+        return CacheNetwork(nodes=nodes, source="s", source_dist=Exponential(rate=rate),
+                            links=list(zip(nodes, nodes[1:], laws)))
+
+    # each value's chain has its own leaf, but the first link's law or the
+    # source's law is not the longest chain's; or every value has one chain
+    first_link = lambda n: chain(n, first=Uniform(lo=0.0, hi=float(n)))
+    source = lambda n: chain(n, rate=float(n))
+    constant = lambda n: chain(2)
+    for sweep in (
+        sweep_study("fig5", (1.0 / 3.0, 2.0 / 3.0), **FAST),
+        sweep_study("fig7", (0.05, 0.15), **FAST),
+        sweep_network_family("first_link", (1, 2, 3), first_link, **FAST),
+        sweep_network_family("source", (1, 2, 3), source, **FAST),
+        sweep_network_family("constant", (1, 2, 3), constant, **FAST),
+    ):
+        seeds = [p.seed for p in sweep.points]
+        assert seeds == [derive_seed(FAST["seed"], "sweep", sweep.kind, i) for i in range(len(seeds))]
+    # the same chains with one law throughout nest
+    nested = sweep_network_family("nested", (1, 2, 3), chain, **FAST)
+    assert {p.seed for p in nested.points} == {derive_seed(FAST["seed"], "sweep", "nested", 0)}
 
 
 def fake_point(z_value):
@@ -199,8 +249,6 @@ def test_gate_allows_one_outlier_in_twenty():
 
 
 def test_custom_family_sweep():
-    from versionage import CacheNetwork, Exponential, Uniform
-
     def make(rate):
         return CacheNetwork(
             nodes=["s", "u"], source="s", source_dist=Exponential(rate=rate),
