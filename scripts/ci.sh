@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep, shared-stream-sweep and verify-repeat checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -150,6 +150,20 @@ EOF
         done
         cmp <(awk -F, '$2 == "4.0"' "$work/fig6-nested-$estimator-1..6.csv") \
             <(tail -n +2 "$work/fig6-nested-$estimator-4.csv")
+    done
+    # fig5 and fig7 points do not nest: a sweep reads one replicator per
+    # point in one run, drawing the streams they share once per block.  The
+    # last point of each pair must be the one-value sweep's row, seed column
+    # and all
+    for estimator in terminal time_average; do
+        for kind_values in fig5:1/3,2/3 fig5:2/3 fig7:0.05,0.15 fig7:0.15; do
+            kind="${kind_values%%:*}"
+            values="${kind_values#*:}"
+            python -m versionage.cli sweep "$kind" --values "$values" --estimator "$estimator" --iterations 40 \
+                --out "$work/$kind-shared-$estimator-${values//\//_}" > /dev/null
+        done
+        cmp <(tail -n 1 "$work/fig5-shared-$estimator-1_3,2_3.csv") <(tail -n +2 "$work/fig5-shared-$estimator-2_3.csv")
+        cmp <(tail -n 1 "$work/fig7-shared-$estimator-0.05,0.15.csv") <(tail -n +2 "$work/fig7-shared-$estimator-0.15.csv")
     done
     # 13 replications: the first worker takes block 0 (replications 0-7) and
     # the second the rest, so its range ends mid-block.  fig5 reads each

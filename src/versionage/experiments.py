@@ -15,11 +15,13 @@ and fig7), each a family of chains:
 Every point records the analytic value, the Monte Carlo mean, its standard
 error, and the z-score of their difference.  A sweep passes its statistical
 gate when at most 1 point in 20 lands beyond 4 sigma.  Runs are reproducible:
-point seeds derive from (master seed, kind, point index), so equal seeds give
-byte-identical CSV output.  A sweep whose networks nest inside its largest one
-(the hop counts) is one run of that network at the seed of index 0, with every
-point's leaf a target: each point reads the samples of its own single-value
-run, and the points are correlated.
+a sweep is one run of the engine at the seed derived from (master seed, kind,
+0), so equal seeds give byte-identical CSV output.  A sweep whose networks
+nest inside its largest one (the hop counts) runs that network with every
+point's leaf a target; any other reads one replicator per point and draws the
+streams its points share (fig5's links, fig7's source) once per block.
+Either way each point reads the samples of its own single-value run at that
+seed, and the points are correlated.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
 from .rng import check_seed, derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import MAX_SWEEP_VALUES, SimOutcome, check_samples, monte_carlo
+from .simulator import MAX_SWEEP_VALUES, SimOutcome, _replicate, _Replicator, check_run, check_samples, monte_carlo
 
 __all__ = [
     "CSV_HEADER",
@@ -155,7 +157,8 @@ def fig6_network(n: int) -> CacheNetwork:
     if not 0 <= n <= MAX_SWEEP_VALUES:
         raise InvalidParameter(f"hop count must lie in 0..{MAX_SWEEP_VALUES}, got {n}")
     nodes = ["src"] + [f"n{i}" for i in range(1, n + 1)]
-    links = [(nodes[i], nodes[i + 1], Uniform(lo=0.0, hi=2.0)) for i in range(n)]
+    link = Uniform(lo=0.0, hi=2.0)
+    links = [(nodes[i], nodes[i + 1], link) for i in range(n)]
     return CacheNetwork(
         nodes=nodes, source="src", source_dist=ParetoI(shape=3.0, scale=1.0 / 3.0), links=links
     )
@@ -218,13 +221,15 @@ def sweep_network_family(
     """Run one comparison point per value over a family of paths or trees.
 
     The target is the deepest leaf; the analytic column comes straight from
-    :func:`expected_version_age` on each point's network.  Point i runs at
-    the seed derived from (seed, kind, i).  When there are two or more
-    points, each point's network nests in the one with the most nodes (see
-    :func:`_nests`) and their targets differ, the points are instead one run
-    of that network, at point 0's seed, with every point's target a target:
-    a target reads only its upstream streams, so each point's samples are
-    those of its own run at that seed.
+    :func:`expected_version_age` on each point's network.  Every point runs
+    at one seed, derived from (seed, kind, 0), and the sweep is one run of
+    the engine.  When each point's network nests in the one with the most
+    nodes (see :func:`_nests`), that run is the largest network with every
+    point's target a target; otherwise it reads one replicator per point,
+    and a block draws the streams that points share (the same stream id and
+    law) once.  A target reads only its upstream streams, so either way each
+    point's samples are those of its own single-value run at that seed, and
+    the points are correlated.
     """
     check_seed(seed)
     if iterations < 2:
@@ -234,31 +239,40 @@ def sweep_network_family(
         )
     values = _sweep_values(values)
     check_samples(iterations, len(values), "points")
-    # every value is validated by building its network before any point runs;
-    # later passes build each again, so a sweep holds at most the largest
-    # network and one other
-    sizes = [len(make_network(value).nodes) for value in values]
-    big = make_network(values[sizes.index(max(sizes))]) if len(values) >= 2 else None
-    nested = big is not None
-    runs = []  # per point: (value, target, analytic)
+    # one pass builds each point's network, and so validates every value
+    # before any point runs.  Nesting is transitive, so a point is checked
+    # against the largest network so far, and a larger network checks that
+    # the previous largest nests in it.  Once a point does not nest, each
+    # point gets its own replicator, those before it from the largest
+    # network so far: a target's upstream path, and so the streams it
+    # reads, are the same in every network it nests in.  No network but the
+    # largest and the current one is held.
+    targets, analytic, reps = [], [], []  # per point; reps once a point does not nest
+    big, nested = None, True
     for value in values:
         network = make_network(value)
         target = _deepest_leaf(network)
-        runs.append((value, target, expected_version_age(network).per_node[target]))
-        nested = nested and _nests(network, big)
-    targets = [target for _, target, _ in runs]
-    run = dict(horizon=horizon, iterations=iterations, estimator=estimator, threads=threads)
-    if nested and len(set(targets)) == len(targets):
-        point_seed = derive_seed(seed, "sweep", kind, 0)
-        outcomes = monte_carlo(big, targets=targets, master_seed=point_seed, **run)
-        points = [SweepPoint(value, ana, outcomes[target], point_seed) for value, target, ana in runs]
+        check_run(network, horizon, iterations, estimator, [target])
+        targets.append(target)
+        analytic.append(expected_version_age(network).per_node[target])
+        larger = big is None or len(network.nodes) > len(big.nodes)
+        if nested and big is not None and not (_nests(big, network) if larger else _nests(network, big)):
+            nested = False
+            reps = [_Replicator(big, [t], horizon, estimator) for t in targets[:-1]]
+            big = None
+        if not nested:
+            reps.append(_Replicator(network, [target], horizon, estimator))
+        elif larger:
+            big = network
+    point_seed = derive_seed(seed, "sweep", kind, 0)
+    run = dict(master_seed=point_seed, iterations=iterations, threads=threads)
+    if nested:
+        outcomes = monte_carlo(big, targets=list(dict.fromkeys(targets)), horizon=horizon, estimator=estimator, **run)
+        outcomes = [outcomes[t] for t in targets]
     else:
-        big = None
-        points = []
-        for idx, (value, target, ana) in enumerate(runs):
-            point_seed = derive_seed(seed, "sweep", kind, idx)
-            outcome = monte_carlo(make_network(value), targets=[target], master_seed=point_seed, **run)[target]
-            points.append(SweepPoint(value, ana, outcome, point_seed))
+        outcomes = [SimOutcome.from_samples(t, estimator, rows[:, 0], horizon)
+                    for t, rows in zip(targets, _replicate(reps, **run))]
+    points = [SweepPoint(v, a, o, point_seed) for v, a, o in zip(values, analytic, outcomes)]
     sweep = ExperimentSweep(kind=kind, points=points, estimator=estimator, master_seed=seed)
     if fit and len(points) >= 2:
         xs = np.asarray([p.param for p in points], dtype=float)

@@ -45,6 +45,10 @@ reads row j of its :func:`_block_rows`, so a replication is a function of
 (master seed, iteration) alone, whatever the run's length or worker count.
 The rows are successive draws whose first gaps are one batch, read as one
 array where every row passes the horizon within its share of the batch.
+One run may read several replicators at one master seed (every point of a
+sweep, see :func:`_replicate`): a block then draws each stream id and law
+that they share once where it comes as one array, so every replicator reads
+the rows of its own run at that seed, and their readings are correlated.
 
 :func:`simulate_once` is the reference engine: a heap event loop over one
 :class:`~versionage.renewal.RenewalStream` cursor per stream, which also
@@ -390,17 +394,6 @@ class _Replicator:
         _check_streams(horizon, self.streams)
         #: per cache, where its feeds' rows sit among the streams'
         self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
-        self._rngs = [RngStream(0) for _ in self.streams]
-
-    def replications(self, master_seed: int, start: int, stop: int):
-        """The targets' readings in replications [start, stop), in order;
-        each block is drawn once, the rows before ``start`` dropped."""
-        for block in range(start // BLOCK, -(-stop // BLOCK)):
-            first = block * BLOCK
-            rows = zip(*[_block_rows(dist, rng, self.horizon, master_seed, block, sid)
-                         for (sid, dist), rng in zip(self.streams, self._rngs)])
-            for events in islice(rows, max(start - first, 0), min(stop - first, BLOCK)):
-                yield self._read(events)
 
     def _read(self, events) -> list[int | float]:
         """The targets' readings from one replication's rows, one per stream
@@ -568,14 +561,59 @@ class _Replicator:
         return versions
 
 
-def _run_iteration_block(args) -> np.ndarray:
-    """Worker: replications [start, stop) in iteration order, one row of
-    the targets' readings each."""
-    rep, master_seed, start, stop = args
-    rows = np.empty((stop - start, len(rep.targets)), rep.dtype)
-    for row, readings in zip(rows, rep.replications(master_seed, start, stop)):
-        row[:] = readings
-    return rows
+def _run_iteration_block(args) -> list[np.ndarray]:
+    """Worker: replications [start, stop) of every replicator in ``reps``,
+    in iteration order, one array per replicator with one row of its
+    targets' readings each.
+
+    Block by block, each replicator in turn reads a row of each of its
+    streams per replication.  A (stream id, law) at one horizon comes from
+    one :func:`_block_rows` call per block where it is one array: it is held
+    until the last replicator that reads it has, so replicators that share
+    it read the same rows.  A stream drawn row by row is drawn again for
+    each replicator, so at most one replicator's rows are held at a time
+    beyond the shared arrays.  The generators are the run's, one per stream
+    place, reseeded by every draw.
+    """
+    reps, master_seed, start, stop = args
+    outs = [np.empty((stop - start, len(rep.targets)), rep.dtype) for rep in reps]
+    keys: dict[tuple, int] = {}  # (stream id, law, horizon) -> its place in ``held``
+    slots = [[keys.setdefault((*stream, rep.horizon), len(keys)) for stream in rep.streams] for rep in reps]
+    last = {k: p for p, ks in enumerate(slots) for k in ks}  # per key, the last replicator that reads it
+    rngs = [RngStream(0) for _ in range(max(len(ks) for ks in slots))]
+    for block in range(start // BLOCK, -(-stop // BLOCK)):
+        first = block * BLOCK
+        skip, end = max(start - first, 0), min(stop - first, BLOCK)
+        held: list[np.ndarray | None] = [None] * len(keys)
+        for p, (rep, ks, out) in enumerate(zip(reps, slots, outs)):
+            rows = []
+            for (sid, dist), k, rng in zip(rep.streams, ks, rngs):
+                drawn = held[k]
+                if drawn is None:
+                    drawn = _block_rows(dist, rng, rep.horizon, master_seed, block, sid)
+                held[k] = drawn if last[k] > p and isinstance(drawn, np.ndarray) else None
+                rows.append(drawn)
+            for row, events in zip(out[first + skip - start :], islice(zip(*rows), skip, end)):
+                row[:] = rep._read(events)
+    return outs
+
+
+def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threads: int) -> list[np.ndarray]:
+    """Replications [0, iterations) of every replicator at ``master_seed``,
+    as one run (see :func:`_run_iteration_block`): per replicator, one row
+    of its targets' readings per replication.  ``threads`` affects speed
+    only: at most one worker process runs per CPU, and each takes whole
+    blocks but for the last."""
+    blocks = -(-iterations // BLOCK)
+    workers = max(1, min(int(threads), os.cpu_count() or 1, blocks))
+    step = -(-blocks // workers) * BLOCK
+    ranges = [(reps, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
+    if len(ranges) == 1:
+        done = [_run_iteration_block(ranges[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            done = list(pool.map(_run_iteration_block, ranges))
+    return [np.concatenate(parts) for parts in zip(*done)]
 
 
 def monte_carlo(
@@ -593,23 +631,10 @@ def monte_carlo(
     run's length (see :data:`BLOCK`; :func:`simulate_once` reproduces it).
     Results are aggregated in iteration order, so the output is
     bit-identical for a fixed master_seed no matter how the work is
-    scheduled; ``threads`` affects speed only, at most one worker process
-    runs per CPU, and each takes whole blocks but for the last.
+    scheduled; ``threads`` affects speed only (see :func:`_replicate`).
     """
     targets = network.leaves() if targets is None else list(targets)
     check_run(network, horizon, iterations, estimator, targets)
     check_seed(master_seed)
-    rep = _Replicator(network, targets, horizon, estimator)
-
-    blocks = -(-iterations // BLOCK)
-    workers = max(1, min(int(threads), os.cpu_count() or 1, blocks))
-    step = -(-blocks // workers) * BLOCK
-    ranges = [(rep, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
-    if len(ranges) == 1:
-        done = [_run_iteration_block(ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            done = list(pool.map(_run_iteration_block, ranges))
-
-    rows = np.concatenate(done)
+    (rows,) = _replicate([_Replicator(network, targets, horizon, estimator)], master_seed, iterations, threads)
     return {t: SimOutcome.from_samples(t, estimator, rows[:, k].copy(), horizon) for k, t in enumerate(targets)}

@@ -141,8 +141,11 @@ def test_sweep_needs_two_iterations_before_building_anything():
 def test_a_bad_last_value_is_refused_before_any_point_runs(monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "monte_carlo", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(experiments, "_replicate", lambda *a, **k: calls.append(a))
     with pytest.raises(InvalidParameter, match="hop count must lie in"):
         sweep_study("fig6", (1, 2, MAX_SWEEP_VALUES + 1), **FAST)
+    with pytest.raises(InvalidParameter, match="link variance must lie in"):
+        sweep_study("fig7", (0.05, 0.15, 0.5), **FAST)
     assert calls == []
 
 
@@ -178,13 +181,13 @@ def test_csv_format():
 
 
 def test_point_seeds_differ_per_point_and_kind():
-    # nested fig6 points are one run at point 0's seed; fig7's links change
-    # law from point to point, so each of its points runs at its own seed
-    sweep = sweep_study("fig6", (1, 2), **FAST)
-    assert sweep.points[0].seed == sweep.points[1].seed == derive_seed(FAST["seed"], "sweep", "hop_count", 0)
-    other = sweep_study("fig7", (0.05, 0.15), **FAST)
-    assert other.points[0].seed != other.points[1].seed
-    assert other.points[0].seed != sweep.points[0].seed
+    # every sweep is one run at point 0's seed, whether its points nest
+    # (fig6) or not (fig7, whose links change law from point to point); the
+    # seed differs per kind
+    for kind, values in (("fig6", (1, 2)), ("fig7", (0.05, 0.15))):
+        sweep = sweep_study(kind, values, **FAST)
+        assert [p.seed for p in sweep.points] == [derive_seed(FAST["seed"], "sweep", sweep.kind, 0)] * 2
+    assert sweep.points[0].seed != derive_seed(FAST["seed"], "sweep", "hop_count", 0)
 
 
 @pytest.mark.parametrize("estimator", ["terminal", "time_average"])
@@ -202,31 +205,114 @@ def test_nested_points_are_their_own_runs(values, threads, estimator):
         assert np.array_equal(p.outcome.samples, alone.samples)
 
 
-def test_sweeps_that_do_not_nest_run_each_point_at_its_own_seed():
-    def chain(n, first=None, rate=1.0):
-        # an n-hop chain of uniform(0, 2) links but for the first's law
-        nodes = ["s"] + [f"n{i}" for i in range(1, n + 1)]
-        laws = [first or Uniform(lo=0.0, hi=2.0)] + [Uniform(lo=0.0, hi=2.0)] * (n - 1)
-        return CacheNetwork(nodes=nodes, source="s", source_dist=Exponential(rate=rate),
-                            links=list(zip(nodes, nodes[1:], laws)))
+def chain(n, first=None, rate=1.0):
+    """An n-hop chain of uniform(0, 2) links but for the first's law."""
+    nodes = ["s"] + [f"n{i}" for i in range(1, n + 1)]
+    laws = [first or Uniform(lo=0.0, hi=2.0)] + [Uniform(lo=0.0, hi=2.0)] * (n - 1)
+    return CacheNetwork(nodes=nodes, source="s", source_dist=Exponential(rate=rate),
+                        links=list(zip(nodes, nodes[1:], laws)))
 
-    # each value's chain has its own leaf, but the first link's law or the
-    # source's law is not the longest chain's; or every value has one chain
-    first_link = lambda n: chain(n, first=Uniform(lo=0.0, hi=float(n)))
-    source = lambda n: chain(n, rate=float(n))
-    constant = lambda n: chain(2)
-    for sweep in (
+
+def forked(n):
+    """s -> {a, b}, then a tail of n - 1 caches after a; a and b are
+    declared in another order for each n, and n = 4 changes the source's
+    law."""
+    tail = [f"t{i}" for i in range(1, n)]
+    sides = ["a", "b"] if n % 2 else ["b", "a"]
+    links = [("s", "a", Uniform(lo=0.0, hi=2.0)), ("s", "b", Exponential(rate=1.0))]
+    links += list(zip(["a", *tail], tail, [Uniform(lo=0.5, hi=1.5)] * len(tail)))
+    return CacheNetwork(nodes=["s", *sides, *tail], source="s",
+                        source_dist=Exponential(rate=2.0 if n == 4 else 1.0), links=links)
+
+
+UNNESTED = {
+    # the source's law changes from point to point: only the links are shared
+    "fig5": (experiments.fig5_network, experiments.STUDIES["fig5"].values),
+    # the links' law changes: only the source is shared
+    "fig7": (fig7_network, experiments.STUDIES["fig7"].values),
+    "source": (lambda n: chain(n, rate=float(n)), (1, 2, 3)),
+    "first_link": (lambda n: chain(n, first=Uniform(lo=0.0, hi=float(n))), (1, 2, 3)),
+    # the first three points nest, each declaring a and b in another order,
+    # so they run from the largest network so far; the last does not nest
+    "forked": (forked, (1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("estimator", ["terminal", "time_average"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("family", list(UNNESTED))
+def test_unnested_points_are_their_own_runs(family, threads, estimator):
+    # a sweep whose points do not nest reads one replicator per point in one
+    # run, drawing the streams they share once per block; 13 iterations end
+    # a worker's range mid-block.  Each point's samples are bit for bit those
+    # of its own network's run at the shared seed
+    run = dict(iterations=13, horizon=60.0, estimator=estimator)
+    make, values = UNNESTED[family]
+    sweep = sweep_network_family(family, values, make, seed=5, threads=threads, **run)
+    for p in sweep.points:
+        network = make(p.param)
+        leaf = experiments._deepest_leaf(network)
+        alone = monte_carlo(network, targets=[leaf], master_seed=p.seed, **run)[leaf]
+        assert p.outcome.samples.dtype == alone.samples.dtype
+        assert np.array_equal(p.outcome.samples, alone.samples), p.param
+
+
+def test_a_sweep_draws_each_shared_stream_once_per_block(monkeypatch):
+    # fig5's four points share their three links: two blocks draw each link
+    # once and each point's source once, 3 x 2 + 4 x 2 calls where one point
+    # at a time made 4 x 4 x 2.  At this horizon every link's block is one
+    # array; a block drawn row by row would be drawn for each point
+    from versionage import simulator
+
+    calls = []
+    block_rows = simulator._block_rows
+    monkeypatch.setattr(simulator, "_block_rows", lambda *a, **k: calls.append(a[-1]) or block_rows(*a, **k))
+    sweep_study("fig5", iterations=16, horizon=100.0, seed=3)
+    assert len(calls) == 14
+    assert sorted(set(calls)) == [("link", "n1", "n2"), ("link", "n2", "n3"), ("link", "src", "n1"), ("source",)]
+
+
+def test_a_shared_stream_drawn_row_by_row_is_drawn_for_each_point(monkeypatch):
+    # a beta(0.01, 1.5) link at horizon 20: at this seed its block 1 has a
+    # row that ends short of the horizon, so that block comes row by row,
+    # and each point draws it again; block 0 is one array, drawn once
+    from versionage import Beta, simulator
+
+    def make(rate):
+        return CacheNetwork(nodes=["s", "n1"], source="s", source_dist=Exponential(rate=rate),
+                            links=[("s", "n1", Beta(alpha=0.01, beta=1.5))])
+
+    calls = []
+    block_rows = simulator._block_rows
+    monkeypatch.setattr(simulator, "_block_rows", lambda *a, **k: calls.append(a[-2:]) or block_rows(*a, **k))
+    run = dict(iterations=16, horizon=20.0, estimator="time_average")
+    sweep = sweep_network_family("short_rows", (1.0, 2.0, 3.0), make, seed=2, **run)
+    link = ("link", "s", "n1")
+    assert [calls.count((b, link)) for b in (0, 1)] == [1, 3]
+    assert len(calls) == 4 + 3 * 2
+    for p in sweep.points:
+        alone = monte_carlo(make(p.param), targets=["n1"], master_seed=p.seed, **run)["n1"]
+        assert np.array_equal(p.outcome.samples, alone.samples), p.param
+
+
+def test_sweeps_that_do_not_nest_run_each_point_at_its_own_seed():
+    # whether a sweep's points nest (one law throughout, or one chain for
+    # every value) or not (a changed first link or source law), every point
+    # runs at point 0's seed
+    sweeps = [
         sweep_study("fig5", (1.0 / 3.0, 2.0 / 3.0), **FAST),
         sweep_study("fig7", (0.05, 0.15), **FAST),
-        sweep_network_family("first_link", (1, 2, 3), first_link, **FAST),
-        sweep_network_family("source", (1, 2, 3), source, **FAST),
-        sweep_network_family("constant", (1, 2, 3), constant, **FAST),
-    ):
+        sweep_network_family("first_link", (1, 2, 3), UNNESTED["first_link"][0], **FAST),
+        sweep_network_family("source", (1, 2, 3), UNNESTED["source"][0], **FAST),
+        sweep_network_family("constant", (1, 2, 3), lambda n: chain(2), **FAST),
+        sweep_network_family("nested", (1, 2, 3), chain, **FAST),
+    ]
+    for sweep in sweeps:
         seeds = [p.seed for p in sweep.points]
-        assert seeds == [derive_seed(FAST["seed"], "sweep", sweep.kind, i) for i in range(len(seeds))]
-    # the same chains with one law throughout nest
-    nested = sweep_network_family("nested", (1, 2, 3), chain, **FAST)
-    assert {p.seed for p in nested.points} == {derive_seed(FAST["seed"], "sweep", "nested", 0)}
+        assert seeds == [derive_seed(FAST["seed"], "sweep", sweep.kind, 0)] * len(seeds)
+    # one chain for every value: every point reads the same samples
+    constant = sweeps[4]
+    assert all(np.array_equal(p.outcome.samples, constant.points[0].outcome.samples) for p in constant.points)
 
 
 def fake_point(z_value):

@@ -328,13 +328,15 @@ MIXED_TREE = CacheNetwork(
 
 
 def test_tree_fast_path_matches_event_engine():
+    from versionage.simulator import _run_iteration_block
+
     targets = ["b", "c", "d", "e"]
     reps = {e: _Replicator(MIXED_TREE, targets, 40.0, e) for e in ESTIMATORS}
     for it in range(30):
         slow = simulate_once(MIXED_TREE, 40.0, master_seed=123, iteration=it)
         for estimator, rep in reps.items():
-            assert next(rep.replications(123, it, it + 1)) == [getattr(slow, estimator)[t] for t in targets], (
-                estimator, it)
+            (fast,) = _run_iteration_block(([rep], 123, it, it + 1))
+            assert fast[0].tolist() == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
 
 
 TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
@@ -558,17 +560,17 @@ def test_monte_carlo_threads_do_not_change_results():
 
 
 def test_a_replicator_that_has_run_still_goes_through_the_pool():
-    # a run reseeds the replicator's stream, which then keeps a hash object
-    # that does not pickle; the pool must still receive it and replay it
-    # (monte_carlo sends a fresh replicator, so this one is sent directly)
+    # a replicator that has run must still pickle and give the same rows in
+    # the pool: its generators are the run's, not its own (monte_carlo sends
+    # a fresh replicator, so this one is sent directly)
     from concurrent.futures import ProcessPoolExecutor
 
     from versionage.simulator import _run_iteration_block
 
     rep = _Replicator(CYCLIC_GRAPH, ["c", "d"], 30.0, "terminal")
-    serial = _run_iteration_block((rep, 4, 0, 12))
+    (serial,) = _run_iteration_block(([rep], 4, 0, 12))
     with ProcessPoolExecutor(max_workers=2) as pool:
-        blocks = list(pool.map(_run_iteration_block, [(rep, 4, 0, 6), (rep, 4, 6, 12)]))
+        blocks = [rows for (rows,) in pool.map(_run_iteration_block, [([rep], 4, 0, 6), ([rep], 4, 6, 12)])]
     assert np.array_equal(np.concatenate(blocks), serial)
 
 
