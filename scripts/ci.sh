@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep, shared-stream-sweep and verify-repeat checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep, shared-stream-sweep, verify-repeat and verify-threads checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -222,6 +222,15 @@ EOF
         python -m versionage.cli verify chi_square:k=1 --t-grid 10,400 --paths 10000 --out "$work/verify-extend-$run.json"
     done
     cmp "$work/verify-extend-1.json" "$work/verify-extend-2.json"
+    # the default battery in process (--threads 1), on a two-worker pool
+    # and at the default of every CPU: each check's chunk sums are added in
+    # chunk order, so the three reports are byte-equal (a one-CPU runner
+    # runs all three in process)
+    python -m versionage.cli verify --paths 10000 --threads 1 --out "$work/verify-battery-1.json" > /dev/null
+    python -m versionage.cli verify --paths 10000 --threads 2 --out "$work/verify-battery-2.json" > /dev/null
+    python -m versionage.cli verify --paths 10000 --out "$work/verify-battery-default.json" > /dev/null
+    cmp "$work/verify-battery-1.json" "$work/verify-battery-2.json"
+    cmp "$work/verify-battery-1.json" "$work/verify-battery-default.json"
     {
         echo '```'
         wc -l src/versionage/*.py

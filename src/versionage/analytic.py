@@ -70,10 +70,12 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     node whose age overflows a float.
     """
     order = network.topo_order()
+    senders = {}
     for node in order:
-        feeds = len(network.incoming(node))
-        if feeds != 1:
-            raise NotATree(f"closed form requires tree: {node} has {feeds} feeds")
+        feeds = network.incoming(node)
+        if len(feeds) != 1:
+            raise NotATree(f"closed form requires tree: {node} has {len(feeds)} feeds")
+        senders[node] = feeds[0].src
     fault = network.source_dist.moment_fault()
     if fault:
         raise InfiniteSecondMoment(f"source distribution {network.source_dist} has {fault}")
@@ -85,13 +87,22 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
             "the closed form assumes non-arithmetic inter-update times"
         )
     contributions: dict[tuple[str, str], float] = {}
+    units = {}  # per cache, its feed's contribution in units of 2**-1074
+    # per distinct law, its contribution and that in units: equal laws have
+    # equal contributions, so each is computed once
+    by_law: dict[Distribution, tuple[float, int]] = {}
     for link in network.links:
-        try:
-            contributions[(link.src, link.dst)] = link_contribution(link.dist)
-        except InfiniteSecondMoment as exc:
-            raise InfiniteSecondMoment(
-                f"link {link.src}->{link.dst}: {exc}"
-            ) from None
+        known = by_law.get(link.dist)
+        if known is None:
+            try:
+                contribution = link_contribution(link.dist)
+            except InfiniteSecondMoment as exc:
+                raise InfiniteSecondMoment(
+                    f"link {link.src}->{link.dst}: {exc}"
+                ) from None
+            n, d = contribution.as_integer_ratio()
+            known = by_law[link.dist] = (contribution, n * (_UNITS_PER_ONE // d))
+        contributions[(link.src, link.dst)], units[link.dst] = known
         if link.dist.arithmetic:
             warnings.append(
                 f"link {link.src}->{link.dst} has an arithmetic distribution {link.dist}; "
@@ -100,9 +111,7 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     per_node: dict[str, float] = {network.source: 0.0}
     exact = {network.source: 0}
     for node in order:
-        (feed,) = network.incoming(node)
-        n, d = contributions[(feed.src, node)].as_integer_ratio()
-        exact[node] = exact[feed.src] + n * (_UNITS_PER_ONE // d)
+        exact[node] = exact[senders[node]] + units[node]
         per_node[node] = exact[node] / _UNITS_PER_ONE / m0.mean
         if math.isinf(per_node[node]):
             raise InvalidParameter(f"node {node} has an expected age too large for a float (source mean {m0.mean:g})")

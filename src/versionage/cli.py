@@ -42,9 +42,10 @@ from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_numbe
 from .errors import ConfigError, VersionAgeError
 from .experiments import STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
-from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, verify_renewal_limits, verify_windowed_count_limit
-# not called here, but bench/spans.py traces both verifiers under these names
+from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, RenewalLimits, WindowedCount, run_checks
+# not called here, but bench/spans.py traces these verifiers under these names
 from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
+from .renewal import verify_windowed_count_limit  # noqa: F401
 from .rng import check_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import ESTIMATORS, MAX_SWEEP_VALUES, check_run, monte_carlo
@@ -287,18 +288,21 @@ def _limit_report(kind: str, label: str, fields: dict, check: LimitCheck) -> tup
     return kind, label, detail, check.z, {**fields, **values}
 
 
-def _verify_checks(specs, window_pairs, t_grid, t_large, paths, seed):
+def _verify_checks(specs, window_pairs, t_grid, t_large, paths, seed, threads):
     """Run the checks in report order, yielding for each one
-    (check, label, printed detail, z, record fields)."""
-    for spec in specs:
+    (check, label, printed detail, z, record fields).  Every check is
+    validated before any runs, and all run in one :func:`run_checks` call,
+    which starts at most one pool."""
+    limits = [RenewalLimits(spec, t_grid, t_large, paths, seed) for spec in specs]
+    windows = [WindowedCount(src, probe, t_large, paths, seed) for src, probe in window_pairs]
+    results = run_checks(limits + windows, threads)
+    for spec, (points, check) in zip(specs, results):
         fields = {"spec": spec.to_literal()}
-        points, check = verify_renewal_limits(spec, t_grid, t_large, paths, master_seed=seed)
         for p in points:
             yield ("martingale", str(spec), f"t={p.t:g} mean={p.mean:+.5f}", p.z,
                    {**fields, "t": p.t, "mean": p.mean, "stderr": p.stderr})
         yield _limit_report("recurrence-limit", str(spec), fields, check)
-    for src, probe in window_pairs:
-        check = verify_windowed_count_limit(src, probe, t_large, paths, master_seed=seed)
+    for (src, probe), check in zip(window_pairs, results[len(limits):]):
         fields = {"source": src.to_literal(), "probe": probe.to_literal()}
         yield _limit_report("windowed-count", f"{src} | probe {probe}", fields, check)
 
@@ -317,7 +321,7 @@ def _cmd_verify(args) -> int:
 
     records = []
     for kind, label, detail, z, fields in _verify_checks(
-        specs, window_pairs, t_grid, args.t_large, args.paths, args.seed
+        specs, window_pairs, t_grid, args.t_large, args.paths, args.seed, args.threads
     ):
         ok = abs(z) < Z_GATE
         print(f"{kind:18s} {label:42s} {detail} z={z:+.3f} {'PASS' if ok else 'FAIL'}")
@@ -472,6 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="limit checks' horizon (default: 60 mean gaps of the slowest law, >= 100)")
     p_verify.add_argument("--paths", type=int, default=DEFAULT_PATHS)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                          help="worker processes, at most one per CPU (default: every CPU); "
+                          "affects speed only, never results")
     p_verify.add_argument("--out", help="write a JSON report here")
 
     p_sweep = sub.add_parser("sweep", help="analytic-vs-simulation comparison sweeps")

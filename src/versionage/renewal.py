@@ -33,12 +33,22 @@ contiguous row of all paths at a time (one accumulate down a lone path),
 rather than waiting on each path's previous event, and since times increase
 down every column, a count at t skips the rows every path reaches by min(t)
 and those no path reaches by max(t), comparing only the band between.
+
+A check (:class:`RenewalLimits`, :class:`WindowedCount`) is validated when
+built, and chunk k of its paths is a function of the check and k alone, its
+streams keyed by (seed, scope, k).  :func:`run_checks` runs every chunk of a
+list of checks, in process or on one process pool for the whole list, and
+adds each check's chunk sums in chunk order, so every result keeps its bytes
+for any worker count; the public verifiers are its one-check case.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +61,9 @@ __all__ = [
     "RenewalStream",
     "MartingalePoint",
     "LimitCheck",
+    "RenewalLimits",
+    "WindowedCount",
+    "run_checks",
     "verify_renewal_limits",
     "verify_backward_recurrence_limit",
     "verify_windowed_count_limit",
@@ -66,6 +79,12 @@ DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
 #: paths per verifier chunk; the last chunk holds the rest
 _VERIFIER_CHUNK = 2048
+#: pool tasks a worker may have submitted and not yet read, so that a run's
+#: pending tasks do not grow with its paths
+_IN_FLIGHT = 4
+#: most chunks in one pool task: each task is a round trip through the pool,
+#: which costs the parent CPU time the workers could use
+_TASK_CHUNKS = 4
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float, head: list | None = None) -> np.ndarray:
@@ -266,17 +285,6 @@ def _read(slabs, paths: int, *queries) -> list[tuple[np.ndarray, np.ndarray, np.
     return out
 
 
-def _chunks(n_paths: int, master_seed: int, *scopes: tuple):
-    """Each verifier chunk's path count (:data:`_VERIFIER_CHUNK` but for the
-    last), then one stream per scope reseeded to (master_seed, *scope, chunk
-    index); a seed outside 64 bits is refused before the first chunk."""
-    rngs = [RngStream(check_seed(master_seed), *scope, 0) for scope in scopes]
-    for chunk_idx, done in enumerate(range(0, n_paths, _VERIFIER_CHUNK)):
-        for rng, scope in zip(rngs, scopes):
-            rng.reseed(master_seed, *scope, chunk_idx)
-        yield (min(_VERIFIER_CHUNK, n_paths - done), *rngs)
-
-
 def _count_at(slab: np.ndarray, t) -> np.ndarray:
     """Per-path count of a slab's events at or before t; t is a scalar or a
     per-path vector.
@@ -336,44 +344,149 @@ def _window_times(rng: RngStream, paths: int, t_large: float) -> np.ndarray:
     return t_large * (0.5 + 0.5 * rng.uniforms(paths))
 
 
+class RenewalLimits:
+    """One law's martingale and recurrence checks (:func:`verify_renewal_limits`),
+    validated when built: its law's moments, path count, grid, horizon,
+    path budget and seed.  :func:`run_checks` runs it."""
+
+    def __init__(self, spec: Distribution, t_grid, t_large: float | None = None,
+                 n_paths: int = DEFAULT_PATHS, master_seed: int = 0):
+        self.moments = _require_finite_moments(spec)
+        _check_paths(n_paths)
+        self.t_grid = [positive_number("t", t) for t in t_grid]
+        self.t_large = _t_large(t_large, self.moments)
+        self.t_max = max([self.t_large, *self.t_grid])
+        _check_path_budget(self.t_max, spec)
+        self.spec, self.n_paths, self.master_seed = spec, n_paths, check_seed(master_seed)
+
+    def sums(self, chunk: int, paths: int) -> tuple[float, ...]:
+        """Chunk ``chunk`` of ``paths`` paths: the sum and sum of squares of
+        their backward recurrence times, then of their martingale values at
+        each grid time.  Each chunk's paths are drawn as for the former
+        alone, then on to the grid's last time."""
+        rng = RngStream(self.master_seed, "verify-recurrence", chunk)
+        t_eval = _window_times(rng, paths, self.t_large)
+        slabs = _event_slabs(self.spec, rng, paths, self.t_large, self.t_max)
+        (_, last, _), *at_grid = _read(slabs, paths, t_eval, *self.t_grid)
+        backward = t_eval - last
+        sums = [float(backward.sum()), float((backward * backward).sum())]
+        for counts, _, after in at_grid:
+            mart = counts + 1.0 - after / self.moments.mean
+            sums += float(mart.sum()), float((mart * mart).sum())
+        return tuple(sums)
+
+    def result(self, sums) -> tuple[list[MartingalePoint], LimitCheck]:
+        total, total_sq, *grid = sums
+        n = self.n_paths
+        points = [MartingalePoint(t, *_summary(s, sq, n), n) for t, s, sq in zip(self.t_grid, grid[::2], grid[1::2])]
+        return points, _limit_check(total, total_sq, n, self.moments.mean_backward_recurrence)
+
+
+class WindowedCount:
+    """The windowed-count check of a source and probe law
+    (:func:`verify_windowed_count_limit`), validated when built.
+    :func:`run_checks` runs it."""
+
+    def __init__(self, source_spec: Distribution, probe_spec: Distribution, t_large: float | None = None,
+                 n_paths: int = DEFAULT_PATHS, master_seed: int = 0):
+        m_src = _require_finite_moments(source_spec)
+        m_probe = _require_finite_moments(probe_spec)
+        _check_paths(n_paths)
+        self.t_large = _t_large(t_large, m_src, m_probe)
+        _check_path_budget(self.t_large, probe_spec, source_spec)
+        self.target = m_probe.mean_backward_recurrence / m_src.mean
+        self.source_spec, self.probe_spec = source_spec, probe_spec
+        self.n_paths, self.master_seed = n_paths, check_seed(master_seed)
+
+    def sums(self, chunk: int, paths: int) -> tuple[float, float]:
+        """Chunk ``chunk`` of ``paths`` paths: the sum and sum of squares of
+        their windowed counts."""
+        rng_t, rng_probe, rng_src = (RngStream(self.master_seed, "verify-window", part, chunk)
+                                     for part in ("times", "probe", "source"))
+        t_eval = _window_times(rng_t, paths, self.t_large)
+        probe_slabs = _event_slabs(self.probe_spec, rng_probe, paths, self.t_large, self.t_large)
+        [(_, p_last, _)] = _read(probe_slabs, paths, t_eval)
+        src_slabs = _event_slabs(self.source_spec, rng_src, paths, self.t_large, self.t_large)
+        (now, _, _), (then, _, _) = _read(src_slabs, paths, t_eval, p_last)
+        diff = now - then
+        return float(diff.sum()), float((diff * diff).sum())
+
+    def result(self, sums) -> LimitCheck:
+        return _limit_check(*sums, self.n_paths, self.target)
+
+
+def _workers(threads: int, jobs: int) -> int:
+    """Worker processes for ``jobs`` independent jobs: ``threads``, but at
+    most one per CPU and one per job, and at least one."""
+    return max(1, min(int(threads), os.cpu_count() or 1, jobs))
+
+
+def _run_chunks(chunks) -> list[tuple[float, ...]]:
+    """Each (check's ``sums``, chunk index, path count)'s sums, in order: one
+    pool task."""
+    return [sums(chunk, paths) for sums, chunk, paths in chunks]
+
+
+def run_checks(checks, threads: int = 1) -> list:
+    """Each check's result, in order, from one run of all their chunks.
+
+    A check's chunk k holds :data:`_VERIFIER_CHUNK` paths (the last the
+    rest) drawn from streams keyed by (seed, scope, k), so it is a function
+    of the check and k alone.  With one worker (see :func:`_workers`) the
+    chunks run in process.  Otherwise they run on one process pool for
+    every check, in tasks of up to :data:`_TASK_CHUNKS` successive chunks
+    (fewer where that would leave a worker under :data:`_IN_FLIGHT` tasks),
+    with at most :data:`_IN_FLIGHT` tasks a worker submitted and not yet
+    read.  Either way each check's chunk sums are added in chunk order, so
+    a result keeps its bytes for any ``threads``.
+    """
+    chunks = [(check.sums, chunk, min(_VERIFIER_CHUNK, check.n_paths - start))
+              for check in checks for chunk, start in enumerate(range(0, check.n_paths, _VERIFIER_CHUNK))]
+    workers = _workers(threads, len(chunks))
+    if workers == 1:
+        read = _run_chunks(chunks)
+    else:
+        size = max(1, min(_TASK_CHUNKS, len(chunks) // (_IN_FLIGHT * workers)))
+        read, pending = [], deque()
+        # the platform's default start method, fork on Linux: the pool forks
+        # its workers before it starts its own thread, and the program starts
+        # none.  Spawned workers would import numpy afresh, which on 2 vCPUs
+        # costs the default battery its whole gain (0.67 s against 0.40 s)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for start in range(0, len(chunks), size):
+                if len(pending) == _IN_FLIGHT * workers:
+                    read += pending.popleft().result()
+                pending.append(pool.submit(_run_chunks, chunks[start:start + size]))
+            for future in pending:
+                read += future.result()
+    results, read = [], iter(read)
+    for check in checks:
+        totals = None
+        for _ in range(0, check.n_paths, _VERIFIER_CHUNK):
+            sums = next(read)
+            totals = [total + s for total, s in zip(totals or [0.0] * len(sums), sums)]
+        results.append(check.result(totals))
+    return results
+
+
 def verify_renewal_limits(spec: Distribution, t_grid, t_large: float | None = None, n_paths: int = DEFAULT_PATHS,
-                          master_seed: int = 0) -> tuple[list[MartingalePoint], LimitCheck]:
+                          master_seed: int = 0, threads: int = 1) -> tuple[list[MartingalePoint], LimitCheck]:
     """The martingale and recurrence checks of one law, on the same paths.
 
     Returns the studentized mean of M(t) = N(t) + 1 - T_{N(t)+1}/mean at each
     time of ``t_grid`` (zero in the population for any finite mean), and the
     mean backward recurrence time at a uniform time in [t_large/2, t_large]
-    against its long-run limit E[Y^2]/(2E[Y]).  Each chunk's paths are drawn
-    as for the latter alone, then on to the grid's last time.
+    against its long-run limit E[Y^2]/(2E[Y]).  ``threads`` affects speed
+    only (:func:`run_checks`).
     """
-    m = _require_finite_moments(spec)
-    _check_paths(n_paths)
-    t_grid = [positive_number("t", t) for t in t_grid]
-    t_large = _t_large(t_large, m)
-    t_max = max([t_large, *t_grid])
-    _check_path_budget(t_max, spec)
-    sums, sums_sq = [0.0] * len(t_grid), [0.0] * len(t_grid)
-    total = total_sq = 0.0
-    for paths, rng in _chunks(n_paths, master_seed, ("verify-recurrence",)):
-        t_eval = _window_times(rng, paths, t_large)
-        slabs = _event_slabs(spec, rng, paths, t_large, t_max)
-        (_, last, _), *at_grid = _read(slabs, paths, t_eval, *t_grid)
-        backward = t_eval - last
-        total += float(backward.sum())
-        total_sq += float((backward * backward).sum())
-        for k, (counts, _, after) in enumerate(at_grid):
-            mart = counts + 1.0 - after / m.mean
-            sums[k] += float(mart.sum())
-            sums_sq[k] += float((mart * mart).sum())
-    points = [MartingalePoint(t, *_summary(total_t, sq_t, n_paths), n_paths)
-              for t, total_t, sq_t in zip(t_grid, sums, sums_sq)]
-    return points, _limit_check(total, total_sq, n_paths, m.mean_backward_recurrence)
+    return run_checks([RenewalLimits(spec, t_grid, t_large, n_paths, master_seed)], threads)[0]
 
 
 def verify_backward_recurrence_limit(spec: Distribution, t_large: float | None = None,
-                                     n_paths: int = DEFAULT_PATHS, master_seed: int = 0) -> LimitCheck:
+                                     n_paths: int = DEFAULT_PATHS, master_seed: int = 0,
+                                     threads: int = 1) -> LimitCheck:
     """The recurrence check of :func:`verify_renewal_limits` alone."""
-    return verify_renewal_limits(spec, (), t_large, n_paths, master_seed)[1]
+    return verify_renewal_limits(spec, (), t_large, n_paths, master_seed, threads)[1]
 
 
 def verify_martingale_zero_mean(spec: Distribution, t_grid, n_paths: int = DEFAULT_PATHS,
@@ -391,6 +504,7 @@ def verify_windowed_count_limit(
     t_large: float | None = None,
     n_paths: int = DEFAULT_PATHS,
     master_seed: int = 0,
+    threads: int = 1,
 ) -> LimitCheck:
     """Check E[N(t) - N(t - S(t))] against E[S]/E[Y] for a recurrence window.
 
@@ -398,21 +512,6 @@ def verify_windowed_count_limit(
     recurrence time of an independent ``probe_spec`` stream, so the limit
     target is (E[Y_probe^2] / (2 E[Y_probe])) / E[Y_source].  Paths are
     evaluated at a uniformly random time in [t_large/2, t_large].
+    ``threads`` affects speed only (:func:`run_checks`).
     """
-    m_src = _require_finite_moments(source_spec)
-    m_probe = _require_finite_moments(probe_spec)
-    _check_paths(n_paths)
-    t_large = _t_large(t_large, m_src, m_probe)
-    _check_path_budget(t_large, probe_spec, source_spec)
-    target = m_probe.mean_backward_recurrence / m_src.mean
-    total = total_sq = 0.0
-    scopes = [("verify-window", part) for part in ("times", "probe", "source")]
-    for paths, rng_t, rng_probe, rng_src in _chunks(n_paths, master_seed, *scopes):
-        t_eval = _window_times(rng_t, paths, t_large)
-        [(_, p_last, _)] = _read(_event_slabs(probe_spec, rng_probe, paths, t_large, t_large), paths, t_eval)
-        src_slabs = _event_slabs(source_spec, rng_src, paths, t_large, t_large)
-        (now, _, _), (then, _, _) = _read(src_slabs, paths, t_eval, p_last)
-        diff = now - then
-        total += float(diff.sum())
-        total_sq += float((diff * diff).sum())
-    return _limit_check(total, total_sq, n_paths, target)
+    return run_checks([WindowedCount(source_spec, probe_spec, t_large, n_paths, master_seed)], threads)[0]

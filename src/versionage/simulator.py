@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -71,7 +70,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, event_times_until
+from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, _workers, event_times_until
 from .rng import RngStream, check_seed
 
 __all__ = [
@@ -605,7 +604,7 @@ def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threa
     only: at most one worker process runs per CPU, and each takes whole
     blocks but for the last."""
     blocks = -(-iterations // BLOCK)
-    workers = max(1, min(int(threads), os.cpu_count() or 1, blocks))
+    workers = _workers(threads, blocks)
     step = -(-blocks // workers) * BLOCK
     ranges = [(reps, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
     if len(ranges) == 1:

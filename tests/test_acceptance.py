@@ -39,7 +39,7 @@ from versionage.cli import run
 
 HORIZON = 1e3
 ITERATIONS = 20_000
-#: criteria 1-4 use every core; outputs never depend on the thread count
+#: criteria 1-5 use every core; outputs never depend on the thread count
 THREADS = os.cpu_count() or 1
 THREE_LINK_SUM_4DP = 2.5479  # rayleigh(1) + chi_square(1) + beta(2,3) contributions, rounded
 
@@ -165,7 +165,7 @@ def test_criterion_5_limit_theorem_suite():
     for spec in NON_DETERMINISTIC + (Deterministic(c=1.0),):
         # one law's martingale and recurrence checks read the same paths
         t_grid = [10.0, 100.0] if spec in NON_DETERMINISTIC else []
-        points, check = verify_renewal_limits(spec, t_grid, 150.0, paths, master_seed=106)
+        points, check = verify_renewal_limits(spec, t_grid, 150.0, paths, master_seed=106, threads=THREADS)
         for point in points:
             if abs(point.z) >= 4.0:
                 violations.append(f"martingale {spec} t={point.t}: z={point.z:+.2f}")
@@ -178,7 +178,7 @@ def test_criterion_5_limit_theorem_suite():
     )
     for source_spec, probe_spec in pairs:
         check = verify_windowed_count_limit(source_spec, probe_spec, 150.0, paths,
-                                            master_seed=107)
+                                            master_seed=107, threads=THREADS)
         if abs(check.z) >= 4.0:
             violations.append(f"windowed {source_spec}|{probe_spec}: z={check.z:+.2f}")
     report(5, "martingale, recurrence-limit, and windowed-count checks all inside 4 sigma",

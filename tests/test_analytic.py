@@ -165,6 +165,37 @@ def test_a_ten_thousand_hop_chain_takes_linear_time(alarm):
     assert ages.per_node["n10000"] == math.fsum([2.0 / 3.0] * 10_000) / 0.5
 
 
+def test_each_distinct_law_is_computed_once(monkeypatch):
+    # fig6 shares one law object across its 1 000 links, and the mixed chain
+    # builds an equal law afresh for every link: either way each distinct
+    # law's contribution is computed once, and every age is still the
+    # correctly rounded sum of its path's per-link contributions
+    from versionage import analytic
+
+    calls = []
+    monkeypatch.setattr(analytic, "link_contribution", lambda dist: calls.append(dist) or link_contribution(dist))
+    laws = [lambda: Uniform(lo=0.0, hi=2.0), lambda: Rayleigh(sigma=1.0), lambda: ChiSquare(k=1),
+            lambda: Exponential(rate=3.0)]
+    mixed = chain(ParetoI(shape=3.0, scale=1.0 / 3.0), [laws[i % 4]() for i in range(1000)])
+    for net, distinct in ((fig6_network(1000), 1), (mixed, 4)):
+        calls.clear()
+        ages = expected_version_age(net)
+        assert len(calls) == distinct
+        path = []
+        for link in net.links:  # both chains declare their links in hop order
+            path.append(link_contribution(link.dist))
+            assert ages.contributions[(link.src, link.dst)] == path[-1]
+            assert ages.per_node[link.dst] == math.fsum(path) / ages.source_mean
+
+
+def test_a_shared_law_still_names_its_first_link_and_warns_per_link():
+    bad, tick = ParetoI(shape=1.5, scale=1.0), Deterministic(c=1.0)
+    with pytest.raises(InfiniteSecondMoment, match=r"link n1->n2: "):
+        expected_version_age(chain(Exponential(rate=1.0), [Exponential(rate=1.0), bad, bad]))
+    ages = expected_version_age(chain(Exponential(rate=1.0), [tick, Exponential(rate=1.0), tick, tick]))
+    assert [w.split(" has ")[0] for w in ages.warnings] == ["link s->n1", "link n2->n3", "link n3->n4"]
+
+
 def test_additivity_along_path():
     net = chain(
         ParetoI(shape=3.0, scale=0.5),

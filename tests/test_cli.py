@@ -594,6 +594,69 @@ def test_verify_zero_stderr_z_has_the_sign_of_the_error(capsys):
     assert "estimate=0.00000 target=0.50000 z=-inf FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cpus", [2, None], ids=["2-cpus", "unknown-cpus"])
+def test_verify_reports_keep_their_bytes_at_any_threads(tmp_path, capsys, monkeypatch, cpus):
+    # every check's chunks run on one pool for the whole run, or in process
+    # where one worker is all there is, and their sums are added in chunk
+    # order: the report is byte-equal at --threads 1, 2 and the default
+    from concurrent.futures import ProcessPoolExecutor
+
+    from versionage import renewal
+
+    starts = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["verify", "rayleigh:sigma=1", "--window", "exponential:rate=2", "exponential:rate=1",
+            "--paths", "10000", "--seed", "11"]
+    reports = []
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        out = tmp_path / f"verify{len(reports)}.json"
+        assert run([*argv, *threads, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert starts == ([2, 2] if cpus else [])
+
+
+def test_verify_threads_default_to_every_cpu(monkeypatch):
+    from versionage.cli import build_parser
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert build_parser().parse_args(["verify"]).threads == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["verify"]).threads == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponential:rate=1", "pareto1:shape=1.5,scale=1"],
+        ["exponential:rate=1", "--window", "exponential:rate=1", "pareto1:shape=1.5,scale=1"],
+        ["exponential:rate=1", "--window", "exponential:rate=1", "exponential:rate=0.01", "--t-large", "100"],
+    ],
+    ids=["spec", "window", "t_large"],
+)
+def test_a_refused_check_after_a_good_one_starts_no_worker(tmp_path, capsys, monkeypatch, argv):
+    # every check is validated before the pool starts, so a refused one
+    # exits 1 having drawn, printed and written nothing
+    from versionage import renewal
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker may start")
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "verify.json"
+    assert run(["verify", *argv, "--paths", "10000", "--threads", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no worker" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_verify_rejects_bad_spec(capsys):
     assert run(["verify", "exponential:rate=-2"]) == 1
     assert run(["verify", "pareto1:shape=1.5,scale=1"]) == 1

@@ -1,6 +1,7 @@
 """Renewal streams, recurrence times, and the limit-theorem verifiers."""
 
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -510,3 +511,85 @@ def test_verify_record_fingerprint():
     window = verify_windowed_count_limit(Exponential(rate=1.0), Exponential(rate=2.0), None, N_PATHS, master_seed=1)
     assert (repr(check.estimate), repr(check.stderr)) == ("0.7898667496163772", "0.0059604756475203835")
     assert (repr(window.estimate), repr(window.stderr)) == ("0.4875", "0.008435134269768023")
+
+
+# -- the chunk pool ------------------------------------------------------------
+
+
+class _LazyPool:
+    """Stands in for the process pool: runs each task here when its result
+    is read, counting the tasks submitted and not yet read, and recording
+    how many chunks each holds."""
+
+    made: list = []  # every pool built
+
+    def __init__(self, max_workers):
+        self.workers, self.pending, self.peak, self.sizes = max_workers, 0, 0, []
+        _LazyPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.sizes.append(len(args[0]))
+        self.pending += 1
+        self.peak = max(self.peak, self.pending)
+        pool = self
+
+        class Future:
+            def result(self):
+                pool.pending -= 1
+                return fn(*args)
+
+        return Future()
+
+
+def test_threads_leave_every_record_unchanged(monkeypatch):
+    # 10 000 paths are four full chunks and a partial one; at two workers
+    # they run in one real pool per call, and the sums are added in chunk
+    # order, so the results are equal, not merely close
+    from concurrent.futures import ProcessPoolExecutor
+
+    starts = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(renewal.os, "cpu_count", lambda: 2)
+    spec, probe = ChiSquare(k=1), Uniform(lo=0.0, hi=2.0)
+
+    def checks(threads):
+        return (verify_renewal_limits(spec, [10.0, 100.0], 100.0, N_PATHS, master_seed=21, threads=threads),
+                verify_windowed_count_limit(spec, probe, 100.0, N_PATHS, master_seed=21, threads=threads))
+
+    serial = checks(1)
+    assert starts == []
+    assert checks(2) == serial
+    assert starts == [2, 2]
+    assert multiprocessing.active_children() == []  # each call's pool is shut down and joined
+
+
+def test_pending_tasks_stay_within_the_bound(monkeypatch):
+    # a run keeps at most _IN_FLIGHT tasks a worker submitted and not yet
+    # read, however many chunks it has.  Two checks of 2 048-path chunks
+    # make 10 chunks, too few to group; 64-path chunks make 314, sent
+    # _TASK_CHUNKS at a time
+    monkeypatch.setattr(renewal.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", _LazyPool)
+    for chunk, size, tasks in ((2048, 1, 10), (64, renewal._TASK_CHUNKS, 79)):
+        monkeypatch.setattr(renewal, "_VERIFIER_CHUNK", chunk)
+        monkeypatch.setattr(_LazyPool, "made", [])
+        checks = [renewal.RenewalLimits(Exponential(rate=1.0), [10.0], 100.0, N_PATHS, 3),
+                  renewal.WindowedCount(Exponential(rate=2.0), Exponential(rate=1.0), 100.0, N_PATHS, 3)]
+        serial = renewal.run_checks(checks, threads=1)
+        assert _LazyPool.made == []
+        assert renewal.run_checks(checks, threads=4) == serial
+        (pool,) = _LazyPool.made
+        assert pool.workers == 2 and pool.peak == renewal._IN_FLIGHT * 2 and pool.pending == 0
+        assert len(pool.sizes) == tasks and max(pool.sizes) == size
