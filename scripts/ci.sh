@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread, nested-sweep, shared-stream-sweep, verify-repeat and verify-threads checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), nested-sweep, shared-stream-sweep, verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -108,9 +108,15 @@ for estimator in ("terminal", "time_average"):
     for node in ("a", "b"):
         assert traced[node]["samples"] == iterated[node]["samples"], (estimator, node)
 EOF
-    python -m versionage.cli simulate "$work/general.json" --estimator time_average --targets a,b --threads 2 \
-        --out "$work/general-threads" > /dev/null
-    cmp "$work/general-time_average-a,b.csv" "$work/general-threads.csv"
+    # the runs above had no --threads flag, so they used every usable CPU
+    for threads in 1 2; do
+        python -m versionage.cli simulate "$work/general.json" --estimator time_average --targets a,b \
+            --threads "$threads" --out "$work/general-threads-$threads" > /dev/null
+    done
+    for ext in csv json; do
+        cmp "$work/general-threads-1.$ext" "$work/general-threads-2.$ext"
+        cmp "$work/general-threads-1.$ext" "$work/general-time_average-a,b.$ext"
+    done
     # a ring of 300 caches closed back onto c1: the window start's one
     # search settles every cache in time linear in the depth, in process
     # and in the pool
@@ -129,11 +135,15 @@ EOF
             --out "$work/ring-threads-$threads" > /dev/null
     done
     cmp "$work/ring-threads-1.csv" "$work/ring-threads-2.csv"
-    # fig5's beta and chi-square samplers, in process and in the pool
-    for threads in 1 2; do
-        python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 --threads "$threads" --out "$work/fig5-threads-$threads"
+    # fig5's beta and chi-square samplers, in process and in the pool, at
+    # two workers and at the default of every usable CPU
+    for threads in 1 2 default; do
+        flag=(--threads "$threads")
+        [ "$threads" = default ] && flag=()
+        python -m versionage.cli sweep fig5 --values 1/3 --iterations 40 "${flag[@]}" --out "$work/fig5-threads-$threads"
     done
     cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-2.csv"
+    cmp "$work/fig5-threads-1.csv" "$work/fig5-threads-default.csv"
     # fig6's tree time average, in process and in the pool, whose workers
     # unpickle the replicator and its streams
     for threads in 1 2; do
@@ -231,6 +241,13 @@ EOF
     python -m versionage.cli verify --paths 10000 --out "$work/verify-battery-default.json" > /dev/null
     cmp "$work/verify-battery-1.json" "$work/verify-battery-2.json"
     cmp "$work/verify-battery-1.json" "$work/verify-battery-default.json"
+    # pinned to one CPU, the default is one worker however many CPUs are
+    # installed, so the battery runs in process
+    if command -v taskset > /dev/null; then
+        cpu="$(python -c 'import os; print(min(os.sched_getaffinity(0)))')"
+        taskset -c "$cpu" python -m versionage.cli verify --paths 10000 --out "$work/verify-battery-pinned.json" > /dev/null
+        cmp "$work/verify-battery-1.json" "$work/verify-battery-pinned.json"
+    fi
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -21,7 +21,8 @@ Exit status: 0 on success, 1 on configuration or validation errors, 2 when a
 statistical gate fails (a verifier z-score at or beyond 4, or a sweep whose
 points stray beyond the 4-sigma budget).  Every emitted JSON file embeds the
 config hash, master seed, and tool version; repeated runs with equal seeds
-produce byte-identical outputs regardless of --threads.
+produce byte-identical outputs regardless of --threads, the worker processes
+of simulate, sweep and verify, every usable CPU unless given.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_numbe
 from .errors import ConfigError, VersionAgeError
 from .experiments import STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
-from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, RenewalLimits, WindowedCount, run_checks
+from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, RenewalLimits, WindowedCount, _usable_cpus, _workers
+from .renewal import run_checks
 # not called here, but bench/spans.py traces these verifiers under these names
 from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
 from .renewal import verify_windowed_count_limit  # noqa: F401
@@ -427,14 +429,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _threads(text: str) -> int:
+    """A --threads value, refused below 1 by the pools' own rule."""
+    try:
+        _workers(threads := int(text), 1)
+    except ValueError as exc:  # not an integer, or InvalidParameter
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return threads
+
+
 def _add_run_flags(parser, horizon=None, iterations=None, seed=None, estimator=None) -> None:
     """The flags simulate and sweep share, with that command's defaults."""
     parser.add_argument("--horizon", type=float, default=horizon)
     parser.add_argument("--iterations", type=int, default=iterations)
     parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument("--estimator", choices=ESTIMATORS, default=estimator)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes, at most one per CPU; affects speed only, never results")
     parser.add_argument("--out", help="output base path (writes .json and .csv)")
 
 
@@ -476,9 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="limit checks' horizon (default: 60 mean gaps of the slowest law, >= 100)")
     p_verify.add_argument("--paths", type=int, default=DEFAULT_PATHS)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                          help="worker processes, at most one per CPU (default: every CPU); "
-                          "affects speed only, never results")
     p_verify.add_argument("--out", help="write a JSON report here")
 
     p_sweep = sub.add_parser("sweep", help="analytic-vs-simulation comparison sweeps")
@@ -490,6 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--vary-source", metavar="PARAM",
                          help="source-distribution parameter varied in custom sweeps")
 
+    for p in (p_sim, p_verify, p_sweep):
+        p.add_argument("--threads", type=_threads, default=_usable_cpus(),
+                       help="worker processes, at most one per usable CPU (default: every usable CPU); "
+                       "affects speed only, never results")
     return parser
 
 

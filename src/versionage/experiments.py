@@ -94,19 +94,9 @@ class ExperimentSweep:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for p in self.points:
-            writer.writerow(
-                [
-                    self.kind,
-                    repr(float(p.param)),
-                    repr(float(p.analytic)),
-                    repr(float(p.outcome.mean)),
-                    repr(float(p.outcome.stderr)),
-                    repr(float(p.z)),
-                    p.outcome.iterations,
-                    repr(float(p.outcome.horizon)),
-                    p.seed,
-                ]
-            )
+            floats = (p.param, p.analytic, p.outcome.mean, p.outcome.stderr, p.z)
+            writer.writerow([self.kind, *(repr(float(x)) for x in floats), p.outcome.iterations,
+                             repr(float(p.outcome.horizon)), p.seed])
         return buf.getvalue()
 
     def to_dict(self) -> dict:

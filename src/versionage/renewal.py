@@ -37,7 +37,7 @@ and those no path reaches by max(t), comparing only the band between.
 A check (:class:`RenewalLimits`, :class:`WindowedCount`) is validated when
 built, and chunk k of its paths is a function of the check and k alone, its
 streams keyed by (seed, scope, k).  :func:`run_checks` runs every chunk of a
-list of checks, in process or on one process pool for the whole list, and
+list of checks through :func:`pool_map`, the simulator's pool loop too, and
 adds each check's chunk sums in chunk order, so every result keeps its bytes
 for any worker count; the public verifiers are its one-check case.
 """
@@ -80,9 +80,9 @@ _MIN_VERIFIER_PATHS = 10_000
 #: paths per verifier chunk; the last chunk holds the rest
 _VERIFIER_CHUNK = 2048
 #: pool tasks a worker may have submitted and not yet read, so that a run's
-#: pending tasks do not grow with its paths
+#: pending tasks do not grow with its jobs
 _IN_FLIGHT = 4
-#: most chunks in one pool task: each task is a round trip through the pool,
+#: most jobs in one pool task: each task is a round trip through the pool,
 #: which costs the parent CPU time the workers could use
 _TASK_CHUNKS = 4
 
@@ -415,51 +415,58 @@ class WindowedCount:
         return _limit_check(*sums, self.n_paths, self.target)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else those installed."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _workers(threads: int, jobs: int) -> int:
-    """Worker processes for ``jobs`` independent jobs: ``threads``, but at
-    most one per CPU and one per job, and at least one."""
-    return max(1, min(int(threads), os.cpu_count() or 1, jobs))
+    """Worker processes for ``jobs`` independent jobs: ``threads``, refused
+    below 1, but at most one per usable CPU and one per job, and at least one."""
+    if threads < 1:
+        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    return max(1, min(int(threads), _usable_cpus(), jobs))
+
+
+def pool_map(run, jobs, threads: int) -> list:
+    """The lists ``run`` returns for successive slices of ``jobs``, joined
+    in job order, on :func:`_workers` processes: ``run(jobs)`` in process
+    for one worker, else one process pool with tasks of up to
+    :data:`_TASK_CHUNKS` jobs (fewer where a worker would get under
+    :data:`_IN_FLIGHT` tasks), at most :data:`_IN_FLIGHT` a worker pending."""
+    workers = _workers(threads, len(jobs))
+    if workers == 1:
+        return run(jobs)
+    size = max(1, min(_TASK_CHUNKS, len(jobs) // (_IN_FLIGHT * workers)))
+    read, pending = [], deque()
+    # the platform's default start method, fork on Linux: the pool forks
+    # its workers before it starts its own thread, and the program starts
+    # none.  Spawned workers would import numpy afresh, which on 2 vCPUs
+    # costs the default battery its whole gain (0.67 s against 0.40 s)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(jobs), size):
+            if len(pending) == _IN_FLIGHT * workers:
+                read += pending.popleft().result()
+            pending.append(pool.submit(run, jobs[start:start + size]))
+        for future in pending:
+            read += future.result()
+    return read
 
 
 def _run_chunks(chunks) -> list[tuple[float, ...]]:
-    """Each (check's ``sums``, chunk index, path count)'s sums, in order: one
-    pool task."""
+    """Each (check's ``sums``, chunk index, path count)'s sums, in order."""
     return [sums(chunk, paths) for sums, chunk, paths in chunks]
 
 
 def run_checks(checks, threads: int = 1) -> list:
-    """Each check's result, in order, from one run of all their chunks.
-
-    A check's chunk k holds :data:`_VERIFIER_CHUNK` paths (the last the
-    rest) drawn from streams keyed by (seed, scope, k), so it is a function
-    of the check and k alone.  With one worker (see :func:`_workers`) the
-    chunks run in process.  Otherwise they run on one process pool for
-    every check, in tasks of up to :data:`_TASK_CHUNKS` successive chunks
-    (fewer where that would leave a worker under :data:`_IN_FLIGHT` tasks),
-    with at most :data:`_IN_FLIGHT` tasks a worker submitted and not yet
-    read.  Either way each check's chunk sums are added in chunk order, so
-    a result keeps its bytes for any ``threads``.
-    """
+    """Each check's result, in order, from one :func:`pool_map` of all their
+    chunks.  A check's chunk k holds :data:`_VERIFIER_CHUNK` paths (the last
+    the rest) drawn from streams keyed by (seed, scope, k), so it is a
+    function of the check and k alone, and its sums are added in chunk
+    order: a result keeps its bytes for any ``threads``."""
     chunks = [(check.sums, chunk, min(_VERIFIER_CHUNK, check.n_paths - start))
               for check in checks for chunk, start in enumerate(range(0, check.n_paths, _VERIFIER_CHUNK))]
-    workers = _workers(threads, len(chunks))
-    if workers == 1:
-        read = _run_chunks(chunks)
-    else:
-        size = max(1, min(_TASK_CHUNKS, len(chunks) // (_IN_FLIGHT * workers)))
-        read, pending = [], deque()
-        # the platform's default start method, fork on Linux: the pool forks
-        # its workers before it starts its own thread, and the program starts
-        # none.  Spawned workers would import numpy afresh, which on 2 vCPUs
-        # costs the default battery its whole gain (0.67 s against 0.40 s)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, len(chunks), size):
-                if len(pending) == _IN_FLIGHT * workers:
-                    read += pending.popleft().result()
-                pending.append(pool.submit(_run_chunks, chunks[start:start + size]))
-            for future in pending:
-                read += future.result()
-    results, read = [], iter(read)
+    results, read = [], iter(pool_map(_run_chunks, chunks, threads))
     for check in checks:
         totals = None
         for _ in range(0, check.n_paths, _VERIFIER_CHUNK):

@@ -42,7 +42,8 @@ point, the same one any order of evaluation reaches.
 Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
 reads row j of its :func:`_block_rows`, so a replication is a function of
-(master seed, iteration) alone, whatever the run's length or worker count.
+(master seed, iteration) alone, whatever the run's length or worker count
+(a run's blocks go whole through :func:`~versionage.renewal.pool_map`).
 The rows are successive draws whose first gaps are one batch, read as one
 array where every row passes the horizon within its share of the batch.
 One run may read several replicators at one master seed (every point of a
@@ -61,8 +62,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, islice
 
 import numpy as np
@@ -70,7 +71,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, _workers, event_times_until
+from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, event_times_until, pool_map
 from .rng import RngStream, check_seed
 
 __all__ = [
@@ -560,10 +561,10 @@ class _Replicator:
         return versions
 
 
-def _run_iteration_block(args) -> list[np.ndarray]:
-    """Worker: replications [start, stop) of every replicator in ``reps``,
-    in iteration order, one array per replicator with one row of its
-    targets' readings each.
+def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np.ndarray]]:
+    """Worker: successive blocks ``blocks`` of every replicator in ``reps``,
+    clipped at ``iterations``, as one result: one array per replicator with
+    one row of its targets' readings per replication.
 
     Block by block, each replicator in turn reads a row of each of its
     streams per replication.  A (stream id, law) at one horizon comes from
@@ -574,15 +575,13 @@ def _run_iteration_block(args) -> list[np.ndarray]:
     beyond the shared arrays.  The generators are the run's, one per stream
     place, reseeded by every draw.
     """
-    reps, master_seed, start, stop = args
-    outs = [np.empty((stop - start, len(rep.targets)), rep.dtype) for rep in reps]
     keys: dict[tuple, int] = {}  # (stream id, law, horizon) -> its place in ``held``
     slots = [[keys.setdefault((*stream, rep.horizon), len(keys)) for stream in rep.streams] for rep in reps]
     last = {k: p for p, ks in enumerate(slots) for k in ks}  # per key, the last replicator that reads it
     rngs = [RngStream(0) for _ in range(max(len(ks) for ks in slots))]
-    for block in range(start // BLOCK, -(-stop // BLOCK)):
-        first = block * BLOCK
-        skip, end = max(start - first, 0), min(stop - first, BLOCK)
+    first, stop = blocks[0] * BLOCK, min(blocks[-1] * BLOCK + BLOCK, iterations)
+    outs = [np.empty((stop - first, len(rep.targets)), rep.dtype) for rep in reps]
+    for block in blocks:
         held: list[np.ndarray | None] = [None] * len(keys)
         for p, (rep, ks, out) in enumerate(zip(reps, slots, outs)):
             rows = []
@@ -592,26 +591,20 @@ def _run_iteration_block(args) -> list[np.ndarray]:
                     drawn = _block_rows(dist, rng, rep.horizon, master_seed, block, sid)
                 held[k] = drawn if last[k] > p and isinstance(drawn, np.ndarray) else None
                 rows.append(drawn)
-            for row, events in zip(out[first + skip - start :], islice(zip(*rows), skip, end)):
+            # ``out`` first: past its last row, no further row is drawn
+            for row, events in zip(out[block * BLOCK - first :], zip(*rows)):
                 row[:] = rep._read(events)
-    return outs
+    return [outs]
 
 
 def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threads: int) -> list[np.ndarray]:
     """Replications [0, iterations) of every replicator at ``master_seed``,
-    as one run (see :func:`_run_iteration_block`): per replicator, one row
-    of its targets' readings per replication.  ``threads`` affects speed
-    only: at most one worker process runs per CPU, and each takes whole
-    blocks but for the last."""
-    blocks = -(-iterations // BLOCK)
-    workers = _workers(threads, blocks)
-    step = -(-blocks // workers) * BLOCK
-    ranges = [(reps, master_seed, a, min(a + step, iterations)) for a in range(0, iterations, step)]
-    if len(ranges) == 1:
-        done = [_run_iteration_block(ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            done = list(pool.map(_run_iteration_block, ranges))
+    as one run (see :func:`_run_blocks`): per replicator, one row of its
+    targets' readings per replication.  ``threads`` affects speed only: the
+    blocks go through :func:`~versionage.renewal.pool_map`, all in one call
+    in process or a few whole blocks a task, joined in block order."""
+    blocks = range(-(-iterations // BLOCK))
+    done = pool_map(partial(_run_blocks, reps, master_seed, iterations), blocks, threads)
     return [np.concatenate(parts) for parts in zip(*done)]
 
 

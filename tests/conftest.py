@@ -36,3 +36,60 @@ def alarm():
     yield signal.alarm
     signal.alarm(0)
     signal.signal(signal.SIGALRM, old)
+
+
+class _LazyPool:
+    """Stands in for the process pool: runs each task here when its result
+    is read, counting the tasks submitted and not yet read, and recording
+    the jobs each holds."""
+
+    def __init__(self, max_workers):
+        self.workers, self.pending, self.peak, self.tasks = max_workers, 0, 0, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, jobs):
+        self.tasks.append(list(jobs))
+        self.pending += 1
+        self.peak = max(self.peak, self.pending)
+        pool = self
+
+        class Future:
+            def result(self):
+                pool.pending -= 1
+                return fn(jobs)
+
+        return Future()
+
+
+@pytest.fixture
+def lazy_pool(monkeypatch):
+    """Put a :class:`_LazyPool` in place of every process pool; the list of
+    pools built, in order."""
+    from versionage import renewal
+
+    made = []
+
+    def pool(max_workers):
+        made.append(_LazyPool(max_workers))
+        return made[-1]
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", pool)
+    return made
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that worker counts and the CLI's --threads
+    default read."""
+    from versionage import cli, renewal
+
+    def use(n):
+        for owner in (renewal, cli):
+            monkeypatch.setattr(owner, "_usable_cpus", lambda: n)
+
+    return use

@@ -594,8 +594,8 @@ def test_verify_zero_stderr_z_has_the_sign_of_the_error(capsys):
     assert "estimate=0.00000 target=0.50000 z=-inf FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("cpus", [2, None], ids=["2-cpus", "unknown-cpus"])
-def test_verify_reports_keep_their_bytes_at_any_threads(tmp_path, capsys, monkeypatch, cpus):
+@pytest.mark.parametrize("usable", [2, None], ids=["2-cpus", "unknown-cpus"])
+def test_verify_reports_keep_their_bytes_at_any_threads(tmp_path, capsys, monkeypatch, cpus, usable):
     # every check's chunks run on one pool for the whole run, or in process
     # where one worker is all there is, and their sums are added in chunk
     # order: the report is byte-equal at --threads 1, 2 and the default
@@ -611,7 +611,11 @@ def test_verify_reports_keep_their_bytes_at_any_threads(tmp_path, capsys, monkey
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(renewal, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if usable:
+        cpus(usable)
+    else:  # no affinity set and an unknown CPU count: one usable CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
     argv = ["verify", "rayleigh:sigma=1", "--window", "exponential:rate=2", "exponential:rate=1",
             "--paths", "10000", "--seed", "11"]
     reports = []
@@ -620,16 +624,46 @@ def test_verify_reports_keep_their_bytes_at_any_threads(tmp_path, capsys, monkey
         assert run([*argv, *threads, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
-    assert starts == ([2, 2] if cpus else [])
+    assert starts == ([2, 2] if usable else [])
 
 
-def test_verify_threads_default_to_every_cpu(monkeypatch):
+def test_verify_threads_default_to_every_cpu(monkeypatch, cpus):
     from versionage.cli import build_parser
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # no affinity set and an unknown CPU count: one usable CPU
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        patch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(["verify"]).threads == 1
+    cpus(3)
     assert build_parser().parse_args(["verify"]).threads == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert build_parser().parse_args(["verify"]).threads == 1
+
+
+def test_simulate_and_sweep_threads_default_to_every_cpu(cpus):
+    from versionage.cli import build_parser
+
+    cpus(3)
+    assert build_parser().parse_args(["simulate", "config.json"]).threads == 3
+    assert build_parser().parse_args(["sweep", "fig5"]).threads == 3
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_threads_below_one_exit_1_before_any_work(tmp_path, capsys, monkeypatch, command, threads):
+    from versionage import renewal
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker may start")
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", no_pool)
+    out = str(tmp_path / "out")
+    argv = {"simulate": ["simulate", write_config(tmp_path, CHAIN_CONFIG)],
+            "sweep": ["sweep", "fig5", "--values", "1/3", "--iterations", "16"],
+            "verify": ["verify", "exponential:rate=1", "--paths", "10000"]}[command]
+    assert run([*argv, "--threads", threads, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: argument --threads: threads must be at least 1, got {threads}\n"
+    assert captured.out == "" and os.listdir(tmp_path) == ["net.json"]
 
 
 @pytest.mark.parametrize(

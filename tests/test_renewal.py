@@ -516,38 +516,7 @@ def test_verify_record_fingerprint():
 # -- the chunk pool ------------------------------------------------------------
 
 
-class _LazyPool:
-    """Stands in for the process pool: runs each task here when its result
-    is read, counting the tasks submitted and not yet read, and recording
-    how many chunks each holds."""
-
-    made: list = []  # every pool built
-
-    def __init__(self, max_workers):
-        self.workers, self.pending, self.peak, self.sizes = max_workers, 0, 0, []
-        _LazyPool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.sizes.append(len(args[0]))
-        self.pending += 1
-        self.peak = max(self.peak, self.pending)
-        pool = self
-
-        class Future:
-            def result(self):
-                pool.pending -= 1
-                return fn(*args)
-
-        return Future()
-
-
-def test_threads_leave_every_record_unchanged(monkeypatch):
+def test_threads_leave_every_record_unchanged(monkeypatch, cpus):
     # 10 000 paths are four full chunks and a partial one; at two workers
     # they run in one real pool per call, and the sums are added in chunk
     # order, so the results are equal, not merely close
@@ -561,7 +530,7 @@ def test_threads_leave_every_record_unchanged(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(renewal, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(renewal.os, "cpu_count", lambda: 2)
+    cpus(2)
     spec, probe = ChiSquare(k=1), Uniform(lo=0.0, hi=2.0)
 
     def checks(threads):
@@ -575,21 +544,60 @@ def test_threads_leave_every_record_unchanged(monkeypatch):
     assert multiprocessing.active_children() == []  # each call's pool is shut down and joined
 
 
-def test_pending_tasks_stay_within_the_bound(monkeypatch):
+def test_pending_tasks_stay_within_the_bound(monkeypatch, lazy_pool, cpus):
     # a run keeps at most _IN_FLIGHT tasks a worker submitted and not yet
     # read, however many chunks it has.  Two checks of 2 048-path chunks
     # make 10 chunks, too few to group; 64-path chunks make 314, sent
     # _TASK_CHUNKS at a time
-    monkeypatch.setattr(renewal.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(renewal, "ProcessPoolExecutor", _LazyPool)
+    cpus(2)
     for chunk, size, tasks in ((2048, 1, 10), (64, renewal._TASK_CHUNKS, 79)):
         monkeypatch.setattr(renewal, "_VERIFIER_CHUNK", chunk)
-        monkeypatch.setattr(_LazyPool, "made", [])
+        lazy_pool.clear()
         checks = [renewal.RenewalLimits(Exponential(rate=1.0), [10.0], 100.0, N_PATHS, 3),
                   renewal.WindowedCount(Exponential(rate=2.0), Exponential(rate=1.0), 100.0, N_PATHS, 3)]
         serial = renewal.run_checks(checks, threads=1)
-        assert _LazyPool.made == []
+        assert lazy_pool == []
         assert renewal.run_checks(checks, threads=4) == serial
-        (pool,) = _LazyPool.made
+        (pool,) = lazy_pool
         assert pool.workers == 2 and pool.peak == renewal._IN_FLIGHT * 2 and pool.pending == 0
-        assert len(pool.sizes) == tasks and max(pool.sizes) == size
+        assert len(pool.tasks) == tasks and max(map(len, pool.tasks)) == size
+
+
+def test_worker_count_is_capped_by_usable_cpus_and_jobs(cpus):
+    cpus(3)
+    assert renewal._workers(1000, 50) == 3
+    assert renewal._workers(2, 50) == 2
+    assert renewal._workers(1000, 2) == 2
+    assert renewal._workers(4, 0) == 1
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_refused_before_any_draw(monkeypatch, threads):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be drawn and no worker may start")
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", fail)
+    check = renewal.RenewalLimits(Exponential(rate=1.0), [10.0], 100.0, N_PATHS, 3)
+    monkeypatch.setattr(check, "sums", fail)
+    with pytest.raises(InvalidParameter, match=f"threads must be at least 1, got {threads}"):
+        renewal.run_checks([check], threads=threads)
+    with pytest.raises(InvalidParameter, match="threads must be at least 1"):
+        renewal._workers(threads, 10)
+
+
+def test_usable_cpus_are_the_affinity_set_where_there_is_one(monkeypatch, lazy_pool):
+    # two of four installed CPUs may be used, then one: at one, a run asking
+    # for four workers runs in process
+    monkeypatch.setattr(renewal.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(renewal.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert renewal._usable_cpus() == 2
+    monkeypatch.setattr(renewal.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert renewal._usable_cpus() == 1
+    check = renewal.RenewalLimits(Exponential(rate=1.0), [10.0], 100.0, N_PATHS, 3)
+    assert renewal.run_checks([check], threads=4) == renewal.run_checks([check], threads=1)
+    assert lazy_pool == []
+    # without an affinity set, the installed count; an unknown one is one CPU
+    monkeypatch.delattr(renewal.os, "sched_getaffinity", raising=False)
+    assert renewal._usable_cpus() == 4
+    monkeypatch.setattr(renewal.os, "cpu_count", lambda: None)
+    assert renewal._usable_cpus() == 1

@@ -30,6 +30,7 @@ from versionage import (
     monte_carlo,
     simulate_once,
 )
+from versionage import renewal
 from versionage.experiments import fig5_network, fig6_network
 from versionage.analytic import link_contribution
 from versionage.renewal import Z_GATE, event_times_until, z_score
@@ -328,15 +329,16 @@ MIXED_TREE = CacheNetwork(
 
 
 def test_tree_fast_path_matches_event_engine():
-    from versionage.simulator import _run_iteration_block
+    from versionage.simulator import _run_blocks
 
+    # 30 iterations: three whole blocks and one clipped at 6 rows
     targets = ["b", "c", "d", "e"]
     reps = {e: _Replicator(MIXED_TREE, targets, 40.0, e) for e in ESTIMATORS}
+    fast = {e: _run_blocks([rep], 123, 30, range(4))[0][0] for e, rep in reps.items()}
     for it in range(30):
         slow = simulate_once(MIXED_TREE, 40.0, master_seed=123, iteration=it)
-        for estimator, rep in reps.items():
-            (fast,) = _run_iteration_block(([rep], 123, it, it + 1))
-            assert fast[0].tolist() == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
+        for estimator in ESTIMATORS:
+            assert fast[estimator][it].tolist() == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
 
 
 TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
@@ -564,52 +566,72 @@ def test_a_replicator_that_has_run_still_goes_through_the_pool():
     # the pool: its generators are the run's, not its own (monte_carlo sends
     # a fresh replicator, so this one is sent directly)
     from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
 
-    from versionage.simulator import _run_iteration_block
+    from versionage.simulator import _run_blocks
 
     rep = _Replicator(CYCLIC_GRAPH, ["c", "d"], 30.0, "terminal")
-    (serial,) = _run_iteration_block(([rep], 4, 0, 12))
+    run = partial(_run_blocks, [rep], 4, 12)
+    [(serial,)] = run([0, 1])
     with ProcessPoolExecutor(max_workers=2) as pool:
-        blocks = [rows for (rows,) in pool.map(_run_iteration_block, [([rep], 4, 0, 6), ([rep], 4, 6, 12)])]
+        blocks = [rows for [(rows,)] in pool.map(run, [[0], [1]])]
     assert np.array_equal(np.concatenate(blocks), serial)
 
 
-def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch):
+def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch, lazy_pool):
     import os
 
-    from versionage import simulator
-
-    class SerialPool:
-        """Stands in for the process pool: records max_workers, runs here."""
-
-        asked = []
-
-        def __init__(self, max_workers):
-            self.asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus = renewal._usable_cpus
     network = chain(Exponential(rate=1.0), [Uniform(lo=0.0, hi=2.0)] * 2)
     kw = dict(horizon=40.0, iterations=30, master_seed=7)
+    monkeypatch.setattr(renewal, "_usable_cpus", lambda: 2)
     serial = monte_carlo(network, **kw, threads=1)
-    assert SerialPool.asked == []
+    assert lazy_pool == []
     capped = monte_carlo(network, **kw, threads=5)
-    assert SerialPool.asked == [2]
+    assert [pool.workers for pool in lazy_pool] == [2]
     assert np.array_equal(serial["n2"].samples, capped["n2"].samples)
-    # an unknown CPU count counts as one CPU: no pool at all
+    # the usable CPUs are the affinity set: one of four installed is one
+    # CPU, and so is an unknown count without an affinity set: no pool at all
+    monkeypatch.setattr(renewal, "_usable_cpus", usable_cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pinned = monte_carlo(network, **kw, threads=5)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     unknown = monte_carlo(network, **kw, threads=5)
-    assert SerialPool.asked == [2]
+    assert len(lazy_pool) == 1
+    assert np.array_equal(serial["n2"].samples, pinned["n2"].samples)
     assert np.array_equal(serial["n2"].samples, unknown["n2"].samples)
+
+
+def test_pool_tasks_are_runs_of_whole_blocks_within_the_bound(lazy_pool, cpus):
+    # 797 iterations are 100 blocks, the last of 5 rows: at two workers
+    # they go _TASK_CHUNKS blocks a task, at most _IN_FLIGHT tasks a worker
+    # pending, and are joined in block order
+    cpus(2)
+    network = chain(Exponential(rate=1.0), [Uniform(lo=0.0, hi=2.0), Exponential(rate=2.0)])
+    kw = dict(horizon=20.0, iterations=797, master_seed=9, estimator="time_average")
+    serial = monte_carlo(network, **kw, threads=1)
+    assert lazy_pool == []
+    pooled = monte_carlo(network, **kw, threads=2)
+    (pool,) = lazy_pool
+    assert pool.workers == 2 and pool.peak == renewal._IN_FLIGHT * 2 and pool.pending == 0
+    size = renewal._TASK_CHUNKS
+    assert pool.tasks == [list(range(b, b + size)) for b in range(0, 100, size)]
+    assert np.array_equal(serial["n2"].samples, pooled["n2"].samples)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_monte_carlo_refuses_threads_below_one_before_any_draw(monkeypatch, threads):
+    from versionage import simulator
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be drawn and no worker may start")
+
+    monkeypatch.setattr(renewal, "ProcessPoolExecutor", fail)
+    monkeypatch.setattr(simulator, "_block_rows", fail)
+    with pytest.raises(InvalidParameter, match=f"threads must be at least 1, got {threads}"):
+        monte_carlo(MIXED_TREE, horizon=40.0, iterations=30, threads=threads)
 
 
 def test_monte_carlo_general_graph_matches_simulate_once():
