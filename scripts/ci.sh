@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), nested-sweep, shared-stream-sweep, verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -175,8 +175,8 @@ EOF
         cmp <(tail -n 1 "$work/fig5-shared-$estimator-1_3,2_3.csv") <(tail -n +2 "$work/fig5-shared-$estimator-2_3.csv")
         cmp <(tail -n 1 "$work/fig7-shared-$estimator-0.05,0.15.csv") <(tail -n +2 "$work/fig7-shared-$estimator-0.15.csv")
     done
-    # 13 replications: the first worker takes block 0 (replications 0-7) and
-    # the second the rest, so its range ends mid-block.  fig5 reads each
+    # 13 replications are two blocks: two workers take one each, and the
+    # second (replications 8-12) ends mid-block.  fig5 reads each
     # stream's block as one batch; a beta(0.01, 1.5) link at horizon 20 has
     # rows that end short of the horizon, so at seed 1 its block 1 is drawn
     # one row at a time, each row drawing on past its share of the batch
@@ -199,6 +199,13 @@ EOF
     cmp "$work/fig5-13-threads-1.csv" "$work/fig5-13-threads-2.csv"
     cmp "$work/general-13-threads-1.json" "$work/general-13-threads-2.json"
     cmp "$work/short-rows-threads-1.json" "$work/short-rows-threads-2.json"
+    # 261 replications are 33 blocks, the last of 5 rows: two workers take
+    # them in 11 contiguous slices of 3 blocks, joined in block order
+    for threads in 1 2; do
+        python -m versionage.cli sweep fig7 --estimator time_average --iterations 261 --threads "$threads" \
+            --out "$work/fig7-261-threads-$threads" > /dev/null
+    done
+    cmp "$work/fig7-261-threads-1.csv" "$work/fig7-261-threads-2.csv"
     # a beta(0.001, 1) link draws mostly zero gaps: at horizon 12 its first
     # slab takes the admitted 1.25 n + 32 events, and some streams extend
     # past it, in process and in the pool

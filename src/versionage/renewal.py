@@ -37,9 +37,10 @@ and those no path reaches by max(t), comparing only the band between.
 A check (:class:`RenewalLimits`, :class:`WindowedCount`) is validated when
 built, and chunk k of its paths is a function of the check and k alone, its
 streams keyed by (seed, scope, k).  :func:`run_checks` runs every chunk of a
-list of checks through :func:`pool_map`, the simulator's pool loop too, and
-adds each check's chunk sums in chunk order, so every result keeps its bytes
-for any worker count; the public verifiers are its one-check case.
+list of checks through :func:`pool_map`, the simulator's pool loop too,
+which gives each worker a few contiguous slices of the chunks, and adds each
+check's chunk sums in chunk order, so every result keeps its bytes for any
+worker count; the public verifiers are its one-check case.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -79,12 +79,11 @@ DEFAULT_PATHS = 20_000
 _MIN_VERIFIER_PATHS = 10_000
 #: paths per verifier chunk; the last chunk holds the rest
 _VERIFIER_CHUNK = 2048
-#: pool tasks a worker may have submitted and not yet read, so that a run's
-#: pending tasks do not grow with its jobs
-_IN_FLIGHT = 4
-#: most jobs in one pool task: each task is a round trip through the pool,
-#: which costs the parent CPU time the workers could use
-_TASK_CHUNKS = 4
+#: contiguous slices of a run's jobs per pool worker, all submitted at once.
+#: Each slice is a round trip through the pool that costs the parent CPU
+#: time; fewer, longer slices leave a worker idle while another finishes
+#: its last one (at 4 the default battery ran slower on 2 vCPUs)
+_TASKS_PER_WORKER = 8
 
 
 def event_times_until(spec: Distribution, rng: RngStream, t: float, head: list | None = None) -> np.ndarray:
@@ -429,27 +428,27 @@ def _workers(threads: int, jobs: int) -> int:
 
 
 def pool_map(run, jobs, threads: int) -> list:
-    """The lists ``run`` returns for successive slices of ``jobs``, joined
+    """The lists ``run`` returns for contiguous slices of ``jobs``, joined
     in job order, on :func:`_workers` processes: ``run(jobs)`` in process
-    for one worker, else one process pool with tasks of up to
-    :data:`_TASK_CHUNKS` jobs (fewer where a worker would get under
-    :data:`_IN_FLIGHT` tasks), at most :data:`_IN_FLIGHT` a worker pending."""
+    for one worker, else one process pool given every slice at once, at
+    most :data:`_TASKS_PER_WORKER` a worker, all but the last of one size.
+    If a slice raises, the slices not yet started are cancelled and its
+    exception is raised."""
     workers = _workers(threads, len(jobs))
     if workers == 1:
         return run(jobs)
-    size = max(1, min(_TASK_CHUNKS, len(jobs) // (_IN_FLIGHT * workers)))
-    read, pending = [], deque()
+    size = -(-len(jobs) // (_TASKS_PER_WORKER * workers))
+    read = []
     # the platform's default start method, fork on Linux: the pool forks
     # its workers before it starts its own thread, and the program starts
     # none.  Spawned workers would import numpy afresh, which on 2 vCPUs
     # costs the default battery its whole gain (0.67 s against 0.40 s)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(jobs), size):
-            if len(pending) == _IN_FLIGHT * workers:
-                read += pending.popleft().result()
-            pending.append(pool.submit(run, jobs[start:start + size]))
-        for future in pending:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for future in [pool.submit(run, jobs[start:start + size]) for start in range(0, len(jobs), size)]:
             read += future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return read
 
 

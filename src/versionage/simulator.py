@@ -43,7 +43,7 @@ Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
 reads row j of its :func:`_block_rows`, so a replication is a function of
 (master seed, iteration) alone, whatever the run's length or worker count
-(a run's blocks go whole through :func:`~versionage.renewal.pool_map`).
+(a run's blocks go whole, in contiguous slices, through :func:`~versionage.renewal.pool_map`).
 The rows are successive draws whose first gaps are one batch, read as one
 array where every row passes the horizon within its share of the batch.
 One run may read several replicators at one master seed (every point of a
@@ -602,7 +602,7 @@ def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threa
     as one run (see :func:`_run_blocks`): per replicator, one row of its
     targets' readings per replication.  ``threads`` affects speed only: the
     blocks go through :func:`~versionage.renewal.pool_map`, all in one call
-    in process or a few whole blocks a task, joined in block order."""
+    in process or a few contiguous slices a worker, joined in block order."""
     blocks = range(-(-iterations // BLOCK))
     done = pool_map(partial(_run_blocks, reps, master_seed, iterations), blocks, threads)
     return [np.concatenate(parts) for parts in zip(*done)]

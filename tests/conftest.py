@@ -40,30 +40,30 @@ def alarm():
 
 class _LazyPool:
     """Stands in for the process pool: runs each task here when its result
-    is read, counting the tasks submitted and not yet read, and recording
-    the jobs each holds."""
+    is read, recording the jobs each task holds and those of each task run.
+    Shut down, it runs every task not yet read, as a real pool finishes its
+    queue, unless told to cancel them."""
 
     def __init__(self, max_workers):
-        self.workers, self.pending, self.peak, self.tasks = max_workers, 0, 0, []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+        self.workers, self.tasks, self.ran, self.unread = max_workers, [], [], []
 
     def submit(self, fn, jobs):
         self.tasks.append(list(jobs))
-        self.pending += 1
-        self.peak = max(self.peak, self.pending)
         pool = self
 
         class Future:
             def result(self):
-                pool.pending -= 1
+                pool.unread.remove(self)
+                pool.ran.append(list(jobs))
                 return fn(jobs)
 
-        return Future()
+        self.unread.append(Future())
+        return self.unread[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        while self.unread and not cancel_futures:
+            self.unread[0].result()
+        self.unread.clear()
 
 
 @pytest.fixture

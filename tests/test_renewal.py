@@ -544,13 +544,13 @@ def test_threads_leave_every_record_unchanged(monkeypatch, cpus):
     assert multiprocessing.active_children() == []  # each call's pool is shut down and joined
 
 
-def test_pending_tasks_stay_within_the_bound(monkeypatch, lazy_pool, cpus):
-    # a run keeps at most _IN_FLIGHT tasks a worker submitted and not yet
-    # read, however many chunks it has.  Two checks of 2 048-path chunks
-    # make 10 chunks, too few to group; 64-path chunks make 314, sent
-    # _TASK_CHUNKS at a time
+def test_chunks_go_in_at_most_eight_contiguous_slices_a_worker(monkeypatch, lazy_pool, cpus):
+    # at two workers a run's chunks go in at most 8 x 2 contiguous slices of
+    # ceil(n / 16) chunks, all submitted at once, and are read in chunk
+    # order.  Two checks of 2 048-path chunks make 10 chunks, one a slice;
+    # 64-path chunks make 314, in 16 slices of up to 20
     cpus(2)
-    for chunk, size, tasks in ((2048, 1, 10), (64, renewal._TASK_CHUNKS, 79)):
+    for chunk, size, tasks in ((2048, 1, 10), (64, 20, 16)):
         monkeypatch.setattr(renewal, "_VERIFIER_CHUNK", chunk)
         lazy_pool.clear()
         checks = [renewal.RenewalLimits(Exponential(rate=1.0), [10.0], 100.0, N_PATHS, 3),
@@ -559,8 +559,32 @@ def test_pending_tasks_stay_within_the_bound(monkeypatch, lazy_pool, cpus):
         assert lazy_pool == []
         assert renewal.run_checks(checks, threads=4) == serial
         (pool,) = lazy_pool
-        assert pool.workers == 2 and pool.peak == renewal._IN_FLIGHT * 2 and pool.pending == 0
-        assert len(pool.tasks) == tasks and max(map(len, pool.tasks)) == size
+        assert pool.workers == 2 and len(pool.tasks) == tasks <= renewal._TASKS_PER_WORKER * 2
+        assert [len(task) for task in pool.tasks[:-1]] == [size] * (tasks - 1) and 0 < len(pool.tasks[-1]) <= size
+        chunks = [(check.sums, k, min(chunk, check.n_paths - start))
+                  for check in checks for k, start in enumerate(range(0, check.n_paths, chunk))]
+        assert [job for task in pool.tasks for job in task] == chunks
+        assert pool.ran == pool.tasks
+
+
+def test_a_raising_slice_cancels_the_slices_not_yet_started(lazy_pool, cpus):
+    # 40 jobs at two workers are 14 slices of up to 3.  The first slice's
+    # error reaches the caller, and the pool is shut down with the other
+    # slices cancelled, so none of them runs (a pool shut down without
+    # cancelling would run them all first)
+    cpus(2)
+
+    def run(jobs):
+        if jobs[0] == 0:
+            raise InvalidParameter("slice 0 refused")
+        return list(jobs)
+
+    assert renewal.pool_map(run, range(1, 41), threads=2) == list(range(1, 41))
+    lazy_pool.clear()
+    with pytest.raises(InvalidParameter, match="slice 0 refused"):
+        renewal.pool_map(run, range(40), threads=2)
+    (pool,) = lazy_pool
+    assert len(pool.tasks) == 14 and pool.ran == [[0, 1, 2]] and pool.unread == []
 
 
 def test_worker_count_is_capped_by_usable_cpus_and_jobs(cpus):

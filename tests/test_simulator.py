@@ -552,8 +552,11 @@ def test_simulate_once_reproduces_any_replication(network, targets, horizon, squ
         assert [out[t].samples[i].item() for t in targets] == [alone[t] for t in targets], i
 
 
-def test_monte_carlo_threads_do_not_change_results():
-    kw = dict(horizon=30.0, iterations=40, master_seed=4)
+def test_monte_carlo_threads_do_not_change_results(cpus):
+    # 261 iterations are 33 blocks, the last of 5 rows: a real two-worker
+    # pool takes them in slices of 3 blocks
+    cpus(2)
+    kw = dict(horizon=30.0, iterations=261, master_seed=4)
     for network, targets in ((MIXED_TREE, ["b", "c"]), (CYCLIC_GRAPH, ["c", "d"])):
         serial = monte_carlo(network, targets=targets, **kw, threads=1)
         parallel = monte_carlo(network, targets=targets, **kw, threads=2)
@@ -604,10 +607,10 @@ def test_monte_carlo_starts_at_most_one_worker_per_cpu(monkeypatch, lazy_pool):
     assert np.array_equal(serial["n2"].samples, unknown["n2"].samples)
 
 
-def test_pool_tasks_are_runs_of_whole_blocks_within_the_bound(lazy_pool, cpus):
+def test_pool_tasks_are_contiguous_slices_of_whole_blocks(lazy_pool, cpus):
     # 797 iterations are 100 blocks, the last of 5 rows: at two workers
-    # they go _TASK_CHUNKS blocks a task, at most _IN_FLIGHT tasks a worker
-    # pending, and are joined in block order
+    # they go in 15 contiguous slices of up to 7 blocks (at most 8 x 2),
+    # read and joined in block order
     cpus(2)
     network = chain(Exponential(rate=1.0), [Uniform(lo=0.0, hi=2.0), Exponential(rate=2.0)])
     kw = dict(horizon=20.0, iterations=797, master_seed=9, estimator="time_average")
@@ -615,9 +618,9 @@ def test_pool_tasks_are_runs_of_whole_blocks_within_the_bound(lazy_pool, cpus):
     assert lazy_pool == []
     pooled = monte_carlo(network, **kw, threads=2)
     (pool,) = lazy_pool
-    assert pool.workers == 2 and pool.peak == renewal._IN_FLIGHT * 2 and pool.pending == 0
-    size = renewal._TASK_CHUNKS
-    assert pool.tasks == [list(range(b, b + size)) for b in range(0, 100, size)]
+    assert pool.workers == 2 and len(pool.tasks) == 15 <= renewal._TASKS_PER_WORKER * 2
+    assert pool.tasks == [list(range(b, min(b + 7, 100))) for b in range(0, 100, 7)]
+    assert pool.ran == pool.tasks
     assert np.array_equal(serial["n2"].samples, pooled["n2"].samples)
 
 
