@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -199,6 +199,21 @@ EOF
     cmp "$work/fig5-13-threads-1.csv" "$work/fig5-13-threads-2.csv"
     cmp "$work/general-13-threads-1.json" "$work/general-13-threads-2.json"
     cmp "$work/short-rows-threads-1.json" "$work/short-rows-threads-2.json"
+    # a custom sweep of that config's source rate, at its horizon, iterations
+    # and seed: the three points share the link, whose block 0 at the
+    # sweep's seed is drawn row by row, once for all of them, in process and
+    # in the pool.  The last point must be the one-value sweep's row, seed
+    # column and all
+    for threads in 1 2; do
+        python -m versionage.cli sweep custom --config "$work/short-rows.json" --vary-source rate --values 1,2,3 \
+            --threads "$threads" --out "$work/custom-short-rows-threads-$threads" > /dev/null
+    done
+    python -m versionage.cli sweep custom --config "$work/short-rows.json" --vary-source rate --values 3 \
+        --out "$work/custom-short-rows-3" > /dev/null
+    for ext in csv json; do
+        cmp "$work/custom-short-rows-threads-1.$ext" "$work/custom-short-rows-threads-2.$ext"
+    done
+    cmp <(tail -n 1 "$work/custom-short-rows-threads-1.csv") <(tail -n +2 "$work/custom-short-rows-3.csv")
     # 261 replications are 33 blocks, the last of 5 rows: two workers take
     # them in 11 contiguous slices of 3 blocks, joined in block order
     for threads in 1 2; do

@@ -245,25 +245,24 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
+def _run_settings(args, cfg: RunConfig | None) -> dict:
+    """The run flags of simulate and sweep, each defaulting to the config's
+    setting, else to the library's default."""
+    base = ((cfg.horizon, cfg.iterations, cfg.master_seed, cfg.estimator) if cfg
+            else (DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, DEFAULT_ESTIMATOR))
+    flags = {"horizon": args.horizon, "iterations": args.iterations, "seed": args.seed, "estimator": args.estimator}
+    return {name: default if given is None else given for (name, given), default in zip(flags.items(), base)}
+
+
 def _cmd_simulate(args) -> int:
     cfg, config_hash = load_config(args.config)
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    iterations = args.iterations if args.iterations is not None else cfg.iterations
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    estimator = args.estimator if args.estimator is not None else cfg.estimator
+    run = _run_settings(args, cfg)
+    seed = run.pop("seed")
     targets = args.targets.split(",") if args.targets else cfg.targets
     out_base = args.out or cfg.output or "simulate_out"
     csv_path, json_path = _outputs(args.config, out_base + ".csv", out_base + ".json")
 
-    outcomes = monte_carlo(
-        cfg.network,
-        targets=targets,
-        horizon=horizon,
-        iterations=iterations,
-        master_seed=seed,
-        estimator=estimator,
-        threads=args.threads,
-    )
+    outcomes = monte_carlo(cfg.network, targets=targets, master_seed=seed, threads=args.threads, **run)
     rows = []
     for node, oc in outcomes.items():
         print(
@@ -375,23 +374,24 @@ def _parse_values(raw: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    common = {key: getattr(args, key)
-              for key in ("iterations", "horizon", "seed", "estimator", "threads")}
-    out_base = args.out or f"sweep_{args.kind}"
+    if args.kind in STUDIES and (args.config or args.vary_source):
+        raise ConfigError(f"--config and --vary-source are for custom sweeps; {args.kind} takes neither")
+    if args.kind not in STUDIES and not (args.config and args.vary_source and args.values):
+        raise ConfigError("custom sweeps need --config, --vary-source PARAM, and --values")
+    cfg, config_hash = load_config(args.config) if args.config else (None, None)
+    if cfg and cfg.targets is not None:
+        raise ConfigError(f"{args.config}: a sweep reads each point's deepest leaf; name no 'targets'")
+    # the config's run settings are the defaults under the flags, as in simulate
+    run = _run_settings(args, cfg)
+    out_base = args.out or (cfg and cfg.output) or f"sweep_{args.kind}"
     csv_path, json_path = _outputs(args.config, out_base + ".csv", out_base + ".json")
     # provenance hash covers the scientific request only; threads never
     # changes results and must not change output bytes
-    request = {"kind": args.kind, "values": args.values,
-               **{k: v for k, v in common.items() if k != "threads"}}
-    if args.kind in STUDIES:
+    request = {"kind": args.kind, "values": args.values, **run}
+    if cfg is None:
         values = _parse_values(args.values) if args.values else None
-        sweep = sweep_study(args.kind, values, **common)
+        sweep = sweep_study(args.kind, values, threads=args.threads, **run)
     else:  # custom: vary one source-distribution parameter over a base config
-        if not args.config or not args.vary_source or not args.values:
-            raise ConfigError(
-                "custom sweeps need --config, --vary-source PARAM, and --values"
-            )
-        cfg, config_hash = load_config(args.config)
         request["config_sha256"] = config_hash
         values = _parse_values(args.values)
         base = cfg.network.to_dict()
@@ -401,7 +401,7 @@ def _cmd_sweep(args) -> int:
             topo["source_dist"][param] = value
             return CacheNetwork.from_dict(topo)
 
-        sweep = sweep_network_family("custom", values, make_network, **common)
+        sweep = sweep_network_family("custom", values, make_network, threads=args.threads, **run)
 
     for p in sweep.points:
         print(
@@ -414,7 +414,7 @@ def _cmd_sweep(args) -> int:
           "PASS" if sweep.passed else "FAIL")
 
     payload = {
-        "meta": _meta(_sha256(json.dumps(request, sort_keys=True, default=str)), args.seed),
+        "meta": _meta(_sha256(json.dumps(request, sort_keys=True, default=str)), run["seed"]),
         "sweep": sweep.to_dict(),
     }
     _write((csv_path, sweep.csv_text()), (json_path, payload))
@@ -438,12 +438,13 @@ def _threads(text: str) -> int:
     return threads
 
 
-def _add_run_flags(parser, horizon=None, iterations=None, seed=None, estimator=None) -> None:
-    """The flags simulate and sweep share, with that command's defaults."""
-    parser.add_argument("--horizon", type=float, default=horizon)
-    parser.add_argument("--iterations", type=int, default=iterations)
-    parser.add_argument("--seed", type=int, default=seed)
-    parser.add_argument("--estimator", choices=ESTIMATORS, default=estimator)
+def _add_run_flags(parser) -> None:
+    """The flags simulate and sweep share; :func:`_run_settings` fills in
+    those not given."""
+    parser.add_argument("--horizon", type=float)
+    parser.add_argument("--iterations", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--estimator", choices=ESTIMATORS)
     parser.add_argument("--out", help="output base path (writes .json and .csv)")
 
 
@@ -491,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("kind", choices=(*STUDIES, "custom"))
     p_sweep.add_argument("--values", help="sweep values, comma-separated (fractions ok: 1/3)")
-    _add_run_flags(p_sweep, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED, DEFAULT_ESTIMATOR)
-    p_sweep.add_argument("--config", help="base config for custom sweeps")
+    _add_run_flags(p_sweep)
+    p_sweep.add_argument("--config", help="base config for custom sweeps, whose run settings are the defaults")
     p_sweep.add_argument("--vary-source", metavar="PARAM",
                          help="source-distribution parameter varied in custom sweeps")
 

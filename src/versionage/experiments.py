@@ -16,12 +16,12 @@ Every point records the analytic value, the Monte Carlo mean, its standard
 error, and the z-score of their difference.  A sweep passes its statistical
 gate when at most 1 point in 20 lands beyond 4 sigma.  Runs are reproducible:
 a sweep is one run of the engine at the seed derived from (master seed, kind,
-0), so equal seeds give byte-identical CSV output.  A sweep whose networks
-nest inside its largest one (the hop counts) runs that network with every
-point's leaf a target; any other reads one replicator per point and draws the
-streams its points share (fig5's links, fig7's source) once per block.
-Either way each point reads the samples of its own single-value run at that
-seed, and the points are correlated.
+0), so equal seeds give byte-identical CSV output.  Successive points whose
+networks nest one in the other share one replicator, their largest network
+with each of their leaves a target (fig6's hop counts are one group), and a
+block draws each stream that groups share (fig5's links, fig7's source) once.
+Each point reads the samples of its own single-value run at that seed, and
+the points are correlated.
 """
 
 from __future__ import annotations
@@ -213,13 +213,14 @@ def sweep_network_family(
     The target is the deepest leaf; the analytic column comes straight from
     :func:`expected_version_age` on each point's network.  Every point runs
     at one seed, derived from (seed, kind, 0), and the sweep is one run of
-    the engine.  When each point's network nests in the one with the most
-    nodes (see :func:`_nests`), that run is the largest network with every
-    point's target a target; otherwise it reads one replicator per point,
-    and a block draws the streams that points share (the same stream id and
-    law) once.  A target reads only its upstream streams, so either way each
-    point's samples are those of its own single-value run at that seed, and
-    the points are correlated.
+    the engine.  Points are grouped in order: a point joins the last group
+    when its network and the group's nest one in the other (see
+    :func:`_nests`), and the group keeps the larger; otherwise it starts a
+    new group.  Each group is one replicator with its points' targets (one
+    group alone is :func:`monte_carlo`'s run), and a block draws the streams
+    that groups share (the same stream id and law) once.  A target reads
+    only its upstream streams, so each point's samples are those of its own
+    single-value run at that seed, and the points are correlated.
     """
     check_seed(seed)
     if iterations < 2:
@@ -231,37 +232,31 @@ def sweep_network_family(
     check_samples(iterations, len(values), "points")
     # one pass builds each point's network, and so validates every value
     # before any point runs.  Nesting is transitive, so a point is checked
-    # against the largest network so far, and a larger network checks that
-    # the previous largest nests in it.  Once a point does not nest, each
-    # point gets its own replicator, those before it from the largest
-    # network so far: a target's upstream path, and so the streams it
-    # reads, are the same in every network it nests in.  No network but the
-    # largest and the current one is held.
-    targets, analytic, reps = [], [], []  # per point; reps once a point does not nest
-    big, nested = None, True
+    # against its group's largest network alone.  A group's network is
+    # dropped once its replicator is built: at most two networks are held.
+    analytic, where, reps = [], [], []  # per point: its analytic value and (group, target)
+    network, targets = None, {}  # the open group's largest network and its targets
     for value in values:
-        network = make_network(value)
-        target = _deepest_leaf(network)
-        check_run(network, horizon, iterations, estimator, [target])
-        targets.append(target)
-        analytic.append(expected_version_age(network).per_node[target])
-        larger = big is None or len(network.nodes) > len(big.nodes)
-        if nested and big is not None and not (_nests(big, network) if larger else _nests(network, big)):
-            nested = False
-            reps = [_Replicator(big, [t], horizon, estimator) for t in targets[:-1]]
-            big = None
-        if not nested:
-            reps.append(_Replicator(network, [target], horizon, estimator))
-        elif larger:
-            big = network
+        point = make_network(value)
+        target = _deepest_leaf(point)
+        check_run(point, horizon, iterations, estimator, [target])
+        analytic.append(expected_version_age(point).per_node[target])
+        larger = network is None or len(point.nodes) > len(network.nodes)
+        if network is not None and not (_nests(network, point) if larger else _nests(point, network)):
+            reps.append(_Replicator(network, list(targets), horizon, estimator))
+            network, targets, larger = None, {}, True
+        if larger:
+            network = point
+        targets[target] = None
+        where.append((len(reps), target))
     point_seed = derive_seed(seed, "sweep", kind, 0)
     run = dict(master_seed=point_seed, iterations=iterations, threads=threads)
-    if nested:
-        outcomes = monte_carlo(big, targets=list(dict.fromkeys(targets)), horizon=horizon, estimator=estimator, **run)
-        outcomes = [outcomes[t] for t in targets]
-    else:
-        outcomes = [SimOutcome.from_samples(t, estimator, rows[:, 0], horizon)
-                    for t, rows in zip(targets, _replicate(reps, **run))]
+    if reps:  # one run reads every group's replicator, the open last one's too
+        reps.append(_Replicator(network, list(targets), horizon, estimator))
+        outcomes = _replicate(reps, **run)
+    else:  # one group: monte_carlo's own run, the span bench/spans.py times it by
+        outcomes = [monte_carlo(network, list(targets), horizon=horizon, estimator=estimator, **run)]
+    outcomes = [outcomes[g][t] for g, t in where]
     points = [SweepPoint(v, a, o, point_seed) for v, a, o in zip(values, analytic, outcomes)]
     sweep = ExperimentSweep(kind=kind, points=points, estimator=estimator, master_seed=seed)
     if fit and len(points) >= 2:

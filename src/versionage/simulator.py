@@ -46,9 +46,9 @@ reads row j of its :func:`_block_rows`, so a replication is a function of
 (a run's blocks go whole, in contiguous slices, through :func:`~versionage.renewal.pool_map`).
 The rows are successive draws whose first gaps are one batch, read as one
 array where every row passes the horizon within its share of the batch.
-One run may read several replicators at one master seed (every point of a
-sweep, see :func:`_replicate`): a block then draws each stream id and law
-that they share once where it comes as one array, so every replicator reads
+One run may read several replicators at one master seed (each group of a
+sweep's points, see :func:`_replicate`): a block draws each stream id and
+law they share once, as one array or row by row, so every replicator reads
 the rows of its own run at that seed, and their readings are correlated.
 
 :func:`simulate_once` is the reference engine: a heap event loop over one
@@ -64,7 +64,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -202,12 +202,12 @@ def _check_streams(horizon: float, streams) -> None:
 def _block_rows(dist, rng: RngStream, horizon: float, master_seed: int, block: int, sid: tuple, whole=True):
     """Stream ``sid``'s event times in ``block``, one row per replication:
     BLOCK successive event_times_until draws at the horizon from ``rng``
-    reseeded to (master_seed, block, stream id), made as read, whose first
-    BLOCK * R gaps (R = :func:`_first_rows` at the horizon) are one batch
-    where that fits :data:`_EVENT_BUDGET`; that changes no bit of them but
-    for a beta with a whole b, whose sampler draws factor by factor.  With
-    ``whole``, if every row passes the horizon within its R gaps, they are
-    one array, the batch summed along rows of R."""
+    reseeded to (master_seed, block, stream id), whose first BLOCK * R gaps
+    (R = :func:`_first_rows` at the horizon) are one batch where that fits
+    :data:`_EVENT_BUDGET`; that changes no bit of them but for a beta with a
+    whole b, whose sampler draws factor by factor.  With ``whole``, if every
+    row passes the horizon within its R gaps, they are one array, the batch
+    summed along rows of R; otherwise they are a list of the BLOCK draws."""
     rng.reseed(master_seed, block, *sid)
     width = _first_rows(dist, horizon)
     fits = BLOCK * width <= _EVENT_BUDGET
@@ -218,7 +218,7 @@ def _block_rows(dist, rng: RngStream, horizon: float, master_seed: int, block: i
             return rows
         rng.reseed(master_seed, block, *sid)  # the batch again, as the draws' head
     head = [dist.sample_batch(rng, BLOCK * width)] if fits else []
-    return (event_times_until(dist, rng, horizon, head) for _ in range(BLOCK))
+    return [event_times_until(dist, rng, horizon, head) for _ in range(BLOCK)]
 
 
 def _window_integral(
@@ -245,8 +245,8 @@ def simulate_once(
     ``iteration`` = BLOCK * b + j steps through row j of the stream's
     :func:`_block_rows` in block b, so a replication is reproducible in
     isolation.  It reads the draws, never their one-array form, so it checks
-    that form, and draws rows 0..j - 1 off the block's batch too, since row j
-    starts where they end.  All caches start at version 0.
+    that form, and it draws the block's BLOCK rows as every run does, since
+    row j starts where rows 0..j - 1 end.  All caches start at version 0.
     Each instant's events are popped together: the source's renewals count,
     then the deliveries repeat until no version moves.
     """
@@ -256,8 +256,8 @@ def simulate_once(
     _check_streams(horizon, laws)
     block, row = divmod(iteration, BLOCK)
     rng = RngStream(check_seed(master_seed))  # each stream's block reseeds it
-    streams = [RenewalStream(next(islice(_block_rows(dist, rng, horizon, master_seed, block, sid, whole=False),
-                                         row, None))) for sid, dist in laws]
+    streams = [RenewalStream(_block_rows(dist, rng, horizon, master_seed, block, sid, whole=False)[row])
+               for sid, dist in laws]
     source = network.source
     # stream i moves node receivers[i]: stream 0 the source, the others links
     receivers = [source] + [link.dst for link in links]
@@ -354,6 +354,9 @@ class _Replicator:
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
         self.horizon = horizon
+        self.estimator = estimator
+        #: the targets' names, in the order of their readings
+        self.names = list(targets)
         self.terminal = estimator != "time_average"
         self._edges = np.array([horizon / 2.0, horizon])
         self.source_dist = network.source_dist
@@ -568,12 +571,10 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
 
     Block by block, each replicator in turn reads a row of each of its
     streams per replication.  A (stream id, law) at one horizon comes from
-    one :func:`_block_rows` call per block where it is one array: it is held
-    until the last replicator that reads it has, so replicators that share
-    it read the same rows.  A stream drawn row by row is drawn again for
-    each replicator, so at most one replicator's rows are held at a time
-    beyond the shared arrays.  The generators are the run's, one per stream
-    place, reseeded by every draw.
+    one :func:`_block_rows` call per block, as one array or row by row: it
+    is held until the last replicator that reads it has, so replicators
+    that share it read the same rows.  The generators are the run's, one
+    per stream place, reseeded by every draw.
     """
     keys: dict[tuple, int] = {}  # (stream id, law, horizon) -> its place in ``held``
     slots = [[keys.setdefault((*stream, rep.horizon), len(keys)) for stream in rep.streams] for rep in reps]
@@ -582,30 +583,31 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
     first, stop = blocks[0] * BLOCK, min(blocks[-1] * BLOCK + BLOCK, iterations)
     outs = [np.empty((stop - first, len(rep.targets)), rep.dtype) for rep in reps]
     for block in blocks:
-        held: list[np.ndarray | None] = [None] * len(keys)
+        held: list = [None] * len(keys)
         for p, (rep, ks, out) in enumerate(zip(reps, slots, outs)):
             rows = []
             for (sid, dist), k, rng in zip(rep.streams, ks, rngs):
                 drawn = held[k]
                 if drawn is None:
                     drawn = _block_rows(dist, rng, rep.horizon, master_seed, block, sid)
-                held[k] = drawn if last[k] > p and isinstance(drawn, np.ndarray) else None
+                held[k] = drawn if last[k] > p else None
                 rows.append(drawn)
-            # ``out`` first: past its last row, no further row is drawn
             for row, events in zip(out[block * BLOCK - first :], zip(*rows)):
                 row[:] = rep._read(events)
     return [outs]
 
 
-def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threads: int) -> list[np.ndarray]:
+def _replicate(reps: list[_Replicator], master_seed: int, iterations: int, threads: int) -> list[dict[str, SimOutcome]]:
     """Replications [0, iterations) of every replicator at ``master_seed``,
-    as one run (see :func:`_run_blocks`): per replicator, one row of its
-    targets' readings per replication.  ``threads`` affects speed only: the
-    blocks go through :func:`~versionage.renewal.pool_map`, all in one call
-    in process or a few contiguous slices a worker, joined in block order."""
+    as one run (see :func:`_run_blocks`): per replicator, one
+    :class:`SimOutcome` per target, each of its samples one replication in
+    iteration order.  ``threads`` affects speed only: the blocks go through
+    :func:`~versionage.renewal.pool_map`, all in one call in process or a
+    few contiguous slices a worker, joined in block order."""
     blocks = range(-(-iterations // BLOCK))
     done = pool_map(partial(_run_blocks, reps, master_seed, iterations), blocks, threads)
-    return [np.concatenate(parts) for parts in zip(*done)]
+    return [{t: SimOutcome.from_samples(t, rep.estimator, rows[:, k].copy(), rep.horizon)
+             for k, t in enumerate(rep.names)} for rep, rows in zip(reps, map(np.concatenate, zip(*done)))]
 
 
 def monte_carlo(
@@ -628,5 +630,5 @@ def monte_carlo(
     targets = network.leaves() if targets is None else list(targets)
     check_run(network, horizon, iterations, estimator, targets)
     check_seed(master_seed)
-    (rows,) = _replicate([_Replicator(network, targets, horizon, estimator)], master_seed, iterations, threads)
-    return {t: SimOutcome.from_samples(t, estimator, rows[:, k].copy(), horizon) for k, t in enumerate(targets)}
+    (outcomes,) = _replicate([_Replicator(network, targets, horizon, estimator)], master_seed, iterations, threads)
+    return outcomes

@@ -881,6 +881,61 @@ def test_sweep_custom_requires_flags(capsys):
     assert "custom sweeps need" in capsys.readouterr().err
 
 
+def test_sweep_custom_reads_its_config_run_settings(tmp_path, monkeypatch):
+    # the config's horizon, iterations, seed, estimator and output are the
+    # defaults under the flags, as in simulate
+    from versionage.experiments import sweep_network_family
+    from versionage.network import CacheNetwork
+
+    monkeypatch.chdir(tmp_path)
+    config = {**CHAIN_CONFIG, "horizon": 50, "iterations": 40, "master_seed": 3,
+              "estimator": "time_average", "output": "runs/custom"}
+    path = write_config(tmp_path, config)
+    argv = ["sweep", "custom", "--config", path, "--vary-source", "rate", "--values", "1,2"]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "runs" / "custom.json").read_text())
+    sweep = payload["sweep"]
+    assert (payload["meta"]["master_seed"], sweep["master_seed"], sweep["estimator"]) == (3, 3, "time_average")
+    assert {(p["outcome"]["horizon"], p["outcome"]["iterations"]) for p in sweep["points"]} == {(50.0, 40)}
+
+    def make(rate):
+        topology = {k: CHAIN_CONFIG[k] for k in ("nodes", "source", "links")}
+        return CacheNetwork.from_dict({**topology, "source_dist": {"type": "exponential", "rate": rate}})
+
+    alone = sweep_network_family("custom", [1.0, 2.0], make, iterations=40, horizon=50.0, seed=3,
+                                 estimator="time_average")
+    assert [p["outcome"]["samples"] for p in sweep["points"]] == [p.outcome.samples.tolist() for p in alone.points]
+    # a flag still wins over the config
+    assert run(argv + ["--iterations", "30", "--estimator", "terminal", "--out", "flags"]) == 0
+    sweep = json.loads((tmp_path / "flags.json").read_text())["sweep"]
+    assert sweep["estimator"] == "terminal"
+    assert {p["outcome"]["iterations"] for p in sweep["points"]} == {30}
+
+
+def test_sweep_custom_refuses_a_config_naming_targets(tmp_path, capsys):
+    # a sweep reads each point's deepest leaf, so named targets would be
+    # ignored; the sweep is refused before anything is written
+    path = write_config(tmp_path, {**CHAIN_CONFIG, "targets": ["a"]})
+    argv = ["sweep", "custom", "--config", path, "--vary-source", "rate", "--values", "1,2",
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    assert "deepest leaf; name no 'targets'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["net.json"]
+
+
+@pytest.mark.parametrize("flags", [["--config", "{config}", "--vary-source", "rate"],
+                                   ["--config", "{config}"], ["--vary-source", "rate"]])
+def test_canned_sweeps_refuse_custom_flags_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    from versionage import cli
+
+    monkeypatch.setattr(cli, "sweep_study", lambda *a, **k: pytest.fail("no sweep may run"))
+    config = write_config(tmp_path, CHAIN_CONFIG)
+    argv = ["sweep", "fig5", *(f.replace("{config}", config) for f in flags), "--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    assert "are for custom sweeps; fig5 takes neither" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["net.json"]
+
+
 def test_values_range_syntax(tmp_path):
     from versionage.cli import _parse_values
 

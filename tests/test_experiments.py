@@ -25,7 +25,7 @@ from versionage import (
 from versionage import experiments
 from versionage.experiments import CSV_HEADER
 from versionage.renewal import z_score
-from versionage.rng import derive_seed
+from versionage.rng import RngStream, derive_seed
 from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
 
 THREE_LINK_SUM = 2.5478845608028653
@@ -233,7 +233,7 @@ UNNESTED = {
     "source": (lambda n: chain(n, rate=float(n)), (1, 2, 3)),
     "first_link": (lambda n: chain(n, first=Uniform(lo=0.0, hi=float(n))), (1, 2, 3)),
     # the first three points nest, each declaring a and b in another order,
-    # so they run from the largest network so far; the last does not nest
+    # so they share the replicator of the largest; the last does not nest
     "forked": (forked, (1, 2, 3, 4)),
 }
 
@@ -242,8 +242,9 @@ UNNESTED = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("family", list(UNNESTED))
 def test_unnested_points_are_their_own_runs(family, threads, estimator):
-    # a sweep whose points do not nest reads one replicator per point in one
-    # run, drawing the streams they share once per block; 13 iterations end
+    # a sweep whose points do not all nest reads one replicator per group of
+    # nesting points in one run, drawing the streams they share once per
+    # block; 13 iterations end
     # a worker's range mid-block.  Each point's samples are bit for bit those
     # of its own network's run at the shared seed
     run = dict(iterations=13, horizon=60.0, estimator=estimator)
@@ -261,7 +262,7 @@ def test_a_sweep_draws_each_shared_stream_once_per_block(monkeypatch):
     # fig5's four points share their three links: two blocks draw each link
     # once and each point's source once, 3 x 2 + 4 x 2 calls where one point
     # at a time made 4 x 4 x 2.  At this horizon every link's block is one
-    # array; a block drawn row by row would be drawn for each point
+    # array
     from versionage import simulator
 
     calls = []
@@ -272,10 +273,11 @@ def test_a_sweep_draws_each_shared_stream_once_per_block(monkeypatch):
     assert sorted(set(calls)) == [("link", "n1", "n2"), ("link", "n2", "n3"), ("link", "src", "n1"), ("source",)]
 
 
-def test_a_shared_stream_drawn_row_by_row_is_drawn_for_each_point(monkeypatch):
+def test_a_shared_stream_drawn_row_by_row_is_drawn_once_for_all_points(monkeypatch):
     # a beta(0.01, 1.5) link at horizon 20: at this seed its block 1 has a
-    # row that ends short of the horizon, so that block comes row by row,
-    # and each point draws it again; block 0 is one array, drawn once
+    # row that ends short of the horizon, so that block comes row by row;
+    # like block 0, which is one array, it is drawn once for all three
+    # points, whose sources differ
     from versionage import Beta, simulator
 
     def make(rate):
@@ -288,10 +290,36 @@ def test_a_shared_stream_drawn_row_by_row_is_drawn_for_each_point(monkeypatch):
     run = dict(iterations=16, horizon=20.0, estimator="time_average")
     sweep = sweep_network_family("short_rows", (1.0, 2.0, 3.0), make, seed=2, **run)
     link = ("link", "s", "n1")
-    assert [calls.count((b, link)) for b in (0, 1)] == [1, 3]
-    assert len(calls) == 4 + 3 * 2
+    assert [calls.count((b, link)) for b in (0, 1)] == [1, 1]
+    assert len(calls) == 2 + 3 * 2
+    assert not isinstance(block_rows(Beta(alpha=0.01, beta=1.5), RngStream(0), 20.0, sweep.points[0].seed, 1, link),
+                          np.ndarray)
     for p in sweep.points:
         alone = monte_carlo(make(p.param), targets=["n1"], master_seed=p.seed, **run)["n1"]
+        assert np.array_equal(p.outcome.samples, alone.samples), p.param
+
+
+@pytest.mark.parametrize("estimator", ["terminal", "time_average"])
+def test_points_that_nest_share_a_replicator(monkeypatch, estimator):
+    # forked 1, 2 and 3 nest one in the other and run as one replicator of
+    # forked(3); forked(4) changes the source's law and starts a second.
+    # Each point's samples are still those of its own run
+    from versionage import simulator
+
+    built = []
+    replicator = simulator._Replicator
+
+    def counted(network, targets, *args):
+        built.append((len(network.nodes), targets))
+        return replicator(network, targets, *args)
+
+    monkeypatch.setattr(experiments, "_Replicator", counted)
+    run = dict(iterations=13, horizon=60.0, estimator=estimator)
+    sweep = sweep_network_family("forked", (1, 2, 3, 4), forked, seed=5, **run)
+    assert built == [(5, ["a", "t1", "t2"]), (6, ["t3"])]
+    for p in sweep.points:
+        leaf = experiments._deepest_leaf(forked(p.param))
+        alone = monte_carlo(forked(p.param), targets=[leaf], master_seed=p.seed, **run)[leaf]
         assert np.array_equal(p.outcome.samples, alone.samples), p.param
 
 
