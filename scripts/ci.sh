@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, traced-against-iterated, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -117,6 +117,36 @@ EOF
         cmp "$work/general-threads-1.$ext" "$work/general-threads-2.$ext"
         cmp "$work/general-threads-1.$ext" "$work/general-time_average-a,b.$ext"
     done
+    # traced against iterated: a tree whose cache a starts its window at
+    # knot 0 in most rows and is read over its own window and by b and c,
+    # plus a cache d fed by b and by c.  Targets a, b, c are traced (d is
+    # not drawn); with d, every drawn cache runs the fixed point.  Both
+    # must give a, b and c the same samples, in process and in the pool
+    python - "$work" <<'EOF'
+import json, sys
+links = [("s", "a", {"type": "uniform", "lo": 400.0, "hi": 800.0}), ("a", "b", {"type": "exponential", "rate": 1.0}),
+         ("a", "c", {"type": "rayleigh", "sigma": 1.0}), ("b", "d", {"type": "exponential", "rate": 2.0}),
+         ("c", "d", {"type": "uniform", "lo": 0.0, "hi": 1.0})]
+config = {"nodes": ["s", "a", "b", "c", "d"], "source": "s",
+          "source_dist": {"type": "pareto1", "shape": 3.0, "scale": 0.5},
+          "links": [{"from": f, "to": t, "dist": d} for f, t, d in links],
+          "horizon": 1000, "iterations": 24, "estimator": "time_average"}
+with open(f"{sys.argv[1]}/knot-zero.json", "w") as fh:
+    json.dump(config, fh)
+EOF
+    for threads in 1 2; do
+        for targets in a,b,c a,b,c,d; do
+            python -m versionage.cli simulate "$work/knot-zero.json" --targets "$targets" --threads "$threads" \
+                --out "$work/knot-zero-$targets-$threads" > /dev/null
+        done
+    done
+    python - "$work" <<'EOF'
+import json, sys
+runs = [json.load(open(f"{sys.argv[1]}/knot-zero-{t}-{n}.json"))["outcomes"]
+        for t in ("a,b,c", "a,b,c,d") for n in (1, 2)]
+for node in ("a", "b", "c"):
+    assert all(run[node]["samples"] == runs[0][node]["samples"] for run in runs), node
+EOF
     # a ring of 300 caches closed back onto c1: the window start's one
     # search settles every cache in time linear in the depth, in process
     # and in the pool

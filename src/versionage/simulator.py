@@ -25,10 +25,12 @@ pairs, latest first, started from all the targets at once: the first source
 pair a target reaches is the latest source time that any path of deliveries
 carries to it, and the source's count there is its version.
 ``time_average`` integrates each target's versions at its knots (every
-delivery it receives) over [horizon/2, horizon].  When every cache it draws
-has one feed, the engine traces those versions back from the targets, as the
-closed form does: each knot asks one binary search of its sender's events,
-hop by hop up to the source, whose version at its q-th event is q.
+delivery it receives) over [horizon/2, horizon], less the source's count
+there, integrated once a row for every replicator that reads that row.  When
+every cache it draws has one feed, the engine traces those versions back
+from the targets, as the closed form does: each knot asks one binary search
+of its sender's events, hop by hop up to the source (whose version at its
+q-th event is q), and a range of knots reads one slice of the event times.
 Otherwise (a cache with several feeds, as on any cycle among caches) the
 same search, started from every drawn cache at horizon/2, gives each its
 version there, and each cache's step function over (horizon/2, horizon]
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -167,7 +170,7 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
             "no targets: the target list is empty, or none was given and the network "
             "has no leaves (every cache forwards to another); name the targets"
         )
-    repeated = [t for t in dict.fromkeys(targets) if targets.count(t) > 1]
+    repeated = [t for t, n in Counter(targets).items() if n > 1]
     if repeated:
         raise InvalidParameter(f"targets name {repeated} more than once")
     unknown = [t for t in targets if t not in network.depth]
@@ -199,17 +202,17 @@ def _check_streams(horizon: float, streams) -> None:
         _check_event_budget(horizon / mean if mean else math.inf, "stream", name)
 
 
-def _block_rows(dist, rng: RngStream, horizon: float, master_seed: int, block: int, sid: tuple, whole=True):
+def _block_rows(dist, rng: RngStream, horizon: float, width: int, master_seed: int, block: int, sid: tuple, whole=True):
     """Stream ``sid``'s event times in ``block``, one row per replication:
     BLOCK successive event_times_until draws at the horizon from ``rng``
-    reseeded to (master_seed, block, stream id), whose first BLOCK * R gaps
-    (R = :func:`_first_rows` at the horizon) are one batch where that fits
-    :data:`_EVENT_BUDGET`; that changes no bit of them but for a beta with a
-    whole b, whose sampler draws factor by factor.  With ``whole``, if every
-    row passes the horizon within its R gaps, they are one array, the batch
-    summed along rows of R; otherwise they are a list of the BLOCK draws."""
+    reseeded to (master_seed, block, stream id), whose first BLOCK * width
+    gaps (``width``: :func:`_first_rows` at the horizon, which the caller
+    finds once a stream) are one batch where that fits :data:`_EVENT_BUDGET`;
+    that changes no bit of them but for a beta with a whole b, whose sampler
+    draws factor by factor.  With ``whole``, if every row passes the horizon
+    within its width, they are one array, the batch summed along rows;
+    otherwise they are a list of the BLOCK draws."""
     rng.reseed(master_seed, block, *sid)
-    width = _first_rows(dist, horizon)
     fits = BLOCK * width <= _EVENT_BUDGET
     if whole and fits:
         rows = dist.sample_batch(rng, BLOCK * width).reshape(BLOCK, width)
@@ -226,10 +229,13 @@ def _window_integral(
 ) -> float:
     """Integral over [lo, hi] of a step function with knot 0 at time 0 and
     knot q at knot_times[q - 1]; i and j are the knots in effect at lo and
-    hi, and ``values`` (float64) holds the function's values at knots i..j."""
+    hi, and ``values`` (float64) holds the function's values at knots i..j;
+    lo, knot_times[i:j] and hi fill one buffer, whose differences weigh them."""
     if i == j:
         return float(values[0]) * (hi - lo)
-    knots = np.concatenate([[lo], knot_times[i:j], [hi]])
+    knots = np.empty(j - i + 2)
+    knots[0], knots[-1] = lo, hi
+    knots[1:-1] = knot_times[i:j]
     return float(np.dot(values, knots[1:] - knots[:-1]))
 
 
@@ -256,8 +262,8 @@ def simulate_once(
     _check_streams(horizon, laws)
     block, row = divmod(iteration, BLOCK)
     rng = RngStream(check_seed(master_seed))  # each stream's block reseeds it
-    streams = [RenewalStream(_block_rows(dist, rng, horizon, master_seed, block, sid, whole=False)[row])
-               for sid, dist in laws]
+    streams = [RenewalStream(_block_rows(dist, rng, horizon, _first_rows(dist, horizon), master_seed, block, sid,
+                                         whole=False)[row]) for sid, dist in laws]
     source = network.source
     # stream i moves node receivers[i]: stream 0 the source, the others links
     receivers = [source] + [link.dst for link in links]
@@ -324,17 +330,6 @@ def simulate_once(
 # -- vectorized engine ----------------------------------------------------------
 
 
-def _span(asks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """The knots a node reports for its asks (each sorted): all from the
-    first asked to the last, and where each ask's knots sit among them.  A
-    single ask is its own span (None)."""
-    if len(asks) == 1:
-        return asks[0], None
-    first = min(int(a[0]) for a in asks)
-    last = max(int(a[-1]) for a in asks)
-    return np.arange(first, last + 1), [a - first for a in asks]
-
-
 class _Replicator:
     """Block-by-block evaluator of one estimator on any network.
 
@@ -398,25 +393,30 @@ class _Replicator:
         #: per cache, where its feeds' rows sit among the streams'
         self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
 
-    def _read(self, events) -> list[int | float]:
+    def _read(self, events, source) -> list[int | float]:
         """The targets' readings from one replication's rows, one per stream
-        in :attr:`streams` order; each runs past the horizon."""
-        horizon, src_events = self.horizon, events[0]
+        in :attr:`streams` order; each runs past the horizon.  ``source`` is
+        the source row's :meth:`_source` for the time average, else None."""
+        horizon = self.horizon
         if self.terminal:
-            w0 = int(src_events.searchsorted(horizon, side="right"))
+            w0 = int(events[0].searchsorted(horizon, side="right"))
             return [w0 - v for v in self._settled(self.targets, horizon, events)]
-        i0, w0 = self._window(src_events)
+        i0, w0, src_integral = source
         windows = self._trace(events) if self.tree else self._iterate(events, i0, w0)
         lo = horizon / 2.0
         width = horizon - lo
-        src_integral = _window_integral(
-            src_events, np.arange(i0, w0 + 1, dtype=np.float64), i0, w0, lo, horizon
-        )
         readings = []
         for knot_times, i, j, versions in windows:
             values = versions.astype(np.float64, copy=False)
             readings.append((src_integral - _window_integral(knot_times, values, i, j, lo, horizon)) / width)
         return readings
+
+    def _source(self, src_events: np.ndarray) -> tuple[int, int, float]:
+        """The source's knots in effect at horizon/2 and at the horizon, and
+        the integral of its count over that window, for the time average."""
+        i0, w0 = self._window(src_events)
+        values = np.arange(i0, w0 + 1, dtype=np.float64)
+        return i0, w0, _window_integral(src_events, values, i0, w0, self.horizon / 2.0, self.horizon)
 
     def _window(self, knot_times: np.ndarray) -> tuple[int, int]:
         """The knots in effect at horizon/2 and at the horizon."""
@@ -430,36 +430,45 @@ class _Replicator:
 
         A delivery at knot q carries the sender's version at the sender's
         last event at or before it, so a cache asks its sender only for the
-        knots its own asked knots read.  Caches ask deepest first; one that
-        several consumers read is traced once, over the span of their asks.
+        knots its own asked knots read: a target its window, as the knot
+        range (i, j), and a consumer its reads, as an array.  Caches ask
+        deepest first.  A lone array ask is read as it is; other asks are
+        read as one slice of event times over their span [first, last], a
+        range's versions a slice of the span's and an array's gathered.
         The source's version at knot q is q; with one feed per cache, the
         streams are in node order.
         """
-        asks: list[list[np.ndarray]] = [[] for _ in events]
-        windows = []
+        asks: list[list] = [[] for _ in events]
         for k in self.targets:
-            i, j = self._window(events[k])
-            windows.append((events[k], i, j, len(asks[k])))
-            asks[k].append(np.arange(i, j + 1))
+            asks[k].append(self._window(events[k]))
         # backward, deepest cache first: ask the sender for the knots that
-        # the asked knots read; slot[k] is that ask's place among the sender's
-        where: list[list[np.ndarray] | None] = [None] * len(events)
-        slot = [0] * len(events)
+        # the asked knots read; slot[k] is that ask's place among the
+        # sender's, and base[k] the first knot of k's span (None: a lone ask)
+        base, slot = [None] * len(events), [0] * len(events)
         for k in range(len(events) - 1, 0, -1):
-            s = self.senders[k]
-            asked, where[k] = _span(asks[k])
-            read = events[s].searchsorted(events[k][asked - 1], side="right")
-            if asked[0] == 0:
-                # knot 0 is no delivery: it reads the sender's knot 0
-                read[asked == 0] = 0
+            s, own = self.senders[k], asks[k]
+            if len(own) == 1 and not isinstance(own[0], tuple):
+                asked = own[0]
+                read = events[s].searchsorted(events[k][asked - 1], side="right")
+                if asked[0] == 0:
+                    # knot 0 is no delivery: it reads the sender's knot 0
+                    read[asked == 0] = 0
+            else:
+                base[k] = first = min(int(a[0]) for a in own)
+                last = max(int(a[-1]) for a in own)
+                read = events[s].searchsorted(events[k][max(first - 1, 0) : last], side="right")
+                if first == 0:
+                    read = np.concatenate(([0], read))  # knot 0 reads the sender's knot 0
             slot[k] = len(asks[s])
             asks[s].append(read)
-        # forward, from the source: the versions at every ask
-        answers = [asks[0]]
+        # forward, from the source: the versions at every ask (a target's first is its window)
+        answers = [[np.arange(a[0], a[1] + 1) if isinstance(a, tuple) else a for a in asks[0]]]
         for k in range(1, len(events)):
-            versions = answers[self.senders[k]][slot[k]]
-            answers.append([versions] if where[k] is None else [versions[w] for w in where[k]])
-        return [(knots, i, j, answers[k][r]) for k, (knots, i, j, r) in zip(self.targets, windows)]
+            versions, first = answers[self.senders[k]][slot[k]], base[k]
+            answers.append([versions] if first is None else [
+                versions[a[0] - first : a[1] - first + 1] if isinstance(a, tuple) else versions[a - first]
+                for a in asks[k]])
+        return [(events[k], *asks[k][0], answers[k][0]) for k in self.targets]
 
     def _iterate(self, events, i0: int, w0: int) -> list[tuple]:
         """Any drawn caches, for the time average: each target's (knot
@@ -571,29 +580,35 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
 
     Block by block, each replicator in turn reads a row of each of its
     streams per replication.  A (stream id, law) at one horizon comes from
-    one :func:`_block_rows` call per block, as one array or row by row: it
-    is held until the last replicator that reads it has, so replicators
-    that share it read the same rows.  The generators are the run's, one
-    per stream place, reseeded by every draw.
+    one :func:`_block_rows` call per block, at a width found once per call,
+    as one array or row by row: it is held until the last replicator that
+    reads it has, so replicators that share it read the same rows, and the
+    time_average ones share each source row's :meth:`_Replicator._source`.
+    The generators are the run's, one per stream place, reseeded by every draw.
     """
     keys: dict[tuple, int] = {}  # (stream id, law, horizon) -> its place in ``held``
     slots = [[keys.setdefault((*stream, rep.horizon), len(keys)) for stream in rep.streams] for rep in reps]
     last = {k: p for p, ks in enumerate(slots) for k in ks}  # per key, the last replicator that reads it
+    widths = [_first_rows(dist, horizon) for _, dist, horizon in keys]
     rngs = [RngStream(0) for _ in range(max(len(ks) for ks in slots))]
     first, stop = blocks[0] * BLOCK, min(blocks[-1] * BLOCK + BLOCK, iterations)
     outs = [np.empty((stop - first, len(rep.targets)), rep.dtype) for rep in reps]
     for block in blocks:
         held: list = [None] * len(keys)
+        sources: dict[int, list] = {}  # per source key, the window of each row read
         for p, (rep, ks, out) in enumerate(zip(reps, slots, outs)):
             rows = []
             for (sid, dist), k, rng in zip(rep.streams, ks, rngs):
                 drawn = held[k]
                 if drawn is None:
-                    drawn = _block_rows(dist, rng, rep.horizon, master_seed, block, sid)
+                    drawn = _block_rows(dist, rng, rep.horizon, widths[k], master_seed, block, sid)
                 held[k] = drawn if last[k] > p else None
                 rows.append(drawn)
-            for row, events in zip(out[block * BLOCK - first :], zip(*rows)):
-                row[:] = rep._read(events)
+            windows = [None] * BLOCK if rep.terminal else sources.get(ks[0])
+            if windows is None:
+                windows = sources[ks[0]] = [rep._source(events) for events in rows[0][: stop - block * BLOCK]]
+            for row, events, window in zip(out[block * BLOCK - first :], zip(*rows), windows):
+                row[:] = rep._read(events, window)
     return [outs]
 
 

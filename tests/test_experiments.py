@@ -24,7 +24,7 @@ from versionage import (
 )
 from versionage import experiments
 from versionage.experiments import CSV_HEADER
-from versionage.renewal import z_score
+from versionage.renewal import _first_rows, z_score
 from versionage.rng import RngStream, derive_seed
 from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
 
@@ -292,7 +292,8 @@ def test_a_shared_stream_drawn_row_by_row_is_drawn_once_for_all_points(monkeypat
     link = ("link", "s", "n1")
     assert [calls.count((b, link)) for b in (0, 1)] == [1, 1]
     assert len(calls) == 2 + 3 * 2
-    assert not isinstance(block_rows(Beta(alpha=0.01, beta=1.5), RngStream(0), 20.0, sweep.points[0].seed, 1, link),
+    law = Beta(alpha=0.01, beta=1.5)
+    assert not isinstance(block_rows(law, RngStream(0), 20.0, _first_rows(law, 20.0), sweep.points[0].seed, 1, link),
                           np.ndarray)
     for p in sweep.points:
         alone = monte_carlo(make(p.param), targets=["n1"], master_seed=p.seed, **run)["n1"]

@@ -54,7 +54,8 @@ def realized_events(network, master_seed, iteration, horizon):
     block, row = divmod(iteration, BLOCK)
 
     def draw(sid, dist):
-        return list(_block_rows(dist, RngStream(0), horizon, master_seed, block, sid))[row]
+        width = renewal._first_rows(dist, horizon)
+        return list(_block_rows(dist, RngStream(0), horizon, width, master_seed, block, sid))[row]
 
     out = {"source": draw(SOURCE_STREAM, network.source_dist)}
     for link in network.links:
@@ -341,6 +342,52 @@ def test_tree_fast_path_matches_event_engine():
             assert fast[estimator][it].tolist() == [getattr(slow, estimator)[t] for t in targets], (estimator, it)
 
 
+
+def test_a_traced_span_that_starts_at_knot_zero_matches_the_event_loop():
+    # a's first delivery comes after horizon/2 in most rows, so its window
+    # starts at knot 0, which reads the source's knot 0; a is read over one
+    # span that holds its own window and b's and c's reads
+    network = CacheNetwork(nodes=["s", "a", "b", "c"], source="s", source_dist=ParetoI(shape=3.0, scale=0.5),
+                           links=[("s", "a", Uniform(lo=400.0, hi=800.0)), ("a", "b", Exponential(rate=1.0)),
+                                  ("a", "c", Rayleigh(sigma=1.0))])
+    targets = ["a", "b", "c"]
+    out = monte_carlo(network, targets=targets, horizon=1e3, iterations=24, estimator="time_average")
+    late = 0
+    for i in range(24):
+        alone = simulate_once(network, 1e3, master_seed=1, iteration=i).time_average
+        assert [out[t].samples[i].item() for t in targets] == [alone[t] for t in targets], i
+        late += bool(realized_events(network, 1, i, 1e3)[("s", "a")][0] > 500.0)
+    assert 0 < late < 24
+
+
+def test_replicators_share_a_source_window_only_under_one_source_key(monkeypatch):
+    from versionage.experiments import fig7_network
+    from versionage.simulator import _run_blocks
+
+    # 13 replications are two blocks, the second of 5 rows.  The first two
+    # replicators read one source key; the horizon-800 one another, and the
+    # terminal one none, so 13 rows of each key find their window once
+    reps = [_Replicator(fig7_network(0.05), ["n4"], 1e3, "time_average"),
+            _Replicator(fig7_network(1.0 / 3.0), ["n4"], 1e3, "time_average"),
+            _Replicator(fig7_network(0.05), ["n4"], 800.0, "time_average"),
+            _Replicator(fig7_network(0.05), ["n4"], 1e3, "terminal")]
+    alone = [_run_blocks([rep], 6, 13, range(2))[0][0] for rep in reps]
+    calls = []
+    source = _Replicator._source
+    monkeypatch.setattr(_Replicator, "_source", lambda self, events: calls.append(self) or source(self, events))
+    (together,) = _run_blocks(reps, 6, 13, range(2))
+    for rows, own in zip(together, alone):
+        assert rows.tobytes() == own.tobytes()
+    assert [calls.count(rep) for rep in reps] == [13, 0, 13, 0]
+
+
+def test_check_run_finds_repeated_targets_in_linear_time(alarm):
+    from versionage.simulator import check_run
+
+    network = fig6_network(10_000)
+    alarm(1)
+    check_run(network, 1.0, 2, "terminal", [f"n{i}" for i in range(1, 10_001)])
+
 TIE_GAPS = [D(0.25), D(0.5), D(0.75), D(1.0), D(1.5)]
 #: about half of its draws are exactly 0.0: coincident events, and events at t = 0
 ZERO_GAPS = Beta(alpha=0.001, beta=1.0)
@@ -483,13 +530,13 @@ def test_a_block_is_eight_successive_draws(law, horizon, squeeze, monkeypatch):
     sid = ("link", "s", "n1")
     arrays = []
     for block in range(4):
-        rows = _block_rows(law, RngStream(0), horizon, 9, block, sid)
+        rows = _block_rows(law, RngStream(0), horizon, width, 9, block, sid)
         got = [row.tobytes() for row in rows]
         rng = RngStream(9, block, *sid)
         head = [] if squeeze else [law.sample_batch(rng, BLOCK * width)]
         batch = np.cumsum(head[0].reshape(BLOCK, width), axis=1) if head else None
         assert got == [event_times_until(law, rng, horizon, head).tobytes() for _ in range(BLOCK)]
-        drawn = _block_rows(law, RngStream(0), horizon, 9, block, sid, whole=False)
+        drawn = _block_rows(law, RngStream(0), horizon, width, 9, block, sid, whole=False)
         assert [row.tobytes() for row in drawn] == got
         arrays.append(isinstance(rows, np.ndarray))
         assert arrays[-1] == (batch is not None and bool((batch[:, -1] > horizon).all()))
@@ -516,8 +563,9 @@ def test_a_whole_b_beta_whose_rows_end_short_keeps_its_law():
     law, horizon = WHOLE_B_SHORT_ROWS, 20.0
     m = law.moments()
     target = horizon / m.mean + m.second_moment / (2.0 * m.mean * m.mean) - 1.0
+    width = renewal._first_rows(law, horizon)
     counts = np.array([np.searchsorted(row, horizon, side="right") for block in range(1500)
-                       for row in _block_rows(law, RngStream(0), horizon, 5, block, ("link", "s", "a"))])
+                       for row in _block_rows(law, RngStream(0), horizon, width, 5, block, ("link", "s", "a"))])
     stderr = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(z_score(counts.mean(), target, stderr)) <= Z_GATE, (counts.mean(), target, stderr)
 
