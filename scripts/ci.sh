@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, traced-against-iterated, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat and verify-threads (also pinned to one CPU) checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, traced-against-iterated, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat, verify-threads (also pinned to one CPU) and paths-cap (a 400-digit --paths exits 1) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -300,6 +300,14 @@ EOF
         taskset -c "$cpu" python -m versionage.cli verify --paths 10000 --out "$work/verify-battery-pinned.json" > /dev/null
         cmp "$work/verify-battery-1.json" "$work/verify-battery-pinned.json"
     fi
+    # a 400-digit path count is refused before any chunk is listed: exit 1
+    # with the one error line, no traceback, well within the timeout
+    status=0
+    timeout 10 python -m versionage.cli verify exponential:rate=1 --paths "$(printf '9%.0s' {1..400})" \
+        2> "$work/paths-cap.err" || status=$?
+    test "$status" = 1
+    grep -q "^error: .*verifiers take at most 1e+07 paths" "$work/paths-cap.err"
+    test "$(wc -l < "$work/paths-cap.err")" = 1
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -41,7 +41,7 @@ from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponential
 from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_number
 from .errors import ConfigError, VersionAgeError
-from .experiments import STUDIES, sweep_network_family, sweep_study
+from .experiments import MAX_SWEEP_VALUES, STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
 from .renewal import DEFAULT_PATHS, Z_GATE, LimitCheck, RenewalLimits, WindowedCount, _usable_cpus, _workers
 from .renewal import run_checks
@@ -50,7 +50,7 @@ from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_me
 from .renewal import verify_windowed_count_limit  # noqa: F401
 from .rng import check_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import ESTIMATORS, MAX_SWEEP_VALUES, check_run, monte_carlo
+from .simulator import ESTIMATORS, check_run, monte_carlo
 
 SIMULATE_CSV_HEADER = "target,estimator,mean,stderr,iterations,horizon,seed"
 

@@ -42,7 +42,7 @@ from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
 from .rng import check_seed, derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
-from .simulator import MAX_SWEEP_VALUES, SimOutcome, _replicate, _Replicator, check_run, check_samples, monte_carlo
+from .simulator import SimOutcome, _replicate, _Replicator, check_run, check_samples, monte_carlo
 
 __all__ = [
     "CSV_HEADER",
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "sweep_kind,param,analytic,mc_mean,mc_stderr,z,iterations,horizon,seed"
+
+#: most values in a sweep or value list, and hops in a fig6 chain: all are built first
+MAX_SWEEP_VALUES = 10_000
 
 
 @dataclass

@@ -76,7 +76,8 @@ _EVENT_BUDGET = 10_000_000
 
 #: paths each verifier check draws unless told otherwise
 DEFAULT_PATHS = 20_000
-_MIN_VERIFIER_PATHS = 10_000
+#: fewest and most paths one check draws; all checks' chunks are listed before any draw
+_MIN_VERIFIER_PATHS, _MAX_VERIFIER_PATHS = 10_000, 10_000_000
 #: paths per verifier chunk; the last chunk holds the rest
 _VERIFIER_CHUNK = 2048
 #: contiguous slices of a run's jobs per pool worker, all submitted at once.
@@ -163,6 +164,8 @@ def _check_paths(n_paths: int) -> None:
         raise InvalidParameter(
             f"verifiers need at least {_MIN_VERIFIER_PATHS} paths for a stable z-score, got {n_paths}"
         )
+    if n_paths > _MAX_VERIFIER_PATHS:
+        raise InvalidParameter(f"verifiers take at most {_MAX_VERIFIER_PATHS:.3g} paths: their chunks are listed first")
 
 
 def _path_events(spec: Distribution, t_max: float) -> float:
@@ -173,7 +176,7 @@ def _path_events(spec: Distribution, t_max: float) -> float:
     return 1.25 * t_max / mean if mean else math.inf
 
 
-def _first_rows(spec: Distribution, t_large: float) -> int:
+def _first_rows(spec: Distribution, t_large: float, *stream) -> int:
     """Event rows of the first slab of a verifier chunk or simulator stream.
 
     N(t) is about Normal(n, sigma^2) with n = t / E[Y] and sigma^2 =
@@ -185,11 +188,12 @@ def _first_rows(spec: Distribution, t_large: float) -> int:
     whose product sampler draws factor by factor over the batch.  A
     simulator block's successive rows take their first slabs from one
     batch, so there they set where each later replication's gaps start.  A
-    path expected to draw over :data:`_EVENT_BUDGET` events, as where the
-    mean is 0, is refused."""
+    path expected to draw over :data:`_EVENT_BUDGET` events (the simulator's
+    one use of it), as where the mean is 0, is refused, named by the parts
+    of ``stream`` if given (the simulator's plan names its streams)."""
     m = spec.moments()
     n = t_large / m.mean if m.mean else math.inf
-    _check_event_budget(n, "a stream of", spec)
+    _check_event_budget(n, *(stream or ("a stream of", spec)))
     cap = int(_path_events(spec, t_large)) + 32
     deep = n + 4.0 * math.sqrt(n * max(m.second_moment / m.mean / m.mean - 1.0, 0.0))
     # deep is inf where E[Y^2] / E[Y]^2 overflows, as for beta(1e-320, 1)

@@ -46,8 +46,10 @@ is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
 reads row j of its :func:`_block_rows`, so a replication is a function of
 (master seed, iteration) alone, whatever the run's length or worker count
 (a run's blocks go whole, in contiguous slices, through :func:`~versionage.renewal.pool_map`).
-The rows are successive draws whose first gaps are one batch, read as one
-array where every row passes the horizon within its share of the batch.
+A stream's width, the events of its first draw, is found once a run and
+checked against the event budget before any draw (:func:`_plan`).  The rows
+are successive draws whose first BLOCK x width gaps are one batch, read as
+one array where every row passes the horizon within its share of it.
 One run may read several replicators at one master seed (each group of a
 sweep's points, see :func:`_replicate`): a block draws each stream id and
 law they share once, as one array or row by row, so every replicator reads
@@ -74,7 +76,7 @@ import numpy as np
 from .distributions import positive_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
-from .renewal import _EVENT_BUDGET, RenewalStream, _check_event_budget, _first_rows, event_times_until, pool_map
+from .renewal import RenewalStream, _first_rows, event_times_until, pool_map
 from .rng import RngStream, check_seed
 
 __all__ = [
@@ -98,9 +100,6 @@ DEFAULT_SEED = 1
 #: most samples one run may keep: its replications times the targets each
 #: one reads (a sweep: times its points)
 _MAX_ITERATIONS = 10_000_000
-#: most values one sweep or value list may hold, and most hops of a fig6
-#: chain: every sweep point's network is built before the first draw
-MAX_SWEEP_VALUES = 10_000
 
 SOURCE_STREAM = ("source",)
 
@@ -193,34 +192,32 @@ def check_samples(iterations: int, count: int, what: str) -> None:
         )
 
 
-def _check_streams(horizon: float, streams) -> None:
-    """Reject a run in which some stream, given as (stream id, law), would
-    draw too many events; a mean that underflows to 0 draws without end."""
-    for sid, dist in streams:
-        name = "source" if sid == SOURCE_STREAM else f"link {sid[1]}->{sid[2]}"
-        mean = dist.moments().mean
-        _check_event_budget(horizon / mean if mean else math.inf, "stream", name)
+def _plan(horizon: float, streams) -> list[tuple]:
+    """Every stream a run draws, given as (stream id, law), as (stream id,
+    law, width), ``width`` the events of its first draw (:func:`_first_rows`
+    at the horizon), which refuses by name a stream expected to draw over
+    the event budget (a mean that underflows to 0 draws without end)."""
+    names = ["source" if sid == SOURCE_STREAM else f"link {sid[1]}->{sid[2]}" for sid, _ in streams]
+    return [(sid, dist, _first_rows(dist, horizon, "stream", name)) for (sid, dist), name in zip(streams, names)]
 
 
 def _block_rows(dist, rng: RngStream, horizon: float, width: int, master_seed: int, block: int, sid: tuple, whole=True):
     """Stream ``sid``'s event times in ``block``, one row per replication:
     BLOCK successive event_times_until draws at the horizon from ``rng``
     reseeded to (master_seed, block, stream id), whose first BLOCK * width
-    gaps (``width``: :func:`_first_rows` at the horizon, which the caller
-    finds once a stream) are one batch where that fits :data:`_EVENT_BUDGET`;
+    gaps (``width``: the stream's :func:`_plan` width) are always one batch;
     that changes no bit of them but for a beta with a whole b, whose sampler
     draws factor by factor.  With ``whole``, if every row passes the horizon
     within its width, they are one array, the batch summed along rows;
     otherwise they are a list of the BLOCK draws."""
     rng.reseed(master_seed, block, *sid)
-    fits = BLOCK * width <= _EVENT_BUDGET
-    if whole and fits:
+    if whole:
         rows = dist.sample_batch(rng, BLOCK * width).reshape(BLOCK, width)
         np.add.accumulate(rows, axis=1, out=rows)
         if (rows[:, -1] > horizon).all():
             return rows
         rng.reseed(master_seed, block, *sid)  # the batch again, as the draws' head
-    head = [dist.sample_batch(rng, BLOCK * width)] if fits else []
+    head = [dist.sample_batch(rng, BLOCK * width)]
     return [event_times_until(dist, rng, horizon, head) for _ in range(BLOCK)]
 
 
@@ -258,12 +255,11 @@ def simulate_once(
     """
     positive_number("horizon", horizon)
     links = network.links
-    laws = [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links]
-    _check_streams(horizon, laws)
+    plan = _plan(horizon, [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links])
     block, row = divmod(iteration, BLOCK)
     rng = RngStream(check_seed(master_seed))  # each stream's block reseeds it
-    streams = [RenewalStream(_block_rows(dist, rng, horizon, _first_rows(dist, horizon), master_seed, block, sid,
-                                         whole=False)[row]) for sid, dist in laws]
+    streams = [RenewalStream(_block_rows(dist, rng, horizon, width, master_seed, block, sid, whole=False)[row])
+               for sid, dist, width in plan]
     source = network.source
     # stream i moves node receivers[i]: stream 0 the source, the others links
     receivers = [source] + [link.dst for link in links]
@@ -354,7 +350,6 @@ class _Replicator:
         self.names = list(targets)
         self.terminal = estimator != "time_average"
         self._edges = np.array([horizon / 2.0, horizon])
-        self.source_dist = network.source_dist
         self.dtype = np.int64 if self.terminal else np.float64
 
         needed: set[str] = set()
@@ -385,11 +380,9 @@ class _Replicator:
             for _, _, s in feeds:
                 self.consumers[s].append(k)
         self.targets = [index[t] for t in targets]
-        #: every stream a replication draws, as (stream id, law)
-        self.streams = [(SOURCE_STREAM, self.source_dist)] + [
-            (sid, dist) for feeds in self.feeds for sid, dist, _ in feeds
-        ]
-        _check_streams(horizon, self.streams)
+        #: every stream a replication draws, as its :func:`_plan`
+        self.streams = _plan(horizon, [(SOURCE_STREAM, network.source_dist)]
+                             + [(sid, dist) for feeds in self.feeds for sid, dist, _ in feeds])
         #: per cache, where its feeds' rows sit among the streams'
         self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
 
@@ -579,18 +572,17 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
     one row of its targets' readings per replication.
 
     Block by block, each replicator in turn reads a row of each of its
-    streams per replication.  A (stream id, law) at one horizon comes from
-    one :func:`_block_rows` call per block, at a width found once per call,
-    as one array or row by row: it is held until the last replicator that
-    reads it has, so replicators that share it read the same rows, and the
-    time_average ones share each source row's :meth:`_Replicator._source`.
-    The generators are the run's, one per stream place, reseeded by every draw.
+    streams per replication.  A planned stream at one horizon comes from one
+    :func:`_block_rows` call per block, as one array or row by row: it is
+    held until the last replicator that reads it has, so replicators that
+    share it read the same rows, and the time_average ones share each source
+    row's :meth:`_Replicator._source`.  One generator, reseeded by every
+    draw, serves the run, which holds one block's rows at a time.
     """
-    keys: dict[tuple, int] = {}  # (stream id, law, horizon) -> its place in ``held``
+    keys: dict[tuple, int] = {}  # (stream id, law, width, horizon) -> its place in ``held``
     slots = [[keys.setdefault((*stream, rep.horizon), len(keys)) for stream in rep.streams] for rep in reps]
     last = {k: p for p, ks in enumerate(slots) for k in ks}  # per key, the last replicator that reads it
-    widths = [_first_rows(dist, horizon) for _, dist, horizon in keys]
-    rngs = [RngStream(0) for _ in range(max(len(ks) for ks in slots))]
+    rng = RngStream(0)
     first, stop = blocks[0] * BLOCK, min(blocks[-1] * BLOCK + BLOCK, iterations)
     outs = [np.empty((stop - first, len(rep.targets)), rep.dtype) for rep in reps]
     for block in blocks:
@@ -598,10 +590,10 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
         sources: dict[int, list] = {}  # per source key, the window of each row read
         for p, (rep, ks, out) in enumerate(zip(reps, slots, outs)):
             rows = []
-            for (sid, dist), k, rng in zip(rep.streams, ks, rngs):
+            for (sid, dist, width), k in zip(rep.streams, ks):
                 drawn = held[k]
                 if drawn is None:
-                    drawn = _block_rows(dist, rng, rep.horizon, widths[k], master_seed, block, sid)
+                    drawn = _block_rows(dist, rng, rep.horizon, width, master_seed, block, sid)
                 held[k] = drawn if last[k] > p else None
                 rows.append(drawn)
             windows = [None] * BLOCK if rep.terminal else sources.get(ks[0])
@@ -609,6 +601,7 @@ def _run_blocks(reps, master_seed: int, iterations: int, blocks) -> list[list[np
                 windows = sources[ks[0]] = [rep._source(events) for events in rows[0][: stop - block * BLOCK]]
             for row, events, window in zip(out[block * BLOCK - first :], zip(*rows), windows):
                 row[:] = rep._read(events, window)
+        del rows, drawn, events  # release this block's rows before the next is drawn
     return [outs]
 
 

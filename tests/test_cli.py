@@ -770,6 +770,16 @@ def test_a_law_whose_draws_underflow_to_zero_exits_one(tmp_path, capsys, alarm, 
     assert not os.path.exists(tmp_path / "out.json")
 
 
+def test_verify_refuses_a_path_count_past_the_cap(tmp_path, capsys, alarm):
+    # a 400-digit count would list about 10**397 chunks before any draw
+    alarm(10)
+    out = str(tmp_path / "out")
+    assert run(["verify", "exponential:rate=1", "--paths", "9" * 400, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at most 1e+07 paths" in err and "Traceback" not in err
+    assert not os.path.exists(out + ".json")
+
+
 def test_a_link_that_mostly_draws_zeros_simulates(tmp_path):
     # beta(1e-4, 1) draws 0 for 93% of its gaps; its streams extend past
     # their first slab, often through 32-gap extensions that are all 0

@@ -23,10 +23,10 @@ from versionage import (
     sweep_study,
 )
 from versionage import experiments
-from versionage.experiments import CSV_HEADER
+from versionage.experiments import CSV_HEADER, MAX_SWEEP_VALUES
 from versionage.renewal import _first_rows, z_score
 from versionage.rng import RngStream, derive_seed
-from versionage.simulator import MAX_SWEEP_VALUES, SimOutcome
+from versionage.simulator import SimOutcome
 
 THREE_LINK_SUM = 2.5478845608028653
 

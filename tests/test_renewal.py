@@ -252,6 +252,23 @@ def test_verifiers_check_paths_before_drawing(monkeypatch):
         verify_windowed_count_limit(exp, exp, 100.0, few)
 
 
+@pytest.mark.parametrize("paths", [10**7 + 1, 10**400])
+def test_verifiers_cap_paths_before_listing_any_chunk(monkeypatch, paths):
+    # run_checks lists every chunk of 2 048 paths before any draw, so a
+    # check refuses a count past the cap when it is built
+    def fail(*args, **kwargs):
+        raise AssertionError("no chunk may be listed or drawn")
+
+    monkeypatch.setattr(renewal, "pool_map", fail)
+    monkeypatch.setattr(Exponential, "sample_batch", fail)
+    exp = Exponential(rate=1.0)
+    for build in (lambda: renewal.RenewalLimits(exp, [10.0], n_paths=paths),
+                  lambda: renewal.WindowedCount(exp, exp, n_paths=paths)):
+        with pytest.raises(InvalidParameter, match="at most 1e\\+07 paths"):
+            renewal.run_checks([build()])
+    assert renewal.RenewalLimits(exp, [10.0], n_paths=10**7).n_paths == 10**7
+
+
 def test_martingale_rejects_an_empty_grid():
     # verify_renewal_limits takes an empty grid (the recurrence check alone);
     # the martingale points alone need at least one time

@@ -9,6 +9,7 @@ trajectories can be compared against the hand tables with ==.
 import hashlib
 import heapq
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -507,47 +508,51 @@ BLOCK_LAWS = [
 
 
 def squeeze_budget(monkeypatch, budget):
+    # the simulator holds no budget of its own; a budget imported there would
+    # be squeezed too, so a block drawn another way past it would show
     from versionage import renewal, simulator
 
     monkeypatch.setattr(renewal, "_EVENT_BUDGET", budget)
-    monkeypatch.setattr(simulator, "_EVENT_BUDGET", budget)
+    monkeypatch.setattr(simulator, "_EVENT_BUDGET", budget, raising=False)
 
 
 @pytest.mark.parametrize("squeeze", [False, True], ids=["in-budget", "past-budget"])
 @pytest.mark.parametrize("horizon", [20.0, 1e3])
 @pytest.mark.parametrize("law", BLOCK_LAWS, ids=str)
 def test_a_block_is_eight_successive_draws(law, horizon, squeeze, monkeypatch):
-    # a block is eight successive draws whose first gaps are one batch where
-    # it fits the budget, which changes no bit of them but for a whole-b
-    # beta; where every row passes the horizon within its share of the
-    # batch, the rows come as one array, the batch summed along them
+    # a block is eight successive draws whose first gaps are one batch,
+    # which changes no bit of them but for a whole-b beta; where every row
+    # passes the horizon within its share of the batch, the rows come as one
+    # array, the batch summed along them.  The event budget plays no part:
+    # squeezed to room for one first draw but not for a block of them, each
+    # block keeps its bytes and its form
     from versionage import renewal
 
     width = renewal._first_rows(law, horizon)
-    if squeeze:
-        # a budget with room for one first draw but not for a block of them
-        squeeze_budget(monkeypatch, 2 * width)
     sid = ("link", "s", "n1")
+    in_budget = [_block_rows(law, RngStream(0), horizon, width, 9, block, sid) for block in range(4)]
+    if squeeze:
+        squeeze_budget(monkeypatch, 2 * width)
     arrays = []
-    for block in range(4):
+    for block, expected in enumerate(in_budget):
         rows = _block_rows(law, RngStream(0), horizon, width, 9, block, sid)
         got = [row.tobytes() for row in rows]
+        assert got == [row.tobytes() for row in expected]
+        assert type(rows) is type(expected)
         rng = RngStream(9, block, *sid)
-        head = [] if squeeze else [law.sample_batch(rng, BLOCK * width)]
-        batch = np.cumsum(head[0].reshape(BLOCK, width), axis=1) if head else None
+        head = [law.sample_batch(rng, BLOCK * width)]
+        batch = np.cumsum(head[0].reshape(BLOCK, width), axis=1)
         assert got == [event_times_until(law, rng, horizon, head).tobytes() for _ in range(BLOCK)]
         drawn = _block_rows(law, RngStream(0), horizon, width, 9, block, sid, whole=False)
         assert [row.tobytes() for row in drawn] == got
         arrays.append(isinstance(rows, np.ndarray))
-        assert arrays[-1] == (batch is not None and bool((batch[:, -1] > horizon).all()))
+        assert arrays[-1] == bool((batch[:, -1] > horizon).all())
         if arrays[-1]:
             assert got == [row.tobytes() for row in batch]
         rng = RngStream(9, block, *sid)
         successive = [event_times_until(law, rng, horizon).tobytes() for _ in range(BLOCK)]
-        assert (got == successive) == (squeeze or law not in (WHOLE_B, WHOLE_B_SHORT_ROWS))
-    if squeeze:
-        assert not any(arrays)
-    elif law in (SHORT_ROWS, WHOLE_B_SHORT_ROWS) and horizon == 20.0:
+        assert (got == successive) == (law not in (WHOLE_B, WHOLE_B_SHORT_ROWS))
+    if law in (SHORT_ROWS, WHOLE_B_SHORT_ROWS) and horizon == 20.0:
         assert 0 < sum(arrays) < len(arrays)
     else:
         assert all(arrays)
@@ -583,21 +588,44 @@ MIXED_CHAIN = chain(Exponential(rate=2.0), [Uniform(lo=0.0, hi=2.0), WHOLE_B, Ra
      (chain(Exponential(rate=2.0), [SHORT_ROWS]), ["n1"], 20.0, False),
      # the same for a whole-b beta, whose blocks 1 and 2 do so at seed 12
      (chain(Exponential(rate=2.0), [WHOLE_B_SHORT_ROWS]), ["n1"], 10.0, False),
-     # no block fits the budget: every stream is drawn without a batch
+     # a budget with room for each stream's first draw but for no block of
+     # them: the blocks are still one batch each, so nothing moves
      (MIXED_CHAIN, ["n2", "n3"], 40.0, True)],
     ids=["chain", "cyclic", "short-rows", "whole-b-short-rows", "past-budget"],
 )
 def test_simulate_once_reproduces_any_replication(network, targets, horizon, squeeze, estimator, monkeypatch):
     from versionage import renewal
 
+    kw = dict(targets=targets, horizon=horizon, iterations=21, master_seed=12, estimator=estimator)
     if squeeze:
+        unsqueezed = monte_carlo(network, **kw)
         widths = [renewal._first_rows(law, horizon) for law in [network.source_dist, *(l.dist for l in network.links)]]
         squeeze_budget(monkeypatch, 2 * max(widths))
         assert BLOCK * min(widths) > 2 * max(widths)
-    out = monte_carlo(network, targets=targets, horizon=horizon, iterations=21, master_seed=12, estimator=estimator)
+    out = monte_carlo(network, **kw)
+    if squeeze:
+        assert all(np.array_equal(out[t].samples, unsqueezed[t].samples) for t in targets)
     for i in (0, BLOCK - 1, BLOCK, 20):
         alone = getattr(simulate_once(network, horizon, 12, iteration=i), estimator)
         assert [out[t].samples[i].item() for t in targets] == [alone[t] for t in targets], i
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_a_run_holds_one_block_at_a_time(estimator):
+    # a rate-200 link's block is 8 rows of about 202 000 events, 12.9 MB; a
+    # run of three blocks releases each block's rows before it draws the
+    # next, so it peaks near one block, where holding the last read row of
+    # the block before would peak near two
+    law, horizon = Exponential(rate=200.0), 1e3
+    block_bytes = BLOCK * renewal._first_rows(law, horizon) * 8
+    tracemalloc.start()
+    try:
+        monte_carlo(chain(Exponential(rate=1.0), [law]), horizon=horizon, iterations=3 * BLOCK, master_seed=3,
+                    estimator=estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
 def test_monte_carlo_threads_do_not_change_results(cpus):
