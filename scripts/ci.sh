@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The body of each CI job, runnable the same way on a workstation.
 #
-#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, traced-against-iterated, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat, verify-threads (also pinned to one CPU) and paths-cap (a 400-digit --paths exits 1) checks, then the source size
+#   scripts/ci.sh tier1         the Tier-1 test suite, link-order, long-chain, traced-target, traced-against-iterated, deep-ring, thread (--threads 1, 2 and the default of every usable CPU), pool-slice (multi-block slices at --threads 2), nested-sweep, shared-stream-sweep, custom-sweep (a config's short-row link shared by three points, --threads 1 and 2), verify-repeat, verify-threads (also pinned to one CPU), paths-cap (a 400-digit --paths exits 1) and out-name (a 300-byte --out name exits 1 before any replication) checks, then the source size
 #   scripts/ci.sh runtime-deps  the installed package, run from outside the checkout
 #   scripts/ci.sh bench-smoke   every benchmark workload briefly, untraced and traced
 #
@@ -308,6 +308,17 @@ EOF
     test "$status" = 1
     grep -q "^error: .*verifiers take at most 1e+07 paths" "$work/paths-cap.err"
     test "$(wc -l < "$work/paths-cap.err")" = 1
+    # a 300-byte result name is refused before any of 10 million
+    # replications runs: exit 1 with the one error line, no traceback and no
+    # result file, well within the timeout
+    status=0
+    long="$(printf 'n%.0s' {1..300})"
+    timeout 10 python -m versionage.cli simulate "$work/short-rows.json" --iterations 10000000 \
+        --out "$work/$long" 2> "$work/out-name.err" || status=$?
+    test "$status" = 1
+    grep -q "^error: cannot write .*: a name in it is longer than" "$work/out-name.err"
+    test "$(wc -l < "$work/out-name.err")" = 1
+    test -z "$(find "$work" -name "$long*")"
     {
         echo '```'
         wc -l src/versionage/*.py

@@ -69,10 +69,8 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
     naming the offending distribution, and :class:`InvalidParameter` naming a
     node whose age overflows a float.
     """
-    order = network.topo_order()
     senders = {}
-    for node in order:
-        feeds = network.incoming(node)
+    for node, feeds in network.feeds().items():
         if len(feeds) != 1:
             raise NotATree(f"closed form requires tree: {node} has {len(feeds)} feeds")
         senders[node] = feeds[0].src
@@ -110,7 +108,7 @@ def expected_version_age(network: CacheNetwork) -> AnalyticAge:
             )
     per_node: dict[str, float] = {network.source: 0.0}
     exact = {network.source: 0}
-    for node in order:
+    for node in senders:
         exact[node] = exact[senders[node]] + units[node]
         per_node[node] = exact[node] / _UNITS_PER_ONE / m0.mean
         if math.isinf(per_node[node]):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import expected_version_age
 from .distributions import Beta, ChiSquare, Deterministic, Distribution, Exponential
-from .distributions import ParetoI, Rayleigh, Uniform, from_literal, whole_number
+from .distributions import ParetoI, Rayleigh, Uniform, check_seed, from_literal
 from .errors import ConfigError, VersionAgeError
 from .experiments import MAX_SWEEP_VALUES, STUDIES, sweep_network_family, sweep_study
 from .network import CacheNetwork
@@ -48,7 +48,6 @@ from .renewal import run_checks
 # not called here, but bench/spans.py traces these verifiers under these names
 from .renewal import verify_backward_recurrence_limit, verify_martingale_zero_mean  # noqa: F401
 from .renewal import verify_windowed_count_limit  # noqa: F401
-from .rng import check_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import ESTIMATORS, check_run, monte_carlo
 
@@ -106,11 +105,7 @@ def parse_config(text: str, source_name: str = "<config>") -> RunConfig:
 def _run_config(obj: dict) -> RunConfig:
     run = {key: obj.pop(key) for key in RUN_KEYS if key in obj}
     network = CacheNetwork.from_dict(obj)
-    horizon = run.get("horizon", DEFAULT_HORIZON)
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
-        raise ConfigError(f"'horizon' must be a number, got {horizon!r}")
-    iterations = whole_number("'iterations'", run.get("iterations", DEFAULT_ITERATIONS))
-    master_seed = check_seed(whole_number("'master_seed'", run.get("master_seed", DEFAULT_SEED)))
+    master_seed = check_seed(run.get("master_seed", DEFAULT_SEED))
     estimator = run.get("estimator", DEFAULT_ESTIMATOR)
     targets = run.get("targets")
     if targets is not None and not (isinstance(targets, list) and targets
@@ -119,10 +114,11 @@ def _run_config(obj: dict) -> RunConfig:
     output = run.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"'output' must be a string, got {output!r}")
-    check_run(network, horizon, iterations, estimator, targets)
+    horizon, iterations, targets = check_run(network, run.get("horizon", DEFAULT_HORIZON),
+                                             run.get("iterations", DEFAULT_ITERATIONS), estimator, targets)
     return RunConfig(
         network=network,
-        horizon=float(horizon),
+        horizon=horizon,
         iterations=iterations,
         master_seed=master_seed,
         targets=targets,
@@ -199,6 +195,11 @@ def _outputs(config: str | None, *paths: str) -> tuple[str, ...]:
         if not os.path.isdir(head or os.curdir) or os.pardir in missing:
             raise ConfigError(f"cannot write {path!r}: {os.path.dirname(path)!r} is not a directory "
                               "and cannot be made one")
+        # each name to be made, the file's and the missing directories', must
+        # fit the name limit of the directory that will hold it
+        limit = os.pathconf(head or os.curdir, "PC_NAME_MAX")
+        if any(len(os.fsencode(name)) > limit for name in (*missing, os.path.basename(path))):
+            raise ConfigError(f"cannot write {path!r}: a name in it is longer than {limit} bytes")
     return paths
 
 

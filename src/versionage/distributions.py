@@ -51,6 +51,7 @@ __all__ = [
     "positive_number",
     "nonnegative_number",
     "whole_number",
+    "check_seed",
 ]
 
 @dataclass(frozen=True)
@@ -143,6 +144,15 @@ def whole_number(name: str, value) -> int:
         if isinstance(value, numbers.Integral) or (math.isfinite(value) and float(value).is_integer()):
             return int(value)
     raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
+
+
+def check_seed(master_seed) -> int:
+    """``master_seed`` as an int, if a whole number 0 <= it < 2**64: random
+    streams pack a seed mod 2**64."""
+    seed = whole_number("a master seed", master_seed)
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParameter(f"a master seed must be in 0 <= seed < 2**64, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True, eq=True)

@@ -36,11 +36,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import expected_version_age
-from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, whole_number
+from .distributions import Beta, ChiSquare, ParetoI, Rayleigh, Uniform, check_seed, whole_number
 from .errors import InvalidParameter
 from .network import CacheNetwork
 from .renewal import Z_GATE, z_score
-from .rng import check_seed, derive_seed
+from .rng import derive_seed
 from .simulator import DEFAULT_ESTIMATOR, DEFAULT_HORIZON, DEFAULT_ITERATIONS, DEFAULT_SEED
 from .simulator import SimOutcome, _replicate, _Replicator, check_run, check_samples, monte_carlo
 
@@ -196,7 +196,8 @@ def _nests(network: CacheNetwork, big: CacheNetwork) -> bool:
     return (
         network.source == big.source
         and network.source_dist == big.source_dist
-        and all(n in big.depth and network.incoming(n) == big.incoming(n) for n in network.nodes)
+        and all(n in big.depth for n in network.nodes)
+        and network.feeds() == big.feeds(network.nodes)
     )
 
 
@@ -225,7 +226,8 @@ def sweep_network_family(
     only its upstream streams, so each point's samples are those of its own
     single-value run at that seed, and the points are correlated.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
+    iterations = whole_number("iterations", iterations)
     if iterations < 2:
         raise InvalidParameter(
             f"a sweep needs iterations >= 2, got {iterations}: its z gate divides "
@@ -242,7 +244,7 @@ def sweep_network_family(
     for value in values:
         point = make_network(value)
         target = _deepest_leaf(point)
-        check_run(point, horizon, iterations, estimator, [target])
+        horizon = check_run(point, horizon, iterations, estimator, [target])[0]
         analytic.append(expected_version_age(point).per_node[target])
         larger = network is None or len(point.nodes) > len(network.nodes)
         if network is not None and not (_nests(network, point) if larger else _nests(point, network)):

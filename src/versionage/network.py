@@ -1,4 +1,4 @@
-"""Cache-network topology: validation and depth order.
+"""Cache-network topology: validation, depth and what a set of nodes reads.
 
 A network is a directed graph of caches fed from one source node.  Any
 validated network can be simulated; the closed form covers a network in
@@ -120,16 +120,24 @@ class CacheNetwork:
 
     # -- queries ---------------------------------------------------------------
 
-    def incoming(self, node: str) -> tuple[Link, ...]:
-        return tuple(self._incoming[node])
-
     def leaves(self) -> list[str]:
         """Nodes with no outgoing links, excluding the source."""
         return [n for n in self.nodes if n != self.source and not self._outgoing[n]]
 
-    def topo_order(self) -> list[str]:
-        """Non-source nodes by increasing depth, ties in declaration order."""
-        return sorted((n for n in self.nodes if n != self.source), key=self.depth.__getitem__)
+    def feeds(self, targets=None) -> dict[str, tuple[Link, ...]]:
+        """The caches ``targets`` (default: every node) read, by depth, ties
+        in declaration order, each with its incoming links in declaration
+        order: each target but the source, and each cache with a path to one."""
+        needed, stack = set(), list(self.nodes if targets is None else targets)
+        if any(t not in self.depth for t in stack):
+            raise UnknownNode(f"targets reference undeclared nodes {[t for t in stack if t not in self.depth]}")
+        while stack:
+            node = stack.pop()
+            if node != self.source and node not in needed:
+                needed.add(node)
+                stack.extend(link.src for link in self._incoming[node])
+        order = sorted((n for n in self.nodes if n in needed), key=self.depth.__getitem__)
+        return {n: tuple(self._incoming[n]) for n in order}
 
     # -- serialization -----------------------------------------------------------
 

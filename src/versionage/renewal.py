@@ -53,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, positive_number
+from .distributions import Distribution, check_seed, positive_number, whole_number
 from .errors import InfiniteSecondMoment, InvalidParameter
-from .rng import RngStream, check_seed
+from .rng import RngStream
 
 __all__ = [
     "RenewalStream",
@@ -159,13 +159,16 @@ def _require_finite_moments(spec: Distribution):
     return spec.moments()
 
 
-def _check_paths(n_paths: int) -> None:
+def _check_paths(n_paths) -> int:
+    """``n_paths`` as an int, if a whole number of paths the verifiers take."""
+    n_paths = whole_number("path count", n_paths)
     if n_paths < _MIN_VERIFIER_PATHS:
         raise InvalidParameter(
             f"verifiers need at least {_MIN_VERIFIER_PATHS} paths for a stable z-score, got {n_paths}"
         )
     if n_paths > _MAX_VERIFIER_PATHS:
         raise InvalidParameter(f"verifiers take at most {_MAX_VERIFIER_PATHS:.3g} paths: their chunks are listed first")
+    return n_paths
 
 
 def _path_events(spec: Distribution, t_max: float) -> float:
@@ -355,7 +358,7 @@ class RenewalLimits:
     def __init__(self, spec: Distribution, t_grid, t_large: float | None = None,
                  n_paths: int = DEFAULT_PATHS, master_seed: int = 0):
         self.moments = _require_finite_moments(spec)
-        _check_paths(n_paths)
+        n_paths = _check_paths(n_paths)
         self.t_grid = [positive_number("t", t) for t in t_grid]
         self.t_large = _t_large(t_large, self.moments)
         self.t_max = max([self.t_large, *self.t_grid])
@@ -394,7 +397,7 @@ class WindowedCount:
                  n_paths: int = DEFAULT_PATHS, master_seed: int = 0):
         m_src = _require_finite_moments(source_spec)
         m_probe = _require_finite_moments(probe_spec)
-        _check_paths(n_paths)
+        n_paths = _check_paths(n_paths)
         self.t_large = _t_large(t_large, m_src, m_probe)
         _check_path_budget(self.t_large, probe_spec, source_spec)
         self.target = m_probe.mean_backward_recurrence / m_src.mean
@@ -426,9 +429,10 @@ def _usable_cpus() -> int:
 def _workers(threads: int, jobs: int) -> int:
     """Worker processes for ``jobs`` independent jobs: ``threads``, refused
     below 1, but at most one per usable CPU and one per job, and at least one."""
+    threads = whole_number("threads", threads)
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, got {threads}")
-    return max(1, min(int(threads), _usable_cpus(), jobs))
+    return max(1, min(threads, _usable_cpus(), jobs))
 
 
 def pool_map(run, jobs, threads: int) -> list:

@@ -25,21 +25,21 @@ pairs, latest first, started from all the targets at once: the first source
 pair a target reaches is the latest source time that any path of deliveries
 carries to it, and the source's count there is its version.
 ``time_average`` integrates each target's versions at its knots (every
-delivery it receives) over [horizon/2, horizon], less the source's count
-there, integrated once a row for every replicator that reads that row.  When
-every cache it draws has one feed, the engine traces those versions back
-from the targets, as the closed form does: each knot asks one binary search
-of its sender's events, hop by hop up to the source (whose version at its
-q-th event is q), and a range of knots reads one slice of the event times.
-Otherwise (a cache with several feeds, as on any cycle among caches) the
-same search, started from every drawn cache at horizon/2, gives each its
-version there, and each cache's step function over (horizon/2, horizon]
-starts from it, merging a cache's feeds by time under a running maximum from
-it.  Which sender knot each delivery reads depends on event times alone, so
-it is found once per replication; a worklist then re-evaluates, shallowest
-first, only the caches whose senders changed, until none did.  The operator
-is monotone and starts below its fixed point, so this is its least fixed
-point, the same one any order of evaluation reaches.
+delivery it receives) over [:data:`_WINDOW_START` x horizon, horizon], less
+the source's count there, integrated once a row for every replicator that
+reads that row.  When every cache it draws has one feed, the engine traces
+those versions back from the targets, as the closed form does: each knot
+asks one binary search of its sender's events, hop by hop up to the source
+(whose version at its q-th event is q), and a range of knots reads one slice
+of the event times.  Otherwise (a cache with several feeds, as on any cycle
+among caches) the same search, started from every drawn cache at the window
+start, gives each its version there, and each cache's step function over the
+window starts from it, merging a cache's feeds by time under a running
+maximum from it.  Which sender knot each delivery reads depends on event
+times alone, so it is found once per replication; a worklist then
+re-evaluates, shallowest first, only the caches whose senders changed, until
+none did.  The operator is monotone and starts below its fixed point, so
+this is its least fixed point, the same one any order of evaluation reaches.
 
 Streams come in blocks of :data:`BLOCK` replications: stream s of block b
 is one generator keyed by (master seed, b, s), and replication BLOCK * b + j
@@ -69,15 +69,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
-from .distributions import positive_number
+from .distributions import check_seed, positive_number, whole_number
 from .errors import InvalidParameter, UnknownNode
 from .network import CacheNetwork
 from .renewal import RenewalStream, _first_rows, event_times_until, pool_map
-from .rng import RngStream, check_seed
+from .rng import RngStream
 
 __all__ = [
     "ReplicationResult",
@@ -106,6 +106,9 @@ SOURCE_STREAM = ("source",)
 #: replications per block: replication BLOCK * b + j reads row j of each
 #: stream's :func:`_block_rows` in block b
 BLOCK = 8
+
+#: the time average's window is [_WINDOW_START * horizon, horizon]
+_WINDOW_START = 0.5
 
 
 def _link_stream(link) -> tuple:
@@ -153,17 +156,22 @@ class SimOutcome:
         return {**vars(self), "samples": self.samples.tolist()}
 
 
-def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, targets) -> None:
-    """Reject run arguments before anything is drawn; ``targets`` None (none
-    named yet) is left unchecked."""
+def check_run(network: CacheNetwork, horizon, iterations, estimator: str, targets) -> tuple[float, int, list | None]:
+    """Reject run arguments before anything is drawn, and return the horizon
+    as a float, the iteration count as an int and the targets as a list;
+    ``targets`` None (none named yet) is left unchecked."""
     if estimator not in ESTIMATORS:
         raise InvalidParameter(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    iterations = whole_number("iterations", iterations)
     if iterations < 1:
         raise InvalidParameter(f"iterations must be >= 1, got {iterations}")
     check_samples(iterations, 1, "target")
-    positive_number("horizon", horizon)
+    horizon = positive_number("horizon", horizon)
     if targets is None:
-        return
+        return horizon, iterations, None
+    if isinstance(targets, str):
+        raise InvalidParameter(f"targets must be a list of node ids, not the string {targets!r}")
+    targets = list(targets)
     if not targets:
         raise InvalidParameter(
             "no targets: the target list is empty, or none was given and the network "
@@ -176,6 +184,7 @@ def check_run(network: CacheNetwork, horizon, iterations: int, estimator: str, t
     if unknown:
         raise UnknownNode(f"targets reference undeclared nodes {unknown}")
     check_samples(iterations, len(targets), "targets")
+    return horizon, iterations, targets
 
 
 def check_samples(iterations: int, count: int, what: str) -> None:
@@ -253,11 +262,15 @@ def simulate_once(
     Each instant's events are popped together: the source's renewals count,
     then the deliveries repeat until no version moves.
     """
-    positive_number("horizon", horizon)
+    horizon = positive_number("horizon", horizon)
+    iteration = whole_number("iteration", iteration)
+    if iteration < 0:
+        raise InvalidParameter(f"iteration must be >= 0, got {iteration}")
+    master_seed = check_seed(master_seed)
     links = network.links
     plan = _plan(horizon, [(SOURCE_STREAM, network.source_dist)] + [(_link_stream(l), l.dist) for l in links])
     block, row = divmod(iteration, BLOCK)
-    rng = RngStream(check_seed(master_seed))  # each stream's block reseeds it
+    rng = RngStream(master_seed)  # each stream's block reseeds it
     streams = [RenewalStream(_block_rows(dist, rng, horizon, width, master_seed, block, sid, whole=False)[row])
                for sid, dist, width in plan]
     source = network.source
@@ -306,7 +319,7 @@ def simulate_once(
             knot_values[receivers[i]].append(versions[receivers[i]])
 
     w0 = versions[source]
-    lo = horizon / 2.0
+    lo = _WINDOW_START * horizon
     integrals = {}
     for n in network.nodes:
         times = np.array(knot_times[n])
@@ -335,12 +348,13 @@ class _Replicator:
     estimator needs.
     ``terminal`` takes the targets' versions at the horizon from one
     backward search (:meth:`_settled`) on any graph.  ``time_average``
-    integrates their versions at their knots over [horizon/2, horizon]:
-    when every drawn cache has one feed, these are traced back to the source
-    (:meth:`_trace`), knot 0 of a node being time 0 with version 0 and knot
-    q its q-th delivery; otherwise one search gives every drawn cache's
-    version at horizon/2, and the step functions settle from there to a
-    fixed point with a worklist (:meth:`_iterate`).
+    integrates their versions at their knots over the window [lo, horizon],
+    lo = :data:`_WINDOW_START` x horizon: when every drawn cache has one
+    feed, these are traced back to the source (:meth:`_trace`), knot 0 of a
+    node being time 0 with version 0 and knot q its q-th delivery; otherwise
+    one search gives every drawn cache's version at lo, and the step
+    functions settle from there to a fixed point with a worklist
+    (:meth:`_iterate`).
     """
 
     def __init__(self, network: CacheNetwork, targets: list[str], horizon: float, estimator: str):
@@ -349,42 +363,31 @@ class _Replicator:
         #: the targets' names, in the order of their readings
         self.names = list(targets)
         self.terminal = estimator != "time_average"
-        self._edges = np.array([horizon / 2.0, horizon])
+        #: the window's start, a float computed once, and its edges
+        self._lo = _WINDOW_START * horizon
+        self._edges = np.array([self._lo, horizon])
         self.dtype = np.int64 if self.terminal else np.float64
 
-        needed: set[str] = set()
-        stack = [t for t in targets if t != network.source]
-        while stack:
-            node = stack.pop()
-            if node not in needed:
-                needed.add(node)
-                stack.extend(
-                    link.src for link in network.incoming(node) if link.src != network.source
-                )
-        caches = [n for n in network.topo_order() if n in needed]
-        index = {network.source: 0, **{n: k + 1 for k, n in enumerate(caches)}}
-
-        #: per cache, its feeds in declaration order: (stream id, dist, sender)
-        self.feeds = [
-            [(_link_stream(link), link.dist, index[link.src]) for link in network.incoming(node)]
-            for node in caches
-        ]
+        drawn = network.feeds(targets)
+        index = {network.source: 0, **{n: k for k, n in enumerate(drawn, 1)}}
+        #: every stream a replication draws, as its :func:`_plan`: the
+        #: source's, then each drawn cache's feeds in turn
+        self.streams = _plan(horizon, [(SOURCE_STREAM, network.source_dist)]
+                             + [(_link_stream(link), link.dist) for links in drawn.values() for link in links])
+        #: per cache, its feeds in declaration order: (row among the streams, sender)
+        rows = count(1)
+        self.feeds = [[(next(rows), index[link.src]) for link in links] for links in drawn.values()]
         #: every drawn cache has one feed: depth order puts each sender first
         self.tree = all(len(feeds) == 1 for feeds in self.feeds)
         #: per node, the sender of its first feed, its only one when
         #: :attr:`tree` (the source's entry is a placeholder)
-        self.senders = [0] + [feeds[0][2] for feeds in self.feeds]
+        self.senders = [0] + [feeds[0][1] for feeds in self.feeds]
         #: per node, the caches it feeds
-        self.consumers: list[list[int]] = [[] for _ in range(len(caches) + 1)]
+        self.consumers: list[list[int]] = [[] for _ in self.senders]
         for k, feeds in enumerate(self.feeds, 1):
-            for _, _, s in feeds:
+            for _, s in feeds:
                 self.consumers[s].append(k)
         self.targets = [index[t] for t in targets]
-        #: every stream a replication draws, as its :func:`_plan`
-        self.streams = _plan(horizon, [(SOURCE_STREAM, network.source_dist)]
-                             + [(sid, dist) for feeds in self.feeds for sid, dist, _ in feeds])
-        #: per cache, where its feeds' rows sit among the streams'
-        self._cuts = list(accumulate((len(feeds) for feeds in self.feeds), initial=1))
 
     def _read(self, events, source) -> list[int | float]:
         """The targets' readings from one replication's rows, one per stream
@@ -396,7 +399,7 @@ class _Replicator:
             return [w0 - v for v in self._settled(self.targets, horizon, events)]
         i0, w0, src_integral = source
         windows = self._trace(events) if self.tree else self._iterate(events, i0, w0)
-        lo = horizon / 2.0
+        lo = self._lo
         width = horizon - lo
         readings = []
         for knot_times, i, j, versions in windows:
@@ -405,21 +408,21 @@ class _Replicator:
         return readings
 
     def _source(self, src_events: np.ndarray) -> tuple[int, int, float]:
-        """The source's knots in effect at horizon/2 and at the horizon, and
-        the integral of its count over that window, for the time average."""
+        """The source's knots in effect at the window's edges, and the
+        integral of its count over the window, for the time average."""
         i0, w0 = self._window(src_events)
         values = np.arange(i0, w0 + 1, dtype=np.float64)
-        return i0, w0, _window_integral(src_events, values, i0, w0, self.horizon / 2.0, self.horizon)
+        return i0, w0, _window_integral(src_events, values, i0, w0, self._lo, self.horizon)
 
     def _window(self, knot_times: np.ndarray) -> tuple[int, int]:
-        """The knots in effect at horizon/2 and at the horizon."""
+        """The knots in effect at the window start and at the horizon."""
         return tuple(knot_times.searchsorted(self._edges, side="right").tolist())
 
     def _trace(self, events) -> list[tuple]:
         """One feed per drawn cache, for the time average: each target's
         (knot times, i, j, versions at knots i..j), where i and j are its
-        knots in effect at horizon/2 and at the horizon, traced back from
-        the target to the source.
+        knots in effect at the window start and at the horizon, traced back
+        from the target to the source.
 
         A delivery at knot q carries the sender's version at the sender's
         last event at or before it, so a cache asks its sender only for the
@@ -465,19 +468,19 @@ class _Replicator:
 
     def _iterate(self, events, i0: int, w0: int) -> list[tuple]:
         """Any drawn caches, for the time average: each target's (knot
-        times, i, j, versions at knots i..j), settled over [horizon/2,
-        horizon] alone; i0 and w0 are the source's knots in effect at
-        horizon/2 and at the horizon.
+        times, i, j, versions at knots i..j), settled over the window [lo,
+        horizon] alone; i0 and w0 are the source's knots in effect at lo and
+        at the horizon.
 
-        Each drawn cache's knot 0 holds its settled version at lo =
-        horizon/2, found for every cache by one :meth:`_settled` search, and
-        its knots 1.. are its deliveries in (lo, horizon].  Each delivery
-        reads its sender's last knot at or before it, which depends only on
-        event times, so it is found once.  Every node's knot values then lie
-        end to end in one array, and a cache's values are one gather from it
-        (under a running maximum from its version at lo when it has several
-        feeds).  A worklist re-evaluates only caches whose senders changed,
-        shallowest first, until none did.
+        Each drawn cache's knot 0 holds its settled version at lo, found for
+        every cache by one :meth:`_settled` search, and its knots 1.. are
+        its deliveries in (lo, horizon].  Each delivery reads its sender's
+        last knot at or before it, which depends only on event times, so it
+        is found once.  Every node's knot values then lie end to end in one
+        array, and a cache's values are one gather from it (under a running
+        maximum from its version at lo when it has several feeds).  A
+        worklist re-evaluates only caches whose senders changed, shallowest
+        first, until none did.
         """
         # per stream, its events at or before lo and at or before the
         # horizon, and its events in (lo, horizon]
@@ -486,23 +489,20 @@ class _Replicator:
         # per node (source first): its version at lo and its step times in
         # (lo, horizon]; per cache the permutation merging its feeds'
         # deliveries there (None with one feed or none delivered)
-        starts = [i0, *self._settled(range(1, len(self.senders)), self.horizon / 2.0, events, [a for a, _ in cuts])]
+        starts = [i0, *self._settled(range(1, len(self.senders)), self._lo, events)]
         steps = [recent[0]]
         merges: list[np.ndarray | None] = []
-        for a, b in zip(self._cuts, self._cuts[1:]):
-            merged = recent[a] if b - a == 1 else np.concatenate(recent[a:b])
-            perm = None if b - a == 1 or not merged.size else np.argsort(merged, kind="stable")
+        for feeds in self.feeds:
+            merged = recent[feeds[0][0]] if len(feeds) == 1 else np.concatenate([recent[row] for row, _ in feeds])
+            perm = None if len(feeds) == 1 or not merged.size else np.argsort(merged, kind="stable")
             steps.append(merged if perm is None else merged[perm])
             merges.append(perm)
 
         # node k's knots 0..n_k sit at flat[offsets[k] : offsets[k] + n_k + 1]
         offsets = [0, *accumulate(t.size + 1 for t in steps)]
         gathers = []
-        for feeds, first, perm in zip(self.feeds, self._cuts, merges):
-            reads = [
-                steps[s].searchsorted(recent[row], side="right") + offsets[s]
-                for row, (_, _, s) in enumerate(feeds, first)
-            ]
+        for feeds, perm in zip(self.feeds, merges):
+            reads = [steps[s].searchsorted(recent[row], side="right") + offsets[s] for row, s in feeds]
             gathers.append(reads[0] if perm is None else np.concatenate(reads)[perm])
         # each knot 0 at its version at lo, the source's knots as counted,
         # version 0 elsewhere
@@ -525,7 +525,7 @@ class _Replicator:
                         heapq.heappush(todo, c)
         return [(steps[k], 0, steps[k].size, flat[offsets[k] : offsets[k + 1]]) for k in self.targets]
 
-    def _settled(self, starts, t: float, events, counts=None) -> list[int]:
+    def _settled(self, starts, t: float, events) -> list[int]:
         """The settled versions at t of the nodes ``starts``, from one
         best-first search over (node, time) pairs, latest first, where each
         feed of a popped cache leads to its sender at the feed's last
@@ -536,9 +536,7 @@ class _Replicator:
         first source pair a start reaches is the latest source time that any
         path of deliveries from it reaches; the source's count there
         (inclusive) is its version, else 0.  A start with its version
-        expands nothing more, and the search stops once all have theirs.
-        ``counts``, if given, holds each stream's events at or before t,
-        which the expansions at t reuse."""
+        expands nothing more, and the search stops once all have theirs."""
         versions, seen = [0] * len(starts), [0] * len(self.senders)
         due = (1 << len(starts)) - 1  # the starts still without a version
         heap = [(-t, n, 1 << b) for b, n in enumerate(starts)]
@@ -558,9 +556,9 @@ class _Replicator:
                     versions[(mask & -mask).bit_length() - 1] = version
                     mask &= mask - 1
                 continue
-            for row, (_, _, s) in enumerate(self.feeds[n - 1], self._cuts[n - 1]):
+            for row, s in self.feeds[n - 1]:
                 d = events[row]
-                c = counts[row] if counts and -at == t else int(d.searchsorted(-at, side="right"))
+                c = int(d.searchsorted(-at, side="right"))
                 if c:
                     heapq.heappush(heap, (-float(d[c - 1]), s, mask))
         return versions
@@ -635,8 +633,8 @@ def monte_carlo(
     bit-identical for a fixed master_seed no matter how the work is
     scheduled; ``threads`` affects speed only (see :func:`_replicate`).
     """
-    targets = network.leaves() if targets is None else list(targets)
-    check_run(network, horizon, iterations, estimator, targets)
-    check_seed(master_seed)
+    horizon, iterations, targets = check_run(
+        network, horizon, iterations, estimator, network.leaves() if targets is None else targets)
+    master_seed = check_seed(master_seed)
     (outcomes,) = _replicate([_Replicator(network, targets, horizon, estimator)], master_seed, iterations, threads)
     return outcomes

@@ -153,7 +153,7 @@ def test_every_age_is_the_correctly_rounded_path_sum():
             for node in names:
                 path, cur = [], node
                 while cur != "s":
-                    (link,) = net.incoming(cur)
+                    (link,) = net.feeds()[cur]
                     path.append(link_contribution(link.dist))
                     cur = link.src
                 assert ages.per_node[node] == math.fsum(path) / ages.source_mean

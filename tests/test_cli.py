@@ -71,19 +71,19 @@ def test_parse_config_defaults():
             {"from": "s", "to": "a", "dist": {"type": "uniform", "lo": 0, "hi": 2}}
         ), "declared twice"),
         (lambda c: c["links"][0].update(dist={"type": "what"}), "unknown distribution"),
-        pytest.param(lambda c: c.update(iterations=float("nan")), "'iterations' must be a whole",
+        pytest.param(lambda c: c.update(iterations=float("nan")), "iterations must be a whole",
                      id="iterations-nan"),
-        pytest.param(lambda c: c.update(iterations=2.7), "'iterations' must be a whole",
+        pytest.param(lambda c: c.update(iterations=2.7), "iterations must be a whole",
                      id="iterations-fraction"),
-        pytest.param(lambda c: c.update(iterations=True), "'iterations' must be a whole",
+        pytest.param(lambda c: c.update(iterations=True), "iterations must be a whole",
                      id="iterations-bool"),
-        pytest.param(lambda c: c.update(iterations="50"), "'iterations' must be a whole",
+        pytest.param(lambda c: c.update(iterations="50"), "iterations must be a whole",
                      id="iterations-string"),
-        pytest.param(lambda c: c.update(master_seed=float("inf")), "'master_seed' must be a whole",
+        pytest.param(lambda c: c.update(master_seed=float("inf")), "a master seed must be a whole",
                      id="seed-infinite"),
-        pytest.param(lambda c: c.update(horizon="abc"), "'horizon' must be a number",
+        pytest.param(lambda c: c.update(horizon="abc"), "horizon must be a positive finite number",
                      id="horizon-string"),
-        pytest.param(lambda c: c.update(horizon=True), "'horizon' must be a number",
+        pytest.param(lambda c: c.update(horizon=True), "horizon must be a positive finite number",
                      id="horizon-bool"),
         pytest.param(lambda c: c.update(output=5), "'output' must be a string",
                      id="output-number"),
@@ -102,13 +102,21 @@ def test_parse_config_defaults():
         pytest.param(lambda c: c.update(source=["s"]), "'source' must be a string", id="source-list"),
         pytest.param(lambda c: c.update(nodes=["s", "a", "b\0"]), r"'nodes': node id 'b\\x00' contains a NUL",
                      id="node-nul"),
+        pytest.param(lambda c: c.update(nodes=["s", "a", "b", "a"]), "node ids must be unique", id="node-twice"),
+        pytest.param(lambda c: c.update(nodes="sab"), "'nodes' must be a list of strings", id="nodes-string"),
+        pytest.param(lambda c: c.update(links={}), "'links' must be a list", id="links-object"),
+        pytest.param(lambda c: c["links"].append(["a", "b"]), r"links\[2\]: must be an object", id="link-list"),
+        pytest.param(lambda c: c["links"][1].update({"from": "x"}), "link 'x'->'b': 'x' is not a declared node",
+                     id="link-from-undeclared"),
+        pytest.param(lambda c: [c], "top level must be an object", id="top-level-list"),
     ],
 )
 def test_parse_config_diagnostics(mutate, fragment):
     payload = json.loads(json.dumps(CHAIN_CONFIG))
-    mutate(payload)
+    # a mutation edits the config in place, or returns a list to stand for it
+    replaced = mutate(payload)
     with pytest.raises(ConfigError, match=fragment):
-        parse_config(json.dumps(payload))
+        parse_config(json.dumps(replaced if isinstance(replaced, list) else payload))
 
 
 def test_parse_config_accepts_integral_floats():
@@ -130,6 +138,8 @@ def test_parse_spec_arg_forms():
         parse_spec_arg("exponential:rate")
     with pytest.raises(ConfigError):
         parse_spec_arg("exponential:rate=fast")
+    with pytest.raises(ConfigError, match="bad distribution literal"):
+        parse_spec_arg('{"type": "exponential",')
 
 
 # -- analytic ---------------------------------------------------------------------
@@ -270,7 +280,7 @@ def test_simulate_rejects_overflowing_iterations(tmp_path, capsys):
     path.write_text(text)
     base = str(tmp_path / "out")
     assert run(["simulate", str(path), "--out", base]) == 1
-    assert "'iterations' must be a whole number, got inf" in capsys.readouterr().err
+    assert "iterations must be a whole number, got inf" in capsys.readouterr().err
     assert not os.path.exists(base + ".json")
 
 
@@ -415,7 +425,14 @@ def test_results_never_overwrite_the_config(tmp_path, capsys, monkeypatch, argv)
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("out", ["{dir}/out/nodir/../x", "{config}/x"], ids=["dotdot", "under-a-file"])
+@pytest.mark.parametrize(
+    "out, message",
+    [("{dir}/out/nodir/../x", "is not a directory and cannot be made one"),
+     ("{config}/x", "is not a directory and cannot be made one"),
+     ("{dir}/" + "n" * 300, "a name in it is longer than"),
+     ("{dir}/" + "d" * 300 + "/x", "a name in it is longer than")],
+    ids=["dotdot", "under-a-file", "long-file-name", "long-directory-name"],
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -427,9 +444,10 @@ def test_results_never_overwrite_the_config(tmp_path, capsys, monkeypatch, argv)
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
-def test_unwritable_results_are_refused_before_drawing(tmp_path, capsys, monkeypatch, argv, out):
-    # 'out/nodir/..' does not resolve while nodir is missing, and nothing can
-    # be made under a file: both exit 1 before a single draw
+def test_unwritable_results_are_refused_before_drawing(tmp_path, capsys, monkeypatch, argv, out, message):
+    # 'out/nodir/..' does not resolve while nodir is missing, nothing can be
+    # made under a file, and no file system takes a 300-byte name: each
+    # exits 1 before a single draw
     def no_draws(self, rng, n):
         raise AssertionError("sample_batch must not run")
 
@@ -440,7 +458,7 @@ def test_unwritable_results_are_refused_before_drawing(tmp_path, capsys, monkeyp
     argv = [arg.format(**fill) for arg in argv] + ["--out", out.format(**fill)]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot write ") and "is not a directory and cannot be made one" in err
+    assert err.startswith("error: cannot write ") and message in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
@@ -964,6 +982,7 @@ def test_values_range_syntax(tmp_path):
     [
         ("1..1000000000000", "more than 10000 values"),
         ("1..6000,7000..12000", "more than 10000 values"),
+        pytest.param(",".join(map(str, range(1, 10_002))), "more than 10000 values", id="10001-plain-values"),
         ("100000", "hop count must lie in 0..10000"),
     ],
 )

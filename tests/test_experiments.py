@@ -134,8 +134,15 @@ def test_sweep_needs_two_iterations_before_building_anything():
     for iterations in (1, 0):
         with pytest.raises(InvalidParameter, match="z gate divides by the standard error"):
             sweep_network_family("custom", (1, 2), no_build, iterations=iterations, horizon=50.0)
+    for iterations in (2.5, True, "2"):
+        with pytest.raises(InvalidParameter, match="iterations must be a whole number"):
+            sweep_network_family("custom", (1, 2), no_build, iterations=iterations, horizon=50.0)
+    with pytest.raises(InvalidParameter, match="a master seed must be a whole number"):
+        sweep_network_family("custom", (1, 2), no_build, iterations=2, horizon=50.0, seed=True)
     sweep = sweep_study("fig6", (1,), iterations=2, horizon=50.0, seed=3)
     assert sweep.points[0].outcome.stderr > 0.0
+    # integral floats are the whole numbers they equal
+    assert sweep_study("fig6", (1,), iterations=2.0, horizon=50.0, seed=3.0).csv_text() == sweep.csv_text()
 
 
 def test_a_bad_last_value_is_refused_before_any_point_runs(monkeypatch):
@@ -146,6 +153,8 @@ def test_a_bad_last_value_is_refused_before_any_point_runs(monkeypatch):
         sweep_study("fig6", (1, 2, MAX_SWEEP_VALUES + 1), **FAST)
     with pytest.raises(InvalidParameter, match="link variance must lie in"):
         sweep_study("fig7", (0.05, 0.15, 0.5), **FAST)
+    with pytest.raises(InvalidParameter, match=r"unknown study 'fig9' \(expected fig5\|fig6\|fig7\)"):
+        sweep_study("fig9", (1,), **FAST)
     assert calls == []
 
 

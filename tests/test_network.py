@@ -131,7 +131,7 @@ def test_tree_path_lengths_and_link_coverage():
     def path(node):
         hops = []
         while node != "s":
-            (link,) = n.incoming(node)
+            (link,) = n.feeds()[node]
             hops.append((link.src, link.dst))
             node = link.src
         return hops
@@ -140,6 +140,35 @@ def test_tree_path_lengths_and_link_coverage():
         assert len(path(node)) == n.depth[node]
     on_leaf_paths = {hop for leaf in n.leaves() for hop in path(leaf)}
     assert on_leaf_paths == {(l.src, l.dst) for l in n.links}
+
+
+def test_feeds_come_by_depth_then_declaration_order():
+    # b is declared before a at depth 1; c has two feeds and a cycle with d
+    n = net(["s", "d", "b", "a", "c", "e"],
+            [("s", "a", E), ("c", "d", E), ("s", "b", E), ("b", "c", E), ("a", "c", E), ("d", "c", E),
+             ("a", "e", E)])
+    link = {(l.src, l.dst): l for l in n.links}
+    feeds = n.feeds()
+    assert list(feeds) == ["b", "a", "c", "e", "d"]
+    assert feeds["c"] == (link["b", "c"], link["a", "c"], link["d", "c"])
+    assert feeds["d"] == (link["c", "d"],)
+    # the default covers every cache, and the source has no entry
+    assert set(feeds) == set(n.nodes) - {"s"} and n.feeds(["s"]) == {}
+    # upstream closure: d reaches c through the cycle, and c reaches d
+    assert list(n.feeds(["c"])) == list(n.feeds(["d"])) == ["b", "a", "c", "d"]
+    assert n.feeds(["e"]) == {"a": (link["s", "a"],), "e": (link["a", "e"],)}
+    assert list(n.feeds(["e", "b"])) == ["b", "a", "e"]
+    with pytest.raises(UnknownNode, match=r"undeclared nodes \['x'\]"):
+        n.feeds(["e", "x"])
+
+
+def test_feeds_of_a_ten_thousand_hop_chain_take_linear_time(alarm):
+    alarm(2)
+    nodes = ["s"] + [f"n{i}" for i in range(1, 10_001)]
+    chain = net(nodes, [(a, b, E) for a, b in zip(nodes, nodes[1:])])
+    assert list(chain.feeds()) == nodes[1:]
+    assert list(chain.feeds(["n10000"])) == nodes[1:]
+    assert list(chain.feeds(["n5000"])) == nodes[1:5001]
 
 
 def test_tree_verdict_is_declaration_order_independent():

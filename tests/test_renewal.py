@@ -250,6 +250,9 @@ def test_verifiers_check_paths_before_drawing(monkeypatch):
         verify_backward_recurrence_limit(exp, 100.0, few)
     with pytest.raises(InvalidParameter, match="at least 10000 paths"):
         verify_windowed_count_limit(exp, exp, 100.0, few)
+    for paths in (N_PATHS + 0.5, True):
+        with pytest.raises(InvalidParameter, match="path count must be a whole number"):
+            verify_backward_recurrence_limit(exp, 100.0, paths)
 
 
 @pytest.mark.parametrize("paths", [10**7 + 1, 10**400])
@@ -610,6 +613,10 @@ def test_worker_count_is_capped_by_usable_cpus_and_jobs(cpus):
     assert renewal._workers(2, 50) == 2
     assert renewal._workers(1000, 2) == 2
     assert renewal._workers(4, 0) == 1
+    assert renewal._workers(2.0, 50) == 2
+    for threads in (1.5, True, "2"):
+        with pytest.raises(InvalidParameter, match="threads must be a whole number"):
+            renewal._workers(threads, 50)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

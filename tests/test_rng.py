@@ -18,7 +18,7 @@ from versionage import (
     verify_renewal_limits,
     verify_windowed_count_limit,
 )
-from versionage.rng import check_seed
+from versionage.distributions import check_seed
 
 
 def _draws(*scope) -> bytes:
@@ -55,6 +55,10 @@ def test_check_seed_takes_exactly_the_64_bit_seeds():
         assert check_seed(seed) == seed
     for seed in (-1, 2**64, -(2**64)):
         with pytest.raises(InvalidParameter, match=r"0 <= seed < 2\*\*64"):
+            check_seed(seed)
+    assert check_seed(2.0) == 2 and type(check_seed(2.0)) is int
+    for seed in (2.5, True, "1", float("inf")):
+        with pytest.raises(InvalidParameter, match="a master seed must be a whole number"):
             check_seed(seed)
 
 

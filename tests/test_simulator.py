@@ -857,6 +857,29 @@ def test_window_start_matches_simulate_once(network, targets, horizon, estimator
         assert sender == "d" and version_at(runs[1].steps["d"], when) < version_at(runs[1].steps["c"], lo)
 
 
+@pytest.mark.parametrize(
+    "network, targets, traced",
+    [(fig6_network(4), ["n2", "n4"], True), (CYCLIC_GRAPH, ["a", "b", "c", "d"], False)],
+    ids=["traced-chain", "iterated-general"],
+)
+def test_the_window_start_is_one_constant(monkeypatch, network, targets, traced):
+    # both engines read the window's start from _WINDOW_START: moved to a
+    # tenth of the horizon, the traced and iterated engines still equal the
+    # event loop, and their readings move with it
+    from versionage import simulator
+
+    horizon, iterations, seed = 40.0, 12, 7
+    kw = dict(targets=targets, horizon=horizon, iterations=iterations, master_seed=seed, estimator="time_average")
+    half = monte_carlo(network, **kw)
+    monkeypatch.setattr(simulator, "_WINDOW_START", 0.1)
+    assert _Replicator(network, targets, horizon, "time_average").tree is traced
+    out = monte_carlo(network, **kw)
+    runs = [simulate_once(network, horizon, seed, iteration=i).time_average for i in range(iterations)]
+    for t in targets:
+        assert out[t].samples.tolist() == [r[t] for r in runs], t
+        assert out[t].samples.tolist() != half[t].samples.tolist(), t
+
+
 @pytest.fixture
 def heap_pops(monkeypatch):
     """Count the heap entries the simulator pops: the returned list's one
@@ -1005,6 +1028,22 @@ def test_monte_carlo_caps_iterations_before_drawing(monkeypatch):
     for iterations in (10**7 + 1, 10**400):
         with pytest.raises(InvalidParameter, match="iterations must be at most 1e\\+07"):
             monte_carlo(network, horizon=10.0, iterations=iterations)
+    # counts and seeds that are not whole numbers, and a string of targets,
+    # are refused where they are first read
+    for kw, message in [(dict(iterations=2.5), "iterations must be a whole number"),
+                        (dict(iterations=True), "iterations must be a whole number"),
+                        (dict(master_seed=2.5), "a master seed must be a whole number"),
+                        (dict(master_seed=True), "a master seed must be a whole number"),
+                        (dict(threads=1.5), "threads must be a whole number"),
+                        (dict(threads=True), "threads must be a whole number"),
+                        (dict(targets="n1"), "targets must be a list of node ids, not the string 'n1'")]:
+        with pytest.raises(InvalidParameter, match=message):
+            monte_carlo(network, **{"horizon": 10.0, "iterations": 2, **kw})
+    for iteration, message in [(-1, "iteration must be >= 0, got -1"), (2.5, "iteration must be a whole number")]:
+        with pytest.raises(InvalidParameter, match=message):
+            simulate_once(network, 10.0, 1, iteration=iteration)
+    with pytest.raises(InvalidParameter, match="a master seed must be a whole number"):
+        simulate_once(network, 10.0, 1.5)
 
 
 def test_monte_carlo_checks_only_the_streams_it_draws(monkeypatch):
