@@ -107,15 +107,12 @@ def _run_config(obj: dict) -> RunConfig:
     network = CacheNetwork.from_dict(obj)
     master_seed = check_seed(run.get("master_seed", DEFAULT_SEED))
     estimator = run.get("estimator", DEFAULT_ESTIMATOR)
-    targets = run.get("targets")
-    if targets is not None and not (isinstance(targets, list) and targets
-                                    and all(isinstance(t, str) for t in targets)):
-        raise ConfigError("'targets' must be a nonempty list of node ids")
     output = run.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"'output' must be a string, got {output!r}")
     horizon, iterations, targets = check_run(network, run.get("horizon", DEFAULT_HORIZON),
-                                             run.get("iterations", DEFAULT_ITERATIONS), estimator, targets)
+                                             run.get("iterations", DEFAULT_ITERATIONS), estimator,
+                                             run.get("targets"))
     return RunConfig(
         network=network,
         horizon=horizon,

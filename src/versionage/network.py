@@ -63,11 +63,12 @@ class CacheNetwork:
             raise UnknownNode(f"source {self.source!r} is not a declared node")
 
         self.links: tuple[Link, ...] = self._resolve_links(links)
-        self._incoming: dict[str, list[Link]] = {n: [] for n in self.nodes}
+        incoming: dict[str, list[Link]] = {n: [] for n in self.nodes}
         self._outgoing: dict[str, list[Link]] = {n: [] for n in self.nodes}
         for link in self.links:
-            self._incoming[link.dst].append(link)
+            incoming[link.dst].append(link)
             self._outgoing[link.src].append(link)
+        self._incoming = {n: tuple(feeds) for n, feeds in incoming.items()}
 
         self.depth = self._check_reachability()
 
@@ -128,16 +129,19 @@ class CacheNetwork:
         """The caches ``targets`` (default: every node) read, by depth, ties
         in declaration order, each with its incoming links in declaration
         order: each target but the source, and each cache with a path to one."""
-        needed, stack = set(), list(self.nodes if targets is None else targets)
-        if any(t not in self.depth for t in stack):
-            raise UnknownNode(f"targets reference undeclared nodes {[t for t in stack if t not in self.depth]}")
-        while stack:
-            node = stack.pop()
-            if node != self.source and node not in needed:
-                needed.add(node)
-                stack.extend(link.src for link in self._incoming[node])
-        order = sorted((n for n in self.nodes if n in needed), key=self.depth.__getitem__)
-        return {n: tuple(self._incoming[n]) for n in order}
+        if targets is None:
+            caches = [n for n in self.nodes if n != self.source]
+        else:
+            needed, stack = set(), list(targets)
+            if any(t not in self.depth for t in stack):
+                raise UnknownNode(f"targets reference undeclared nodes {[t for t in stack if t not in self.depth]}")
+            while stack:
+                node = stack.pop()
+                if node != self.source and node not in needed:
+                    needed.add(node)
+                    stack.extend(link.src for link in self._incoming[node])
+            caches = [n for n in self.nodes if n in needed]
+        return {n: self._incoming[n] for n in sorted(caches, key=self.depth.__getitem__)}
 
     # -- serialization -----------------------------------------------------------
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count
@@ -171,12 +172,17 @@ def check_run(network: CacheNetwork, horizon, iterations, estimator: str, target
         return horizon, iterations, None
     if isinstance(targets, str):
         raise InvalidParameter(f"targets must be a list of node ids, not the string {targets!r}")
+    if isinstance(targets, Mapping) or not isinstance(targets, Iterable):
+        raise InvalidParameter(f"targets must be a list of node ids, got {targets!r}")
     targets = list(targets)
     if not targets:
         raise InvalidParameter(
             "no targets: the target list is empty, or none was given and the network "
             "has no leaves (every cache forwards to another); name the targets"
         )
+    wrong = [t for t in targets if not isinstance(t, str)]
+    if wrong:
+        raise InvalidParameter(f"targets must be node ids (strings), got {wrong}")
     repeated = [t for t, n in Counter(targets).items() if n > 1]
     if repeated:
         raise InvalidParameter(f"targets name {repeated} more than once")

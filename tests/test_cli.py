@@ -109,6 +109,16 @@ def test_parse_config_defaults():
         pytest.param(lambda c: c["links"][1].update({"from": "x"}), "link 'x'->'b': 'x' is not a declared node",
                      id="link-from-undeclared"),
         pytest.param(lambda c: [c], "top level must be an object", id="top-level-list"),
+        pytest.param(lambda c: c.update(targets="b"), "targets must be a list of node ids, not the string 'b'",
+                     id="targets-string"),
+        pytest.param(lambda c: c.update(targets={"b": 1}), "targets must be a list of node ids, got {'b': 1}",
+                     id="targets-object"),
+        pytest.param(lambda c: c.update(targets=5), "targets must be a list of node ids, got 5",
+                     id="targets-number"),
+        pytest.param(lambda c: c.update(targets=[["b"]]), r"targets must be node ids \(strings\), got \[\['b'\]\]",
+                     id="targets-nested-list"),
+        pytest.param(lambda c: c.update(targets=[None]), r"targets must be node ids \(strings\), got \[None\]",
+                     id="targets-null-entry"),
     ],
 )
 def test_parse_config_diagnostics(mutate, fragment):
@@ -392,7 +402,7 @@ def test_simulate_rejects_empty_targets(tmp_path, capsys):
     base = str(tmp_path / "none")
     assert run(["simulate", write_config(tmp_path, dict(CHAIN_CONFIG, targets=[])), "--out", base]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'targets' must be a nonempty list" in err
+    assert err.startswith("error: ") and "the target list is empty" in err
     assert not os.path.exists(base + ".csv")
 
 

@@ -282,11 +282,11 @@ def test_a_sweep_draws_each_shared_stream_once_per_block(monkeypatch):
     assert sorted(set(calls)) == [("link", "n1", "n2"), ("link", "n2", "n3"), ("link", "src", "n1"), ("source",)]
 
 
-def test_a_shared_stream_drawn_row_by_row_is_drawn_once_for_all_points(monkeypatch):
+def test_a_shared_stream_drawn_row_by_row_is_drawn_once_for_all_points(monkeypatch, cpus):
     # a beta(0.01, 1.5) link at horizon 20: at this seed its block 1 has a
     # row that ends short of the horizon, so that block comes row by row;
     # like block 0, which is one array, it is drawn once for all three
-    # points, whose sources differ
+    # points, whose sources differ, in process and by a pool's worker
     from versionage import Beta, simulator
 
     def make(rate):
@@ -304,9 +304,12 @@ def test_a_shared_stream_drawn_row_by_row_is_drawn_once_for_all_points(monkeypat
     law = Beta(alpha=0.01, beta=1.5)
     assert not isinstance(block_rows(law, RngStream(0), 20.0, _first_rows(law, 20.0), sweep.points[0].seed, 1, link),
                           np.ndarray)
-    for p in sweep.points:
+    cpus(2)
+    pooled = sweep_network_family("short_rows", (1.0, 2.0, 3.0), make, seed=2, threads=2, **run)
+    for p, q in zip(sweep.points, pooled.points):
         alone = monte_carlo(make(p.param), targets=["n1"], master_seed=p.seed, **run)["n1"]
         assert np.array_equal(p.outcome.samples, alone.samples), p.param
+        assert np.array_equal(q.outcome.samples, alone.samples), p.param
 
 
 @pytest.mark.parametrize("estimator", ["terminal", "time_average"])

@@ -154,6 +154,7 @@ def test_feeds_come_by_depth_then_declaration_order():
     assert feeds["d"] == (link["c", "d"],)
     # the default covers every cache, and the source has no entry
     assert set(feeds) == set(n.nodes) - {"s"} and n.feeds(["s"]) == {}
+    assert feeds == n.feeds(n.nodes)
     # upstream closure: d reaches c through the cycle, and c reaches d
     assert list(n.feeds(["c"])) == list(n.feeds(["d"])) == ["b", "a", "c", "d"]
     assert n.feeds(["e"]) == {"a": (link["s", "a"],), "e": (link["a", "e"],)}

@@ -630,10 +630,15 @@ def test_a_run_holds_one_block_at_a_time(estimator):
 
 def test_monte_carlo_threads_do_not_change_results(cpus):
     # 261 iterations are 33 blocks, the last of 5 rows: a real two-worker
-    # pool takes them in slices of 3 blocks
+    # pool takes them in slices of 3 blocks.  At this seed the beta links'
+    # blocks 16, 24 and 30 (alpha 0.01) and 7, 9, ... (alpha 0.001, mostly
+    # zero gaps) have rows that end short of the horizon, so workers draw
+    # them row by row and extend them past their first draw
     cpus(2)
     kw = dict(horizon=30.0, iterations=261, master_seed=4)
-    for network, targets in ((MIXED_TREE, ["b", "c"]), (CYCLIC_GRAPH, ["c", "d"])):
+    for network, targets in ((MIXED_TREE, ["b", "c"]), (CYCLIC_GRAPH, ["c", "d"]),
+                             (chain(Exponential(rate=2.0), [SHORT_ROWS]), ["n1"]),
+                             (chain(Exponential(rate=1.0), [ZERO_GAPS]), ["n1"])):
         serial = monte_carlo(network, targets=targets, **kw, threads=1)
         parallel = monte_carlo(network, targets=targets, **kw, threads=2)
         for t in targets:
@@ -1028,15 +1033,20 @@ def test_monte_carlo_caps_iterations_before_drawing(monkeypatch):
     for iterations in (10**7 + 1, 10**400):
         with pytest.raises(InvalidParameter, match="iterations must be at most 1e\\+07"):
             monte_carlo(network, horizon=10.0, iterations=iterations)
-    # counts and seeds that are not whole numbers, and a string of targets,
-    # are refused where they are first read
+    # counts and seeds that are not whole numbers, and targets that are not
+    # a list of strings, are refused where they are first read
     for kw, message in [(dict(iterations=2.5), "iterations must be a whole number"),
                         (dict(iterations=True), "iterations must be a whole number"),
                         (dict(master_seed=2.5), "a master seed must be a whole number"),
                         (dict(master_seed=True), "a master seed must be a whole number"),
                         (dict(threads=1.5), "threads must be a whole number"),
                         (dict(threads=True), "threads must be a whole number"),
-                        (dict(targets="n1"), "targets must be a list of node ids, not the string 'n1'")]:
+                        (dict(targets="n1"), "targets must be a list of node ids, not the string 'n1'"),
+                        (dict(targets={"n1": 1}), "targets must be a list of node ids, got {'n1': 1}"),
+                        (dict(targets=5), "targets must be a list of node ids, got 5"),
+                        (dict(targets=[["n1"]]), r"targets must be node ids \(strings\), got \[\['n1'\]\]"),
+                        (dict(targets=[None]), r"targets must be node ids \(strings\), got \[None\]"),
+                        (dict(targets=[1]), r"targets must be node ids \(strings\), got \[1\]")]:
         with pytest.raises(InvalidParameter, match=message):
             monte_carlo(network, **{"horizon": 10.0, "iterations": 2, **kw})
     for iteration, message in [(-1, "iteration must be >= 0, got -1"), (2.5, "iteration must be a whole number")]:
